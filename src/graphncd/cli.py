@@ -15,24 +15,24 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
+from pathlib import Path
 
-import numpy as np
-
-from .checkpoint import CheckpointError, save_checkpoint
-from .config import ConfigError, RunConfig, config_hash, load_config, phase1_hash
+from . import autodiff as ad
+# unused here, but perfbench/spans.py hooks cli.save_checkpoint, so it stays bound
+from .checkpoint import CheckpointError, save_checkpoint  # noqa: F401
+from .config import (ConfigError, RunConfig, config_hash, config_payload,
+                     load_config, phase1_hash)
 from .graph import (ClassSplit, Graph, GraphParseError, GraphValidationError,
-                    canonical_texts, load_graph, save_graph, sbm_generate,
-                    split_classes, validate_split)
+                    canonical_texts, input_features, load_graph, operator_for,
+                    save_graph, sbm_generate, split_classes, validate_split)
 from .metrics import (MetricsReport, evaluate_joint, write_confusion_csv,
                       write_perf_csv)
 from .models import encode
-from .ncd_losses import Prototypes
+from .ncd_losses import LOSS_TERMS, Prototypes
 from .training import (SEED_SBM, SEED_SPLIT, TrainingDiverged, derive_seed,
-                       load_state, named_parameters, ncd_train, pretrain,
-                       run_depth_sweep, stage_report)
-from . import autodiff as ad
-from .graph import normalize_rows, operator_for
+                       load_state, ncd_train, pretrain, run_depth_sweep,
+                       save_state, stage_report)
 
 
 class StaleArtifacts(Exception):
@@ -43,8 +43,7 @@ class DimensionMismatch(Exception):
     """Checkpoint geometry does not fit the dataset or split."""
 
 
-LOSS_COLUMNS = ("epoch", "pseudo", "self", "perturb", "replay", "distill",
-                "beta1", "beta2", "total")
+LOSS_COLUMNS = ("epoch", *LOSS_TERMS, "beta1", "beta2", "total")
 
 
 def _timestamp() -> str:
@@ -75,11 +74,8 @@ def resolve_dataset(rc: RunConfig) -> tuple[Graph, str]:
             if not os.path.isfile(p):
                 raise FileNotFoundError(f"missing dataset file: {p}")
         g = load_graph(rc.edges, rc.features, rc.labels)
-        blobs = []
-        for p in (rc.edges, rc.features, rc.labels):
-            with open(p, "rb") as fh:
-                blobs.append(fh.read())
-        return g, _sha256_bytes(*blobs)
+        return g, _sha256_bytes(*(Path(p).read_bytes()
+                                  for p in (rc.edges, rc.features, rc.labels)))
     g = sbm_generate(rc.sbm_blocks, rc.sbm_p_in, rc.sbm_p_out, rc.sbm_feat_dim,
                      rc.sbm_feat_shift, derive_seed(rc.seed, SEED_SBM))
     texts = canonical_texts(g)
@@ -103,6 +99,16 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
+    """Header, then one line per row: an integer first column, then float reprs
+    (repr round-trips exactly)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join([str(row[columns[0]])]
+                              + [repr(float(row[c])) for c in columns[1:]]) + "\n")
+
+
 def _reference_extras(rc: RunConfig, rep: MetricsReport) -> dict:
     refs = (rc.reference_old, rc.reference_new, rc.reference_all)
     if any(v != v for v in refs):  # any NaN: comparison not configured
@@ -116,7 +122,7 @@ def _reference_extras(rc: RunConfig, rep: MetricsReport) -> dict:
     }}
 
 
-def _write_metrics(out: str, rep: MetricsReport, rc: RunConfig) -> None:
+def _write_metrics(out: str, rep: MetricsReport) -> None:
     payload = rep.to_dict()
     payload["timestamp"] = _timestamp()
     _write_json(os.path.join(out, "metrics.json"), payload)
@@ -170,25 +176,17 @@ def cmd_pretrain(rc: RunConfig, force: bool) -> int:
 
     split.save(os.path.join(rc.out, "split.json"))
     meta = {"config_hash": chash, "phase1_hash": p1hash, "seed": rc.seed}
-    from .training import save_state
     save_state(os.path.join(rc.out, "checkpoint_pretrain.bin"), state, meta)
-    best_meta = dict(meta)
-    best_meta.update({"best_epoch": plog.best_epoch, "best_val_acc": plog.best_val_acc})
-    names = [n for n, _ in named_parameters(state)]
-    save_checkpoint(os.path.join(rc.out, "checkpoint_pretrain_best.bin"),
-                    [(n, plog.best_snapshot[n]) for n in names],
-                    {**best_meta, "backbone": state.backbone,
-                     "dims": list(state.encoder.dims), "phase": 1,
-                     "num_old": state.old_head.num_outputs, "num_new": 0,
-                     "step": plog.best_epoch + 1})
+    save_state(os.path.join(rc.out, "checkpoint_pretrain_best.bin"), state,
+               {**meta, "best_epoch": plog.best_epoch,
+                "best_val_acc": plog.best_val_acc, "step": plog.best_epoch + 1},
+               plog.best_snapshot)
     _write_json(os.path.join(rc.out, "prototypes.json"), protos.to_dict())
-    with open(os.path.join(rc.out, "losses.csv"), "w", encoding="utf-8") as fh:
-        fh.write("epoch,loss,val_acc\n")
-        for row in plog.rows:
-            fh.write(f"{row['epoch']},{row['loss']!r},{row['val_acc']!r}\n")
-    _write_metrics(rc.out, rep, rc)
+    _write_csv(os.path.join(rc.out, "losses.csv"), ("epoch", "loss", "val_acc"),
+               plog.rows)
+    _write_metrics(rc.out, rep)
     _write_manifest(rc.out, {
-        "command": "pretrain", "phase": 1, "config": _config_payload(rc),
+        "command": "pretrain", "phase": 1, "config": config_payload(rc),
         "config_hash": chash, "phase1_hash": p1hash,
         "dataset_sha256": dataset_hash, "split_sha256": split_hash,
         "seed": rc.seed, "epochs_run": len(plog.rows),
@@ -200,14 +198,6 @@ def cmd_pretrain(rc: RunConfig, force: bool) -> int:
     print(f"pretrain: old_acc={rep.old_acc:.4f} best_val={plog.best_val_acc:.4f} "
           f"epochs={len(plog.rows)} out={rc.out}")
     return 0
-
-
-def _config_payload(rc: RunConfig) -> dict:
-    payload = asdict(rc)
-    for k, v in list(payload.items()):
-        if isinstance(v, float) and v != v:
-            payload[k] = None
-    return payload
 
 
 def _load_phase1(pretrain_dir: str, rc: RunConfig, dataset_hash: str,
@@ -246,34 +236,19 @@ def cmd_ncd(rc: RunConfig, force: bool, pretrain_dir: str | None) -> int:
     rep = stage_report(state, g, split, tc, m11)
     chash = config_hash(rc, dataset_hash, split_hash)
     rep.config_hash = chash
-    rep.extras.update({
-        "use_pseudo": tc.use_pseudo, "use_self": tc.use_self,
-        "use_perturb": tc.use_perturb, "use_replay": tc.use_replay,
-        "use_distill": tc.use_distill})
+    rep.extras.update({f"use_{t}": getattr(tc, f"use_{t}") for t in LOSS_TERMS})
     rep.extras.update(_reference_extras(rc, rep))
 
     split.save(os.path.join(rc.out, "split.json"))
-    with open(os.path.join(rc.out, "losses.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(LOSS_COLUMNS) + "\n")
-        for row in nlog.rows:
-            fh.write(",".join(
-                str(row["epoch"]) if c == "epoch" else repr(float(row[c]))
-                for c in LOSS_COLUMNS) + "\n")
+    _write_csv(os.path.join(rc.out, "losses.csv"), LOSS_COLUMNS, nlog.rows)
     meta = {"config_hash": chash, "seed": rc.seed, "phase1_old_acc": m11,
             "best_epoch": nlog.best_epoch, "epochs_run": nlog.epochs_run}
-    from .training import save_state
     save_state(os.path.join(rc.out, "checkpoint_ncd_best.bin"), state, meta)
-    names = [n for n, _ in named_parameters(state)]
-    save_checkpoint(os.path.join(rc.out, "checkpoint_ncd_final.bin"),
-                    [(n, nlog.final_snapshot[n]) for n in names],
-                    {**meta, "backbone": state.backbone,
-                     "dims": list(state.encoder.dims), "phase": 2,
-                     "num_old": state.old_head.num_outputs,
-                     "num_new": state.novel_head.num_outputs,
-                     "step": state.adam.step if state.adam else 0})
-    _write_metrics(rc.out, rep, rc)
+    save_state(os.path.join(rc.out, "checkpoint_ncd_final.bin"), state, meta,
+               nlog.final_snapshot)
+    _write_metrics(rc.out, rep)
     _write_manifest(rc.out, {
-        "command": "ncd", "phase": 2, "config": _config_payload(rc),
+        "command": "ncd", "phase": 2, "config": config_payload(rc),
         "config_hash": chash, "dataset_sha256": dataset_hash,
         "split_sha256": split_hash, "seed": rc.seed,
         "pretrain_dir": src, "epochs_run": nlog.epochs_run,
@@ -312,30 +287,26 @@ def cmd_eval(rc: RunConfig, force: bool, checkpoint: str) -> int:
             f"split lists {len(split.new_classes)} new classes")
     tc = rc.train_config()
     m11 = meta.get("phase1_old_acc")
-    if state.joint_head is not None and m11 is not None:
-        rep = stage_report(state, g, split, tc, float(m11))
-    else:
+    if state.joint_head is None or m11 is not None:
+        rep = stage_report(state, g, split, tc, m11)
+    else:  # phase-2 checkpoint without its phase-1 accuracy: no stage matrix
         rep = evaluate_joint(state, g, split, tc.novel_alignment,
                              tc.normalize_features)
         rep.seed = rc.seed
-        if rep.phase == 1:
-            rep.perf = np.array([[rep.old_acc]])
-            rep.aa, rep.af = rep.old_acc, 0.0
     chash = config_hash(rc, dataset_hash, split_hash)
     rep.config_hash = chash
     rep.extras.update(_reference_extras(rc, rep))
-    _write_metrics(rc.out, rep, rc)
+    _write_metrics(rc.out, rep)
 
-    feats = normalize_rows(g.features) if tc.normalize_features else g.features
     z = encode(state.encoder, operator_for(state.backbone, g),
-               ad.constant(feats)).data
+               ad.constant(input_features(g, tc.normalize_features))).data
     with open(os.path.join(rc.out, "nodes.csv"), "w", encoding="utf-8") as fh:
         fh.write("id,label," + ",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
         for i in range(g.num_nodes):
             fh.write(f"{i},{g.labels[i]}," +
                      ",".join(repr(float(v)) for v in z[i]) + "\n")
     _write_manifest(rc.out, {
-        "command": "eval", "phase": rep.phase, "config": _config_payload(rc),
+        "command": "eval", "phase": rep.phase, "config": config_payload(rc),
         "config_hash": chash, "dataset_sha256": dataset_hash,
         "split_sha256": split_hash, "seed": rc.seed, "checkpoint": checkpoint,
         "old_acc": rep.old_acc, "new_acc": rep.new_acc, "all_acc": rep.all_acc,
@@ -353,14 +324,11 @@ def cmd_sweep_depth(rc: RunConfig, force: bool) -> int:
     split, split_hash = resolve_split(rc, g)
     tc = rc.train_config()
     rows = run_depth_sweep(g, split, tc, rc.sweep_layers)
-    with open(os.path.join(rc.out, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("layers,old_acc,new_acc,all_acc,aa,af\n")
-        for row in rows:
-            fh.write(f"{row['layers']},{row['old_acc']!r},{row['new_acc']!r},"
-                     f"{row['all_acc']!r},{row['aa']!r},{row['af']!r}\n")
+    _write_csv(os.path.join(rc.out, "sweep.csv"),
+               ("layers", "old_acc", "new_acc", "all_acc", "aa", "af"), rows)
     chash = config_hash(rc, dataset_hash, split_hash)
     _write_manifest(rc.out, {
-        "command": "sweep-depth", "config": _config_payload(rc),
+        "command": "sweep-depth", "config": config_payload(rc),
         "config_hash": chash, "dataset_sha256": dataset_hash,
         "split_sha256": split_hash, "seed": rc.seed,
         "layers": rc.sweep_layers, "artifacts": ["sweep.csv"]})
@@ -432,10 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep-depth":
             return cmd_sweep_depth(rc, args.force)
         return cmd_run(rc, args.force)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, GraphParseError, GraphValidationError,
+    except (FileNotFoundError, ConfigError, GraphParseError, GraphValidationError,
             CheckpointError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

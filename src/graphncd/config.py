@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
 from .ncd_losses import LossWeights
 from .training import TrainConfig
@@ -17,8 +17,22 @@ class ConfigError(ValueError):
     """Bad key, bad value, or unreadable config file."""
 
 
+def _train_fields():
+    """(name, type, field) of every TrainConfig knob, LossWeights inlined."""
+    for f in fields(TrainConfig):
+        for g in fields(LossWeights) if f.name == "weights" else (f,):
+            yield g.name, g.type, field(default=g.default,
+                                        default_factory=g.default_factory)
+
+
+# the 28 training keys, derived so that RunConfig cannot drift from TrainConfig;
+# a generated class reports the module `types` unless told otherwise
+_TrainKeys = make_dataclass("_TrainKeys", list(_train_fields()))
+_TrainKeys.__module__ = __name__
+
+
 @dataclass
-class RunConfig:
+class RunConfig(_TrainKeys):
     # dataset
     dataset: str = "sbm"                 # "sbm" or "files"
     edges: str = ""
@@ -34,35 +48,6 @@ class RunConfig:
     old_classes: list[int] = field(default_factory=lambda: [0, 1, 2])
     new_classes: list[int] = field(default_factory=lambda: [3, 4])
     split_ratios: list[float] = field(default_factory=lambda: [0.6, 0.2, 0.2])
-    # model / training
-    backbone: str = "gcn"
-    hidden: int = 32
-    layers: int = 2
-    lr: float = 0.01
-    weight_decay: float = 5e-4
-    pretrain_epochs: int = 200
-    ncd_epochs: int = 600
-    patience: int = 50
-    seed: int = 0
-    alpha1: float = 0.1
-    alpha2: float = 4.0
-    rampup_length: int = 100
-    eta: float = 0.2
-    lam: float = 1.0
-    omega_fd: float = 10.0
-    top_k: int = 5
-    use_pseudo: bool = True
-    use_self: bool = True
-    use_perturb: bool = True
-    use_replay: bool = True
-    use_distill: bool = True
-    sigma_mode: str = "empirical"
-    eq8_head: str = "novel"
-    init_scale: float = 0.01
-    per_class_replay: int = 32
-    novel_alignment: str = "hungarian"
-    normalize_features: bool = False
-    debug_checks: bool = False
     # outputs / wiring
     out: str = "runs/out"
     pretrain_dir: str = ""               # empty: same as out
@@ -73,23 +58,9 @@ class RunConfig:
     reference_all: float = float("nan")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            backbone=self.backbone, hidden=self.hidden, layers=self.layers,
-            lr=self.lr, weight_decay=self.weight_decay,
-            pretrain_epochs=self.pretrain_epochs, ncd_epochs=self.ncd_epochs,
-            patience=self.patience, seed=self.seed,
-            weights=LossWeights(alpha1=self.alpha1, alpha2=self.alpha2,
-                                rampup_length=self.rampup_length, eta=self.eta,
-                                lam=self.lam, omega_fd=self.omega_fd,
-                                top_k=self.top_k),
-            use_pseudo=self.use_pseudo, use_self=self.use_self,
-            use_perturb=self.use_perturb, use_replay=self.use_replay,
-            use_distill=self.use_distill, sigma_mode=self.sigma_mode,
-            eq8_head=self.eq8_head, init_scale=self.init_scale,
-            per_class_replay=self.per_class_replay,
-            novel_alignment=self.novel_alignment,
-            normalize_features=self.normalize_features,
-            debug_checks=self.debug_checks)
+        knobs = {f.name: getattr(self, f.name) for f in fields(_TrainKeys)}
+        weights = LossWeights(**{f.name: knobs.pop(f.name) for f in fields(LossWeights)})
+        return TrainConfig(weights=weights, **knobs)
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
@@ -112,11 +83,26 @@ def _parse_value(name: str, text: str, default) -> object:
         if isinstance(default, float):
             return float(text)
         if isinstance(default, list):
-            elem = type(default[0]) if default else float
-            return [elem(tok) for tok in text.split(",") if tok.strip() != ""]
+            return _coerce([tok for tok in text.split(",") if tok.strip() != ""], default)
         return text
     except ValueError as exc:
         raise ConfigError(f"config key {name!r}: {exc}") from exc
+
+
+def _coerce(v, default) -> object:
+    """v (a JSON value, or a list of string tokens) as the default's type.
+
+    Raises TypeError or ValueError when v does not fit."""
+    if isinstance(default, bool) and not isinstance(v, bool):
+        raise TypeError("expected boolean")
+    if isinstance(default, list):
+        if not isinstance(v, list):
+            raise TypeError(f"expected a list, got {v!r}")
+        elem = type(default[0]) if default else float
+        return [elem(x) for x in v]
+    if isinstance(default, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return type(default)(v)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -135,17 +121,11 @@ def parse_config_text(text: str) -> RunConfig:
                 raise ConfigError(f"unknown config key {k!r}")
             if isinstance(v, str):
                 values[k] = _parse_value(k, v, known[k])
-            elif isinstance(known[k], bool) and not isinstance(v, bool):
-                raise ConfigError(f"config key {k!r}: expected boolean")
-            elif isinstance(known[k], list):
-                elem = type(known[k][0]) if known[k] else float
-                values[k] = [elem(x) for x in v]
-            elif isinstance(known[k], float):
-                values[k] = float(v)
-            elif isinstance(known[k], int) and not isinstance(known[k], bool):
-                values[k] = int(v)
-            else:
-                values[k] = v
+                continue
+            try:
+                values[k] = _coerce(v, known[k])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"config key {k!r}: {exc}") from exc
     else:
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0].strip()
@@ -196,12 +176,15 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def config_payload(cfg: RunConfig) -> dict:
+    """Every key as a JSON-ready value; the unset NaN reference slots become null."""
+    return {k: None if isinstance(v, float) and v != v else v
+            for k, v in asdict(cfg).items()}
+
+
 def config_hash(cfg: RunConfig, dataset_hash: str, split_hash: str) -> str:
     """Content hash over everything that determines the run's numbers."""
-    payload = {k: v for k, v in asdict(cfg).items() if k not in _HASH_EXCLUDE}
-    for k, v in list(payload.items()):
-        if isinstance(v, float) and v != v:  # NaN reference slots
-            payload[k] = None
+    payload = {k: v for k, v in config_payload(cfg).items() if k not in _HASH_EXCLUDE}
     payload["dataset_sha256"] = dataset_hash
     payload["split_sha256"] = split_hash
     return _digest(payload)

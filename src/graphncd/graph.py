@@ -159,6 +159,11 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms > 0.0, norms, 1.0)
 
 
+def input_features(g: Graph, normalize: bool) -> np.ndarray:
+    """The encoder input: the node features, row-normalized when asked."""
+    return normalize_rows(g.features) if normalize else g.features
+
+
 def normalize_adjacency(g: Graph) -> SparseMatrix:
     """Symmetric GCN operator D^{-1/2} (A + I) D^{-1/2}.
 

@@ -7,7 +7,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import autodiff as ad
-from .graph import ClassSplit, Graph, normalize_rows, operator_for
+from .graph import ClassSplit, Graph, input_features, operator_for
 from .models import encode, head_forward
 
 
@@ -123,8 +123,8 @@ def joint_predictions(state, g: Graph, normalize_features: bool = False) -> np.n
     In phase 1 the joint head does not exist yet and the old head stands in,
     so predictions live in old-slot space only."""
     head = state.joint_head if state.joint_head is not None else state.old_head
-    feats = normalize_rows(g.features) if normalize_features else g.features
-    z = encode(state.encoder, operator_for(state.backbone, g), ad.constant(feats))
+    z = encode(state.encoder, operator_for(state.backbone, g),
+               ad.constant(input_features(g, normalize_features)))
     logits = head_forward(head, z).data
     return np.argmax(logits, axis=1)
 

@@ -217,6 +217,9 @@ def distill_loss(z_frozen: Tensor, z_current: Tensor) -> Tensor:
     return ad.mean(ad.l2_row_norm(ad.sub(z_frozen, z_current)))
 
 
+LOSS_TERMS = ("pseudo", "self", "perturb", "replay", "distill")
+
+
 def rampup(epoch: int, length: int, amplitude: float) -> float:
     """Sigmoid-shaped warmup: amplitude * exp(-5 (1 - t)^2), t = epoch/length.
 
@@ -234,20 +237,27 @@ def loss_betas(w: LossWeights, epoch: int) -> tuple[float, float]:
             rampup(epoch, w.rampup_length, w.alpha2))
 
 
+def scheduled_total(terms: Mapping[str, Tensor], w: LossWeights,
+                    epoch: int) -> tuple[Tensor, dict]:
+    """Compose the five 1x1 loss terms into the epoch's scheduled total.
+
+    Returns (total, report); the report carries every term's value plus the
+    epoch's effective beta weights and the total, in the order the loss CSV
+    expects."""
+    b1, b2 = loss_betas(w, epoch)
+    novel = ad.add(ad.add(terms["pseudo"], ad.mul_scalar(terms["self"], b1)),
+                   ad.mul_scalar(terms["perturb"], b2))
+    base = ad.add(terms["replay"], ad.mul_scalar(terms["distill"], w.omega_fd))
+    total = ad.add(novel, ad.mul_scalar(base, w.lam))
+    report = {k: terms[k].item() for k in LOSS_TERMS}
+    report.update(beta1=b1, beta2=b2, total=total.item())
+    return total, report
+
+
 def total_loss(components: Mapping[str, float], w: LossWeights,
                epoch: int) -> tuple[float, dict]:
-    """Combine per-term scalars into the scheduled total.
-
-    Returns (total, report); the report carries every component plus the
-    epoch's effective beta weights, in the order the loss CSV expects."""
-    b1, b2 = loss_betas(w, epoch)
-    c = {k: float(components.get(k, 0.0)) for k in
-         ("pseudo", "self", "perturb", "replay", "distill")}
-    novel = c["pseudo"] + b1 * c["self"] + b2 * c["perturb"]
-    base = c["replay"] + w.omega_fd * c["distill"]
-    total = novel + w.lam * base
-    report = dict(c)
-    report["beta1"] = b1
-    report["beta2"] = b2
-    report["total"] = total
-    return total, report
+    """scheduled_total on plain floats; missing components count as zero."""
+    _, report = scheduled_total(
+        {k: ad.constant([[float(components.get(k, 0.0))]]) for k in LOSS_TERMS},
+        w, epoch)
+    return report["total"], report

@@ -22,16 +22,16 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
-from .graph import ClassSplit, Graph, normalize_rows, operator_for, validate_split
+from .graph import ClassSplit, Graph, input_features, operator_for, validate_split
 from .metrics import MetricsReport, aa_af, evaluate_joint
 from .models import (EncoderParams, HeadParams, encode, encoder_parameters,
                      extend_head, freeze_encoder, head_forward, head_parameters,
                      init_encoder, init_head)
 from .ncd_losses import (LossWeights, Prototypes, assign_pseudo_labels, batch_sigma,
-                         compute_prototypes, distill_loss, loss_betas, pairwise_bce,
+                         compute_prototypes, distill_loss, pairwise_bce,
                          pairwise_similarity, perturb_consistency_loss,
                          perturb_representations, replay_loss, sample_prototype_batch,
-                         self_training_loss, topk_pseudo_pairs, total_loss)
+                         scheduled_total, self_training_loss, topk_pseudo_pairs)
 from .optim import AdamState, adam_init, adam_step
 
 ALLOWED_HIDDEN = (16, 32, 128)
@@ -105,8 +105,12 @@ class TrainConfig:
                 f"top_k must be in [1, hidden={self.hidden}], got {self.weights.top_k}")
         for name in ("lr", "pretrain_epochs", "ncd_epochs", "patience",
                      "per_class_replay"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not (np.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be finite and non-negative, got {self.weight_decay}")
 
 
 @dataclass
@@ -165,10 +169,6 @@ def _restore(named: list[tuple[str, Tensor]], snap: dict[str, np.ndarray]) -> No
         t.data[...] = snap[name]
 
 
-def _input_features(g: Graph, cfg: TrainConfig) -> np.ndarray:
-    return normalize_rows(g.features) if cfg.normalize_features else g.features
-
-
 def pretrain(g: Graph, split: ClassSplit,
              cfg: TrainConfig) -> tuple[ModelState, Prototypes, PretrainLog]:
     """Supervised phase-1 training on old-class nodes.
@@ -180,7 +180,7 @@ def pretrain(g: Graph, split: ClassSplit,
     cfg.validate()
     validate_split(g, split)
     adj = operator_for(cfg.backbone, g)
-    x = ad.constant(_input_features(g, cfg))
+    x = ad.constant(input_features(g, cfg.normalize_features))
     dims = [g.feat_dim] + [cfg.hidden] * cfg.layers
     enc = init_encoder(cfg.backbone, dims, derive_seed(cfg.seed, _SEED_ENCODER))
     old_head = init_head(cfg.hidden, len(split.old_classes), "old",
@@ -254,7 +254,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
                          f"{len(split.old_classes)} old classes")
     w = cfg.weights
     adj = operator_for(cfg.backbone, g)
-    x = ad.constant(_input_features(g, cfg))
+    x = ad.constant(input_features(g, cfg.normalize_features))
     n_old, n_new = len(split.old_classes), len(split.new_classes)
     repr_dim = state.encoder.repr_dim
 
@@ -282,7 +282,6 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     smoothed = None
     best_smoothed, best_epoch, best_snap = np.inf, -1, None
     wait = 0
-    epochs_run = 0
     stopped_early = False
     # totals from different beta schedules are different objectives, so the
     # stopping rule only compares epochs after the warmup ramp has finished
@@ -333,16 +332,9 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
 
         l_distill = distill_loss(zf_u, z_u) if cfg.use_distill else zero
 
-        b1, b2 = loss_betas(w, epoch)
-        novel_term = ad.add(ad.add(l_pseudo, ad.mul_scalar(l_self, b1)),
-                            ad.mul_scalar(l_perturb, b2))
-        base_term = ad.add(l_replay, ad.mul_scalar(l_distill, w.omega_fd))
-        total_t = ad.add(novel_term, ad.mul_scalar(base_term, w.lam))
-
-        components = {"pseudo": l_pseudo.item(), "self": l_self.item(),
-                      "perturb": l_perturb.item(), "replay": l_replay.item(),
-                      "distill": l_distill.item()}
-        total_f, report = total_loss(components, w, epoch)
+        total_t, report = scheduled_total(
+            {"pseudo": l_pseudo, "self": l_self, "perturb": l_perturb,
+             "replay": l_replay, "distill": l_distill}, w, epoch)
         report["epoch"] = epoch
         if not all(np.isfinite(v) for v in report.values()):
             raise TrainingDiverged(
@@ -357,16 +349,14 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
                                 + state.frozen_encoder.biases):
                 if not np.array_equal(ref, cur.data):
                     raise AssertionError("frozen encoder was mutated")
-            if abs(total_f - total_t.item()) > 1e-9 * max(1.0, abs(total_f)):
-                raise AssertionError("tensor total and reported total disagree")
 
         grads = backward(total_t, params)
         adam_step(params, grads, state.adam)
         rows.append(report)
-        epochs_run = epoch + 1
 
         if epoch >= track_from:
-            smoothed = total_f if smoothed is None else 0.9 * smoothed + 0.1 * total_f
+            total = report["total"]
+            smoothed = total if smoothed is None else 0.9 * smoothed + 0.1 * total
             if smoothed < best_smoothed - 1e-4:
                 best_smoothed, best_epoch, best_snap = smoothed, epoch, _snapshot(named)
                 wait = 0
@@ -379,7 +369,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     final_snap = _snapshot(named)
     if best_snap is not None:
         _restore(named, best_snap)
-    return state, NcdLog(rows=rows, epochs_run=epochs_run, best_epoch=best_epoch,
+    return state, NcdLog(rows=rows, epochs_run=len(rows), best_epoch=best_epoch,
                          best_smoothed=float(best_smoothed),
                          stopped_early=stopped_early, final_snapshot=final_snap)
 
@@ -417,7 +407,11 @@ def run_depth_sweep(g: Graph, split: ClassSplit, cfg: TrainConfig,
     return out
 
 
-def save_state(path: str, state: ModelState, meta_extra: dict | None = None) -> None:
+def save_state(path: str, state: ModelState, meta_extra: dict | None = None,
+               snapshot: dict[str, np.ndarray] | None = None) -> None:
+    """Write the state's parameters, or the given snapshot of them, plus meta.
+
+    meta_extra entries are added to, and may override, the derived meta."""
     meta = {
         "backbone": state.backbone,
         "dims": list(state.encoder.dims),
@@ -427,7 +421,8 @@ def save_state(path: str, state: ModelState, meta_extra: dict | None = None) -> 
         "step": state.adam.step if state.adam else 0,
     }
     meta.update(meta_extra or {})
-    save_checkpoint(path, [(n, t.data) for n, t in named_parameters(state)], meta)
+    save_checkpoint(path, [(n, t.data if snapshot is None else snapshot[n])
+                           for n, t in named_parameters(state)], meta)
 
 
 def load_state(path: str) -> tuple[ModelState, dict]:

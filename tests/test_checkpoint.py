@@ -157,3 +157,14 @@ def test_model_state_round_trip_phase_two(tmp_path):
         assert name_a == name_b
         assert np.array_equal(a.data, b.data)
     assert np.array_equal(joint_predictions(back, g), joint_predictions(state, g))
+
+
+def test_save_state_writes_snapshot_with_meta_overrides(tmp_path):
+    g, split, cfg = _tiny_pipeline()
+    state, _, plog = pretrain(g, split, cfg)
+    path = str(tmp_path / "best.bin")
+    save_state(path, state, {"step": plog.best_epoch + 1}, plog.best_snapshot)
+    back, meta = load_state(path)
+    assert meta["step"] == plog.best_epoch + 1 and meta["phase"] == 1
+    for name, t in named_parameters(back):
+        assert np.array_equal(t.data, plog.best_snapshot[name])

@@ -216,6 +216,17 @@ def test_malformed_config(tmp_path, capsys):
     assert "hidden" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [{"hidden": [1]}, {"sbm_blocks": 5},
+                                     {"lr": None}, {"out": 5},
+                                     {"sbm_blocks": ["a"]}])
+def test_json_config_value_of_wrong_type(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["pretrain", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config key" in capsys.readouterr().err
+
+
 def test_files_dataset_with_missing_paths(tmp_path):
     cfg = _write_cfg(tmp_path, extra="dataset = files\nedges = missing.txt\n"
                                      "features = f.txt\nlabels = l.txt\n")

@@ -1,11 +1,15 @@
 """Config parsing, validation, and content hashing."""
 import json
 import math
+import pickle
+from dataclasses import fields
 
 import pytest
 
-from graphncd.config import (ConfigError, RunConfig, config_hash, load_config,
-                             parse_config_text, phase1_hash)
+from graphncd.config import (ConfigError, RunConfig, config_hash, config_payload,
+                             load_config, parse_config_text, phase1_hash)
+from graphncd.ncd_losses import LossWeights
+from graphncd.training import TrainConfig
 
 TEXT = """
 # experiment settings
@@ -119,6 +123,10 @@ def test_load_config_round_trip(tmp_path):
     ("layers = 1", "layers"),
     ("top_k = 40", "top_k"),
     ("lr = 0", "lr"),
+    ("lr = nan", "lr"),
+    ("lr = inf", "lr"),
+    ("weight_decay = -1", "weight_decay"),
+    ("weight_decay = nan", "weight_decay"),
 ])
 def test_validation_errors(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -136,7 +144,33 @@ def test_train_config_wiring():
     assert tc.sigma_mode == "unit"
 
 
+def test_default_train_config_round_trips():
+    assert RunConfig().train_config() == TrainConfig()
+
+
+def test_every_training_knob_is_a_run_key_with_its_default():
+    run_defaults = config_payload(RunConfig())
+    assert len(run_defaults) == 47
+    knobs = [f for f in fields(TrainConfig) if f.name != "weights"]
+    for source, f in ([(TrainConfig(), f) for f in knobs]
+                      + [(LossWeights(), f) for f in fields(LossWeights)]):
+        assert run_defaults[f.name] == getattr(source, f.name), f.name
+
+
+def test_run_config_pickles():
+    cfg = RunConfig(hidden=16, sbm_blocks=[10, 20], reference_old=0.5)
+    assert config_payload(pickle.loads(pickle.dumps(cfg))) == config_payload(cfg)
+
+
 # --------------------------------------------------------------------- hashing
+
+def test_default_hashes_are_pinned():
+    # changing either value makes every existing run directory look stale
+    assert config_hash(RunConfig(), "d", "s") == \
+        "0fd59611edb08303b9c766f8949d7a4f1df1d87e1ac4a4c2071a96e28fb062e3"
+    assert phase1_hash(RunConfig(), "d", "s") == \
+        "40fb99fab538ffe5fae399f4f0d0420d0f6e3b1a7b14afe72c67e615fec20973"
+
 
 def test_config_hash_ignores_wiring_keys():
     a = RunConfig(out="runs/a", pretrain_dir="x", split_file="s.json")

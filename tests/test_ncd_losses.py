@@ -9,8 +9,9 @@ from graphncd.ncd_losses import (LossWeights, Prototypes, assign_pseudo_labels,
                                  loss_betas, pairwise_bce, pairwise_similarity,
                                  perturb_consistency_loss,
                                  perturb_representations, rampup, replay_loss,
-                                 sample_prototype_batch, self_training_loss,
-                                 topk_pseudo_pairs, total_loss)
+                                 sample_prototype_batch, scheduled_total,
+                                 self_training_loss, topk_pseudo_pairs,
+                                 total_loss)
 
 ORACLE_TOL = 1e-12
 
@@ -400,3 +401,18 @@ def test_total_loss_matches_hand_composition_on_random_inputs():
         assert abs(total - want) < ORACLE_TOL
         for k in comps:
             assert report[k] == comps[k]
+
+
+def test_scheduled_total_gradient_is_each_terms_weight():
+    w = LossWeights(alpha1=0.3, alpha2=2.0, rampup_length=5, lam=0.5, omega_fd=7.0)
+    terms = {k: parameter([[v]]) for k, v in
+             zip(("pseudo", "self", "perturb", "replay", "distill"),
+                 (0.7, 0.4, 0.9, 1.1, 0.2))}
+    total, report = scheduled_total(terms, w, epoch=2)
+    b1, b2 = loss_betas(w, 2)
+    grads = backward(total, list(terms.values()))
+    weights = (1.0, b1, b2, w.lam, w.lam * w.omega_fd)
+    for g, want in zip(grads, weights):
+        assert abs(g.item() - want) < ORACLE_TOL
+    assert report["total"] == total.item()
+    assert report == total_loss({k: t.item() for k, t in terms.items()}, w, 2)[1]
