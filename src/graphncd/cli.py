@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import autodiff as ad
@@ -30,9 +30,9 @@ from .metrics import (MetricsReport, evaluate_joint, write_confusion_csv,
                       write_perf_csv)
 from .models import encode
 from .ncd_losses import LOSS_TERMS, Prototypes
-from .training import (SEED_SBM, SEED_SPLIT, TrainingDiverged, derive_seed,
-                       load_state, ncd_train, pretrain, run_depth_sweep,
-                       save_state, stage_report)
+from .training import (SEED_SBM, SEED_SPLIT, TrainConfig, TrainingDiverged,
+                       derive_seed, load_state, ncd_train, pretrain,
+                       run_depth_sweep, save_state, stage_report)
 
 
 class StaleArtifacts(Exception):
@@ -43,21 +43,14 @@ class DimensionMismatch(Exception):
     """Checkpoint geometry does not fit the dataset or split."""
 
 
+# typed failures that are not bad input (exit 2); anything else is a traceback
+_EXIT_CODES = {StaleArtifacts: 3, DimensionMismatch: 4, TrainingDiverged: 1}
+
 LOSS_COLUMNS = ("epoch", *LOSS_TERMS, "beta1", "beta2", "total")
 
 
 def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _ensure_out(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
-def _guard_overwrite(out: str, force: bool) -> None:
-    marker = os.path.join(out, "manifest.json")
-    if os.path.exists(marker) and not force:
-        raise ConfigError(f"output {out} already holds a run; pass --force to overwrite")
 
 
 def _sha256_bytes(*blobs: bytes) -> str:
@@ -122,26 +115,61 @@ def _reference_extras(rc: RunConfig, rep: MetricsReport) -> dict:
     }}
 
 
-def _write_metrics(out: str, rep: MetricsReport) -> None:
-    payload = rep.to_dict()
-    payload["timestamp"] = _timestamp()
-    _write_json(os.path.join(out, "metrics.json"), payload)
-    write_confusion_csv(os.path.join(out, "confusion.csv"), rep.confusion,
-                        rep.class_order)
-    if rep.perf is not None:
-        write_perf_csv(os.path.join(out, "perf_matrix.csv"), rep.perf)
+@dataclass
+class _Stage:
+    """One stage's output directory, shared inputs and identity.
+
+    Every artifact path comes from `path`, which records the name, so the
+    manifest lists exactly the files the stage wrote, in write order."""
+    rc: RunConfig
+    g: Graph
+    split: ClassSplit
+    dataset_hash: str
+    split_hash: str
+    tc: TrainConfig
+    config_hash: str
+    artifacts: list[str] = field(default_factory=list)
+
+    def path(self, name: str) -> str:
+        self.artifacts.append(name)
+        return os.path.join(self.rc.out, name)
+
+    def write_metrics(self, rep: MetricsReport) -> None:
+        rep.config_hash = self.config_hash
+        rep.extras.update(_reference_extras(self.rc, rep))
+        payload = rep.to_dict()
+        payload["timestamp"] = _timestamp()
+        _write_json(self.path("metrics.json"), payload)
+        write_confusion_csv(self.path("confusion.csv"), rep.confusion, rep.class_order)
+        if rep.perf is not None:
+            write_perf_csv(self.path("perf_matrix.csv"), rep.perf)
+
+    def write_manifest(self, command: str, **facts) -> None:
+        """The identity block, the stage's own facts and the artifact list."""
+        _write_json(os.path.join(self.rc.out, "manifest.json"), {
+            "command": command, "config": config_payload(self.rc),
+            "config_hash": self.config_hash, "dataset_sha256": self.dataset_hash,
+            "split_sha256": self.split_hash, "seed": self.rc.seed, **facts,
+            "artifacts": self.artifacts, "timestamp": _timestamp()})
 
 
-def _write_manifest(out: str, payload: dict) -> None:
-    payload = dict(payload)
-    payload["timestamp"] = _timestamp()
-    _write_json(os.path.join(out, "manifest.json"), payload)
+def _open_stage(rc: RunConfig, force: bool) -> _Stage:
+    """Make the output directory, refuse to overwrite a finished stage, and
+    resolve the dataset, split, train config and config hash."""
+    os.makedirs(rc.out, exist_ok=True)
+    if os.path.exists(os.path.join(rc.out, "manifest.json")) and not force:
+        raise ConfigError(f"output {rc.out} already holds a run; "
+                          "pass --force to overwrite")
+    g, dataset_hash = resolve_dataset(rc)
+    split, split_hash = resolve_split(rc, g)
+    return _Stage(rc, g, split, dataset_hash, split_hash, rc.train_config(),
+                  config_hash(rc, dataset_hash, split_hash))
 
 
 def cmd_gen_data(rc: RunConfig, force: bool) -> int:
     if rc.dataset != "sbm":
         raise ConfigError("gen-data needs dataset=sbm; file datasets already exist")
-    _ensure_out(rc.out)
+    os.makedirs(rc.out, exist_ok=True)
     targets = [os.path.join(rc.out, n) for n in
                ("edges.txt", "features.txt", "labels.txt", "split.json")]
     clashes = [t for t in targets if os.path.exists(t)]
@@ -162,46 +190,32 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
 
 
 def cmd_pretrain(rc: RunConfig, force: bool) -> int:
-    _ensure_out(rc.out)
-    _guard_overwrite(rc.out, force)
-    g, dataset_hash = resolve_dataset(rc)
-    split, split_hash = resolve_split(rc, g)
-    tc = rc.train_config()
-    state, protos, plog = pretrain(g, split, tc)
-    rep = stage_report(state, g, split, tc)
-    chash = config_hash(rc, dataset_hash, split_hash)
-    p1hash = phase1_hash(rc, dataset_hash, split_hash)
-    rep.config_hash = chash
-    rep.extras.update(_reference_extras(rc, rep))
+    st = _open_stage(rc, force)
+    state, protos, plog = pretrain(st.g, st.split, st.tc)
+    rep = stage_report(state, st.g, st.split, st.tc)
+    p1hash = phase1_hash(rc, st.dataset_hash, st.split_hash)
 
-    split.save(os.path.join(rc.out, "split.json"))
-    meta = {"config_hash": chash, "phase1_hash": p1hash, "seed": rc.seed}
-    save_state(os.path.join(rc.out, "checkpoint_pretrain.bin"), state, meta)
-    save_state(os.path.join(rc.out, "checkpoint_pretrain_best.bin"), state,
+    meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": rc.seed}
+    save_state(st.path("checkpoint_pretrain.bin"), state, meta)
+    save_state(st.path("checkpoint_pretrain_best.bin"), state,
                {**meta, "best_epoch": plog.best_epoch,
                 "best_val_acc": plog.best_val_acc, "step": plog.best_epoch + 1},
                plog.best_snapshot)
-    _write_json(os.path.join(rc.out, "prototypes.json"), protos.to_dict())
-    _write_csv(os.path.join(rc.out, "losses.csv"), ("epoch", "loss", "val_acc"),
-               plog.rows)
-    _write_metrics(rc.out, rep)
-    _write_manifest(rc.out, {
-        "command": "pretrain", "phase": 1, "config": config_payload(rc),
-        "config_hash": chash, "phase1_hash": p1hash,
-        "dataset_sha256": dataset_hash, "split_sha256": split_hash,
-        "seed": rc.seed, "epochs_run": len(plog.rows),
-        "best_epoch": plog.best_epoch, "best_val_acc": plog.best_val_acc,
-        "old_acc": rep.old_acc,
-        "artifacts": ["checkpoint_pretrain.bin", "checkpoint_pretrain_best.bin",
-                      "prototypes.json", "split.json", "losses.csv",
-                      "metrics.json", "confusion.csv", "perf_matrix.csv"]})
+    _write_json(st.path("prototypes.json"), protos.to_dict())
+    st.split.save(st.path("split.json"))
+    _write_csv(st.path("losses.csv"), ("epoch", "loss", "val_acc"), plog.rows)
+    st.write_metrics(rep)
+    st.write_manifest("pretrain", phase=1, phase1_hash=p1hash,
+                      epochs_run=len(plog.rows), best_epoch=plog.best_epoch,
+                      best_val_acc=plog.best_val_acc, old_acc=rep.old_acc)
     print(f"pretrain: old_acc={rep.old_acc:.4f} best_val={plog.best_val_acc:.4f} "
           f"epochs={len(plog.rows)} out={rc.out}")
     return 0
 
 
-def _load_phase1(pretrain_dir: str, rc: RunConfig, dataset_hash: str,
-                 split_hash: str):
+def _load_phase1(pretrain_dir: str, st: _Stage):
+    """The phase-1 state, prototypes and old-class accuracy, once the manifest
+    and the checkpoint both carry the phase-1 hash of the active config."""
     manifest_path = os.path.join(pretrain_dir, "manifest.json")
     ckpt_path = os.path.join(pretrain_dir, "checkpoint_pretrain.bin")
     proto_path = os.path.join(pretrain_dir, "prototypes.json")
@@ -210,54 +224,44 @@ def _load_phase1(pretrain_dir: str, rc: RunConfig, dataset_hash: str,
             raise StaleArtifacts(f"missing phase-1 artifact: {p}; run pretrain first")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    want = phase1_hash(rc, dataset_hash, split_hash)
+    want = phase1_hash(st.rc, st.dataset_hash, st.split_hash)
     have = manifest.get("phase1_hash")
     if have != want:
         raise StaleArtifacts(
             f"phase-1 artifacts in {pretrain_dir} were built under a different "
             f"config/dataset (hash {have} != {want}); rerun pretrain")
+    old_acc = manifest.get("old_acc")
+    if isinstance(old_acc, bool) or not isinstance(old_acc, (int, float)):
+        raise StaleArtifacts(f"{manifest_path} records no phase-1 old_acc; rerun pretrain")
     state, meta = load_state(ckpt_path)
+    if meta.get("phase1_hash") != want:
+        raise StaleArtifacts(
+            f"{ckpt_path} comes from a different pretrain run (hash "
+            f"{meta.get('phase1_hash')} != {want}); rerun pretrain")
     with open(proto_path, "r", encoding="utf-8") as fh:
         protos = Prototypes.from_dict(json.load(fh))
-    return state, protos, manifest
+    return state, protos, float(old_acc)
 
 
 def cmd_ncd(rc: RunConfig, force: bool, pretrain_dir: str | None) -> int:
-    _ensure_out(rc.out)
-    _guard_overwrite(rc.out, force)
+    st = _open_stage(rc, force)
     src = pretrain_dir or rc.pretrain_dir or rc.out
-    g, dataset_hash = resolve_dataset(rc)
-    split, split_hash = resolve_split(rc, g)
-    state, protos, _ = _load_phase1(src, rc, dataset_hash, split_hash)
-    tc = rc.train_config()
-    m11 = evaluate_joint(state, g, split, tc.novel_alignment,
-                         tc.normalize_features).old_acc
-    state, nlog = ncd_train(state, protos, g, split, tc)
-    rep = stage_report(state, g, split, tc, m11)
-    chash = config_hash(rc, dataset_hash, split_hash)
-    rep.config_hash = chash
-    rep.extras.update({f"use_{t}": getattr(tc, f"use_{t}") for t in LOSS_TERMS})
-    rep.extras.update(_reference_extras(rc, rep))
+    state, protos, m11 = _load_phase1(src, st)
+    state, nlog = ncd_train(state, protos, st.g, st.split, st.tc)
+    rep = stage_report(state, st.g, st.split, st.tc, m11)
+    rep.extras.update({f"use_{t}": getattr(st.tc, f"use_{t}") for t in LOSS_TERMS})
 
-    split.save(os.path.join(rc.out, "split.json"))
-    _write_csv(os.path.join(rc.out, "losses.csv"), LOSS_COLUMNS, nlog.rows)
-    meta = {"config_hash": chash, "seed": rc.seed, "phase1_old_acc": m11,
+    meta = {"config_hash": st.config_hash, "seed": rc.seed, "phase1_old_acc": m11,
             "best_epoch": nlog.best_epoch, "epochs_run": nlog.epochs_run}
-    save_state(os.path.join(rc.out, "checkpoint_ncd_best.bin"), state, meta)
-    save_state(os.path.join(rc.out, "checkpoint_ncd_final.bin"), state, meta,
-               nlog.final_snapshot)
-    _write_metrics(rc.out, rep)
-    _write_manifest(rc.out, {
-        "command": "ncd", "phase": 2, "config": config_payload(rc),
-        "config_hash": chash, "dataset_sha256": dataset_hash,
-        "split_sha256": split_hash, "seed": rc.seed,
-        "pretrain_dir": src, "epochs_run": nlog.epochs_run,
-        "best_epoch": nlog.best_epoch, "stopped_early": nlog.stopped_early,
-        "old_acc": rep.old_acc, "new_acc": rep.new_acc, "all_acc": rep.all_acc,
-        "aa": rep.aa, "af": rep.af,
-        "artifacts": ["checkpoint_ncd_best.bin", "checkpoint_ncd_final.bin",
-                      "split.json", "losses.csv", "metrics.json",
-                      "confusion.csv", "perf_matrix.csv"]})
+    save_state(st.path("checkpoint_ncd_best.bin"), state, meta)
+    save_state(st.path("checkpoint_ncd_final.bin"), state, meta, nlog.final_snapshot)
+    st.split.save(st.path("split.json"))
+    _write_csv(st.path("losses.csv"), LOSS_COLUMNS, nlog.rows)
+    st.write_metrics(rep)
+    st.write_manifest("ncd", phase=2, pretrain_dir=src, epochs_run=nlog.epochs_run,
+                      best_epoch=nlog.best_epoch, stopped_early=nlog.stopped_early,
+                      old_acc=rep.old_acc, new_acc=rep.new_acc, all_acc=rep.all_acc,
+                      aa=rep.aa, af=rep.af)
     print(f"ncd: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "
           f"all_acc={rep.all_acc:.4f} aa={rep.aa:.4f} af={rep.af:.4f} "
           f"epochs={nlog.epochs_run} out={rc.out}")
@@ -265,12 +269,8 @@ def cmd_ncd(rc: RunConfig, force: bool, pretrain_dir: str | None) -> int:
 
 
 def cmd_eval(rc: RunConfig, force: bool, checkpoint: str) -> int:
-    _ensure_out(rc.out)
-    _guard_overwrite(rc.out, force)
-    if not os.path.isfile(checkpoint):
-        raise FileNotFoundError(f"missing checkpoint: {checkpoint}")
-    g, dataset_hash = resolve_dataset(rc)
-    split, split_hash = resolve_split(rc, g)
+    st = _open_stage(rc, force)
+    g, split = st.g, st.split
     state, meta = load_state(checkpoint)
     if state.encoder.dims[0] != g.feat_dim:
         raise DimensionMismatch(
@@ -285,53 +285,35 @@ def cmd_eval(rc: RunConfig, force: bool, checkpoint: str) -> int:
         raise DimensionMismatch(
             f"checkpoint has {state.novel_head.num_outputs} novel outputs, "
             f"split lists {len(split.new_classes)} new classes")
-    tc = rc.train_config()
     m11 = meta.get("phase1_old_acc")
     if state.joint_head is None or m11 is not None:
-        rep = stage_report(state, g, split, tc, m11)
+        rep = stage_report(state, g, split, st.tc, m11)
     else:  # phase-2 checkpoint without its phase-1 accuracy: no stage matrix
-        rep = evaluate_joint(state, g, split, tc.novel_alignment,
-                             tc.normalize_features)
+        rep = evaluate_joint(state, g, split, st.tc.novel_alignment,
+                             st.tc.normalize_features)
         rep.seed = rc.seed
-    chash = config_hash(rc, dataset_hash, split_hash)
-    rep.config_hash = chash
-    rep.extras.update(_reference_extras(rc, rep))
-    _write_metrics(rc.out, rep)
+    st.write_metrics(rep)
 
     z = encode(state.encoder, operator_for(state.backbone, g),
-               ad.constant(input_features(g, tc.normalize_features))).data
-    with open(os.path.join(rc.out, "nodes.csv"), "w", encoding="utf-8") as fh:
+               ad.constant(input_features(g, st.tc.normalize_features))).data
+    with open(st.path("nodes.csv"), "w", encoding="utf-8") as fh:
         fh.write("id,label," + ",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
         for i in range(g.num_nodes):
             fh.write(f"{i},{g.labels[i]}," +
                      ",".join(repr(float(v)) for v in z[i]) + "\n")
-    _write_manifest(rc.out, {
-        "command": "eval", "phase": rep.phase, "config": config_payload(rc),
-        "config_hash": chash, "dataset_sha256": dataset_hash,
-        "split_sha256": split_hash, "seed": rc.seed, "checkpoint": checkpoint,
-        "old_acc": rep.old_acc, "new_acc": rep.new_acc, "all_acc": rep.all_acc,
-        "artifacts": ["metrics.json", "confusion.csv", "nodes.csv"]
-        + (["perf_matrix.csv"] if rep.perf is not None else [])})
+    st.write_manifest("eval", phase=rep.phase, checkpoint=checkpoint,
+                      old_acc=rep.old_acc, new_acc=rep.new_acc, all_acc=rep.all_acc)
     print(f"eval: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "
           f"all_acc={rep.all_acc:.4f} out={rc.out}")
     return 0
 
 
 def cmd_sweep_depth(rc: RunConfig, force: bool) -> int:
-    _ensure_out(rc.out)
-    _guard_overwrite(rc.out, force)
-    g, dataset_hash = resolve_dataset(rc)
-    split, split_hash = resolve_split(rc, g)
-    tc = rc.train_config()
-    rows = run_depth_sweep(g, split, tc, rc.sweep_layers)
-    _write_csv(os.path.join(rc.out, "sweep.csv"),
+    st = _open_stage(rc, force)
+    rows = run_depth_sweep(st.g, st.split, st.tc, rc.sweep_layers)
+    _write_csv(st.path("sweep.csv"),
                ("layers", "old_acc", "new_acc", "all_acc", "aa", "af"), rows)
-    chash = config_hash(rc, dataset_hash, split_hash)
-    _write_manifest(rc.out, {
-        "command": "sweep-depth", "config": config_payload(rc),
-        "config_hash": chash, "dataset_sha256": dataset_hash,
-        "split_sha256": split_hash, "seed": rc.seed,
-        "layers": rc.sweep_layers, "artifacts": ["sweep.csv"]})
+    st.write_manifest("sweep-depth", layers=rc.sweep_layers)
     for row in rows:
         print(f"sweep-depth: layers={row['layers']} old_acc={row['old_acc']:.4f} "
               f"new_acc={row['new_acc']:.4f} all_acc={row['all_acc']:.4f}")
@@ -401,18 +383,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep_depth(rc, args.force)
         return cmd_run(rc, args.force)
     except (FileNotFoundError, ConfigError, GraphParseError, GraphValidationError,
-            CheckpointError, json.JSONDecodeError) as exc:
+            CheckpointError, json.JSONDecodeError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StaleArtifacts as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DimensionMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _EXIT_CODES.get(type(exc), 2)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, make_dataclass
 
+from .graph import check_split_ratios
 from .ncd_losses import LossWeights
-from .training import TrainConfig
+from .training import MAX_LAYERS, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -159,13 +161,23 @@ def _validate(cfg: RunConfig) -> None:
         for key in ("edges", "features", "labels"):
             if not getattr(cfg, key):
                 raise ConfigError(f"dataset=files needs the {key!r} path")
-    if len(cfg.split_ratios) != 3:
-        raise ConfigError(f"split_ratios needs 3 entries, got {cfg.split_ratios}")
+    # the loss schedule and weights are checked here, not in TrainConfig.validate:
+    # library callers may drive training into TrainingDiverged on purpose
+    if not cfg.rampup_length >= 1:
+        raise ConfigError(f"rampup_length must be at least 1, got {cfg.rampup_length}")
+    for key in ("alpha1", "alpha2", "eta", "lam", "omega_fd", "init_scale"):
+        v = getattr(cfg, key)
+        if not (math.isfinite(v) and v >= 0):
+            raise ConfigError(f"{key} must be finite and non-negative, got {v}")
+    if not (cfg.sweep_layers and all(2 <= n <= MAX_LAYERS for n in cfg.sweep_layers)):
+        raise ConfigError(f"sweep_layers needs one or more depths in [2, {MAX_LAYERS}], "
+                          f"got {cfg.sweep_layers}")
     if set(cfg.old_classes) & set(cfg.new_classes):
         raise ConfigError("old_classes and new_classes overlap")
     if not cfg.old_classes or not cfg.new_classes:
         raise ConfigError("old_classes and new_classes must both be non-empty")
     try:
+        check_split_ratios(cfg.split_ratios)
         cfg.train_config().validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

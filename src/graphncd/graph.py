@@ -11,7 +11,7 @@ Edges are undirected; in memory both directions are stored exactly once each.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,17 +214,20 @@ class ClassSplit:
     all_test: list[int] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {k: [int(x) for x in getattr(self, k)] for k in (
-            "old_classes", "new_classes", "p1_train", "p1_val", "p1_test",
-            "p2_train", "p2_val", "p2_test", "all_test")}
+        payload = {f.name: [int(x) for x in getattr(self, f.name)] for f in fields(self)}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ClassSplit":
+        """Every field as a JSON list of integers, else GraphParseError."""
         raw = json.loads(text)
-        return cls(**{k: [int(x) for x in raw[k]] for k in (
-            "old_classes", "new_classes", "p1_train", "p1_val", "p1_test",
-            "p2_train", "p2_val", "p2_test", "all_test")})
+        if not isinstance(raw, dict):
+            raise GraphParseError("a split must be a JSON object")
+        for f in fields(cls):
+            ids = raw.get(f.name)
+            if not (isinstance(ids, list) and all(type(x) is int for x in ids)):
+                raise GraphParseError(f"split key {f.name!r} must be a list of integers")
+        return cls(**{f.name: raw[f.name] for f in fields(cls)})
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -276,14 +279,21 @@ def _allocate(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int
     return counts[0], counts[1], counts[2]
 
 
+def check_split_ratios(ratios) -> None:
+    """ValueError unless there are three positive ratios that sum to 1."""
+    if len(ratios) != 3:
+        raise ValueError(f"split_ratios needs 3 entries, got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"split ratios must sum to 1, got {ratios}")
+    if not all(r > 0.0 for r in ratios):
+        raise ValueError(f"split ratios must be positive, got {ratios}")
+
+
 def split_classes(g: Graph, old_classes: list[int], new_classes: list[int],
                   ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
                   seed: int = 0) -> ClassSplit:
     """Stratified per-class shuffle into train/val/test for both phases."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
-    if min(ratios) <= 0.0:
-        raise ValueError(f"split ratios must be positive, got {ratios}")
+    check_split_ratios(ratios)
     old = [int(c) for c in old_classes]
     new = [int(c) for c in new_classes]
     if set(old) & set(new):

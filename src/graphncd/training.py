@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .graph import ClassSplit, Graph, input_features, operator_for, validate_split
 from .metrics import MetricsReport, aa_af, evaluate_joint
 from .models import (EncoderParams, HeadParams, encode, encoder_parameters,
@@ -219,7 +219,6 @@ def pretrain(g: Graph, split: ClassSplit,
 
     z_final = encode(enc, adj, x).data
     protos = compute_prototypes(z_final[tr], g.labels[tr], split.old_classes)
-    state.frozen_encoder = freeze_encoder(enc)
     return state, protos, PretrainLog(rows=rows, best_epoch=best_epoch,
                                       best_val_acc=best_val, best_snapshot=best_snap)
 
@@ -426,24 +425,34 @@ def save_state(path: str, state: ModelState, meta_extra: dict | None = None,
 
 
 def load_state(path: str) -> tuple[ModelState, dict]:
+    """The model a checkpoint holds. CheckpointError when the meta lacks the
+    geometry, or a tensor that the dims, phase or head sizes imply is absent."""
     meta, tensors = load_checkpoint(path)
-    backbone = meta["backbone"]
-    dims = [int(d) for d in meta["dims"]]
+    try:
+        backbone = meta["backbone"]
+        dims = [int(d) for d in meta["dims"]]
+        phase = int(meta.get("phase", 1))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: bad meta: {exc!r}") from exc
+
+    def param(name: str) -> Tensor:
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {name!r}")
+        return ad.parameter(tensors[name])
+
+    def head(role: str) -> HeadParams:
+        return HeadParams(role=role, weight=param(f"{role}_head.w"),
+                          bias=param(f"{role}_head.b"))
+
     n_layers = len(dims) - 1
     enc = EncoderParams(
         backbone=backbone, dims=dims,
-        weights=[ad.parameter(tensors[f"encoder.w{i}"]) for i in range(n_layers)],
-        biases=[ad.parameter(tensors[f"encoder.b{i}"]) for i in range(n_layers)])
-    old = HeadParams(role="old", weight=ad.parameter(tensors["old_head.w"]),
-                     bias=ad.parameter(tensors["old_head.b"]))
-    state = ModelState(backbone=backbone, encoder=enc, old_head=old,
-                       phase=int(meta.get("phase", 1)))
-    if "novel_head.w" in tensors:
-        state.novel_head = HeadParams(role="novel",
-                                      weight=ad.parameter(tensors["novel_head.w"]),
-                                      bias=ad.parameter(tensors["novel_head.b"]))
-    if "joint_head.w" in tensors:
-        state.joint_head = HeadParams(role="joint",
-                                      weight=ad.parameter(tensors["joint_head.w"]),
-                                      bias=ad.parameter(tensors["joint_head.b"]))
+        weights=[param(f"encoder.w{i}") for i in range(n_layers)],
+        biases=[param(f"encoder.b{i}") for i in range(n_layers)])
+    state = ModelState(backbone=backbone, encoder=enc, old_head=head("old"),
+                       phase=phase)
+    if meta.get("num_new") or "novel_head.w" in tensors:
+        state.novel_head = head("novel")
+    if phase == 2 or "joint_head.w" in tensors:
+        state.joint_head = head("joint")
     return state, meta

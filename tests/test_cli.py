@@ -2,10 +2,12 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from graphncd.checkpoint import load_checkpoint, save_checkpoint
 from graphncd.cli import main
 from graphncd.graph import ClassSplit, load_graph, validate_split
 from graphncd.training import load_state
@@ -121,8 +123,9 @@ def test_ncd_artifacts_and_flag_echo(pipeline):
         assert metrics[flag] is True
     state, meta = load_state(os.path.join(ncd, "checkpoint_ncd_best.bin"))
     assert meta["phase"] == 2 and state.joint_head is not None
-    assert meta["phase1_old_acc"] == pytest.approx(
-        _read_json(os.path.join(pre, "metrics.json"))["old_acc"])
+    # taken from the phase-1 manifest: the value pretrain measured, bit for bit
+    assert meta["phase1_old_acc"] == \
+        _read_json(os.path.join(pre, "metrics.json"))["old_acc"]
 
 
 def test_ncd_without_pretrain_artifacts(tmp_path, capsys):
@@ -139,6 +142,40 @@ def test_ncd_rejects_stale_pretrain(pipeline, tmp_path, capsys):
     assert main(["ncd", "--config", cfg, "--out", str(tmp_path / "n"),
                  "--pretrain-dir", pre, "--seed", "1"]) == 3
     assert "rerun pretrain" in capsys.readouterr().err
+
+
+def _copy_stage(src, dst):
+    os.makedirs(dst)
+    for name in os.listdir(src):
+        shutil.copy(os.path.join(src, name), os.path.join(dst, name))
+    return str(dst)
+
+
+def test_ncd_rejects_checkpoint_from_another_pretrain(pipeline, tmp_path, capsys):
+    cfg, pre, _ = pipeline
+    other = _write_cfg(tmp_path, name="other.cfg", extra="lr = 0.02\n")
+    assert main(["pretrain", "--config", other, "--out", str(tmp_path / "p")]) == 0
+    mixed = _copy_stage(pre, tmp_path / "mixed")
+    shutil.copy(tmp_path / "p" / "checkpoint_pretrain.bin", mixed)
+    assert main(["ncd", "--config", cfg, "--out", str(tmp_path / "n"),
+                 "--pretrain-dir", mixed]) == 3
+    assert "different pretrain run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old_acc", [None, "0.9", True])
+def test_ncd_needs_numeric_phase1_old_acc(pipeline, tmp_path, capsys, old_acc):
+    cfg, pre, _ = pipeline
+    bad = _copy_stage(pre, tmp_path / "bad")
+    manifest = _read_json(os.path.join(bad, "manifest.json"))
+    if old_acc is None:
+        del manifest["old_acc"]
+    else:
+        manifest["old_acc"] = old_acc
+    with open(os.path.join(bad, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    assert main(["ncd", "--config", cfg, "--out", str(tmp_path / "n"),
+                 "--pretrain-dir", bad]) == 3
+    assert "old_acc" in capsys.readouterr().err
 
 
 def test_phase2_knobs_do_not_invalidate_pretrain(pipeline, tmp_path):
@@ -203,6 +240,53 @@ def test_eval_missing_checkpoint(pipeline, tmp_path):
 
 # ------------------------------------------------------------------ bad input
 
+def _split_without_new_classes(raw):
+    return {"old_classes": raw["old_classes"]}
+
+
+def _split_with_float_ids(raw):
+    return {**raw, "p1_train": [float(i) for i in raw["p1_train"]]}
+
+
+def _ckpt_without(name):
+    def drop(meta, tensors):
+        del tensors[name]
+        return meta, tensors
+    return drop
+
+
+def _ckpt_without_dims(meta, tensors):
+    return {k: v for k, v in meta.items() if k != "dims"}, tensors
+
+
+@pytest.mark.parametrize("kind,mutate,needle", [
+    ("split", _split_without_new_classes, "new_classes"),
+    ("split", _split_with_float_ids, "p1_train"),
+    ("split", lambda raw: [raw["old_classes"]], "JSON object"),
+    ("checkpoint", _ckpt_without("encoder.w1"), "encoder.w1"),
+    ("checkpoint", _ckpt_without("joint_head.b"), "joint_head.b"),
+    ("checkpoint", _ckpt_without("novel_head.w"), "novel_head.w"),
+    ("checkpoint", _ckpt_without_dims, "dims"),
+])
+def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate,
+                                        needle):
+    cfg, pre, ncd = pipeline
+    bad = str(tmp_path / "bad")
+    out = str(tmp_path / "o")
+    if kind == "split":
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(mutate(_read_json(os.path.join(pre, "split.json"))), fh)
+        cfg = _write_cfg(tmp_path, name="split.cfg", extra=f"split_file = {bad}\n")
+        argv = ["pretrain", "--config", cfg, "--out", out]
+    else:
+        meta, tensors = load_checkpoint(os.path.join(ncd, "checkpoint_ncd_best.bin"))
+        meta, tensors = mutate(meta, tensors)
+        save_checkpoint(bad, list(tensors.items()), meta)
+        argv = ["eval", "--config", cfg, "--out", out, "--checkpoint", bad]
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["pretrain", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -251,7 +335,10 @@ def test_run_chains_all_three_stages(tmp_path):
     out = str(tmp_path / "full")
     assert main(["run", "--config", cfg, "--out", out]) == 0
     for stage in ("pretrain", "ncd", "eval"):
-        assert os.path.isfile(os.path.join(out, stage, "manifest.json")), stage
+        # the manifest lists every file the stage wrote, and only those
+        manifest = _read_json(os.path.join(out, stage, "manifest.json"))
+        assert sorted(manifest["artifacts"] + ["manifest.json"]) == \
+            sorted(os.listdir(os.path.join(out, stage))), stage
     ncd_manifest = _read_json(os.path.join(out, "ncd", "manifest.json"))
     assert ncd_manifest["pretrain_dir"] == os.path.join(out, "pretrain")
     ev = _read_json(os.path.join(out, "eval", "metrics.json"))

@@ -127,6 +127,18 @@ def test_load_config_round_trip(tmp_path):
     ("lr = inf", "lr"),
     ("weight_decay = -1", "weight_decay"),
     ("weight_decay = nan", "weight_decay"),
+    ("rampup_length = 0", "rampup_length"),
+    ("alpha1 = nan", "alpha1"),
+    ("alpha2 = -1", "alpha2"),
+    ("eta = inf", "eta"),
+    ("lam = -0.5", "lam"),
+    ("omega_fd = inf", "omega_fd"),
+    ("init_scale = nan", "init_scale"),
+    ("split_ratios = 0.5,0.5,0", "positive"),
+    ("split_ratios = 0.6,0.3,0.2", "sum to 1"),
+    ("sweep_layers = 1", "sweep_layers"),
+    ("sweep_layers = 2,65", "sweep_layers"),
+    ("sweep_layers =", "sweep_layers"),
 ])
 def test_validation_errors(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
