@@ -117,7 +117,7 @@ def _reference_extras(rc: RunConfig, rep: MetricsReport) -> dict:
 
 @dataclass
 class _Stage:
-    """One stage's output directory, shared inputs and identity.
+    """One stage's output directory plus the invocation's resolved inputs.
 
     Every artifact path comes from `path`, which records the name, so the
     manifest lists exactly the files the stage wrote, in write order."""
@@ -153,17 +153,22 @@ class _Stage:
             "artifacts": self.artifacts, "timestamp": _timestamp()})
 
 
-def _open_stage(rc: RunConfig, force: bool) -> _Stage:
-    """Make the output directory, refuse to overwrite a finished stage, and
-    resolve the dataset, split, train config and config hash."""
-    os.makedirs(rc.out, exist_ok=True)
-    if os.path.exists(os.path.join(rc.out, "manifest.json")) and not force:
-        raise ConfigError(f"output {rc.out} already holds a run; "
-                          "pass --force to overwrite")
-    g, dataset_hash = resolve_dataset(rc)
-    split, split_hash = resolve_split(rc, g)
-    return _Stage(rc, g, split, dataset_hash, split_hash, rc.train_config(),
-                  config_hash(rc, dataset_hash, split_hash))
+def _claim(dirs: list[str], force: bool) -> None:
+    """Make the output directories, refusing before any is made if one holds a
+    finished stage; force deletes the old manifests first, so a re-run that
+    fails leaves none vouching for its directory."""
+    done = [d for d in dirs if os.path.exists(os.path.join(d, "manifest.json"))]
+    if done and not force:
+        raise ConfigError(f"{done[0]} holds a finished run; pass --force to overwrite")
+    for d in dirs:
+        os.makedirs(d, exist_ok=True)
+    for d in done:
+        os.remove(os.path.join(d, "manifest.json"))
+
+
+def _run_dirs(out: str) -> list[str]:
+    """The stage directories `run` writes under out, in the order it runs them."""
+    return [os.path.join(out, name) for name in ("pretrain", "ncd", "eval")]
 
 
 def cmd_gen_data(rc: RunConfig, force: bool) -> int:
@@ -189,13 +194,12 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
     return 0
 
 
-def cmd_pretrain(rc: RunConfig, force: bool) -> int:
-    st = _open_stage(rc, force)
+def cmd_pretrain(st: _Stage) -> int:
     state, protos, plog = pretrain(st.g, st.split, st.tc)
     rep = stage_report(state, st.g, st.split, st.tc)
-    p1hash = phase1_hash(rc, st.dataset_hash, st.split_hash)
+    p1hash = phase1_hash(st.rc, st.dataset_hash, st.split_hash)
 
-    meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": rc.seed}
+    meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": st.rc.seed}
     save_state(st.path("checkpoint_pretrain.bin"), state, meta)
     save_state(st.path("checkpoint_pretrain_best.bin"), state,
                {**meta, "best_epoch": plog.best_epoch,
@@ -209,8 +213,12 @@ def cmd_pretrain(rc: RunConfig, force: bool) -> int:
                       epochs_run=len(plog.rows), best_epoch=plog.best_epoch,
                       best_val_acc=plog.best_val_acc, old_acc=rep.old_acc)
     print(f"pretrain: old_acc={rep.old_acc:.4f} best_val={plog.best_val_acc:.4f} "
-          f"epochs={len(plog.rows)} out={rc.out}")
+          f"epochs={len(plog.rows)} out={st.rc.out}")
     return 0
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _load_phase1(pretrain_dir: str, st: _Stage):
@@ -231,7 +239,7 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
             f"phase-1 artifacts in {pretrain_dir} were built under a different "
             f"config/dataset (hash {have} != {want}); rerun pretrain")
     old_acc = manifest.get("old_acc")
-    if isinstance(old_acc, bool) or not isinstance(old_acc, (int, float)):
+    if not _is_number(old_acc):
         raise StaleArtifacts(f"{manifest_path} records no phase-1 old_acc; rerun pretrain")
     state, meta = load_state(ckpt_path)
     if meta.get("phase1_hash") != want:
@@ -243,34 +251,31 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
     return state, protos, float(old_acc)
 
 
-def cmd_ncd(rc: RunConfig, force: bool, pretrain_dir: str | None) -> int:
-    st = _open_stage(rc, force)
-    src = pretrain_dir or rc.pretrain_dir or rc.out
-    state, protos, m11 = _load_phase1(src, st)
+def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
+    state, protos, m11 = _load_phase1(pretrain_dir, st)
     state, nlog = ncd_train(state, protos, st.g, st.split, st.tc)
     rep = stage_report(state, st.g, st.split, st.tc, m11)
     rep.extras.update({f"use_{t}": getattr(st.tc, f"use_{t}") for t in LOSS_TERMS})
 
-    meta = {"config_hash": st.config_hash, "seed": rc.seed, "phase1_old_acc": m11,
+    meta = {"config_hash": st.config_hash, "seed": st.rc.seed, "phase1_old_acc": m11,
             "best_epoch": nlog.best_epoch, "epochs_run": nlog.epochs_run}
     save_state(st.path("checkpoint_ncd_best.bin"), state, meta)
     save_state(st.path("checkpoint_ncd_final.bin"), state, meta, nlog.final_snapshot)
     st.split.save(st.path("split.json"))
     _write_csv(st.path("losses.csv"), LOSS_COLUMNS, nlog.rows)
     st.write_metrics(rep)
-    st.write_manifest("ncd", phase=2, pretrain_dir=src, epochs_run=nlog.epochs_run,
-                      best_epoch=nlog.best_epoch, stopped_early=nlog.stopped_early,
-                      old_acc=rep.old_acc, new_acc=rep.new_acc, all_acc=rep.all_acc,
-                      aa=rep.aa, af=rep.af)
+    st.write_manifest("ncd", phase=2, pretrain_dir=pretrain_dir,
+                      epochs_run=nlog.epochs_run, best_epoch=nlog.best_epoch,
+                      stopped_early=nlog.stopped_early, aa=rep.aa, af=rep.af,
+                      old_acc=rep.old_acc, new_acc=rep.new_acc, all_acc=rep.all_acc)
     print(f"ncd: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "
           f"all_acc={rep.all_acc:.4f} aa={rep.aa:.4f} af={rep.af:.4f} "
-          f"epochs={nlog.epochs_run} out={rc.out}")
+          f"epochs={nlog.epochs_run} out={st.rc.out}")
     return 0
 
 
-def cmd_eval(rc: RunConfig, force: bool, checkpoint: str) -> int:
-    st = _open_stage(rc, force)
-    g, split = st.g, st.split
+def cmd_eval(st: _Stage, checkpoint: str) -> int:
+    rc, g, split = st.rc, st.g, st.split
     state, meta = load_state(checkpoint)
     if state.encoder.dims[0] != g.feat_dim:
         raise DimensionMismatch(
@@ -286,6 +291,8 @@ def cmd_eval(rc: RunConfig, force: bool, checkpoint: str) -> int:
             f"checkpoint has {state.novel_head.num_outputs} novel outputs, "
             f"split lists {len(split.new_classes)} new classes")
     m11 = meta.get("phase1_old_acc")
+    if not (m11 is None or _is_number(m11)):
+        raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not a number")
     if state.joint_head is None or m11 is not None:
         rep = stage_report(state, g, split, st.tc, m11)
     else:  # phase-2 checkpoint without its phase-1 accuracy: no stage matrix
@@ -308,31 +315,24 @@ def cmd_eval(rc: RunConfig, force: bool, checkpoint: str) -> int:
     return 0
 
 
-def cmd_sweep_depth(rc: RunConfig, force: bool) -> int:
-    st = _open_stage(rc, force)
-    rows = run_depth_sweep(st.g, st.split, st.tc, rc.sweep_layers)
+def cmd_sweep_depth(st: _Stage) -> int:
+    rows = run_depth_sweep(st.g, st.split, st.tc, st.rc.sweep_layers)
     _write_csv(st.path("sweep.csv"),
                ("layers", "old_acc", "new_acc", "all_acc", "aa", "af"), rows)
-    st.write_manifest("sweep-depth", layers=rc.sweep_layers)
+    st.write_manifest("sweep-depth", layers=st.rc.sweep_layers)
     for row in rows:
         print(f"sweep-depth: layers={row['layers']} old_acc={row['old_acc']:.4f} "
               f"new_acc={row['new_acc']:.4f} all_acc={row['all_acc']:.4f}")
     return 0
 
 
-def cmd_run(rc: RunConfig, force: bool) -> int:
-    """pretrain -> ncd -> eval chained through out/ subdirectories."""
-    pre_dir = os.path.join(rc.out, "pretrain")
-    ncd_dir = os.path.join(rc.out, "ncd")
-    eval_dir = os.path.join(rc.out, "eval")
-    code = cmd_pretrain(replace(rc, out=pre_dir), force)
-    if code:
-        return code
-    code = cmd_ncd(replace(rc, out=ncd_dir), force, pre_dir)
-    if code:
-        return code
-    return cmd_eval(replace(rc, out=eval_dir), force,
-                    os.path.join(ncd_dir, "checkpoint_ncd_best.bin"))
+def cmd_run(st: _Stage) -> int:
+    """pretrain -> ncd -> eval under out/, all on one resolution of the inputs."""
+    pre, ncd, ev = (replace(st, rc=replace(st.rc, out=d), artifacts=[])
+                    for d in _run_dirs(st.rc.out))
+    cmd_pretrain(pre)
+    cmd_ncd(ncd, pre.rc.out)
+    return cmd_eval(ev, os.path.join(ncd.rc.out, "checkpoint_ncd_best.bin"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,15 +373,26 @@ def main(argv: list[str] | None = None) -> int:
             rc = replace(rc, out=args.out)
         if args.command == "gen-data":
             return cmd_gen_data(rc, args.force)
+        pretrain_dir = getattr(args, "pretrain_dir", None) or rc.pretrain_dir
+        if args.command == "ncd" and (not pretrain_dir or os.path.realpath(pretrain_dir)
+                                      == os.path.realpath(rc.out)):
+            raise ConfigError("ncd needs the phase-1 artifacts in a directory other than "
+                              "its output: pass --pretrain-dir or set pretrain_dir")
+        # guard every output directory before the costly resolution all stages share
+        _claim(_run_dirs(rc.out) if args.command == "run" else [rc.out], args.force)
+        g, dataset_hash = resolve_dataset(rc)
+        split, split_hash = resolve_split(rc, g)
+        st = _Stage(rc, g, split, dataset_hash, split_hash, rc.train_config(),
+                    config_hash(rc, dataset_hash, split_hash))
         if args.command == "pretrain":
-            return cmd_pretrain(rc, args.force)
+            return cmd_pretrain(st)
         if args.command == "ncd":
-            return cmd_ncd(rc, args.force, args.pretrain_dir)
+            return cmd_ncd(st, pretrain_dir)
         if args.command == "eval":
-            return cmd_eval(rc, args.force, args.checkpoint)
+            return cmd_eval(st, args.checkpoint)
         if args.command == "sweep-depth":
-            return cmd_sweep_depth(rc, args.force)
-        return cmd_run(rc, args.force)
+            return cmd_sweep_depth(st)
+        return cmd_run(st)
     except (FileNotFoundError, ConfigError, GraphParseError, GraphValidationError,
             CheckpointError, json.JSONDecodeError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,7 +52,7 @@ class RunConfig(_TrainKeys):
     split_ratios: list[float] = field(default_factory=lambda: [0.6, 0.2, 0.2])
     # outputs / wiring
     out: str = "runs/out"
-    pretrain_dir: str = ""               # empty: same as out
+    pretrain_dir: str = ""               # ncd's phase-1 input unless --pretrain-dir
     sweep_layers: list[int] = field(default_factory=lambda: [2, 4, 8])
     # optional published reference numbers for an informational comparison
     reference_old: float = float("nan")

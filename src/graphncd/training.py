@@ -24,7 +24,7 @@ from .autodiff import Tensor, backward
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .graph import ClassSplit, Graph, input_features, operator_for, validate_split
 from .metrics import MetricsReport, aa_af, evaluate_joint
-from .models import (EncoderParams, HeadParams, encode, encoder_parameters,
+from .models import (BACKBONES, EncoderParams, HeadParams, encode, encoder_parameters,
                      extend_head, freeze_encoder, head_forward, head_parameters,
                      init_encoder, init_head)
 from .ncd_losses import (LossWeights, Prototypes, assign_pseudo_labels, batch_sigma,
@@ -426,33 +426,50 @@ def save_state(path: str, state: ModelState, meta_extra: dict | None = None,
 
 def load_state(path: str) -> tuple[ModelState, dict]:
     """The model a checkpoint holds. CheckpointError when the meta lacks the
-    geometry, or a tensor that the dims, phase or head sizes imply is absent."""
+    geometry, or a tensor that the dims, phase or head sizes imply is absent
+    or has another shape: encoder weights are d_in x d_out (twice d_in rows
+    for sage), biases 1 x d_out, and the joint head is as wide as the old and
+    novel heads together."""
     meta, tensors = load_checkpoint(path)
     try:
         backbone = meta["backbone"]
         dims = [int(d) for d in meta["dims"]]
         phase = int(meta.get("phase", 1))
+        if backbone not in BACKBONES or len(dims) < 2 or min(dims) < 1:
+            raise ValueError(f"backbone {backbone!r} with dims {dims}")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad meta: {exc!r}") from exc
 
-    def param(name: str) -> Tensor:
+    def param(name: str, rows: int, cols: int) -> Tensor:
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
+        if tensors[name].shape != (rows, cols):
+            raise CheckpointError(f"{path}: tensor {name!r} has shape "
+                                  f"{tensors[name].shape}, expected {(rows, cols)}")
         return ad.parameter(tensors[name])
 
-    def head(role: str) -> HeadParams:
-        return HeadParams(role=role, weight=param(f"{role}_head.w"),
-                          bias=param(f"{role}_head.b"))
+    def head(role: str, width: int | None = None) -> HeadParams:
+        """The head over dims[-1] inputs; its own weight sets the width unless given."""
+        name = f"{role}_head.w"
+        if width is None:
+            width = tensors[name].shape[1] if name in tensors else 0
+        return HeadParams(role=role, weight=param(name, dims[-1], width),
+                          bias=param(f"{role}_head.b", 1, width))
 
     n_layers = len(dims) - 1
+    rows_per_input = 2 if backbone == "sage" else 1  # sage concatenates self and mean
     enc = EncoderParams(
         backbone=backbone, dims=dims,
-        weights=[param(f"encoder.w{i}") for i in range(n_layers)],
-        biases=[param(f"encoder.b{i}") for i in range(n_layers)])
+        weights=[param(f"encoder.w{i}", rows_per_input * dims[i], dims[i + 1])
+                 for i in range(n_layers)],
+        biases=[param(f"encoder.b{i}", 1, dims[i + 1]) for i in range(n_layers)])
     state = ModelState(backbone=backbone, encoder=enc, old_head=head("old"),
                        phase=phase)
-    if meta.get("num_new") or "novel_head.w" in tensors:
+    joint = phase == 2 or "joint_head.w" in tensors
+    # the joint head spans the old and novel outputs, so it needs the novel head
+    if joint or meta.get("num_new") or "novel_head.w" in tensors:
         state.novel_head = head("novel")
-    if phase == 2 or "joint_head.w" in tensors:
-        state.joint_head = head("joint")
+    if joint:
+        state.joint_head = head("joint", state.old_head.num_outputs
+                                + state.novel_head.num_outputs)
     return state, meta

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from graphncd import cli
 from graphncd.checkpoint import load_checkpoint, save_checkpoint
 from graphncd.cli import main
 from graphncd.graph import ClassSplit, load_graph, validate_split
@@ -178,6 +179,33 @@ def test_ncd_needs_numeric_phase1_old_acc(pipeline, tmp_path, capsys, old_acc):
     assert "old_acc" in capsys.readouterr().err
 
 
+def test_ncd_needs_a_pretrain_dir(pipeline, tmp_path, capsys):
+    cfg, pre, _ = pipeline
+    out = tmp_path / "n"
+    assert main(["ncd", "--config", cfg, "--out", str(out)]) == 2
+    assert "--pretrain-dir" in capsys.readouterr().err
+    assert not out.exists()
+    # writing into the pretrain directory is refused even with --force, and
+    # leaves it as it was
+    stage = _copy_stage(pre, tmp_path / "pre")
+    before = sorted(os.listdir(stage))
+    assert main(["ncd", "--config", cfg, "--out", stage, "--force"]) == 2
+    assert main(["ncd", "--config", cfg, "--out", stage, "--force",
+                 "--pretrain-dir", os.path.join(stage, ".")]) == 2
+    assert sorted(os.listdir(stage)) == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr = 1e300 overflows
+def test_forced_rerun_that_fails_leaves_no_manifest(pipeline, tmp_path):
+    cfg, pre, _ = pipeline
+    stage = _copy_stage(pre, tmp_path / "pre")
+    huge = _write_cfg(tmp_path, name="huge.cfg", extra="lr = 1e300\n")
+    assert main(["pretrain", "--config", huge, "--out", stage, "--force"]) == 1
+    assert not os.path.exists(os.path.join(stage, "manifest.json"))
+    assert main(["ncd", "--config", cfg, "--out", str(tmp_path / "n"),
+                 "--pretrain-dir", stage]) == 3
+
+
 def test_phase2_knobs_do_not_invalidate_pretrain(pipeline, tmp_path):
     cfg, pre, _ = pipeline
     alt = _write_cfg(tmp_path, name="alt.cfg",
@@ -259,6 +287,19 @@ def _ckpt_without_dims(meta, tensors):
     return {k: v for k, v in meta.items() if k != "dims"}, tensors
 
 
+def _ckpt_with(name, shape):
+    def resize(meta, tensors):
+        tensors[name] = np.zeros(shape)
+        return meta, tensors
+    return resize
+
+
+def _ckpt_with_meta(**entries):
+    def set_meta(meta, tensors):
+        return {**meta, **entries}, tensors
+    return set_meta
+
+
 @pytest.mark.parametrize("kind,mutate,needle", [
     ("split", _split_without_new_classes, "new_classes"),
     ("split", _split_with_float_ids, "p1_train"),
@@ -267,6 +308,11 @@ def _ckpt_without_dims(meta, tensors):
     ("checkpoint", _ckpt_without("joint_head.b"), "joint_head.b"),
     ("checkpoint", _ckpt_without("novel_head.w"), "novel_head.w"),
     ("checkpoint", _ckpt_without_dims, "dims"),
+    ("checkpoint", _ckpt_with("encoder.w1", (3, 3)), "encoder.w1"),
+    # 2 old + 2 novel outputs make the joint head 4 wide
+    ("checkpoint", _ckpt_with("joint_head.b", (1, 3)), "joint_head.b"),
+    ("checkpoint", _ckpt_with_meta(phase1_old_acc="abc"), "phase1_old_acc"),
+    ("checkpoint", _ckpt_with_meta(backbone="mlp"), "mlp"),
 ])
 def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate,
                                         needle):
@@ -343,6 +389,35 @@ def test_run_chains_all_three_stages(tmp_path):
     assert ncd_manifest["pretrain_dir"] == os.path.join(out, "pretrain")
     ev = _read_json(os.path.join(out, "eval", "metrics.json"))
     assert ev["phase"] == 2
+
+
+def _count_dataset_resolutions(monkeypatch):
+    calls = []
+    resolve = cli.resolve_dataset
+    monkeypatch.setattr(cli, "resolve_dataset",
+                        lambda rc: calls.append(rc.out) or resolve(rc))
+    return calls
+
+
+def test_run_resolves_its_inputs_once(tmp_path, monkeypatch):
+    calls = _count_dataset_resolutions(monkeypatch)
+    cfg = _write_cfg(tmp_path)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    assert len(calls) == 1
+
+
+def test_run_refuses_before_training_if_any_stage_is_finished(tmp_path, monkeypatch,
+                                                              capsys):
+    calls = _count_dataset_resolutions(monkeypatch)
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "full"
+    (out / "ncd").mkdir(parents=True)
+    (out / "ncd" / "manifest.json").write_text("{}", encoding="utf-8")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "pass --force" in capsys.readouterr().err
+    assert not (out / "pretrain").exists() and not calls
+    assert main(["run", "--config", cfg, "--out", str(out), "--force"]) == 0
+    assert _read_json(str(out / "ncd" / "manifest.json"))["command"] == "ncd"
 
 
 def test_sweep_depth_writes_one_row_per_depth(tmp_path):

@@ -6,10 +6,14 @@ from dataclasses import fields
 
 import pytest
 
-from graphncd.config import (ConfigError, RunConfig, config_hash, config_payload,
-                             load_config, parse_config_text, phase1_hash)
+import numpy as np
+
+from graphncd.config import (_PHASE1_KEYS, ConfigError, RunConfig, config_hash,
+                             config_payload, load_config, parse_config_text,
+                             phase1_hash)
+from graphncd.graph import sbm_generate, split_classes
 from graphncd.ncd_losses import LossWeights
-from graphncd.training import TrainConfig
+from graphncd.training import TrainConfig, named_parameters, pretrain
 
 TEXT = """
 # experiment settings
@@ -223,3 +227,74 @@ def test_phase1_hash_sensitive_to_pretrain_inputs():
                     RunConfig(normalize_features=True)):
         assert phase1_hash(variant, "d", "s") != base
     assert phase1_hash(RunConfig(), "other", "s") != base
+
+
+# A valid value other than the default for every training knob outside
+# _PHASE1_KEYS. A new training knob fails the tests below until it is listed
+# here (or added to _PHASE1_KEYS, if phase 1 reads it).
+PHASE2_ALTERNATIVES = {
+    "ncd_epochs": "7", "patience": "3", "alpha1": "0.5", "alpha2": "1.5",
+    "rampup_length": "4", "eta": "0.7", "lam": "2.5", "omega_fd": "3.0",
+    "top_k": "2", "use_pseudo": "off", "use_self": "off", "use_perturb": "off",
+    "use_replay": "off", "use_distill": "off", "sigma_mode": "unit",
+    "eq8_head": "joint", "init_scale": "0.3", "per_class_replay": "5",
+    "novel_alignment": "positional", "debug_checks": "on",
+}
+
+PHASE1_BASE = "hidden = 16\npretrain_epochs = 6\n"
+
+
+def _phase2_knobs():
+    """Training keys of RunConfig that the phase-1 hash leaves out."""
+    training = ({f.name for f in fields(TrainConfig)} - {"weights"}
+                | {f.name for f in fields(LossWeights)})
+    return [f.name for f in fields(RunConfig)
+            if f.name in training and f.name not in _PHASE1_KEYS]
+
+
+def test_phase2_alternatives_name_exactly_the_knobs_outside_the_phase1_hash():
+    knobs = _phase2_knobs()
+    assert len(knobs) == 20
+    assert set(PHASE2_ALTERNATIVES) == set(knobs)
+
+
+def _pretrain_outputs(text):
+    tc = parse_config_text(text).train_config()
+    g = sbm_generate([12] * 4, 0.4, 0.03, 6, 2.5, seed=1)
+    split = split_classes(g, [0, 1], [2, 3], seed=2)
+    state, protos, plog = pretrain(g, split, tc)
+    return ([(n, t.data) for n, t in named_parameters(state)],
+            [protos.class_ids, protos.mean, protos.var, protos.counts],
+            plog.rows, (plog.best_epoch, plog.best_val_acc),
+            sorted(plog.best_snapshot.items()))
+
+
+@pytest.fixture(scope="module")
+def phase1_reference():
+    return _pretrain_outputs(PHASE1_BASE)
+
+
+def _assert_bit_identical(a, b):
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_bit_identical(x, y)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_bit_identical(a[k], b[k])
+    else:
+        assert a == b and type(a) is type(b)
+
+
+@pytest.mark.parametrize("knob", _phase2_knobs())
+def test_knobs_outside_the_phase1_hash_leave_pretrain_unchanged(knob, phase1_reference):
+    if knob not in PHASE2_ALTERNATIVES:
+        pytest.fail(f"training knob {knob!r} has no alternative value: list one in "
+                    "PHASE2_ALTERNATIVES, or add it to _PHASE1_KEYS if phase 1 reads it")
+    text = PHASE1_BASE + f"{knob} = {PHASE2_ALTERNATIVES[knob]}\n"
+    assert getattr(parse_config_text(text), knob) != getattr(RunConfig(), knob)
+    _assert_bit_identical(_pretrain_outputs(text), phase1_reference)
