@@ -44,6 +44,11 @@ def save_checkpoint(path: str, tensors: list[tuple[str, np.ndarray]], meta: dict
             fh.write(blob)
 
 
+def _is_entry(e) -> bool:
+    return (isinstance(e, dict) and isinstance(e.get("name"), str)
+            and all(type(e.get(k)) is int and e[k] >= 0 for k in ("rows", "cols")))
+
+
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (meta, {name: array}) or raises CheckpointError."""
     try:
@@ -58,15 +63,20 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(raw[8:8 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
         raise CheckpointError(f"{path}: bad header: {exc}") from exc
+    if not (isinstance(header, dict) and isinstance(header.get("meta", {}), dict)
+            and isinstance(header.get("tensors"), list)
+            and all(_is_entry(e) for e in header["tensors"])):
+        raise CheckpointError(f"{path}: the header must be an object with a meta object "
+                              "and a list of tensor entries {name, rows >= 0, cols >= 0}")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported format version {header.get('format_version')}")
     tensors: dict[str, np.ndarray] = {}
     offset = 8 + hlen
     for entry in header["tensors"]:
-        rows, cols = int(entry["rows"]), int(entry["cols"])
+        rows, cols = entry["rows"], entry["cols"]
         nbytes = rows * cols * 8
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload at {entry['name']!r}")

@@ -30,9 +30,9 @@ from .metrics import (MetricsReport, evaluate_joint, write_confusion_csv,
                       write_perf_csv)
 from .models import encode
 from .ncd_losses import LOSS_TERMS, Prototypes
-from .training import (SEED_SBM, SEED_SPLIT, TrainConfig, TrainingDiverged,
-                       derive_seed, load_state, ncd_train, pretrain,
-                       run_depth_sweep, save_state, stage_report)
+from .training import (SEED_SBM, SEED_SPLIT, TrainingDiverged, derive_seed,
+                       load_state, ncd_train, pretrain, run_depth_sweep,
+                       save_state, stage_report)
 
 
 class StaleArtifacts(Exception):
@@ -126,7 +126,6 @@ class _Stage:
     split: ClassSplit
     dataset_hash: str
     split_hash: str
-    tc: TrainConfig
     config_hash: str
     artifacts: list[str] = field(default_factory=list)
 
@@ -195,8 +194,8 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
 
 
 def cmd_pretrain(st: _Stage) -> int:
-    state, protos, plog = pretrain(st.g, st.split, st.tc)
-    rep = stage_report(state, st.g, st.split, st.tc)
+    state, protos, plog = pretrain(st.g, st.split, st.rc)
+    rep = stage_report(state, st.g, st.split, st.rc)
     p1hash = phase1_hash(st.rc, st.dataset_hash, st.split_hash)
 
     meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": st.rc.seed}
@@ -221,17 +220,28 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _phase1_json(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise StaleArtifacts(f"{path} is not JSON ({exc}); rerun pretrain") from exc
+    if not isinstance(obj, dict):
+        raise StaleArtifacts(f"{path} holds no JSON object; rerun pretrain")
+    return obj
+
+
 def _load_phase1(pretrain_dir: str, st: _Stage):
     """The phase-1 state, prototypes and old-class accuracy, once the manifest
-    and the checkpoint both carry the phase-1 hash of the active config."""
+    and the checkpoint both carry the phase-1 hash of the active config and
+    the prototypes fit the checkpoint and the split."""
     manifest_path = os.path.join(pretrain_dir, "manifest.json")
     ckpt_path = os.path.join(pretrain_dir, "checkpoint_pretrain.bin")
     proto_path = os.path.join(pretrain_dir, "prototypes.json")
     for p in (manifest_path, ckpt_path, proto_path):
         if not os.path.isfile(p):
             raise StaleArtifacts(f"missing phase-1 artifact: {p}; run pretrain first")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _phase1_json(manifest_path)
     want = phase1_hash(st.rc, st.dataset_hash, st.split_hash)
     have = manifest.get("phase1_hash")
     if have != want:
@@ -246,16 +256,24 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
         raise StaleArtifacts(
             f"{ckpt_path} comes from a different pretrain run (hash "
             f"{meta.get('phase1_hash')} != {want}); rerun pretrain")
-    with open(proto_path, "r", encoding="utf-8") as fh:
-        protos = Prototypes.from_dict(json.load(fh))
+    shape = (len(st.split.old_classes), state.encoder.repr_dim)
+    try:
+        protos = Prototypes.from_dict(_phase1_json(proto_path))
+        if not (protos.class_ids.tolist() == list(st.split.old_classes)
+                and protos.mean.shape == protos.var.shape == shape):
+            raise ValueError(f"want {shape[0]} prototypes of width {shape[1]} "
+                             f"for old classes {st.split.old_classes}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StaleArtifacts(f"{proto_path}: bad prototypes ({exc!r}); "
+                             "rerun pretrain") from exc
     return state, protos, float(old_acc)
 
 
 def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
     state, protos, m11 = _load_phase1(pretrain_dir, st)
-    state, nlog = ncd_train(state, protos, st.g, st.split, st.tc)
-    rep = stage_report(state, st.g, st.split, st.tc, m11)
-    rep.extras.update({f"use_{t}": getattr(st.tc, f"use_{t}") for t in LOSS_TERMS})
+    state, nlog = ncd_train(state, protos, st.g, st.split, st.rc)
+    rep = stage_report(state, st.g, st.split, st.rc, m11)
+    rep.extras.update({f"use_{t}": getattr(st.rc, f"use_{t}") for t in LOSS_TERMS})
 
     meta = {"config_hash": st.config_hash, "seed": st.rc.seed, "phase1_old_acc": m11,
             "best_epoch": nlog.best_epoch, "epochs_run": nlog.epochs_run}
@@ -294,15 +312,14 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
     if not (m11 is None or _is_number(m11)):
         raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not a number")
     if state.joint_head is None or m11 is not None:
-        rep = stage_report(state, g, split, st.tc, m11)
+        rep = stage_report(state, g, split, rc, m11)
     else:  # phase-2 checkpoint without its phase-1 accuracy: no stage matrix
-        rep = evaluate_joint(state, g, split, st.tc.novel_alignment,
-                             st.tc.normalize_features)
+        rep = evaluate_joint(state, g, split, rc.novel_alignment, rc.normalize_features)
         rep.seed = rc.seed
     st.write_metrics(rep)
 
     z = encode(state.encoder, operator_for(state.backbone, g),
-               ad.constant(input_features(g, st.tc.normalize_features))).data
+               ad.constant(input_features(g, rc.normalize_features))).data
     with open(st.path("nodes.csv"), "w", encoding="utf-8") as fh:
         fh.write("id,label," + ",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
         for i in range(g.num_nodes):
@@ -316,7 +333,7 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
 
 
 def cmd_sweep_depth(st: _Stage) -> int:
-    rows = run_depth_sweep(st.g, st.split, st.tc, st.rc.sweep_layers)
+    rows = run_depth_sweep(st.g, st.split, st.rc, st.rc.sweep_layers)
     _write_csv(st.path("sweep.csv"),
                ("layers", "old_acc", "new_acc", "all_acc", "aa", "af"), rows)
     st.write_manifest("sweep-depth", layers=st.rc.sweep_layers)
@@ -371,6 +388,7 @@ def main(argv: list[str] | None = None) -> int:
             rc = replace(rc, seed=args.seed)
         if args.out is not None:
             rc = replace(rc, out=args.out)
+        rc.validate()  # the overrides too
         if args.command == "gen-data":
             return cmd_gen_data(rc, args.force)
         pretrain_dir = getattr(args, "pretrain_dir", None) or rc.pretrain_dir
@@ -382,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         _claim(_run_dirs(rc.out) if args.command == "run" else [rc.out], args.force)
         g, dataset_hash = resolve_dataset(rc)
         split, split_hash = resolve_split(rc, g)
-        st = _Stage(rc, g, split, dataset_hash, split_hash, rc.train_config(),
+        st = _Stage(rc, g, split, dataset_hash, split_hash,
                     config_hash(rc, dataset_hash, split_hash))
         if args.command == "pretrain":
             return cmd_pretrain(st)
@@ -394,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_sweep_depth(st)
         return cmd_run(st)
     except (FileNotFoundError, ConfigError, GraphParseError, GraphValidationError,
-            CheckpointError, json.JSONDecodeError, *_EXIT_CODES) as exc:
+            CheckpointError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), 2)
 

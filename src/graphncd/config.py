@@ -8,10 +8,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, make_dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 from .graph import check_split_ratios
-from .ncd_losses import LossWeights
 from .training import MAX_LAYERS, TrainConfig
 
 
@@ -19,22 +18,14 @@ class ConfigError(ValueError):
     """Bad key, bad value, or unreadable config file."""
 
 
-def _train_fields():
-    """(name, type, field) of every TrainConfig knob, LossWeights inlined."""
-    for f in fields(TrainConfig):
-        for g in fields(LossWeights) if f.name == "weights" else (f,):
-            yield g.name, g.type, field(default=g.default,
-                                        default_factory=g.default_factory)
-
-
-# the 28 training keys, derived so that RunConfig cannot drift from TrainConfig;
-# a generated class reports the module `types` unless told otherwise
-_TrainKeys = make_dataclass("_TrainKeys", list(_train_fields()))
-_TrainKeys.__module__ = __name__
+# integer keys must fit numpy's int64
+_INT64 = 2 ** 63
 
 
 @dataclass
-class RunConfig(_TrainKeys):
+class RunConfig(TrainConfig):
+    """Every config key: the training keys of TrainConfig plus these."""
+
     # dataset
     dataset: str = "sbm"                 # "sbm" or "files"
     edges: str = ""
@@ -59,10 +50,47 @@ class RunConfig(_TrainKeys):
     reference_new: float = float("nan")
     reference_all: float = float("nan")
 
-    def train_config(self) -> TrainConfig:
-        knobs = {f.name: getattr(self, f.name) for f in fields(_TrainKeys)}
-        weights = LossWeights(**{f.name: knobs.pop(f.name) for f in fields(LossWeights)})
-        return TrainConfig(weights=weights, **knobs)
+    def validate(self) -> None:
+        """TrainConfig's rules plus the rules for the keys it leaves open, all as
+        ConfigError."""
+        for key, v in asdict(self).items():
+            if any(type(x) is int and not -_INT64 <= x < _INT64
+                   for x in (v if isinstance(v, list) else [v])):
+                raise ConfigError(f"{key} must fit a 64-bit integer, got {v}")
+        if self.dataset not in ("sbm", "files"):
+            raise ConfigError(f"dataset must be sbm or files, got {self.dataset!r}")
+        if self.dataset == "files":
+            for key in ("edges", "features", "labels"):
+                if not getattr(self, key):
+                    raise ConfigError(f"dataset=files needs the {key!r} path")
+        if not (self.sbm_blocks and min(self.sbm_blocks) >= 1):
+            raise ConfigError(f"sbm_blocks needs one or more sizes of at least 1, "
+                              f"got {self.sbm_blocks}")
+        for key in ("sbm_p_in", "sbm_p_out"):
+            if not 0 <= getattr(self, key) <= 1:
+                raise ConfigError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
+        if self.sbm_feat_dim < 1:
+            raise ConfigError(f"sbm_feat_dim must be at least 1, got {self.sbm_feat_dim}")
+        # the loss schedule and weights are checked here, not in TrainConfig.validate:
+        # library callers may drive training into TrainingDiverged on purpose
+        if not self.rampup_length >= 1:
+            raise ConfigError(f"rampup_length must be at least 1, got {self.rampup_length}")
+        for key in ("alpha1", "alpha2", "eta", "lam", "omega_fd", "init_scale"):
+            v = getattr(self, key)
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{key} must be finite and non-negative, got {v}")
+        if not (self.sweep_layers and all(2 <= n <= MAX_LAYERS for n in self.sweep_layers)):
+            raise ConfigError(f"sweep_layers needs one or more depths in [2, {MAX_LAYERS}], "
+                              f"got {self.sweep_layers}")
+        if set(self.old_classes) & set(self.new_classes):
+            raise ConfigError("old_classes and new_classes overlap")
+        if not self.old_classes or not self.new_classes:
+            raise ConfigError("old_classes and new_classes must both be non-empty")
+        try:
+            check_split_ratios(self.split_ratios)
+            super().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
@@ -116,7 +144,7 @@ def parse_config_text(text: str) -> RunConfig:
     if stripped.startswith("{"):
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"bad JSON config: {exc}") from exc
         for k, v in raw.items():
             if k not in known:
@@ -142,45 +170,19 @@ def parse_config_text(text: str) -> RunConfig:
             values[key] = _parse_value(key, val, known[key])
 
     cfg = RunConfig(**values)  # type: ignore[arg-type]
-    _validate(cfg)
+    cfg.validate()
     return cfg
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.dataset not in ("sbm", "files"):
-        raise ConfigError(f"dataset must be sbm or files, got {cfg.dataset!r}")
-    if cfg.dataset == "files":
-        for key in ("edges", "features", "labels"):
-            if not getattr(cfg, key):
-                raise ConfigError(f"dataset=files needs the {key!r} path")
-    # the loss schedule and weights are checked here, not in TrainConfig.validate:
-    # library callers may drive training into TrainingDiverged on purpose
-    if not cfg.rampup_length >= 1:
-        raise ConfigError(f"rampup_length must be at least 1, got {cfg.rampup_length}")
-    for key in ("alpha1", "alpha2", "eta", "lam", "omega_fd", "init_scale"):
-        v = getattr(cfg, key)
-        if not (math.isfinite(v) and v >= 0):
-            raise ConfigError(f"{key} must be finite and non-negative, got {v}")
-    if not (cfg.sweep_layers and all(2 <= n <= MAX_LAYERS for n in cfg.sweep_layers)):
-        raise ConfigError(f"sweep_layers needs one or more depths in [2, {MAX_LAYERS}], "
-                          f"got {cfg.sweep_layers}")
-    if set(cfg.old_classes) & set(cfg.new_classes):
-        raise ConfigError("old_classes and new_classes overlap")
-    if not cfg.old_classes or not cfg.new_classes:
-        raise ConfigError("old_classes and new_classes must both be non-empty")
-    try:
-        check_split_ratios(cfg.split_ratios)
-        cfg.train_config().validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
+    return parse_config_text(text)
 
 
 def _digest(payload: dict) -> str:

@@ -79,15 +79,20 @@ def build_graph(num_nodes: int, edge_pairs, features, labels) -> Graph:
                  features=feats, labels=labs)
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
-    """Non-empty, non-comment lines with their 1-based line numbers."""
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
+            return fh.read()
     except OSError as exc:
         raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_lines(path: str) -> list[tuple[int, str]]:
+    """Non-empty, non-comment lines with their 1-based line numbers."""
     out = []
-    for i, line in enumerate(raw, start=1):
+    for i, line in enumerate(_read_text(path).split("\n"), start=1):
         body = line.split("#", 1)[0].strip()
         if body:
             out.append((i, body))
@@ -220,7 +225,10 @@ class ClassSplit:
     @classmethod
     def from_json(cls, text: str) -> "ClassSplit":
         """Every field as a JSON list of integers, else GraphParseError."""
-        raw = json.loads(text)
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise GraphParseError(f"a split must be JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise GraphParseError("a split must be a JSON object")
         for f in fields(cls):
@@ -235,8 +243,7 @@ class ClassSplit:
 
     @classmethod
     def load(cls, path: str) -> "ClassSplit":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(_read_text(path))
 
 
 def validate_split(g: Graph, split: ClassSplit) -> None:

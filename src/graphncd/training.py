@@ -15,7 +15,8 @@ encoder copy is never registered with the optimizer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +63,9 @@ def derive_seed(*parts: int) -> int:
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(LossWeights):
+    """The training knobs; the phase-2 loss weights come from LossWeights."""
+
     backbone: str = "gcn"
     hidden: int = 32
     layers: int = 2
@@ -72,7 +75,6 @@ class TrainConfig:
     ncd_epochs: int = 600
     patience: int = 50
     seed: int = 0
-    weights: LossWeights = field(default_factory=LossWeights)
     use_pseudo: bool = True
     use_self: bool = True
     use_perturb: bool = True
@@ -100,17 +102,19 @@ class TrainConfig:
         if self.novel_alignment not in ("hungarian", "positional"):
             raise ValueError(
                 f"novel_alignment must be hungarian or positional, got {self.novel_alignment!r}")
-        if self.weights.top_k < 1 or self.weights.top_k > self.hidden:
-            raise ValueError(
-                f"top_k must be in [1, hidden={self.hidden}], got {self.weights.top_k}")
+        if self.top_k < 1 or self.top_k > self.hidden:
+            raise ValueError(f"top_k must be in [1, hidden={self.hidden}], got {self.top_k}")
+        # chained comparisons hold for ints of any size and fail for NaN
         for name in ("lr", "pretrain_epochs", "ncd_epochs", "patience",
                      "per_class_replay"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
+            if not 0 < v < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
-        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+        if not 0 <= self.weight_decay < math.inf:
             raise ValueError(
                 f"weight_decay must be finite and non-negative, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -251,7 +255,6 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     if protos.mean.shape[0] != len(split.old_classes):
         raise ValueError(f"{protos.mean.shape[0]} prototypes for "
                          f"{len(split.old_classes)} old classes")
-    w = cfg.weights
     adj = operator_for(cfg.backbone, g)
     x = ad.constant(input_features(g, cfg.normalize_features))
     n_old, n_new = len(split.old_classes), len(split.new_classes)
@@ -284,7 +287,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     stopped_early = False
     # totals from different beta schedules are different objectives, so the
     # stopping rule only compares epochs after the warmup ramp has finished
-    track_from = w.rampup_length
+    track_from = cfg.rampup_length
 
     for epoch in range(cfg.ncd_epochs):
         z_all = encode(state.encoder, adj, x)
@@ -294,7 +297,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
 
         if cfg.use_pseudo:
             sim = pairwise_similarity(u_logits)
-            pair_targets = topk_pseudo_pairs(z_u.data, w.top_k)
+            pair_targets = topk_pseudo_pairs(z_u.data, cfg.top_k)
             l_pseudo = pairwise_bce(sim, pair_targets)
         else:
             l_pseudo = zero
@@ -308,7 +311,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
 
         if cfg.use_perturb:
             sigma = batch_sigma(z_u.data, cfg.sigma_mode)
-            z_pert = perturb_representations(z_u, w.eta, sigma,
+            z_pert = perturb_representations(z_u, cfg.eta, sigma,
                                              derive_seed(cfg.seed, _SEED_PERTURB, epoch))
             if cfg.eq8_head == "novel":
                 clean, pert = u_logits, head_forward(state.novel_head, z_pert)
@@ -333,7 +336,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
 
         total_t, report = scheduled_total(
             {"pseudo": l_pseudo, "self": l_self, "perturb": l_perturb,
-             "replay": l_replay, "distill": l_distill}, w, epoch)
+             "replay": l_replay, "distill": l_distill}, cfg, epoch)
         report["epoch"] = epoch
         if not all(np.isfinite(v) for v in report.values()):
             raise TrainingDiverged(
@@ -437,7 +440,7 @@ def load_state(path: str) -> tuple[ModelState, dict]:
         phase = int(meta.get("phase", 1))
         if backbone not in BACKBONES or len(dims) < 2 or min(dims) < 1:
             raise ValueError(f"backbone {backbone!r} with dims {dims}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad meta: {exc!r}") from exc
 
     def param(name: str, rows: int, cols: int) -> Tensor:

@@ -11,7 +11,6 @@ from graphncd.graph import sbm_generate, split_classes
 from graphncd.training import (TrainConfig, derive_seed, load_state,
                                named_parameters, ncd_train, pretrain,
                                save_state, SEED_SBM, SEED_SPLIT)
-from graphncd.ncd_losses import LossWeights
 from graphncd.metrics import joint_predictions
 
 
@@ -109,6 +108,31 @@ def test_bad_header_json_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def _entry(**over):
+    return {"name": "w", "rows": 1, "cols": 1, **over}
+
+
+@pytest.mark.parametrize("header", [
+    [{"format_version": FORMAT_VERSION}],
+    {"format_version": FORMAT_VERSION, "meta": {}, "tensors": [{"name": "w", "cols": 1}]},
+    {"format_version": FORMAT_VERSION, "meta": {}, "tensors": "x"},
+    {"format_version": FORMAT_VERSION, "meta": {}, "tensors": [_entry(rows=-1, cols=-1)]},
+    {"format_version": FORMAT_VERSION, "meta": {}},
+    {"format_version": FORMAT_VERSION, "meta": {}, "tensors": [["w", 1, 1]]},
+    {"format_version": FORMAT_VERSION, "meta": {}, "tensors": [_entry(name=7)]},
+    {"format_version": FORMAT_VERSION, "meta": {}, "tensors": [_entry(rows=1.0)]},
+    {"format_version": FORMAT_VERSION, "meta": {}, "tensors": [_entry(cols=True)]},
+    {"format_version": FORMAT_VERSION, "meta": [], "tensors": [_entry()]},
+])
+def test_malformed_header_rejected(tmp_path, header):
+    """Each header is followed by one float64, the payload of a 1 x 1 tensor."""
+    path = str(tmp_path / "ckpt.bin")
+    blob = json.dumps(header).encode("utf-8")
+    open(path, "wb").write(struct.pack("<Q", len(blob)) + blob + bytes(8))
+    with pytest.raises(CheckpointError, match="header"):
+        load_checkpoint(path)
+
+
 def test_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(str(tmp_path / "nope.bin"))
@@ -126,7 +150,7 @@ def _tiny_pipeline():
     g = sbm_generate([12] * 4, 0.4, 0.03, 6, 2.0, seed=derive_seed(0, SEED_SBM))
     split = split_classes(g, [0, 1], [2, 3], seed=derive_seed(0, SEED_SPLIT))
     cfg = TrainConfig(hidden=16, pretrain_epochs=10, ncd_epochs=15, seed=0,
-                      weights=LossWeights(rampup_length=5, top_k=3))
+                      rampup_length=5, top_k=3)
     return g, split, cfg
 
 

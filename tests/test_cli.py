@@ -3,6 +3,7 @@ import csv
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -179,6 +180,36 @@ def test_ncd_needs_numeric_phase1_old_acc(pipeline, tmp_path, capsys, old_acc):
     assert "old_acc" in capsys.readouterr().err
 
 
+def _json(mutate):
+    """The artifact's new text: mutate applied to its parsed JSON."""
+    return lambda raw: json.dumps(mutate(json.loads(raw)))
+
+
+@pytest.mark.parametrize("name,rewrite", [
+    ("manifest.json", _json(lambda m: [m])),
+    ("prototypes.json", _json(lambda p: {k: v for k, v in p.items() if k != "class_ids"})),
+    ("prototypes.json", _json(lambda p: [p])),
+    # 1 prototype for 2 old classes
+    ("prototypes.json", _json(lambda p: {k: v[:1] for k, v in p.items()})),
+    ("prototypes.json", _json(lambda p: {**p, "class_ids": [5, 6]})),
+    ("prototypes.json", _json(lambda p: {**p, "mean": [r[:3] for r in p["mean"]]})),
+    ("prototypes.json", _json(lambda p: {**p, "var": [[1.0], [1.0, 2.0]]})),
+    ("prototypes.json", _json(lambda p: "not an object")),
+    ("prototypes.json", lambda raw: raw[:20]),  # not JSON
+])
+def test_ncd_rejects_malformed_phase1_artifacts(pipeline, tmp_path, capsys, name, rewrite):
+    cfg, pre, _ = pipeline
+    bad = _copy_stage(pre, tmp_path / "bad")
+    path = os.path.join(bad, name)
+    with open(path, "r", encoding="utf-8") as fh:
+        text = rewrite(fh.read())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert main(["ncd", "--config", cfg, "--out", str(tmp_path / "n"),
+                 "--pretrain-dir", bad]) == 3
+    assert "rerun pretrain" in capsys.readouterr().err
+
+
 def test_ncd_needs_a_pretrain_dir(pipeline, tmp_path, capsys):
     cfg, pre, _ = pipeline
     out = tmp_path / "n"
@@ -313,6 +344,9 @@ def _ckpt_with_meta(**entries):
     ("checkpoint", _ckpt_with("joint_head.b", (1, 3)), "joint_head.b"),
     ("checkpoint", _ckpt_with_meta(phase1_old_acc="abc"), "phase1_old_acc"),
     ("checkpoint", _ckpt_with_meta(backbone="mlp"), "mlp"),
+    ("checkpoint", _ckpt_with_meta(phase=float("inf")), "bad meta"),
+    # a checkpoint whose JSON header is a list, not an object
+    ("header", [{"format_version": 1}], "header"),
 ])
 def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate,
                                         needle):
@@ -325,12 +359,32 @@ def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate
         cfg = _write_cfg(tmp_path, name="split.cfg", extra=f"split_file = {bad}\n")
         argv = ["pretrain", "--config", cfg, "--out", out]
     else:
-        meta, tensors = load_checkpoint(os.path.join(ncd, "checkpoint_ncd_best.bin"))
-        meta, tensors = mutate(meta, tensors)
-        save_checkpoint(bad, list(tensors.items()), meta)
+        if kind == "header":
+            header = json.dumps(mutate).encode("utf-8")
+            with open(bad, "wb") as fh:
+                fh.write(struct.pack("<Q", len(header)) + header)
+        else:
+            meta, tensors = load_checkpoint(os.path.join(ncd, "checkpoint_ncd_best.bin"))
+            meta, tensors = mutate(meta, tensors)
+            save_checkpoint(bad, list(tensors.items()), meta)
         argv = ["eval", "--config", cfg, "--out", out, "--checkpoint", bad]
     assert main(argv) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["labels.txt", "split.json"])
+def test_undecodable_outside_file_exits_2(tmp_path, capsys, name):
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", _write_cfg(tmp_path), "--out", data]) == 0
+    bad = os.path.join(data, name)
+    with open(bad, "ab") as fh:
+        fh.write(b"\xff\n")
+    files = "".join(f"{key} = {os.path.join(data, key)}.txt\n"
+                    for key in ("edges", "features", "labels"))
+    cfg = _write_cfg(tmp_path, name="files.cfg", extra="dataset = files\n" + files
+                     + f"split_file = {os.path.join(data, 'split.json')}\n")
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{bad}: not UTF-8" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -344,6 +398,22 @@ def test_malformed_config(tmp_path, capsys):
     assert main(["pretrain", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 2
     assert "hidden" in capsys.readouterr().err
+
+
+def test_undecodable_config_file(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"hidden = 16\n\xff\n")
+    assert main(["pretrain", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_seed_override_is_validated(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["pretrain", "--config", _write_cfg(tmp_path), "--out", str(out),
+                 "--seed", "-5"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("payload", [{"hidden": [1]}, {"sbm_blocks": 5},

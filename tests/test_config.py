@@ -2,7 +2,7 @@
 import json
 import math
 import pickle
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
@@ -143,6 +143,15 @@ def test_load_config_round_trip(tmp_path):
     ("sweep_layers = 1", "sweep_layers"),
     ("sweep_layers = 2,65", "sweep_layers"),
     ("sweep_layers =", "sweep_layers"),
+    ("seed = -1", "seed"),
+    ("sbm_blocks = 0,12,12,12", "sbm_blocks"),
+    ("sbm_blocks =", "sbm_blocks"),
+    ("sbm_p_in = 2", "sbm_p_in"),
+    ("sbm_p_out = nan", "sbm_p_out"),
+    ("sbm_feat_dim = 0", "sbm_feat_dim"),
+    ("pretrain_epochs = 99999999999999999999999", "pretrain_epochs"),
+    ('{"per_class_replay": -9223372036854775809}', "per_class_replay"),
+    ('{"seed": 1e20}', "seed"),
 ])
 def test_validation_errors(snippet, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -152,25 +161,26 @@ def test_validation_errors(snippet, needle):
 def test_train_config_wiring():
     cfg = parse_config_text("alpha1 = 0.07\neta = 0.5\ntop_k = 3\n"
                             "use_replay = off\nsigma_mode = unit")
-    tc = cfg.train_config()
-    assert tc.weights.alpha1 == 0.07
-    assert tc.weights.eta == 0.5
-    assert tc.weights.top_k == 3
-    assert tc.use_replay is False and tc.use_self is True
-    assert tc.sigma_mode == "unit"
+    assert isinstance(cfg, TrainConfig)
+    assert cfg.alpha1 == 0.07
+    assert cfg.eta == 0.5
+    assert cfg.top_k == 3
+    assert cfg.use_replay is False and cfg.use_self is True
+    assert cfg.sigma_mode == "unit"
 
 
 def test_default_train_config_round_trips():
-    assert RunConfig().train_config() == TrainConfig()
+    training = {f.name for f in fields(TrainConfig)}
+    run = {k: v for k, v in asdict(RunConfig()).items() if k in training}
+    assert run == asdict(TrainConfig())
 
 
 def test_every_training_knob_is_a_run_key_with_its_default():
     run_defaults = config_payload(RunConfig())
     assert len(run_defaults) == 47
-    knobs = [f for f in fields(TrainConfig) if f.name != "weights"]
-    for source, f in ([(TrainConfig(), f) for f in knobs]
-                      + [(LossWeights(), f) for f in fields(LossWeights)]):
-        assert run_defaults[f.name] == getattr(source, f.name), f.name
+    for source in (TrainConfig(), LossWeights()):
+        for f in fields(source):
+            assert run_defaults[f.name] == getattr(source, f.name), f.name
 
 
 def test_run_config_pickles():
@@ -246,8 +256,7 @@ PHASE1_BASE = "hidden = 16\npretrain_epochs = 6\n"
 
 def _phase2_knobs():
     """Training keys of RunConfig that the phase-1 hash leaves out."""
-    training = ({f.name for f in fields(TrainConfig)} - {"weights"}
-                | {f.name for f in fields(LossWeights)})
+    training = {f.name for f in fields(TrainConfig)}
     return [f.name for f in fields(RunConfig)
             if f.name in training and f.name not in _PHASE1_KEYS]
 
@@ -259,10 +268,10 @@ def test_phase2_alternatives_name_exactly_the_knobs_outside_the_phase1_hash():
 
 
 def _pretrain_outputs(text):
-    tc = parse_config_text(text).train_config()
+    cfg = parse_config_text(text)
     g = sbm_generate([12] * 4, 0.4, 0.03, 6, 2.5, seed=1)
     split = split_classes(g, [0, 1], [2, 3], seed=2)
-    state, protos, plog = pretrain(g, split, tc)
+    state, protos, plog = pretrain(g, split, cfg)
     return ([(n, t.data) for n, t in named_parameters(state)],
             [protos.class_ids, protos.mean, protos.var, protos.counts],
             plog.rows, (plog.best_epoch, plog.best_val_acc),

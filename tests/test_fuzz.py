@@ -1,0 +1,126 @@
+"""Property tests: on any input the parsers raise only their typed errors.
+
+Hypothesis runs derandomized and without its example database, so every run
+draws the same examples (conftest.py keeps its caches out of the tree).
+"""
+import json
+import struct
+from dataclasses import fields
+
+import pytest
+
+from graphncd.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint
+from graphncd.config import ConfigError, RunConfig, parse_config_text
+from graphncd.graph import ClassSplit, GraphParseError
+from graphncd.training import load_state
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+
+KEYS = [f.name for f in fields(RunConfig)]
+
+# any size, and just past either end of int64 more often than chance would
+integers = (st.integers() | st.integers(2 ** 63 - 1, 2 ** 64)
+            | st.integers(-2 ** 64, -2 ** 63 - 1))
+json_values = st.recursive(
+    st.none() | st.booleans() | integers | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+DEFAULTS = RunConfig()
+
+
+def typed_values(key):
+    """Values of the key's own type, so that a config often gets past parsing
+    and reaches the value rules: in range, at an edge, or past it."""
+    default = getattr(DEFAULTS, key)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return integers
+    if isinstance(default, float):
+        return st.floats()
+    if isinstance(default, list):
+        return st.lists(integers | st.floats(), max_size=5)
+    return st.sampled_from(["", "gcn", "sage", "sbm", "files", "joint", "unit"])
+
+
+def as_text(value):
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+keys = st.sampled_from(KEYS)
+typed_configs = st.lists(keys.flatmap(lambda k: st.tuples(st.just(k), typed_values(k))),
+                         min_size=1, max_size=3)
+garbage = (st.text(max_size=120)
+           | st.lists(st.tuples(keys | st.text(max_size=8), st.text(max_size=12))
+                      .map(" = ".join), max_size=4).map("\n".join)
+           | st.dictionaries(keys | st.text(max_size=8), json_values,
+                             max_size=4).map(json.dumps))
+
+
+@FUZZ
+@given(typed_configs.map(lambda kv: "\n".join(f"{k} = {as_text(v)}" for k, v in kv))
+       | typed_configs.map(lambda kv: json.dumps(dict(kv))) | garbage)
+def test_parse_config_text_raises_only_config_error(text):
+    try:
+        parse_config_text(text)
+    except ConfigError:
+        pass
+
+
+small = st.integers(-2, 3)
+entries = (st.fixed_dictionaries({"name": st.text(max_size=3) | json_values,
+                                  "rows": small | json_values,
+                                  "cols": small | json_values})
+           | json_values)
+metas = (st.fixed_dictionaries({"backbone": st.sampled_from(["gcn", "sage"]) | json_values,
+                                "dims": st.lists(small, max_size=3) | json_values,
+                                "phase": st.sampled_from([1, 2]) | json_values})
+         | json_values)
+headers = (st.fixed_dictionaries({"format_version": st.just(FORMAT_VERSION) | json_values,
+                                  "meta": metas,
+                                  "tensors": st.lists(entries, max_size=3) | json_values})
+           | json_values).map(lambda h: json.dumps(h).encode("utf-8"))
+payloads = st.integers(0, 12).map(lambda n: bytes(8 * n)) | st.binary(max_size=40)
+checkpoints = (st.binary(max_size=80)
+               | st.tuples(st.binary(max_size=40), payloads)
+               .map(lambda hp: struct.pack("<Q", len(hp[0])) + hp[0] + hp[1])
+               | st.tuples(headers, payloads)
+               .map(lambda hp: struct.pack("<Q", len(hp[0])) + hp[0] + hp[1]))
+
+
+@FUZZ
+@given(blob=checkpoints)
+def test_checkpoint_loaders_raise_only_checkpoint_error(tmp_path, blob):
+    path = tmp_path / "ckpt.bin"
+    path.write_bytes(blob)
+    for load in (load_checkpoint, load_state):
+        try:
+            load(str(path))
+        except CheckpointError:
+            pass
+
+
+split_keys = st.sampled_from([f.name for f in fields(ClassSplit)]) | st.text(max_size=6)
+splits = (st.dictionaries(split_keys, st.lists(st.integers(), max_size=4) | json_values,
+                          max_size=8).map(json.dumps)
+          | json_values.map(json.dumps) | st.text(max_size=40))
+
+
+@FUZZ
+@given(splits)
+def test_split_from_json_raises_only_graph_parse_error(text):
+    try:
+        ClassSplit.from_json(text)
+    except GraphParseError:
+        pass

@@ -6,7 +6,6 @@ import pytest
 
 from graphncd.graph import sbm_generate, split_classes
 from graphncd.metrics import joint_predictions
-from graphncd.ncd_losses import LossWeights
 from graphncd.training import (ModelState, NcdLog, TrainConfig,
                                TrainingDiverged, derive_seed, named_parameters,
                                ncd_train, pretrain, run_depth_sweep,
@@ -21,7 +20,7 @@ def _data(seed=0):
 
 def _cfg(**over):
     base = dict(hidden=16, pretrain_epochs=15, ncd_epochs=30, seed=0,
-                weights=LossWeights(rampup_length=5, top_k=3))
+                rampup_length=5, top_k=3)
     base.update(over)
     return TrainConfig(**base)
 
@@ -96,7 +95,14 @@ def test_pretrain_validates_config():
     with pytest.raises(ValueError):
         pretrain(g, split, _cfg(layers=1))
     with pytest.raises(ValueError):
-        pretrain(g, split, _cfg(weights=LossWeights(top_k=99)))
+        pretrain(g, split, _cfg(top_k=99))
+    with pytest.raises(ValueError, match="seed"):
+        pretrain(g, split, _cfg(seed=-1))
+    # an int too large for a float or a numpy int64 is still compared exactly
+    with pytest.raises(ValueError, match="per_class_replay"):
+        pretrain(g, split, _cfg(per_class_replay=-2 ** 63 - 1))
+    with pytest.raises(ValueError, match="patience"):
+        pretrain(g, split, _cfg(patience=-10 ** 400))
 
 
 # ------------------------------------------------------------ phase-2 routing
@@ -231,7 +237,7 @@ def test_perturb_joint_head_variant_runs(pretrained):
 def test_early_stopping_matches_reimplemented_rule():
     g, split = _data(seed=5)
     cfg = _cfg(seed=5, ncd_epochs=250, patience=8,
-               weights=LossWeights(rampup_length=5, top_k=3))
+               rampup_length=5, top_k=3)
     state, protos, _ = pretrain(g, split, cfg)
     state, nlog = ncd_train(state, protos, g, split, cfg)
 
@@ -239,7 +245,7 @@ def test_early_stopping_matches_reimplemented_rule():
     stop_epoch, stopped = None, False
     for row in nlog.rows:
         e = row["epoch"]
-        if e < cfg.weights.rampup_length:
+        if e < cfg.rampup_length:
             continue
         smoothed = row["total"] if smoothed is None else \
             0.9 * smoothed + 0.1 * row["total"]
@@ -261,7 +267,7 @@ def test_early_stopping_matches_reimplemented_rule():
 def test_no_tracking_before_ramp_finishes():
     g, split = _data(seed=6)
     cfg = _cfg(seed=6, ncd_epochs=4,
-               weights=LossWeights(rampup_length=10, top_k=3))
+               rampup_length=10, top_k=3)
     state, protos, _ = pretrain(g, split, cfg)
     state, nlog = ncd_train(state, protos, g, split, cfg)
     assert nlog.epochs_run == 4              # ran the full budget
@@ -276,7 +282,7 @@ def test_best_snapshot_restored(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     state = copy.deepcopy(state0)
     cfg2 = _cfg(ncd_epochs=40, patience=3,
-                weights=LossWeights(rampup_length=2, top_k=3))
+                rampup_length=2, top_k=3)
     state, nlog = ncd_train(state, protos, g, split, cfg2)
     if nlog.best_epoch >= 0 and nlog.epochs_run - 1 != nlog.best_epoch:
         # restored parameters differ from the final snapshot
@@ -300,7 +306,7 @@ def test_loss_rows_complete(pretrained):
 def test_divergence_raises_with_report(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     state = copy.deepcopy(state0)
-    bad = _cfg(weights=LossWeights(lam=float("inf"), rampup_length=5, top_k=3))
+    bad = _cfg(lam=float("inf"), rampup_length=5, top_k=3)
     with pytest.raises(TrainingDiverged) as err:
         ncd_train(state, protos, g, split, bad)
     assert err.value.report["epoch"] == 0
