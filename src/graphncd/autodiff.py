@@ -47,10 +47,6 @@ class Tensor:
             raise ValueError(f"item() needs a single element, shape is {self.shape}")
         return float(self.data[0, 0])
 
-    def detach(self) -> "Tensor":
-        """Copy of the value, cut loose from the graph."""
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -102,9 +98,6 @@ class SparseMatrix:
     @property
     def transposed(self):
         return self.mat if self.symmetric else self._mat_t
-
-    def toarray(self) -> np.ndarray:
-        return self.mat.toarray()
 
 
 def _check_2d(*ts: Tensor) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -26,8 +27,7 @@ from .config import (ConfigError, RunConfig, config_hash, config_payload,
 from .graph import (ClassSplit, Graph, GraphParseError, GraphValidationError,
                     canonical_texts, input_features, load_graph, operator_for,
                     save_graph, sbm_generate, split_classes, validate_split)
-from .metrics import (MetricsReport, evaluate_joint, write_confusion_csv,
-                      write_perf_csv)
+from .metrics import MetricsReport, evaluate_joint
 from .models import encode
 from .ncd_losses import LOSS_TERMS, Prototypes
 from .training import (SEED_SBM, SEED_SPLIT, TrainingDiverged, derive_seed,
@@ -46,7 +46,9 @@ class DimensionMismatch(Exception):
 # typed failures that are not bad input (exit 2); anything else is a traceback
 _EXIT_CODES = {StaleArtifacts: 3, DimensionMismatch: 4, TrainingDiverged: 1}
 
+PRETRAIN_COLUMNS = ("epoch", "loss", "val_acc")
 LOSS_COLUMNS = ("epoch", *LOSS_TERMS, "beta1", "beta2", "total")
+SWEEP_COLUMNS = ("layers", "old_acc", "new_acc", "all_acc", "aa", "af")
 
 
 def _timestamp() -> str:
@@ -92,14 +94,21 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str, columns: tuple[str, ...], rows: list[dict]) -> None:
-    """Header, then one line per row: an integer first column, then float reprs
-    (repr round-trips exactly)."""
+def _write_csv(path: str, header, rows) -> None:
+    """Every CSV artifact: the header, then one line per row. Integers are
+    written by str, strings as they are, other numbers by repr(float(x)),
+    which round-trips exactly."""
+    def cell(x) -> str:
+        if isinstance(x, str):
+            return x
+        return str(x) if isinstance(x, numbers.Integral) else repr(float(x))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join([str(row[columns[0]])]
-                              + [repr(float(row[c])) for c in columns[1:]]) + "\n")
+        for row in [header, *rows]:
+            fh.write(",".join(map(cell, row)) + "\n")
+
+
+def _pick(columns: tuple[str, ...], rows: list[dict]) -> list[list]:
+    return [[row[c] for c in columns] for row in rows]
 
 
 def _reference_extras(rc: RunConfig, rep: MetricsReport) -> dict:
@@ -139,9 +148,14 @@ class _Stage:
         payload = rep.to_dict()
         payload["timestamp"] = _timestamp()
         _write_json(self.path("metrics.json"), payload)
-        write_confusion_csv(self.path("confusion.csv"), rep.confusion, rep.class_order)
-        if rep.perf is not None:
-            write_perf_csv(self.path("perf_matrix.csv"), rep.perf)
+        _write_csv(self.path("confusion.csv"), ["true\\pred", *rep.class_order],
+                   [[c, *row] for c, row in zip(rep.class_order, rep.confusion)])
+        if rep.perf is not None:  # lower-triangular: the cells above stay empty
+            n = len(rep.perf)
+            _write_csv(self.path("perf_matrix.csv"),
+                       ["stage", *(f"task{j + 1}" for j in range(n))],
+                       [[i + 1, *("" if j > i else x for j, x in enumerate(row))]
+                        for i, row in enumerate(rep.perf)])
 
     def write_manifest(self, command: str, **facts) -> None:
         """The identity block, the stage's own facts and the artifact list."""
@@ -206,7 +220,7 @@ def cmd_pretrain(st: _Stage) -> int:
                plog.best_snapshot)
     _write_json(st.path("prototypes.json"), protos.to_dict())
     st.split.save(st.path("split.json"))
-    _write_csv(st.path("losses.csv"), ("epoch", "loss", "val_acc"), plog.rows)
+    _write_csv(st.path("losses.csv"), PRETRAIN_COLUMNS, _pick(PRETRAIN_COLUMNS, plog.rows))
     st.write_metrics(rep)
     st.write_manifest("pretrain", phase=1, phase1_hash=p1hash,
                       epochs_run=len(plog.rows), best_epoch=plog.best_epoch,
@@ -280,7 +294,7 @@ def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
     save_state(st.path("checkpoint_ncd_best.bin"), state, meta)
     save_state(st.path("checkpoint_ncd_final.bin"), state, meta, nlog.final_snapshot)
     st.split.save(st.path("split.json"))
-    _write_csv(st.path("losses.csv"), LOSS_COLUMNS, nlog.rows)
+    _write_csv(st.path("losses.csv"), LOSS_COLUMNS, _pick(LOSS_COLUMNS, nlog.rows))
     st.write_metrics(rep)
     st.write_manifest("ncd", phase=2, pretrain_dir=pretrain_dir,
                       epochs_run=nlog.epochs_run, best_epoch=nlog.best_epoch,
@@ -320,11 +334,8 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
 
     z = encode(state.encoder, operator_for(state.backbone, g),
                ad.constant(input_features(g, rc.normalize_features))).data
-    with open(st.path("nodes.csv"), "w", encoding="utf-8") as fh:
-        fh.write("id,label," + ",".join(f"z{i}" for i in range(z.shape[1])) + "\n")
-        for i in range(g.num_nodes):
-            fh.write(f"{i},{g.labels[i]}," +
-                     ",".join(repr(float(v)) for v in z[i]) + "\n")
+    _write_csv(st.path("nodes.csv"), ["id", "label", *(f"z{i}" for i in range(z.shape[1]))],
+               [[i, y, *row] for i, (y, row) in enumerate(zip(g.labels.tolist(), z.tolist()))])
     st.write_manifest("eval", phase=rep.phase, checkpoint=checkpoint,
                       old_acc=rep.old_acc, new_acc=rep.new_acc, all_acc=rep.all_acc)
     print(f"eval: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "
@@ -334,8 +345,7 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
 
 def cmd_sweep_depth(st: _Stage) -> int:
     rows = run_depth_sweep(st.g, st.split, st.rc, st.rc.sweep_layers)
-    _write_csv(st.path("sweep.csv"),
-               ("layers", "old_acc", "new_acc", "all_acc", "aa", "af"), rows)
+    _write_csv(st.path("sweep.csv"), SWEEP_COLUMNS, _pick(SWEEP_COLUMNS, rows))
     st.write_manifest("sweep-depth", layers=st.rc.sweep_layers)
     for row in rows:
         print(f"sweep-depth: layers={row['layers']} old_acc={row['old_acc']:.4f} "

@@ -10,16 +10,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .graph import check_split_ratios
+from .graph import check_split_ratios, fits_int64
 from .training import MAX_LAYERS, TrainConfig
 
 
 class ConfigError(ValueError):
     """Bad key, bad value, or unreadable config file."""
-
-
-# integer keys must fit numpy's int64
-_INT64 = 2 ** 63
 
 
 @dataclass
@@ -54,7 +50,7 @@ class RunConfig(TrainConfig):
         """TrainConfig's rules plus the rules for the keys it leaves open, all as
         ConfigError."""
         for key, v in asdict(self).items():
-            if any(type(x) is int and not -_INT64 <= x < _INT64
+            if any(type(x) is int and not fits_int64(x)
                    for x in (v if isinstance(v, list) else [v])):
                 raise ConfigError(f"{key} must fit a 64-bit integer, got {v}")
         if self.dataset not in ("sbm", "files"):
@@ -119,20 +115,24 @@ def _parse_value(name: str, text: str, default) -> object:
         raise ConfigError(f"config key {name!r}: {exc}") from exc
 
 
+_KIND_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
 def _coerce(v, default) -> object:
     """v (a JSON value, or a list of string tokens) as the default's type.
 
-    Raises TypeError or ValueError when v does not fit."""
-    if isinstance(default, bool) and not isinstance(v, bool):
-        raise TypeError("expected boolean")
+    A list element that is a string is parsed as text; otherwise a boolean key
+    takes only a boolean, an int key only an int and a float key any number,
+    never a boolean. Raises TypeError or ValueError when v does not fit."""
     if isinstance(default, list):
         if not isinstance(v, list):
             raise TypeError(f"expected a list, got {v!r}")
         elem = type(default[0]) if default else float
-        return [elem(x) for x in v]
-    if isinstance(default, str):
-        raise TypeError(f"expected a string, got {v!r}")
-    return type(default)(v)
+        return [elem(x) if isinstance(x, str) else _coerce(x, elem()) for x in v]
+    kind = type(default)
+    if type(v) is kind or (kind is float and type(v) is int):
+        return kind(v)
+    raise TypeError(f"expected {_KIND_NAMES[kind]}, got {v!r}")
 
 
 def parse_config_text(text: str) -> RunConfig:

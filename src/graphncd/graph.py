@@ -27,6 +27,17 @@ class GraphValidationError(ValueError):
     """Structurally invalid graph (dangling ids, self loops, NaN features...)."""
 
 
+def fits_int64(v: int) -> bool:
+    return -2 ** 63 <= v < 2 ** 63
+
+
+def _int64(text: str) -> int:
+    v = int(text)
+    if not fits_int64(v):
+        raise ValueError(f"{text} does not fit a 64-bit integer")
+    return v
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected featured labeled graph. Treated as immutable once built."""
@@ -119,7 +130,7 @@ def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
     labels = []
     for lineno, body in _read_lines(labels_path):
         try:
-            labels.append(int(body))
+            labels.append(_int64(body))
         except ValueError as exc:
             raise GraphParseError(f"{labels_path}: line {lineno}: {exc}") from exc
 
@@ -129,7 +140,7 @@ def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
         if len(toks) != 2:
             raise GraphParseError(f"{edges_path}: line {lineno}: expected 'u v', got {body!r}")
         try:
-            pairs.append((int(toks[0]), int(toks[1])))
+            pairs.append((_int64(toks[0]), _int64(toks[1])))
         except ValueError as exc:
             raise GraphParseError(f"{edges_path}: line {lineno}: {exc}") from exc
 
@@ -224,7 +235,7 @@ class ClassSplit:
 
     @classmethod
     def from_json(cls, text: str) -> "ClassSplit":
-        """Every field as a JSON list of integers, else GraphParseError."""
+        """Every field as a JSON list of 64-bit integers, else GraphParseError."""
         try:
             raw = json.loads(text)
         except (ValueError, RecursionError) as exc:
@@ -233,8 +244,10 @@ class ClassSplit:
             raise GraphParseError("a split must be a JSON object")
         for f in fields(cls):
             ids = raw.get(f.name)
-            if not (isinstance(ids, list) and all(type(x) is int for x in ids)):
-                raise GraphParseError(f"split key {f.name!r} must be a list of integers")
+            if not (isinstance(ids, list)
+                    and all(type(x) is int and fits_int64(x) for x in ids)):
+                raise GraphParseError(
+                    f"split key {f.name!r} must be a list of 64-bit integers")
         return cls(**{f.name: raw[f.name] for f in fields(cls)})
 
     def save(self, path: str) -> None:

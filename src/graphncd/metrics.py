@@ -1,4 +1,4 @@
-"""Joint evaluation, cluster matching, and stage-wise retention metrics."""
+"""Joint evaluation, novel-slot matching, and stage-wise retention metrics."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -75,30 +75,6 @@ def hungarian_match(cost) -> list[int]:
                 prefix += float(c[i, j])
                 break
     return perm
-
-
-def clustering_accuracy(preds, labels, num_clusters: int) -> float:
-    """Best-match accuracy of cluster assignments against labels.
-
-    Builds the contingency table, pads it square, and maximizes matched
-    counts via hungarian_match on the negated table."""
-    p = np.asarray(preds, dtype=np.int64).reshape(-1)
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if p.size != y.size:
-        raise ValueError(f"{p.size} predictions vs {y.size} labels")
-    if p.size == 0:
-        raise ValueError("empty prediction set")
-    if p.min() < 0 or p.max() >= num_clusters:
-        raise ValueError(f"cluster ids must lie in [0, {num_clusters})")
-    uniq = np.unique(y)
-    m = max(num_clusters, uniq.size)
-    cont = np.zeros((m, m))
-    col = {int(v): i for i, v in enumerate(uniq)}
-    for pi, yi in zip(p, y):
-        cont[pi, col[int(yi)]] += 1.0
-    perm = hungarian_match(-cont)
-    matched = np.sum([cont[i, perm[i]] for i in range(m)])
-    return float(matched / p.size)
 
 
 def aa_af(perf: np.ndarray, phase: int) -> tuple[float, float]:
@@ -189,40 +165,3 @@ def evaluate_joint(state, g: Graph, split: ClassSplit,
         phase=2 if state.joint_head is not None else 1,
     )
 
-
-def write_confusion_csv(path: str, confusion: np.ndarray, class_order: list[int]) -> None:
-    """Header row of class ids, then one count row per true class."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("true\\pred," + ",".join(str(c) for c in class_order) + "\n")
-        for cid, row in zip(class_order, confusion):
-            fh.write(str(cid) + "," + ",".join(str(int(x)) for x in row) + "\n")
-
-
-def read_confusion_csv(path: str) -> tuple[np.ndarray, list[int]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    order = [int(tok) for tok in lines[0].split(",")[1:]]
-    rows = [[int(tok) for tok in ln.split(",")[1:]] for ln in lines[1:]]
-    return np.array(rows, dtype=np.int64), order
-
-
-def write_perf_csv(path: str, perf: np.ndarray) -> None:
-    """Lower-triangular stage matrix; undefined upper entries stay empty."""
-    with open(path, "w", encoding="utf-8") as fh:
-        n = perf.shape[0]
-        fh.write("stage," + ",".join(f"task{j + 1}" for j in range(n)) + "\n")
-        for i in range(n):
-            cells = ["" if j > i else repr(float(perf[i, j])) for j in range(n)]
-            fh.write(f"{i + 1}," + ",".join(cells) + "\n")
-
-
-def read_perf_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    n = len(lines) - 1
-    out = np.full((n, n), np.nan)
-    for i, ln in enumerate(lines[1:]):
-        for j, tok in enumerate(ln.split(",")[1:]):
-            if tok:
-                out[i, j] = float(tok)
-    return out

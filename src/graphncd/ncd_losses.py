@@ -253,11 +253,3 @@ def scheduled_total(terms: Mapping[str, Tensor], w: LossWeights,
     report.update(beta1=b1, beta2=b2, total=total.item())
     return total, report
 
-
-def total_loss(components: Mapping[str, float], w: LossWeights,
-               epoch: int) -> tuple[float, dict]:
-    """scheduled_total on plain floats; missing components count as zero."""
-    _, report = scheduled_total(
-        {k: ad.constant([[float(components.get(k, 0.0))]]) for k in LOSS_TERMS},
-        w, epoch)
-    return report["total"], report

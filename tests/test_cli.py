@@ -11,7 +11,9 @@ import pytest
 from graphncd import cli
 from graphncd.checkpoint import load_checkpoint, save_checkpoint
 from graphncd.cli import main
+from graphncd.config import load_config
 from graphncd.graph import ClassSplit, load_graph, validate_split
+from graphncd.metrics import evaluate_joint
 from graphncd.training import load_state
 
 BASE = """
@@ -46,6 +48,12 @@ def _read_json(path):
 def _csv_rows(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.reader(fh))
+
+
+# the losses.csv columns README's "File formats" section documents
+PRETRAIN_LOSSES = ["epoch", "loss", "val_acc"]
+NCD_LOSSES = ["epoch", "pseudo", "self", "perturb", "replay", "distill",
+              "beta1", "beta2", "total"]
 
 
 # ------------------------------------------------------------------- gen-data
@@ -98,7 +106,7 @@ def test_pretrain_artifacts(pipeline):
     for name in manifest["artifacts"]:
         assert os.path.isfile(os.path.join(pre, name)), name
     rows = _csv_rows(os.path.join(pre, "losses.csv"))
-    assert rows[0] == ["epoch", "loss", "val_acc"]
+    assert rows[0] == PRETRAIN_LOSSES
     assert len(rows) == 12 + 1
     metrics = _read_json(os.path.join(pre, "metrics.json"))
     assert metrics["phase"] == 1 and "timestamp" in metrics
@@ -115,8 +123,7 @@ def test_ncd_artifacts_and_flag_echo(pipeline):
     for name in manifest["artifacts"]:
         assert os.path.isfile(os.path.join(ncd, name)), name
     rows = _csv_rows(os.path.join(ncd, "losses.csv"))
-    assert rows[0] == list(("epoch", "pseudo", "self", "perturb", "replay",
-                            "distill", "beta1", "beta2", "total"))
+    assert rows[0] == NCD_LOSSES
     assert len(rows) == manifest["epochs_run"] + 1
     metrics = _read_json(os.path.join(ncd, "metrics.json"))
     assert metrics["phase"] == 2
@@ -307,6 +314,12 @@ def _split_with_float_ids(raw):
     return {**raw, "p1_train": [float(i) for i in raw["p1_train"]]}
 
 
+def _split_with(key, value):
+    def add(raw):
+        return {**raw, key: raw[key] + [value]}
+    return add
+
+
 def _ckpt_without(name):
     def drop(meta, tensors):
         del tensors[name]
@@ -347,6 +360,12 @@ def _ckpt_with_meta(**entries):
     ("checkpoint", _ckpt_with_meta(phase=float("inf")), "bad meta"),
     # a checkpoint whose JSON header is a list, not an object
     ("header", [{"format_version": 1}], "header"),
+    # past int64: a node id and a class id
+    ("split", _split_with("p1_train", 2 ** 63), "p1_train"),
+    ("split", _split_with("old_classes", -2 ** 63 - 1), "old_classes"),
+    # a line appended to a file of the dataset, past int64
+    ("edges", "0 99999999999999999999", "edges.txt: line"),
+    ("labels", "9223372036854775808", "labels.txt: line"),
 ])
 def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate,
                                         needle):
@@ -357,6 +376,15 @@ def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate
         with open(bad, "w", encoding="utf-8") as fh:
             json.dump(mutate(_read_json(os.path.join(pre, "split.json"))), fh)
         cfg = _write_cfg(tmp_path, name="split.cfg", extra=f"split_file = {bad}\n")
+        argv = ["pretrain", "--config", cfg, "--out", out]
+    elif kind in ("edges", "labels"):
+        data = str(tmp_path / "data")
+        assert main(["gen-data", "--config", cfg, "--out", data]) == 0
+        with open(os.path.join(data, f"{kind}.txt"), "a", encoding="utf-8") as fh:
+            fh.write(mutate + "\n")
+        files = "".join(f"{key} = {os.path.join(data, key)}.txt\n"
+                        for key in ("edges", "features", "labels"))
+        cfg = _write_cfg(tmp_path, name="files.cfg", extra="dataset = files\n" + files)
         argv = ["pretrain", "--config", cfg, "--out", out]
     else:
         if kind == "header":
@@ -418,7 +446,14 @@ def test_seed_override_is_validated(tmp_path, capsys):
 
 @pytest.mark.parametrize("payload", [{"hidden": [1]}, {"sbm_blocks": 5},
                                      {"lr": None}, {"out": 5},
-                                     {"sbm_blocks": ["a"]}])
+                                     {"sbm_blocks": ["a"]},
+                                     # no recasting: an int key takes an int, a
+                                     # float key a number, neither a boolean
+                                     {"hidden": 16.7}, {"hidden": 16.0},
+                                     {"hidden": True}, {"lr": True},
+                                     {"old_classes": [0.9, 1]},
+                                     {"old_classes": [False, 1]},
+                                     {"split_ratios": [0.6, 0.2, True]}])
 def test_json_config_value_of_wrong_type(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -459,6 +494,66 @@ def test_run_chains_all_three_stages(tmp_path):
     assert ncd_manifest["pretrain_dir"] == os.path.join(out, "pretrain")
     ev = _read_json(os.path.join(out, "eval", "metrics.json"))
     assert ev["phase"] == 2
+
+
+def test_write_csv_cell_rule(tmp_path):
+    path = str(tmp_path / "t.csv")
+    cli._write_csv(path, ["a", "b"], [[3, np.int64(-4), 0.1, np.float64(1 / 3), "", "x"]])
+    with open(path, "r", encoding="utf-8") as fh:
+        assert fh.read() == "a,b\n3,-4,0.1,0.3333333333333333,,x\n"
+
+
+def test_run_csv_artifacts_follow_the_documented_format(tmp_path):
+    out = tmp_path / "full"
+    cfg = _write_cfg(tmp_path)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rc = load_config(cfg)
+    g, _ = cli.resolve_dataset(rc)
+    split = ClassSplit.load(str(out / "pretrain" / "split.json"))
+    checkpoints = {"pretrain": "pretrain/checkpoint_pretrain.bin",
+                   "ncd": "ncd/checkpoint_ncd_best.bin",
+                   "eval": "ncd/checkpoint_ncd_best.bin"}
+    p1_old = _read_json(str(out / "pretrain" / "metrics.json"))["old_acc"]
+    for stage, ckpt in checkpoints.items():
+        d = out / stage
+        csvs = {name: _csv_rows(str(d / name)) for name in os.listdir(d)
+                if name.endswith(".csv")}
+        assert set(csvs) == {"confusion.csv", "perf_matrix.csv"} | (
+            {"nodes.csv"} if stage == "eval" else {"losses.csv"}), stage
+        for name, rows in csvs.items():
+            assert all(len(r) == len(rows[0]) for r in rows), (stage, name)
+
+        # the confusion matrix evaluate_joint computes for the stage's state
+        state, _ = load_state(str(out / ckpt))
+        rep = evaluate_joint(state, g, split)
+        assert csvs["confusion.csv"] == \
+            [["true\\pred", *map(str, rep.class_order)]] + \
+            [[str(c), *map(str, row)] for c, row in zip(rep.class_order,
+                                                       rep.confusion.tolist())]
+
+        # lower triangle: the stage's accuracies, exact through float; above it empty
+        metrics = _read_json(str(d / "metrics.json"))
+        want = [[p1_old]] if stage == "pretrain" else \
+            [[p1_old, None], [metrics["old_acc"], metrics["new_acc"]]]
+        perf = csvs["perf_matrix.csv"]
+        assert perf[0] == ["stage", *(f"task{j + 1}" for j in range(len(want)))]
+        for i, (row, accs) in enumerate(zip(perf[1:], want, strict=True)):
+            assert row[0] == str(i + 1)
+            assert [float(c) for c in row[1:i + 2]] == accs[:i + 1]
+            assert row[i + 2:] == [""] * (len(want) - i - 1)
+
+        if stage == "eval":
+            nodes = csvs["nodes.csv"]
+            width = state.encoder.repr_dim
+            assert nodes[0] == ["id", "label", *(f"z{i}" for i in range(width))]
+            assert [r[:2] for r in nodes[1:]] == \
+                [[str(i), str(y)] for i, y in enumerate(g.labels.tolist())]
+            assert all(np.isfinite(float(v)) for r in nodes[1:] for v in r[2:])
+        else:
+            losses = csvs["losses.csv"]
+            assert losses[0] == (PRETRAIN_LOSSES if stage == "pretrain" else NCD_LOSSES)
+            assert [r[0] for r in losses[1:]] == [str(e) for e in range(len(losses) - 1)]
+            assert all(np.isfinite(float(v)) for r in losses[1:] for v in r[1:])
 
 
 def _count_dataset_resolutions(monkeypatch):

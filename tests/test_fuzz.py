@@ -11,7 +11,8 @@ import pytest
 
 from graphncd.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint
 from graphncd.config import ConfigError, RunConfig, parse_config_text
-from graphncd.graph import ClassSplit, GraphParseError
+from graphncd.graph import (ClassSplit, GraphParseError, GraphValidationError,
+                            build_graph, load_graph, validate_split)
 from graphncd.training import load_state
 
 pytest.importorskip("hypothesis")
@@ -112,15 +113,51 @@ def test_checkpoint_loaders_raise_only_checkpoint_error(tmp_path, blob):
 
 
 split_keys = st.sampled_from([f.name for f in fields(ClassSplit)]) | st.text(max_size=6)
-splits = (st.dictionaries(split_keys, st.lists(st.integers(), max_size=4) | json_values,
+# four nodes, classes 0 and 1: a split that parses is then checked against it,
+# and the class lists often fit it, so that the node-id checks run too
+SPLIT_GRAPH = build_graph(4, [[0, 1], [2, 3]], [[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
+ids = st.lists(st.integers(0, 3) | integers, max_size=4)
+well_typed = st.fixed_dictionaries(
+    {f.name: st.just([i]) | ids if i < 2 else ids
+     for i, f in enumerate(fields(ClassSplit))})
+splits = (st.dictionaries(split_keys, st.lists(integers, max_size=4) | json_values,
                           max_size=8).map(json.dumps)
-          | json_values.map(json.dumps) | st.text(max_size=40))
+          | well_typed.map(json.dumps) | json_values.map(json.dumps) | st.text(max_size=40))
 
 
 @FUZZ
 @given(splits)
 def test_split_from_json_raises_only_graph_parse_error(text):
     try:
-        ClassSplit.from_json(text)
+        split = ClassSplit.from_json(text)
     except GraphParseError:
+        return
+    try:
+        validate_split(SPLIT_GRAPH, split)
+    except GraphValidationError:
+        pass
+
+
+# rows of numbers (ints at and past int64 among them) that often parse, so
+# that the checks after parsing run too, or any text, written as UTF-8 with
+# lone surrogates passed through, so undecodable too
+numbers = st.sampled_from(["0", "1", "2", "-1", "0.5", "nan", "1e999", "#"]) | integers.map(str)
+
+
+def rows(width):
+    return (st.lists(st.lists(numbers, min_size=width, max_size=width).map(" ".join),
+                     min_size=1, max_size=4).map("\n".join)
+            | st.text(max_size=30))
+
+
+@FUZZ
+@given(texts=st.tuples(rows(2), rows(1), rows(1)))
+def test_load_graph_raises_only_graph_errors(tmp_path, texts):
+    paths = [str(tmp_path / name) for name in ("edges.txt", "features.txt", "labels.txt")]
+    for path, text in zip(paths, texts):
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8", "surrogatepass"))
+    try:
+        load_graph(*paths)
+    except (GraphParseError, GraphValidationError):
         pass

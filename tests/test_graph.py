@@ -131,13 +131,13 @@ def test_canonical_edges_text_lists_each_pair_once():
 
 def test_normalized_adjacency_two_node_value():
     g = build_graph(2, [(0, 1)], np.zeros((2, 1)), [0, 0])
-    dense = normalize_adjacency(g).toarray()
+    dense = normalize_adjacency(g).mat.toarray()
     assert np.array_equal(dense, np.full((2, 2), 0.5))
 
 
 def test_normalized_adjacency_bitwise_symmetric():
     g = sbm_generate([20, 20, 20], 0.3, 0.05, 4, 1.0, seed=1)
-    dense = normalize_adjacency(g).toarray()
+    dense = normalize_adjacency(g).mat.toarray()
     assert np.array_equal(dense, dense.T)
     assert np.all(dense.diagonal() > 0.0)          # self connections present
 
@@ -145,7 +145,7 @@ def test_normalized_adjacency_bitwise_symmetric():
 def test_normalized_adjacency_hand_path():
     # path 0-1-2: degrees with self loops are 2, 3, 2
     g = build_graph(3, [(0, 1), (1, 2)], np.zeros((3, 1)), [0, 0, 0])
-    dense = normalize_adjacency(g).toarray()
+    dense = normalize_adjacency(g).mat.toarray()
     want = np.array([[1 / 2, 1 / np.sqrt(6), 0],
                      [1 / np.sqrt(6), 1 / 3, 1 / np.sqrt(6)],
                      [0, 1 / np.sqrt(6), 1 / 2]])
@@ -154,14 +154,14 @@ def test_normalized_adjacency_hand_path():
 
 def test_mean_adjacency_row_stochastic_self_excluded():
     g = _small_graph()           # nodes 0-2 form a triangle, node 3 is isolated
-    dense = mean_adjacency(g).toarray()
+    dense = mean_adjacency(g).mat.toarray()
     assert np.allclose(dense[:3].sum(axis=1), 1.0, atol=1e-12)
     assert np.array_equal(dense.diagonal(), np.zeros(4))
 
 
 def test_mean_adjacency_isolated_row_is_zero():
     g = build_graph(3, [(0, 1)], np.zeros((3, 1)), [0, 0, 0])
-    dense = mean_adjacency(g).toarray()
+    dense = mean_adjacency(g).mat.toarray()
     assert np.array_equal(dense[2], np.zeros(3))
 
 

@@ -1,15 +1,16 @@
 """Assignment matching, joint evaluation, retention metrics, CSV round-trips."""
+import csv
 import itertools
 
 import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
+from graphncd import cli
+from graphncd.config import RunConfig
 from graphncd.graph import ClassSplit, build_graph
-from graphncd.metrics import (aa_af, clustering_accuracy, evaluate_joint,
-                              hungarian_match, joint_predictions,
-                              read_confusion_csv, read_perf_csv,
-                              write_confusion_csv, write_perf_csv)
+from graphncd.metrics import (MetricsReport, aa_af, evaluate_joint,
+                              hungarian_match, joint_predictions)
 from graphncd.models import EncoderParams, HeadParams
 from graphncd.training import ModelState
 
@@ -58,25 +59,6 @@ def test_hungarian_rejects_bad_input():
         hungarian_match(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hungarian_match(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_clustering_accuracy_permuted_labels_perfect():
-    labels = np.array([0, 0, 1, 1, 2, 2])
-    preds = np.array([2, 2, 0, 0, 1, 1])      # pure relabeling
-    assert clustering_accuracy(preds, labels, 3) == 1.0
-
-
-def test_clustering_accuracy_partial():
-    labels = np.array([0, 0, 1, 1])
-    preds = np.array([1, 1, 1, 0])
-    # best map: cluster1->0, cluster0->1 matches 3 of 4
-    assert clustering_accuracy(preds, labels, 2) == 0.75
-
-
-def test_clustering_accuracy_handles_extra_label_values():
-    labels = np.array([10, 10, 20, 30])
-    preds = np.array([0, 0, 1, 1])
-    assert clustering_accuracy(preds, labels, 2) == 0.75
 
 
 # --------------------------------------------------------------------- aa/af
@@ -210,25 +192,42 @@ def test_evaluate_joint_phase_one_uses_old_head():
 
 # ----------------------------------------------------------------------- CSV
 
+def _write_report(tmp_path, confusion, order, perf=None):
+    """Write a report through the stage writer the CLI uses; return its CSVs."""
+    rep = MetricsReport(old_acc=0.5, new_acc=0.5, all_acc=0.5,
+                        confusion=confusion, class_order=order, perf=perf)
+    stage = cli._Stage(rc=RunConfig(out=str(tmp_path)), g=None, split=None,
+                       dataset_hash="", split_hash="", config_hash="")
+    stage.write_metrics(rep)
+
+    def rows(name):
+        with open(str(tmp_path / name), "r", encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+    return {n: rows(n) for n in stage.artifacts if n.endswith(".csv")}
+
+
 def test_confusion_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     confusion = rng.integers(0, 50, size=(5, 5)).astype(np.int64)
     order = [0, 1, 2, 5, 9]
-    path = str(tmp_path / "confusion.csv")
-    write_confusion_csv(path, confusion, order)
-    back, back_order = read_confusion_csv(path)
+    csvs = _write_report(tmp_path, confusion, order)
+    assert set(csvs) == {"confusion.csv"}
+    rows = csvs["confusion.csv"]
+    assert rows[0] == ["true\\pred", *map(str, order)]
+    back = np.array([[int(v) for v in r[1:]] for r in rows[1:]], dtype=np.int64)
     assert np.array_equal(back, confusion)
-    assert back_order == order
+    assert [int(r[0]) for r in rows[1:]] == order
 
 
 def test_perf_csv_round_trip_preserves_triangle(tmp_path):
     perf = np.array([[0.912345678901234, np.nan],
                      [0.7, 0.6123456789]])
-    path = str(tmp_path / "perf.csv")
-    write_perf_csv(path, perf)
-    back = read_perf_csv(path)
-    assert back[0, 0] == perf[0, 0]
-    assert back[1, 0] == perf[1, 0] and back[1, 1] == perf[1, 1]
-    assert np.isnan(back[0, 1])
-    text = (tmp_path / "perf.csv").read_text()
-    assert text.splitlines()[1].endswith(",")   # upper triangle left empty
+    csvs = _write_report(tmp_path, np.zeros((2, 2), dtype=np.int64), [0, 1], perf)
+    rows = csvs["perf_matrix.csv"]
+    assert rows[0] == ["stage", "task1", "task2"]
+    assert rows[1][0] == "1" and rows[2][0] == "2"
+    assert float(rows[1][1]) == perf[0, 0]
+    assert float(rows[2][1]) == perf[1, 0] and float(rows[2][2]) == perf[1, 1]
+    assert rows[1][2] == ""                      # upper triangle left empty
+    text = (tmp_path / "perf_matrix.csv").read_text()
+    assert text.splitlines()[1].endswith(",")

@@ -23,7 +23,7 @@ def test_gcn_two_layer_matches_dense_oracle():
     adj = normalize_adjacency(g)
     out = encode(enc, adj, ad.constant(g.features)).data
 
-    a = adj.toarray()
+    a = adj.mat.toarray()
     h = a @ (g.features @ enc.weights[0].data) + enc.biases[0].data
     h = np.maximum(h, 0.0)                       # relu between layers only
     want = a @ (h @ enc.weights[1].data) + enc.biases[1].data
@@ -36,7 +36,7 @@ def test_sage_two_layer_matches_dense_oracle():
     adj = mean_adjacency(g)
     out = encode(enc, adj, ad.constant(g.features)).data
 
-    a = adj.toarray()
+    a = adj.mat.toarray()
     h = np.hstack([g.features, a @ g.features]) @ enc.weights[0].data + enc.biases[0].data
     h = np.maximum(h, 0.0)
     want = np.hstack([h, a @ h]) @ enc.weights[1].data + enc.biases[1].data

@@ -10,8 +10,7 @@ from graphncd.ncd_losses import (LossWeights, Prototypes, assign_pseudo_labels,
                                  perturb_consistency_loss,
                                  perturb_representations, rampup, replay_loss,
                                  sample_prototype_batch, scheduled_total,
-                                 self_training_loss, topk_pseudo_pairs,
-                                 total_loss)
+                                 self_training_loss, topk_pseudo_pairs)
 
 ORACLE_TOL = 1e-12
 
@@ -367,11 +366,18 @@ def test_loss_betas_follow_their_amplitudes():
     assert abs(b2 - 4.0 * np.exp(-5)) < ORACLE_TOL
 
 
+def _scheduled_total_of(comps, w, epoch):
+    """scheduled_total on plain floats, as (total, report)."""
+    total, report = scheduled_total({k: constant([[v]]) for k, v in comps.items()},
+                                    w, epoch)
+    return total.item(), report
+
+
 def test_total_loss_hand_case_fourteen():
     w = LossWeights(alpha1=1.0, alpha2=1.0, rampup_length=10, lam=1.0,
                     omega_fd=10.0)
     comps = dict(pseudo=1.0, self=1.0, perturb=1.0, replay=1.0, distill=1.0)
-    total, report = total_loss(comps, w, epoch=10)    # betas saturated at 1
+    total, report = _scheduled_total_of(comps, w, epoch=10)    # betas saturated at 1
     assert abs(total - 14.0) < ORACLE_TOL
     assert report["total"] == total
     assert report["beta1"] == 1.0 and report["beta2"] == 1.0
@@ -380,7 +386,7 @@ def test_total_loss_hand_case_fourteen():
 def test_total_loss_lambda_zero_drops_base_terms():
     w = LossWeights(alpha1=0.3, alpha2=2.0, rampup_length=5, lam=0.0)
     comps = dict(pseudo=0.7, self=0.4, perturb=0.9, replay=123.0, distill=456.0)
-    total, _ = total_loss(comps, w, epoch=2)
+    total, _ = _scheduled_total_of(comps, w, epoch=2)
     b1, b2 = loss_betas(w, 2)
     assert abs(total - (0.7 + b1 * 0.4 + b2 * 0.9)) < ORACLE_TOL
 
@@ -394,7 +400,7 @@ def test_total_loss_matches_hand_composition_on_random_inputs():
         comps = {k: float(rng.uniform(0, 3)) for k in
                  ("pseudo", "self", "perturb", "replay", "distill")}
         epoch = int(rng.integers(0, 60))
-        total, report = total_loss(comps, w, epoch)
+        total, report = _scheduled_total_of(comps, w, epoch)
         b1, b2 = loss_betas(w, epoch)
         want = (comps["pseudo"] + b1 * comps["self"] + b2 * comps["perturb"]
                 + w.lam * (comps["replay"] + w.omega_fd * comps["distill"]))
@@ -415,4 +421,4 @@ def test_scheduled_total_gradient_is_each_terms_weight():
     for g, want in zip(grads, weights):
         assert abs(g.item() - want) < ORACLE_TOL
     assert report["total"] == total.item()
-    assert report == total_loss({k: t.item() for k, t in terms.items()}, w, 2)[1]
+    assert report == _scheduled_total_of({k: t.item() for k, t in terms.items()}, w, 2)[1]
