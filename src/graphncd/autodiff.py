@@ -222,12 +222,22 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), vjp)
 
 
+def _stable_sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Logistic function into ``out`` (which may be ``x``), stable in both
+    tails: 1/(1+e) where x >= 0 and e/(1+e) elsewhere, nan included, with
+    e = exp(-|x|)."""
+    pos = x >= 0
+    e = np.copysign(x, -1.0, out=out)
+    np.exp(e, out=e)
+    d = e + 1.0
+    # e <= 1 everywhere, so this is the numerator: 1 where x >= 0, e elsewhere
+    np.maximum(e, pos, out=e)
+    return np.divide(e, d, out=e)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     _check_2d(a)
-    x = a.data
-    # stable in both tails
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    s = _stable_sigmoid(a.data, np.empty_like(a.data))
 
     def vjp(g):
         return [g * s * (1.0 - s)]

@@ -89,6 +89,21 @@ def resolve_split(rc: RunConfig, g: Graph) -> tuple[ClassSplit, str]:
     return split, _sha256_bytes(split.to_json().encode("utf-8"))
 
 
+def _say(line: str, stream=None) -> None:
+    """Print a line; what the stream cannot encode, such as a lone surrogate
+    from an undecodable byte in a path on the command line, is escaped."""
+    stream = stream or sys.stdout
+    enc = getattr(stream, "encoding", None) or "utf-8"
+    print(line.encode(enc, "backslashreplace").decode(enc), file=stream)
+
+
+def _make_dirs(d: str) -> None:
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:  # e.g. a file where a directory belongs
+        raise ConfigError(f"cannot make output directory {d}: {exc}") from exc
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -174,7 +189,7 @@ def _claim(dirs: list[str], force: bool) -> None:
     if done and not force:
         raise ConfigError(f"{done[0]} holds a finished run; pass --force to overwrite")
     for d in dirs:
-        os.makedirs(d, exist_ok=True)
+        _make_dirs(d)
     for d in done:
         os.remove(os.path.join(d, "manifest.json"))
 
@@ -187,7 +202,7 @@ def _run_dirs(out: str) -> list[str]:
 def cmd_gen_data(rc: RunConfig, force: bool) -> int:
     if rc.dataset != "sbm":
         raise ConfigError("gen-data needs dataset=sbm; file datasets already exist")
-    os.makedirs(rc.out, exist_ok=True)
+    _make_dirs(rc.out)
     targets = [os.path.join(rc.out, n) for n in
                ("edges.txt", "features.txt", "labels.txt", "split.json")]
     clashes = [t for t in targets if os.path.exists(t)]
@@ -202,8 +217,8 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
         "split_sha256": split_hash, "seed": rc.seed,
         "num_nodes": g.num_nodes, "num_undirected_edges": g.num_undirected_edges(),
         "timestamp": _timestamp()})
-    print(f"gen-data: wrote {g.num_nodes} nodes, "
-          f"{g.num_undirected_edges()} edges to {rc.out}")
+    _say(f"gen-data: wrote {g.num_nodes} nodes, "
+         f"{g.num_undirected_edges()} edges to {rc.out}")
     return 0
 
 
@@ -225,8 +240,8 @@ def cmd_pretrain(st: _Stage) -> int:
     st.write_manifest("pretrain", phase=1, phase1_hash=p1hash,
                       epochs_run=len(plog.rows), best_epoch=plog.best_epoch,
                       best_val_acc=plog.best_val_acc, old_acc=rep.old_acc)
-    print(f"pretrain: old_acc={rep.old_acc:.4f} best_val={plog.best_val_acc:.4f} "
-          f"epochs={len(plog.rows)} out={st.rc.out}")
+    _say(f"pretrain: old_acc={rep.old_acc:.4f} best_val={plog.best_val_acc:.4f} "
+         f"epochs={len(plog.rows)} out={st.rc.out}")
     return 0
 
 
@@ -300,9 +315,9 @@ def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
                       epochs_run=nlog.epochs_run, best_epoch=nlog.best_epoch,
                       stopped_early=nlog.stopped_early, aa=rep.aa, af=rep.af,
                       old_acc=rep.old_acc, new_acc=rep.new_acc, all_acc=rep.all_acc)
-    print(f"ncd: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "
-          f"all_acc={rep.all_acc:.4f} aa={rep.aa:.4f} af={rep.af:.4f} "
-          f"epochs={nlog.epochs_run} out={st.rc.out}")
+    _say(f"ncd: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "
+         f"all_acc={rep.all_acc:.4f} aa={rep.aa:.4f} af={rep.af:.4f} "
+         f"epochs={nlog.epochs_run} out={st.rc.out}")
     return 0
 
 
@@ -338,8 +353,8 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
                [[i, y, *row] for i, (y, row) in enumerate(zip(g.labels.tolist(), z.tolist()))])
     st.write_manifest("eval", phase=rep.phase, checkpoint=checkpoint,
                       old_acc=rep.old_acc, new_acc=rep.new_acc, all_acc=rep.all_acc)
-    print(f"eval: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "
-          f"all_acc={rep.all_acc:.4f} out={rc.out}")
+    _say(f"eval: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "
+         f"all_acc={rep.all_acc:.4f} out={rc.out}")
     return 0
 
 
@@ -348,8 +363,8 @@ def cmd_sweep_depth(st: _Stage) -> int:
     _write_csv(st.path("sweep.csv"), SWEEP_COLUMNS, _pick(SWEEP_COLUMNS, rows))
     st.write_manifest("sweep-depth", layers=st.rc.sweep_layers)
     for row in rows:
-        print(f"sweep-depth: layers={row['layers']} old_acc={row['old_acc']:.4f} "
-              f"new_acc={row['new_acc']:.4f} all_acc={row['all_acc']:.4f}")
+        _say(f"sweep-depth: layers={row['layers']} old_acc={row['old_acc']:.4f} "
+             f"new_acc={row['new_acc']:.4f} all_acc={row['all_acc']:.4f}")
     return 0
 
 
@@ -423,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_run(st)
     except (FileNotFoundError, ConfigError, GraphParseError, GraphValidationError,
             CheckpointError, *_EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return _EXIT_CODES.get(type(exc), 2)
 
 

@@ -53,6 +53,9 @@ class RunConfig(TrainConfig):
             if any(type(x) is int and not fits_int64(x)
                    for x in (v if isinstance(v, list) else [v])):
                 raise ConfigError(f"{key} must fit a 64-bit integer, got {v}")
+        for key in ("edges", "features", "labels", "split_file", "out", "pretrain_dir"):
+            if "\0" in getattr(self, key):
+                raise ConfigError(f"{key} holds a NUL character, which no path can")
         if self.dataset not in ("sbm", "files"):
             raise ConfigError(f"dataset must be sbm or files, got {self.dataset!r}")
         if self.dataset == "files":

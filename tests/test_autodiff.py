@@ -86,6 +86,26 @@ def test_sigmoid_grad():
     assert grad_check(lambda: ad.sum(ad.sigmoid(x)), [x]) < TOL
 
 
+def _where_sigmoid(x):
+    """The branch formulation ad.sigmoid used before its branch-free one."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def test_sigmoid_is_bitwise_the_where_formula():
+    rng = np.random.default_rng(21)
+    edges = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0,
+                       745.0, -745.0, 36.7, -36.7, 5e-324, -5e-324]])
+    for x in (rng.standard_normal((50, 40)) * 30.0, rng.standard_normal((7, 3)),
+              edges):
+        want = _where_sigmoid(x)
+        got = ad.sigmoid(constant(x)).data
+        assert np.array_equal(got, want, equal_nan=True)
+        # in place over its own input gives the same bits
+        buf = x.copy()
+        assert np.array_equal(ad._stable_sigmoid(buf, buf), want, equal_nan=True)
+
+
 def test_log_grad():
     rng = np.random.default_rng(7)
     x = parameter(np.abs(rng.standard_normal((3, 3))) + 0.5)

@@ -1,9 +1,11 @@
 """Command-line pipeline: artifacts, exit codes, guards, chaining."""
 import csv
+import io
 import json
 import os
 import shutil
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -418,6 +420,33 @@ def test_undecodable_outside_file_exits_2(tmp_path, capsys, name):
 def test_missing_config_file(tmp_path):
     assert main(["pretrain", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", ["gen-data", "run"])
+def test_output_path_through_a_file_exits_2(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main([command, "--config", _write_cfg(tmp_path), "--out", str(taken)]) == 2
+    assert "cannot make output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,key", [("pretrain", "out"), ("ncd", "pretrain_dir"),
+                                         ("pretrain", "split_file")])
+def test_config_path_with_nul_exits_2(tmp_path, capsys, command, key):
+    cfg = _write_cfg(tmp_path, extra=f"{key} = a\x00b\n")
+    assert main([command, "--config", cfg]) == 2
+    assert f"{key} holds a NUL character" in capsys.readouterr().err
+
+
+def test_undecodable_output_path_is_escaped_in_the_summary(tmp_path, monkeypatch):
+    # a UTF-8 locale's stdout refuses the lone surrogate an undecodable argv byte becomes
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    out = str(tmp_path / "data\udcff")
+    assert main(["gen-data", "--config", _write_cfg(tmp_path), "--out", out]) == 0
+    stdout.seek(0)
+    assert stdout.read().endswith("data\\udcff\n")
+    assert os.path.isfile(os.path.join(out, "edges.txt"))
 
 
 def test_malformed_config(tmp_path, capsys):

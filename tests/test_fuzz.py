@@ -1,18 +1,25 @@
-"""Property tests: on any input the parsers raise only their typed errors.
+"""Property tests: on any input the parsers raise only their typed errors, and
+the command line returns one of its documented exit codes.
 
 Hypothesis runs derandomized and without its example database, so every run
 draws the same examples (conftest.py keeps its caches out of the tree).
 """
+import io
 import json
+import os
+import shutil
 import struct
+import sys
+import tempfile
 from dataclasses import fields
 
 import pytest
 
+from graphncd import cli
 from graphncd.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint
 from graphncd.config import ConfigError, RunConfig, parse_config_text
 from graphncd.graph import (ClassSplit, GraphParseError, GraphValidationError,
-                            build_graph, load_graph, validate_split)
+                            build_graph, load_graph, save_graph, validate_split)
 from graphncd.training import load_state
 
 pytest.importorskip("hypothesis")
@@ -161,3 +168,115 @@ def test_load_graph_raises_only_graph_errors(tmp_path, texts):
         load_graph(*paths)
     except (GraphParseError, GraphValidationError):
         pass
+
+
+# A small dataset and schedule that validate and train in a blink. A drawn
+# config is written after these lines (or merged over them, as JSON), and
+# the keys that set the amount of work only draw small values, so that any
+# command whose config validates finishes quickly.
+TINY = {"sbm_blocks": [8, 8, 8, 8, 8], "sbm_feat_dim": 4, "hidden": 16,
+        "pretrain_epochs": 2, "ncd_epochs": 2, "rampup_length": 1,
+        "per_class_replay": 2, "sweep_layers": [2], "top_k": 2}
+BOUNDED = {"sbm_blocks": st.lists(st.integers(-1, 8), max_size=6),
+           "sbm_feat_dim": st.integers(-1, 6), "hidden": st.sampled_from([0, 16, 17]),
+           "layers": st.integers(0, 4), "pretrain_epochs": st.integers(-1, 3),
+           "ncd_epochs": st.integers(-1, 3), "per_class_replay": st.integers(-1, 3),
+           "sweep_layers": st.lists(st.integers(0, 4), max_size=3)}
+# paths, relative to the directory an invocation runs in: real inputs, a
+# directory, files where a directory belongs and the other way round, missing ones
+PATHS = st.sampled_from(["", "data/edges.txt", "data/features.txt", "data/labels.txt",
+                         "data/split.json", "data", "done", "done/pretrain",
+                         "done/ncd/checkpoint_ncd_best.bin", "noise.bin", "missing",
+                         "run.cfg/x", "out", "out/deeper"])
+PATH_KEYS = ("edges", "features", "labels", "split_file", "out", "pretrain_dir")
+# what a command line carries: no NUL, but undecodable bytes as lone surrogates
+argv_text = (st.text(st.characters(exclude_characters="\x00"), max_size=6)
+             | st.sampled_from(["\udcff", "out\udcfe"]))
+# a config file has no surrogates, but it may hold NUL
+config_text = st.text(max_size=6) | st.sampled_from(["\x00", "out\x00"])
+
+
+def cli_values(key):
+    if key in BOUNDED:
+        return BOUNDED[key]
+    if key in PATH_KEYS:
+        return PATHS | config_text
+    return typed_values(key)
+
+
+def flat_config(d):
+    return "".join(f"{k} = {as_text(v)}\n" for k, v in {**TINY, **d}.items())
+
+
+# built once here: drawing through flatmap, which builds new strategies for
+# every example, made this test about three times slower
+cli_configs = st.lists(st.one_of([st.tuples(st.just(k), cli_values(k)) for k in KEYS]),
+                       max_size=3).map(dict)
+config_files = (cli_configs.map(flat_config)
+                | cli_configs.map(lambda d: json.dumps({**TINY, **d}))
+                | st.text(max_size=40).map(lambda t: flat_config({}) + t))
+FLAGS = {"--config": st.just("run.cfg") | PATHS,
+         "--seed": integers.map(str) | argv_text,
+         "--out": PATHS | argv_text, "--force": st.none(),
+         "--pretrain-dir": PATHS | argv_text, "--checkpoint": PATHS | argv_text}
+COMMON = ["--config", "--seed", "--out", "--force"]
+COMMANDS = {"gen-data": COMMON, "pretrain": COMMON, "sweep-depth": COMMON, "run": COMMON,
+            "ncd": COMMON + ["--pretrain-dir"], "eval": COMMON + ["--checkpoint"]}
+OPTION = {f: v.map(lambda x, f=f: [f] if x is None else [f, x]) for f, v in FLAGS.items()}
+stray = st.sampled_from(sorted(FLAGS)) | argv_text
+
+
+def command_line(cmd):
+    """The subcommand with its config and required option, then options it
+    takes (the last of a repeated one wins), now and then a stray token."""
+    takes = st.one_of([OPTION[f] for f in COMMANDS[cmd]])
+    return st.tuples(st.just([cmd, "--config", "run.cfg"]),
+                     *(OPTION[f] for f in COMMANDS[cmd] if f not in COMMON),
+                     st.lists(takes, max_size=3).map(lambda gs: sum(gs, [])),
+                     st.lists(stray, max_size=1)).map(lambda parts: sum(parts, []))
+
+
+# or any tokens at all
+command_lines = (st.one_of([command_line(cmd) for cmd in sorted(COMMANDS)])
+                 | st.lists(stray, max_size=5))
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """What an invocation may name: a dataset on disk, a finished run, noise."""
+    home = tmp_path_factory.mktemp("cli")
+    (home / "run.cfg").write_text(json.dumps(TINY), encoding="utf-8")
+    assert cli.main(["run", "--config", str(home / "run.cfg"),
+                     "--out", str(home / "done")]) == 0
+    os.makedirs(home / "data")
+    save_graph(SPLIT_GRAPH, *(str(home / "data" / f"{n}.txt")
+                              for n in ("edges", "features", "labels")))
+    (home / "data" / "split.json").write_text('{"p1_train": [0]}', encoding="utf-8")
+    (home / "noise.bin").write_bytes(bytes(range(256)))
+    return home
+
+
+def _stream(errors):
+    """A UTF-8 text stream with the interpreter's error handler for it."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors=errors)
+
+
+@settings(FUZZ, max_examples=250)
+@given(argv=command_lines, text=config_files)
+def test_cli_returns_a_documented_exit_code(cli_inputs, monkeypatch, argv, text):
+    # stdout and stderr as a UTF-8 locale sets them up
+    monkeypatch.setattr(sys, "stdout", _stream("strict"))
+    monkeypatch.setattr(sys, "stderr", _stream("backslashreplace"))
+    with tempfile.TemporaryDirectory(dir=cli_inputs) as cwd:
+        for name in ("data", "done"):
+            shutil.copytree(cli_inputs / name, os.path.join(cwd, name))
+        shutil.copy(cli_inputs / "noise.bin", cwd)
+        with open(os.path.join(cwd, "run.cfg"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        monkeypatch.chdir(cwd)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: a bad command line, or --help
+            assert exc.code in (0, 2)
+        else:
+            assert code in (0, 1, 2, 3, 4)

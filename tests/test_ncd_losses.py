@@ -4,8 +4,9 @@ import pytest
 
 import graphncd.autodiff as ad
 from graphncd.autodiff import backward, constant, grad_check, parameter
-from graphncd.ncd_losses import (LossWeights, Prototypes, assign_pseudo_labels,
-                                 batch_sigma, compute_prototypes, distill_loss,
+from graphncd.ncd_losses import (PAIR_BLOCK, LossWeights, Prototypes,
+                                 assign_pseudo_labels, batch_sigma,
+                                 compute_prototypes, distill_loss,
                                  loss_betas, pairwise_bce, pairwise_similarity,
                                  perturb_consistency_loss,
                                  perturb_representations, rampup, replay_loss,
@@ -143,6 +144,102 @@ def test_pairwise_bce_gradient():
     y = topk_pseudo_pairs(rng.standard_normal((5, 3)), 1)
     f = lambda: pairwise_bce(pairwise_similarity(u), y)
     assert grad_check(f, [u]) < 1e-4
+
+
+# ------------------------------------- closed-form pair ops vs the primitive chain
+
+def _chain_similarity(u):
+    return ad.sigmoid(ad.matmul(u, ad.transpose(u)))
+
+
+def _chain_bce(s, y):
+    """pairwise_bce as the chain of primitives it replaces."""
+    n = s.shape[0]
+    sc = ad.clamp(s, 1e-12, 1.0 - 1e-12)
+    pos = ad.mul(ad.log(sc), constant(y))
+    neg = ad.mul(ad.log(ad.add_scalar(ad.mul_scalar(sc, -1.0), 1.0)), constant(1.0 - y))
+    return ad.mul_scalar(ad.sum(ad.add(pos, neg)), -1.0 / (n * n))
+
+
+def _mixed_logits(rng, n):
+    """Rows at scale 1 and at scale 40, so that some pairs saturate."""
+    scale = np.where(rng.random((n, 1)) < 0.5, 1.0, 40.0)
+    return rng.standard_normal((n, 3)) * scale
+
+
+BLOCK_EDGES = (1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 3)
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_pair_ops_match_the_primitive_chain(n):
+    rng = np.random.default_rng(100 + n)
+    logits = _mixed_logits(rng, n)
+    y = topk_pseudo_pairs(rng.integers(0, 3, size=(n, 6)).astype(float), 2)
+    u_new, u_old = parameter(logits.copy()), parameter(logits.copy())
+    s_new, s_old = pairwise_similarity(u_new), _chain_similarity(u_old)
+    assert np.abs(s_new.data - s_old.data).max() < ORACLE_TOL
+    loss_new, loss_old = pairwise_bce(s_new, y), _chain_bce(s_old, y)
+    assert abs(loss_new.item() - loss_old.item()) < ORACLE_TOL
+    (g_new,), (g_old,) = backward(loss_new, [u_new]), backward(loss_old, [u_old])
+    assert np.abs(g_new - g_old).max() < ORACLE_TOL
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_similarity_vjp_matches_the_primitive_chain(n):
+    # a dense random upstream gradient reaches every pair
+    rng = np.random.default_rng(200 + n)
+    logits, upstream = _mixed_logits(rng, n), constant(rng.standard_normal((n, n)))
+    grads = []
+    for sim in (pairwise_similarity, _chain_similarity):
+        u = parameter(logits.copy())
+        grads.append(backward(ad.sum(ad.mul(sim(u), upstream)), [u])[0])
+    scale = max(1.0, np.abs(grads[1]).max())
+    assert np.abs(grads[0] - grads[1]).max() < ORACLE_TOL * scale
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_bce_vjp_matches_the_primitive_chain(n):
+    rng = np.random.default_rng(300 + n)
+    s0 = ad.sigmoid(constant(_mixed_logits(rng, n) @ _mixed_logits(rng, n).T)).data
+    y = (rng.random((n, n)) < 0.3).astype(float)
+    grads = []
+    for bce in (pairwise_bce, _chain_bce):
+        s = parameter(s0.copy())
+        grads.append(backward(bce(s, y), [s])[0])
+    # 1/s(1-s) reaches 1e12 next to the clamp: compare relative to each entry
+    assert np.all(np.abs(grads[0] - grads[1]) <= ORACLE_TOL * np.abs(grads[1]))
+
+
+def test_bce_gradient_is_zero_exactly_on_saturated_pairs():
+    lo, hi = 1e-12, 1.0 - 1e-12
+    edge = [0.0, 1e-300, lo, np.nextafter(lo, 1.0), 0.5,
+            np.nextafter(hi, 0.0), hi, np.nextafter(hi, 1.0), 1.0]
+    rng = np.random.default_rng(22)
+    vals = np.concatenate([edge, rng.random(16), _sigmoid(40.0 * rng.standard_normal(56))])
+    s = parameter(rng.permutation(vals).reshape(9, 9))
+    y = (rng.random((9, 9)) < 0.5).astype(float)
+    (g,) = backward(pairwise_bce(s, y), [s])
+    saturated = (s.data <= lo) | (s.data >= hi)
+    assert saturated.any() and (~saturated).any()
+    assert np.all(g[saturated] == 0.0)
+    assert np.all(g[~saturated] != 0.0)
+
+
+def _broadcast_topk_pairs(z, k):
+    """topk_pseudo_pairs as the (n, n, k) key comparison it replaces."""
+    key = np.sort(np.argsort(-z, axis=1, kind="stable")[:, :k], axis=1)
+    return (key[:, None, :] == key[None, :, :]).all(axis=2).astype(np.float64)
+
+
+@pytest.mark.parametrize("n", (1, 50, 900))
+def test_topk_group_ids_match_the_broadcast_comparison(n):
+    # few distinct integer values, so ties and shared index sets are common
+    d = 8
+    z = np.random.default_rng(n).integers(0, 3, size=(n, d)).astype(float)
+    for k in (1, 5, d):
+        got = topk_pseudo_pairs(z, k)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, _broadcast_topk_pairs(z, k))
 
 
 # ------------------------------------------------------------- pseudo labels
