@@ -305,9 +305,11 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     shape = a.shape
 
     def vjp(g):
-        acc = np.zeros(shape)
-        np.add.at(acc, ii, g)
-        return [acc]
+        # ones at (ii[k], k): row r sums g[k] over ii[k] == r in k order,
+        # exactly what np.add.at does, without its per-element loop
+        m = ii.size
+        scatter = _sp.csr_matrix((np.ones(m), (ii, np.arange(m))), shape=(shape[0], m))
+        return [scatter @ g]
 
     return _make(a.data[ii].copy(), (a,), vjp)
 
@@ -438,9 +440,10 @@ def backward(loss: Tensor, params: Sequence[Tensor] = ()) -> list[np.ndarray]:
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad += g
+            # the first contribution is stored as returned, later ones are
+            # added out of place: an array a vjp returned is never written,
+            # even when one g reaches two parents
+            parent.grad = g if parent.grad is None else parent.grad + g
 
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 

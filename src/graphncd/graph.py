@@ -18,6 +18,11 @@ import scipy.sparse as sp
 
 from .autodiff import SparseMatrix
 
+# candidate pairs per row block of the SBM sampler: bounds its temporaries
+SBM_BLOCK_PAIRS = 2 ** 20
+# rows per %-format call when writing integer text
+TEXT_CHUNK = 4096
+
 
 class GraphParseError(ValueError):
     """Malformed text input; message carries file path and line number."""
@@ -65,12 +70,13 @@ def _canonical_edges(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
     if np.any(pairs[:, 0] == pairs[:, 1]):
         u = pairs[pairs[:, 0] == pairs[:, 1]][0, 0]
         raise GraphValidationError(f"self loop on node {u} is not allowed")
+    # one int64 key per edge, lo * n + hi; key order is (first, second) order
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    und = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    both = np.vstack([und, und[:, ::-1]])
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    return both[order].astype(np.int64)
+    key = np.unique(lo * num_nodes + hi)
+    lo, hi = np.divmod(key, num_nodes)
+    both = np.sort(np.concatenate([key, hi * num_nodes + lo]))
+    return np.stack(np.divmod(both, num_nodes), axis=1)
 
 
 def build_graph(num_nodes: int, edge_pairs, features, labels) -> Graph:
@@ -156,10 +162,18 @@ def canonical_texts(g: Graph) -> tuple[str, str, str]:
     """Canonical (edges, features, labels) text: each undirected edge once
     as 'u v' with u < v, features as repr floats so round-trips are exact."""
     und = g.edges[g.edges[:, 0] < g.edges[:, 1]]
-    edges = "".join(f"{u} {v}\n" for u, v in und)
-    feats = "".join(" ".join(repr(float(x)) for x in row) + "\n" for row in g.features)
-    labels = "".join(f"{y}\n" for y in g.labels)
-    return edges, feats, labels
+    feats = "".join(" ".join(map(repr, row)) + "\n" for row in g.features.tolist())
+    return _int_lines(und), feats, _int_lines(g.labels.reshape(-1, 1))
+
+
+def _int_lines(rows: np.ndarray) -> str:
+    """One line of space-separated integers per row, TEXT_CHUNK rows per format."""
+    line = " ".join(["%d"] * rows.shape[1]) + "\n"
+    out = []
+    for a in range(0, len(rows), TEXT_CHUNK):
+        chunk = rows[a:a + TEXT_CHUNK]
+        out.append((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+    return "".join(out)
 
 
 def save_graph(g: Graph, edges_path: str, features_path: str, labels_path: str) -> None:
@@ -352,6 +366,12 @@ def sbm_generate(blocks: list[int], p_in: float, p_out: float,
     Gaussians around a per-class mean of norm feat_shift; mean directions
     are orthonormal (seeded QR), so classes are separated across all axes
     rather than along single coordinates.
+
+    Candidate pairs are drawn in row blocks of the upper triangle, at most
+    SBM_BLOCK_PAIRS per block, one uniform per pair in row-major order.
+    ``Generator.random`` yields the same stream drawn at once or in chunks,
+    so the graph does not depend on the block size and memory stays
+    O(SBM_BLOCK_PAIRS + edges).
     """
     if not 0.0 <= p_in <= 1.0 or not 0.0 <= p_out <= 1.0:
         raise ValueError("edge probabilities must lie in [0, 1]")
@@ -362,10 +382,21 @@ def sbm_generate(blocks: list[int], p_in: float, p_out: float,
     labels = np.repeat(np.arange(k, dtype=np.int64), blocks)
     rng = np.random.default_rng(seed)
 
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.size) < prob
-    pairs = np.stack([iu[keep], ju[keep]], axis=1)
+    end = np.repeat(np.cumsum(blocks), blocks)  # one past each node's block
+    step = max(1, SBM_BLOCK_PAIRS // n)
+    parts = []
+    for a in range(0, n, step):
+        r = np.arange(a, min(a + step, n))
+        # row i's candidates j > i: the rest of its block (p_in), then the
+        # later blocks (p_out)
+        counts = np.stack([end[r] - r - 1, n - end[r]], axis=1).ravel()
+        thresh = np.repeat(np.tile([p_in, p_out], r.size), counts)
+        hit = np.flatnonzero(rng.random(thresh.size) < thresh)
+        width = n - 1 - r
+        start = np.cumsum(width) - width  # each row's first candidate
+        row = np.searchsorted(start, hit, side="right") - 1
+        parts.append(np.stack([r[row], hit - start[row] + r[row] + 1], axis=1))
+    pairs = np.concatenate(parts)
 
     # orthonormal mean directions; extra classes beyond feat_dim fall back
     # to normalized Gaussian draws

@@ -253,6 +253,40 @@ def test_shared_subexpression_accumulates():
     assert abs(g[0, 0] - 7.0) < 1e-12      # d(x^2 + x)/dx = 2x + 1
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_fanned_out_gradient_is_never_written(swap):
+    # add hands one upstream array to both parents; each parent then gets a
+    # second contribution, in either order of the outer sum
+    a = parameter([[1.0, -2.0], [0.5, 4.0]])
+    b = parameter([[3.0, 0.0], [-1.0, 2.0]])
+    c = constant([[0.25, -1.5], [2.0, 3.0]])
+    s = ad.add(a, b)
+    fan = ad.mul(s, c)
+    rest = ad.add(ad.mul_scalar(a, 2.0), ad.mul_scalar(b, 3.0))
+    ga, gb = backward(ad.sum(ad.add(rest, fan) if swap else ad.add(fan, rest)), [a, b])
+    assert np.array_equal(ga, c.data + 2.0)
+    assert np.array_equal(gb, c.data + 3.0)
+    assert np.array_equal(s.grad, c.data)    # the upstream array is unchanged
+
+
+def test_gather_rows_vjp_is_bitwise_add_at():
+    rng = np.random.default_rng(21)
+    w = rng.standard_normal((9, 3))
+    w[[1, 4]] = -0.0
+    w[6, 2] = -0.0
+    for idx in ([0, 2, 2, 4, 4, 4, 7, 0, 2], [5, 5, 5, 5, 5, 5, 5, 5, 5],
+                [3, 1, 0, 8, 6, 2, 4, 7, 5], []):
+        idx = np.array(idx, dtype=np.int64)
+        x = parameter(rng.standard_normal((9, 3)))
+        g = w[:idx.size]
+        (got,) = backward(ad.sum(ad.mul(ad.gather_rows(x, idx), constant(g))), [x])
+        want = np.zeros((9, 3))
+        np.add.at(want, idx, g)
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(IndexError):
+        ad.gather_rows(parameter(np.zeros((3, 2))), [3])
+
+
 def test_detach_blocks_gradient():
     x = parameter([[2.0]])
     d = constant(x.data.copy())

@@ -1,8 +1,11 @@
 """Graph IO, adjacency operators, splits, and the SBM generator."""
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from graphncd import graph
 from graphncd.graph import (ClassSplit, GraphParseError, GraphValidationError,
                             build_graph, canonical_texts, load_graph,
                             mean_adjacency, normalize_adjacency, normalize_rows,
@@ -340,3 +343,104 @@ def test_sbm_rejects_bad_probabilities():
         sbm_generate([5, 5], 1.5, 0.1, 2, 1.0, seed=0)
     with pytest.raises(ValueError):
         sbm_generate([5, 0], 0.5, 0.1, 2, 1.0, seed=0)
+
+
+# ------------------------------------------------------ setup path, pinned
+
+# sha256 of the three canonical texts of sbm_generate(*args), recorded from
+# the all-pairs generator (np.triu_indices over every candidate pair, then
+# unique/vstack/lexsort edges and per-element text). The row-blocked sampler
+# and the list-based text must reproduce them at every block size.
+SBM_PINS = {
+    "n1": (([1], 0.5, 0.5, 3, 1.0, 0),
+           "dda21f536d0edea794bb2658f7fefe3ce366a71b0ad604a8f47876b2876f9056"),
+    "single": (([3, 4, 5], 0.5, 0.1, 4, 1.0, 1),
+               "9e698936154a8458da1b792268be2c1c81112d2de0528c7c688d7f7aca0ae1a0"),
+    "two_blocks": (([4, 4], 0.6, 0.2, 3, 1.0, 2),
+                   "3498e5065a67f9917dfed97aee22eb96a73fbbf543a231e1c0d112781aee5e42"),
+    "p0": (([5, 6], 0.0, 0.0, 2, 1.0, 3),
+           "4e8e7bf87079480f0752e71e35afa51c432da6fc7cb5a61d696bf7adaa4fc0f8"),
+    "p1": (([5, 6], 1.0, 1.0, 2, 1.0, 4),
+           "f9ae80bc0d35be239e946c835d656160c7f8872d44dca71cabf501be18012f98"),
+    "cliques": (([7, 1, 9], 1.0, 0.0, 5, 2.0, 5),
+                "1836351b59e87a226da3dd0011b28b1b6b6d7682bdb841af66536a7b84a632e8"),
+}
+# at the default SBM_BLOCK_PAIRS (2**20): one block of 1,025 rows for 1,023
+# nodes, one of exactly n rows for 1,024, two blocks (1,023 + 2 rows) for
+# 1,025; then the propagate benchmark graph
+SBM_PINS_DEFAULT = {
+    "n1023": (([400, 623], 0.15, 0.01, 16, 1.0, 6),
+              "202027cff29b3aac8ed5f1dbaa225ff76262f14885c9490fe9675bdd28a40798"),
+    "n1024": (([512, 512], 0.15, 0.01, 16, 1.0, 7),
+              "bae0591e085689de9ab1b9d6973b4da18d05c2edfe126eba8c8b067a611243d3"),
+    "n1025": (([500, 525], 0.15, 0.01, 16, 1.0, 8),
+              "3c44b2006c1f7b198e9cef406bc7664ec466a981c71cd542aa9b0c2eebb6d9fb"),
+    "propagate": (([800, 800, 800, 100, 100], 0.15, 0.01, 16, 1.0, 0),
+                  "8cb54d2d0e33aa84c677dd5f79e5702499f3b08f7b7804993e732bbf8911ebdd"),
+}
+
+
+def _texts_sha(g):
+    return hashlib.sha256("".join(canonical_texts(g)).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("rows", ["1", "n-1", "n", "n+1", "default"])
+@pytest.mark.parametrize("name", sorted(SBM_PINS))
+def test_sbm_pinned_at_every_block_size(monkeypatch, name, rows):
+    # block rows = budget // n, so these budgets give one row per block and
+    # n at block size +1, +0 and -1 rows
+    args, want = SBM_PINS[name]
+    n = sum(args[0])
+    budget = {"1": 1, "n-1": n * (n - 1), "n": n * n, "n+1": n * (n + 1),
+              "default": graph.SBM_BLOCK_PAIRS}[rows]
+    monkeypatch.setattr(graph, "SBM_BLOCK_PAIRS", budget)
+    assert _texts_sha(sbm_generate(*args)) == want
+
+
+@pytest.mark.parametrize("name", sorted(SBM_PINS_DEFAULT))
+def test_sbm_pinned_at_default_block_size(name):
+    args, want = SBM_PINS_DEFAULT[name]
+    assert _texts_sha(sbm_generate(*args)) == want
+
+
+def _old_canonical_edges(pairs):
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    und = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    both = np.vstack([und, und[:, ::-1]])
+    return both[np.lexsort((both[:, 1], both[:, 0]))].astype(np.int64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_canonical_edges_match_unique_vstack_lexsort(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    pairs = rng.integers(0, n, size=(600, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs = np.vstack([pairs, pairs[:200, ::-1], pairs[100:300]])   # repeats, flips
+    rng.shuffle(pairs)
+    got = graph._canonical_edges(pairs, n)
+    want = _old_canonical_edges(pairs)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    empty = graph._canonical_edges(np.zeros((0, 2), dtype=np.int64), n)
+    assert empty.dtype == np.int64 and empty.shape == (0, 2)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_canonical_texts_match_per_element_formatter(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(graph, "TEXT_CHUNK", chunk)
+    feats = np.array([[-0.0, 5e-324, 1e308], [0.1, -1e308, 1.0 / 3.0],
+                      [2.0 ** 60, -5e-324, 0.0], [1e-300, 123456789.125, -2.5]])
+    g = build_graph(4, [(3, 0), (1, 2), (0, 1), (2, 0), (1, 3)], feats,
+                    [0, 2 ** 62, 7, 0])
+    und = g.edges[g.edges[:, 0] < g.edges[:, 1]]
+    want = ("".join(f"{u} {v}\n" for u, v in und),
+            "".join(" ".join(repr(float(x)) for x in row) + "\n" for row in g.features),
+            "".join(f"{y}\n" for y in g.labels))
+    assert canonical_texts(g) == want
+    assert canonical_texts(g)[1].startswith("-0.0 5e-324 1e+308\n")
+    big = sbm_generate([30, 30], 0.3, 0.05, 3, 1.0, seed=9)
+    und = big.edges[big.edges[:, 0] < big.edges[:, 1]]
+    assert canonical_texts(big)[0] == "".join(f"{u} {v}\n" for u, v in und)
