@@ -90,6 +90,22 @@ class SparseMatrix:
         self.mat = csr
         self.symmetric = bool(symmetric)
         self._mat_t = None if self.symmetric else csr.T.tocsr()
+        self._memo: tuple[Tensor, Tensor] | None = None
+
+    def spmm_memo(self, x: Tensor) -> Tensor:
+        """``spmm(self, x)``, computed once while a constant ``x`` is the
+        last constant operand seen; a gradient-carrying ``x`` always takes
+        plain spmm.
+
+        The one-slot memo is keyed on the operand's identity and holds it,
+        so no other tensor can take over the key. Constant tensors are never
+        written in place, so a hit is the product spmm would return.
+        """
+        if x.requires_grad:
+            return spmm(self, x)
+        if self._memo is None or self._memo[0] is not x:
+            self._memo = (x, spmm(self, x))
+        return self._memo[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -127,9 +143,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
+    grad_a, grad_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return [g @ bd.T, ad.T @ g]
+        # a constant operand's gradient would be discarded: skip the product
+        return [g @ bd.T if grad_a else None, ad.T @ g if grad_b else None]
 
     return _make(ad @ bd, (a, b), vjp)
 

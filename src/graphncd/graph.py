@@ -51,6 +51,8 @@ class Graph:
     edges: np.ndarray      # (2E, 2) int64, both directions present exactly once
     features: np.ndarray   # (N, d) float64
     labels: np.ndarray     # (N,) int64
+    # the operators operator_for built for this graph, by backbone
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def feat_dim(self) -> int:
@@ -221,12 +223,16 @@ def mean_adjacency(g: Graph) -> SparseMatrix:
 
 
 def operator_for(backbone: str, g: Graph) -> SparseMatrix:
-    """Message-passing operator matching the backbone's aggregation rule."""
-    if backbone == "gcn":
-        return normalize_adjacency(g)
-    if backbone == "sage":
-        return mean_adjacency(g)
-    raise ValueError(f"unknown backbone {backbone!r}")
+    """Message-passing operator matching the backbone's aggregation rule,
+    built once per graph and backbone."""
+    if backbone not in g._operators:
+        if backbone == "gcn":
+            g._operators[backbone] = normalize_adjacency(g)
+        elif backbone == "sage":
+            g._operators[backbone] = mean_adjacency(g)
+        else:
+            raise ValueError(f"unknown backbone {backbone!r}")
+    return g._operators[backbone]
 
 
 @dataclass

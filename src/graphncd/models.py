@@ -92,7 +92,9 @@ def encode(enc: EncoderParams, adj: SparseMatrix, x: Tensor) -> Tensor:
         if enc.backbone == "gcn":
             h = ad.add(ad.spmm(adj, ad.matmul(h, w)), b)
         else:  # sage: concat self with mean of neighbors, then linear
-            h = ad.add(ad.matmul(ad.concat_rows(h, ad.spmm(adj, h)), w), b)
+            # the input's neighbour mean is a constant of the run: memoized
+            agg = adj.spmm_memo(h) if i == 0 else ad.spmm(adj, h)
+            h = ad.add(ad.matmul(ad.concat_rows(h, agg), w), b)
         if i != last:
             h = ad.relu(h)
     return h

@@ -49,6 +49,20 @@ def test_matmul_grad():
     assert grad_check(lambda: ad.sum(ad.matmul(a, b)), [a, b]) < TOL
 
 
+def test_matmul_vjp_skips_constant_operands():
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    g = rng.standard_normal((3, 2))
+    for grad_a, grad_b in ((True, False), (False, True), (True, True)):
+        ga, gb = ad.matmul(Tensor(a, grad_a), Tensor(b, grad_b))._vjp(g)
+        assert ga is None if not grad_a else np.array_equal(ga, g @ b.T)
+        assert gb is None if not grad_b else np.array_equal(gb, a.T @ g)
+    # the gradient that is kept is bitwise the full vjp's
+    w = parameter(b)
+    (gw,) = backward(ad.sum(ad.matmul(constant(a), w)), [w])
+    assert np.array_equal(gw, a.T @ np.ones((3, 2)))
+
+
 def test_add_broadcast_bias_grad():
     rng = np.random.default_rng(1)
     x, b = _p(rng, 5, 3), _p(rng, 1, 3)
@@ -361,3 +375,4 @@ def test_sparse_matrix_transposed_cache():
     asym = mean_adjacency(g)
     assert sym.transposed is sym.mat
     assert np.allclose(asym.transposed.toarray(), asym.mat.toarray().T)
+

@@ -3,10 +3,13 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
-from graphncd.graph import build_graph, mean_adjacency, normalize_adjacency
+from graphncd.graph import (Graph, build_graph, input_features, mean_adjacency,
+                            normalize_adjacency, operator_for, sbm_generate,
+                            split_classes)
 from graphncd.models import (encode, encoder_parameters, extend_head,
                              freeze_encoder, head_forward, head_parameters,
                              init_encoder, init_head)
+from graphncd.training import TrainConfig, pretrain
 
 
 def _graph(seed=0, n=7, d=3):
@@ -146,3 +149,124 @@ def test_deep_encoder_stacks():
     out = encode(enc, normalize_adjacency(g), ad.constant(g.features)).data
     assert out.shape == (g.num_nodes, 4)
     assert np.all(np.isfinite(out))
+
+
+# ------------------------------------------- layer-0 propagation memo
+
+def _record_spmm(monkeypatch):
+    """Wrap the module attribute, as the benchmark's hooks do; returns the
+    list every spmm operand is appended to."""
+    operands = []
+    orig = ad.spmm
+
+    def recorded(m, x):
+        operands.append(x)
+        return orig(m, x)
+
+    monkeypatch.setattr(ad, "spmm", recorded)
+    return operands
+
+
+def _uncached_sage(enc, adj, x):
+    """encode's sage composition with every propagation through ad.spmm."""
+    h = x
+    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+        h = ad.add(ad.matmul(ad.concat_rows(h, ad.spmm(adj, h)), w), b)
+        if i != enc.num_layers - 1:
+            h = ad.relu(h)
+    return h.data
+
+
+def test_repeated_sage_encode_is_bitwise_the_uncached_composition(monkeypatch):
+    g = _graph(seed=2, n=12)
+    enc = init_encoder("sage", [3, 4, 4, 2], seed=6)
+    adj = mean_adjacency(g)
+    x = ad.constant(g.features)
+    want = _uncached_sage(enc, adj, x)
+    operands = _record_spmm(monkeypatch)
+    for _ in range(3):
+        assert np.array_equal(encode(enc, adj, x).data, want)
+    # layer 0 propagates x once; layers 1 and 2 run on every forward
+    assert [o is x for o in operands] == [True] + [False] * 6
+
+    a = adj.mat.toarray()
+    h = g.features
+    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+        h = np.hstack([h, a @ h]) @ w.data + b.data
+        h = np.maximum(h, 0.0) if i != 2 else h
+    assert np.allclose(want, h, atol=1e-12)
+
+
+def test_each_constant_input_gets_its_own_product(monkeypatch):
+    g = _graph(seed=4, n=10)
+    adj = mean_adjacency(g)
+    a = adj.mat.toarray()
+    enc = init_encoder("sage", [3, 2], seed=1)     # one layer: all spmm is layer 0
+    w, b = enc.weights[0].data, enc.biases[0].data
+    x = ad.constant(g.features)
+    twin = ad.constant(g.features.copy())           # equal data, another tensor
+    other = ad.constant(g.features[::-1].copy())
+    z = encode(enc, adj, x).data
+    operands = _record_spmm(monkeypatch)
+    for t in (twin, other, x):
+        out = encode(enc, adj, t).data
+        assert np.allclose(out, np.hstack([t.data, a @ t.data]) @ w + b, atol=1e-12)
+    assert np.array_equal(encode(enc, adj, twin).data, z)
+    assert [id(o) for o in operands] == [id(twin), id(other), id(x), id(twin)]
+
+
+def test_frozen_and_live_encoders_share_the_input_product(monkeypatch):
+    g = _graph(seed=7, n=12)
+    enc = init_encoder("sage", [3, 4, 2], seed=3)
+    frozen = freeze_encoder(enc)
+    adj = mean_adjacency(g)
+    x = ad.constant(g.features)
+    operands = _record_spmm(monkeypatch)
+    zf = encode(frozen, adj, x).data
+    assert np.array_equal(encode(enc, adj, x).data, zf)
+    # the frozen encoder's constant layer-1 input must not evict x
+    assert [o is x for o in operands] == [True, False, False]
+
+
+def test_sage_input_with_grad_never_touches_the_memo():
+    g = _graph(seed=5)
+    enc = init_encoder("sage", [3, 4, 2], seed=2)
+    adj = mean_adjacency(g)
+    x = ad.parameter(g.features.copy())
+
+    def loss():
+        z = encode(enc, adj, x)
+        return ad.sum(ad.mul(z, z))
+
+    # grad_check moves x in place between probes: a memoized product would
+    # go stale and fail it
+    assert ad.grad_check(loss, [x] + encoder_parameters(enc)) < 1e-4
+    assert adj._memo is None
+
+
+def test_pretrain_propagates_the_input_once(monkeypatch):
+    g = sbm_generate([15] * 4, 0.4, 0.03, 6, 2.5, seed=3)
+    split = split_classes(g, [0, 1], [2, 3], seed=4)
+    cfg = TrainConfig(backbone="sage", hidden=16, pretrain_epochs=5, seed=0, top_k=3)
+    x = input_features(g, cfg.normalize_features)
+    operands = _record_spmm(monkeypatch)
+    pretrain(g, split, cfg)
+    on_input = [o for o in operands if o.shape == x.shape and np.array_equal(o.data, x)]
+    assert len(on_input) == 1
+    # the second layer still propagates on each of the 2 * 5 + 1 forwards
+    assert len(operands) == 1 + 11
+
+
+def test_operator_is_built_once_per_graph_and_backbone():
+    g = _graph(seed=6)
+    gcn, sage = operator_for("gcn", g), operator_for("sage", g)
+    assert operator_for("gcn", g) is gcn and operator_for("sage", g) is sage
+    assert gcn is not sage
+    # the task-agnostic case: the same arrays in a rebuilt Graph
+    blank = Graph(num_nodes=g.num_nodes, edges=g.edges, features=g.features,
+                  labels=np.zeros_like(g.labels))
+    fresh = operator_for("sage", blank)
+    assert fresh is not sage
+    assert np.array_equal(fresh.mat.toarray(), sage.mat.toarray())
+    with pytest.raises(ValueError, match="unknown backbone"):
+        operator_for("gat", g)

@@ -1,0 +1,108 @@
+"""Run the benchmark on two source trees in alternated pairs and judge a gain.
+
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S \
+        --pairs N --seconds T
+
+Each pair runs ``perfbench/run.py --trace 0`` once in each tree, every tree
+with its own copy of the benchmark, one after the other; even pairs run the
+parent first, odd pairs the change. For every end-to-end metric that
+BENCHMARK.json declares, prints each side's median and quartiles and the
+number of pairs the change won (ties count for neither side), and whether
+the gain rule holds: at least ten pairs, wins in at least nine tenths of
+them, and a median gap in the better direction larger than the distance
+between the parent's quartiles. Exits 1 if any run failed, else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+_SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3); statistics.quantiles' default (exclusive) method."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return q1, q2, q3
+
+
+def judge(parent: list[float], change: list[float], better: str) -> dict:
+    """Both sides' quartiles, the change's wins over aligned pairs and
+    whether the gain rule holds for it."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need one parent and one change value per pair")
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    pq, cq = quartiles(parent), quartiles(change)
+    gap = sign * (cq[1] - pq[1])
+    n = len(parent)
+    return {"parent": pq, "change": cq, "wins": wins, "pairs": n,
+            "holds": n >= MIN_PAIRS and wins >= WIN_SHARE * n and gap > pq[2] - pq[0]}
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """The result line of one benchmark invocation in ``tree``, or None if
+    it exited non-zero or printed no result."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=str(tree), capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.stderr.write(proc.stderr)
+        return None
+    return json.loads(lines[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    metrics = json.loads(_SPEC.read_text())["end_to_end"]
+    values: dict[str, dict[str, list[float]]] = {
+        m["name"]: {"parent": [], "change": []} for m in metrics}
+    failed = 0
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        results = {side: run_bench(getattr(args, side), args.workload, args.seed,
+                                   args.seconds) for side in order}
+        if any(r is None or r["failed"] for r in results.values()):
+            failed += 1
+            print(f"pair {i}: a run failed, pair dropped")
+            continue
+        for name, sides in values.items():
+            for side, r in results.items():
+                sides[side].append(r["metrics"][name]["value"])
+        print(f"pair {i} ({order[0]} first): " + ", ".join(
+            f"{name} {sides['parent'][-1]:.4g} -> {sides['change'][-1]:.4g}"
+            for name, sides in values.items()), flush=True)
+    if failed == args.pairs:
+        print("no pair completed")
+        return 1
+    print(f"{args.workload} seed {args.seed}: median [q1, q3], parent -> change")
+    for m in metrics:
+        sides = values[m["name"]]
+        j = judge(sides["parent"], sides["change"], m["better"])
+        p, c = j["parent"], j["change"]
+        print(f"{m['name']} ({m['unit']}, {m['better']} is better): "
+              f"{p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]; "
+              f"change won {j['wins']}/{j['pairs']}; gain rule "
+              f"{'holds' if j['holds'] else 'does not hold'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
