@@ -19,13 +19,12 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import autodiff as ad
 # unused here, but perfbench/spans.py hooks cli.save_checkpoint, so it stays bound
 from .checkpoint import CheckpointError, save_checkpoint  # noqa: F401
 from .config import (ConfigError, RunConfig, config_hash, config_payload,
                      load_config, phase1_hash)
 from .graph import (ClassSplit, Graph, GraphParseError, GraphValidationError,
-                    canonical_texts, input_features, load_graph, operator_for,
+                    canonical_texts, input_tensor, load_graph, operator_for,
                     save_graph, sbm_generate, split_classes, validate_split)
 from .metrics import MetricsReport, evaluate_joint
 from .models import encode
@@ -348,7 +347,7 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
     st.write_metrics(rep)
 
     z = encode(state.encoder, operator_for(state.backbone, g),
-               ad.constant(input_features(g, rc.normalize_features))).data
+               input_tensor(g, rc.normalize_features)).data
     _write_csv(st.path("nodes.csv"), ["id", "label", *(f"z{i}" for i in range(z.shape[1]))],
                [[i, y, *row] for i, (y, row) in enumerate(zip(g.labels.tolist(), z.tolist()))])
     st.write_manifest("eval", phase=rep.phase, checkpoint=checkpoint,

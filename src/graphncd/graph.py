@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 
-from .autodiff import SparseMatrix
+from .autodiff import SparseMatrix, Tensor, constant
 
 # candidate pairs per row block of the SBM sampler: bounds its temporaries
 SBM_BLOCK_PAIRS = 2 ** 20
@@ -53,6 +53,8 @@ class Graph:
     labels: np.ndarray     # (N,) int64
     # the operators operator_for built for this graph, by backbone
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the encoder inputs input_tensor built for this graph, by normalize flag
+    _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def feat_dim(self) -> int:
@@ -194,6 +196,14 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 def input_features(g: Graph, normalize: bool) -> np.ndarray:
     """The encoder input: the node features, row-normalized when asked."""
     return normalize_rows(g.features) if normalize else g.features
+
+
+def input_tensor(g: Graph, normalize: bool) -> Tensor:
+    """``input_features`` as a constant tensor, built once per graph and flag,
+    so every stage's encoder hits the operator's layer-0 memo."""
+    if normalize not in g._inputs:
+        g._inputs[normalize] = constant(input_features(g, normalize))
+    return g._inputs[normalize]
 
 
 def normalize_adjacency(g: Graph) -> SparseMatrix:

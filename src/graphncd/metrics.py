@@ -6,8 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from . import autodiff as ad
-from .graph import ClassSplit, Graph, input_features, operator_for
+from .graph import ClassSplit, Graph, input_tensor, operator_for
 from .models import encode, head_forward
 
 
@@ -100,7 +99,7 @@ def joint_predictions(state, g: Graph, normalize_features: bool = False) -> np.n
     so predictions live in old-slot space only."""
     head = state.joint_head if state.joint_head is not None else state.old_head
     z = encode(state.encoder, operator_for(state.backbone, g),
-               ad.constant(input_features(g, normalize_features)))
+               input_tensor(g, normalize_features))
     logits = head_forward(head, z).data
     return np.argmax(logits, axis=1)
 

@@ -5,6 +5,11 @@ map of aggregated node features, ReLU between layers, nothing after the
 last. ``encode`` takes the preprocessing operator that matches the backbone
 (symmetric normalized adjacency for gcn, row-mean neighbor aggregator for
 sage), so the forward pass itself is backbone-agnostic about graph wiring.
+
+Layer 0 of both backbones reads the input's propagation ``A·x`` from the
+operator's memo: the input is constant, so a stage computes it once. gcn
+layer 0 is therefore ``(A·x)·W`` rather than ``A·(x·W)``, the same product
+in another float order; deeper gcn layers stay ``A·(h·W)``.
 """
 from __future__ import annotations
 
@@ -89,12 +94,13 @@ def encode(enc: EncoderParams, adj: SparseMatrix, x: Tensor) -> Tensor:
     h = x
     last = enc.num_layers - 1
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
-        if enc.backbone == "gcn":
-            h = ad.add(ad.spmm(adj, ad.matmul(h, w)), b)
+        # layer 0 propagates the input, a constant of the run: A·x is memoized
+        ax = adj.spmm_memo(h) if i == 0 else None
+        if enc.backbone == "gcn":  # (A·x)·W at layer 0, A·(h·W) deeper
+            h = ad.spmm(adj, ad.matmul(h, w)) if ax is None else ad.matmul(ax, w)
         else:  # sage: concat self with mean of neighbors, then linear
-            # the input's neighbour mean is a constant of the run: memoized
-            agg = adj.spmm_memo(h) if i == 0 else ad.spmm(adj, h)
-            h = ad.add(ad.matmul(ad.concat_rows(h, agg), w), b)
+            h = ad.matmul(ad.concat_rows(h, ad.spmm(adj, h) if ax is None else ax), w)
+        h = ad.add(h, b)
         if i != last:
             h = ad.relu(h)
     return h

@@ -120,10 +120,12 @@ def topk_pseudo_pairs(z, k: int) -> np.ndarray:
 def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over all n^2 ordered pairs, diagonal included.
 
-    Similarities are clamped to [1e-12, 1 - 1e-12] before the logs, so
-    saturated pairs contribute a finite loss and a zero gradient. One op,
-    summed row block by row block; its vjp is c (y - s) / (s (1 - s)), masked
-    to 0 on the saturated pairs.
+    Targets must be 0 or 1. Similarities are clamped to [1e-12, 1 - 1e-12]
+    before the log, so saturated pairs contribute a finite loss and a zero
+    gradient. One op, summed row block by row block as log(s) where y = 1
+    and log(1 - s) where y = 0, bitwise the terms y log(s) + (1 - y)
+    log(1 - s); its vjp is c (y - s) / (s (1 - s)), masked to 0 on the
+    saturated pairs.
     """
     n, m = s.shape
     if n != m:
@@ -135,8 +137,10 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     sd = s.data
     total = 0.0
     for r in _row_blocks(n):
-        sc, yb = np.clip(sd[r], lo, hi), y[r]
-        total += (yb * np.log(sc) + (1.0 - yb) * np.log(1.0 - sc)).sum()
+        sc, pos = np.clip(sd[r], lo, hi), y[r] == 1.0
+        if not (pos | (y[r] == 0.0)).all():
+            raise ValueError("pair labels must be 0 or 1")
+        total += np.log(np.where(pos, sc, 1.0 - sc)).sum()
     scale = -1.0 / (n * n)
 
     def vjp(g):

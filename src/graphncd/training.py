@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .graph import ClassSplit, Graph, input_features, operator_for, validate_split
+from .graph import ClassSplit, Graph, input_tensor, operator_for, validate_split
 from .metrics import MetricsReport, aa_af, evaluate_joint
 from .models import (BACKBONES, EncoderParams, HeadParams, encode, encoder_parameters,
                      extend_head, freeze_encoder, head_forward, head_parameters,
@@ -184,7 +184,7 @@ def pretrain(g: Graph, split: ClassSplit,
     cfg.validate()
     validate_split(g, split)
     adj = operator_for(cfg.backbone, g)
-    x = ad.constant(input_features(g, cfg.normalize_features))
+    x = input_tensor(g, cfg.normalize_features)
     dims = [g.feat_dim] + [cfg.hidden] * cfg.layers
     enc = init_encoder(cfg.backbone, dims, derive_seed(cfg.seed, _SEED_ENCODER))
     old_head = init_head(cfg.hidden, len(split.old_classes), "old",
@@ -256,7 +256,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
         raise ValueError(f"{protos.mean.shape[0]} prototypes for "
                          f"{len(split.old_classes)} old classes")
     adj = operator_for(cfg.backbone, g)
-    x = ad.constant(input_features(g, cfg.normalize_features))
+    x = input_tensor(g, cfg.normalize_features)
     n_old, n_new = len(split.old_classes), len(split.new_classes)
     repr_dim = state.encoder.repr_dim
 

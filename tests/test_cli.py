@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import graphncd.autodiff as ad
 from graphncd import cli
 from graphncd.checkpoint import load_checkpoint, save_checkpoint
 from graphncd.cli import main
@@ -598,6 +599,22 @@ def test_run_resolves_its_inputs_once(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_run_propagates_the_input_once(tmp_path, monkeypatch, backbone):
+    graphs = []
+    resolve = cli.resolve_dataset
+    monkeypatch.setattr(cli, "resolve_dataset",
+                        lambda rc: graphs.append(resolve(rc)) or graphs[-1])
+    operands = []
+    spmm = ad.spmm
+    monkeypatch.setattr(ad, "spmm", lambda m, x: operands.append(x) or spmm(m, x))
+    cfg = _write_cfg(tmp_path, extra=f"backbone = {backbone}\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
+    # pretrain, ncd, three stage reports and nodes.csv share one A·x
+    x = graphs[0][0].features
+    assert sum(o.shape == x.shape and np.array_equal(o.data, x) for o in operands) == 1
 
 
 def test_run_refuses_before_training_if_any_stage_is_finished(tmp_path, monkeypatch,

@@ -244,17 +244,77 @@ def test_sage_input_with_grad_never_touches_the_memo():
     assert adj._memo is None
 
 
-def test_pretrain_propagates_the_input_once(monkeypatch):
+def _pretrain_spmm_operands(monkeypatch, backbone):
+    """(operands on the input, all operands) of a 5-epoch pretrain."""
     g = sbm_generate([15] * 4, 0.4, 0.03, 6, 2.5, seed=3)
     split = split_classes(g, [0, 1], [2, 3], seed=4)
-    cfg = TrainConfig(backbone="sage", hidden=16, pretrain_epochs=5, seed=0, top_k=3)
+    cfg = TrainConfig(backbone=backbone, hidden=16, pretrain_epochs=5, seed=0, top_k=3)
     x = input_features(g, cfg.normalize_features)
     operands = _record_spmm(monkeypatch)
     pretrain(g, split, cfg)
-    on_input = [o for o in operands if o.shape == x.shape and np.array_equal(o.data, x)]
+    return [o for o in operands if o.shape == x.shape and np.array_equal(o.data, x)], operands
+
+
+def test_pretrain_propagates_the_input_once(monkeypatch):
+    on_input, operands = _pretrain_spmm_operands(monkeypatch, "sage")
     assert len(on_input) == 1
     # the second layer still propagates on each of the 2 * 5 + 1 forwards
     assert len(operands) == 1 + 11
+
+
+def test_gcn_pretrain_propagates_the_input_once(monkeypatch):
+    on_input, operands = _pretrain_spmm_operands(monkeypatch, "gcn")
+    assert len(on_input) == 1
+    assert len(operands) == 1 + 11
+
+
+def _uncached_gcn(enc, adj, x):
+    """encode's gcn composition with layer 0's propagation through ad.spmm."""
+    h = x
+    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+        h = ad.matmul(ad.spmm(adj, h), w) if i == 0 else ad.spmm(adj, ad.matmul(h, w))
+        h = ad.add(h, b)
+        if i != enc.num_layers - 1:
+            h = ad.relu(h)
+    return h.data
+
+
+def test_repeated_gcn_encode_is_bitwise_the_uncached_composition(monkeypatch):
+    g = _graph(seed=1, n=12)
+    enc = init_encoder("gcn", [3, 4, 4, 2], seed=5)
+    adj = normalize_adjacency(g)
+    x = ad.constant(g.features)
+    want = _uncached_gcn(enc, adj, x)
+    operands = _record_spmm(monkeypatch)
+    for _ in range(3):
+        assert np.array_equal(encode(enc, adj, x).data, want)
+    # layer 0 propagates x once; layers 1 and 2 run on every forward
+    assert [o is x for o in operands] == [True] + [False] * 6
+
+    a = adj.mat.toarray()
+    h = g.features
+    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+        h = a @ (h @ w.data) + b.data
+        h = np.maximum(h, 0.0) if i != 2 else h
+    assert np.allclose(want, h, atol=1e-12)
+
+
+def test_gcn_encoder_gradients_through_the_memo():
+    g = _graph(seed=8, n=10)
+    enc = init_encoder("gcn", [3, 4, 2], seed=4)
+    adj = normalize_adjacency(g)
+    x = ad.constant(g.features)
+
+    def loss():
+        z = encode(enc, adj, x)
+        return ad.sum(ad.mul(z, z))
+
+    assert ad.grad_check(loss, encoder_parameters(enc)) < 1e-4
+    assert adj._memo[0] is x
+    # an input with a gradient takes plain spmm, and its gradient flows through A
+    adj, x = normalize_adjacency(g), ad.parameter(g.features.copy())
+    assert ad.grad_check(loss, [x] + encoder_parameters(enc)) < 1e-4
+    assert adj._memo is None
 
 
 def test_operator_is_built_once_per_graph_and_backbone():

@@ -210,6 +210,35 @@ def test_bce_vjp_matches_the_primitive_chain(n):
     assert np.all(np.abs(grads[0] - grads[1]) <= ORACLE_TOL * np.abs(grads[1]))
 
 
+def _two_log_bce(s, y):
+    """pairwise_bce's forward as the two-log sum it replaces, block for block."""
+    n = s.shape[0]
+    total = 0.0
+    for i in range(0, n, PAIR_BLOCK):
+        sc, yb = np.clip(s[i:i + PAIR_BLOCK], 1e-12, 1.0 - 1e-12), y[i:i + PAIR_BLOCK]
+        total += (yb * np.log(sc) + (1.0 - yb) * np.log(1.0 - sc)).sum()
+    return total * (-1.0 / (n * n))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_bce_forward_is_bitwise_the_two_log_sum(n):
+    rng = np.random.default_rng(400 + n)
+    s = ad.sigmoid(constant(_mixed_logits(rng, n) @ _mixed_logits(rng, n).T)).data
+    # both clamp edges and both saturated ends, under either target
+    s.flat[rng.choice(n * n, size=min(n * n, 8), replace=False)] = \
+        [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 1.0, 0.0][:min(n * n, 8)]
+    y = (rng.random((n, n)) < 0.3).astype(float)
+    assert pairwise_bce(constant(s), y).item() == _two_log_bce(s, y)
+
+
+@pytest.mark.parametrize("bad", [0.5, -1.0, 2.0, np.nan, np.inf])
+def test_bce_rejects_targets_other_than_0_and_1(bad):
+    y = np.eye(PAIR_BLOCK + 1)
+    y[-1, 0] = bad                               # in the last row block
+    with pytest.raises(ValueError, match="0 or 1"):
+        pairwise_bce(constant(np.full(y.shape, 0.5)), y)
+
+
 def test_bce_gradient_is_zero_exactly_on_saturated_pairs():
     lo, hi = 1e-12, 1.0 - 1e-12
     edge = [0.0, 1e-300, lo, np.nextafter(lo, 1.0), 0.5,
