@@ -80,8 +80,8 @@ class SparseMatrix:
     """Immutable CSR operator used by spmm. Not differentiated through.
 
     ``symmetric`` is set at construction time by whoever built the matrix;
-    spmm's backward uses the matrix itself when symmetric and a cached
-    transpose otherwise.
+    spmm's backward uses the matrix itself when symmetric and otherwise its
+    transpose as a CSC view of the same arrays, so no operator holds a copy.
     """
 
     def __init__(self, mat, symmetric: bool):
@@ -89,8 +89,8 @@ class SparseMatrix:
         csr.sort_indices()
         self.mat = csr
         self.symmetric = bool(symmetric)
-        self._mat_t = None if self.symmetric else csr.T.tocsr()
         self._memo: tuple[Tensor, Tensor] | None = None
+        self._restricted: dict[bytes, SparseMatrix] = {}
 
     def spmm_memo(self, x: Tensor) -> Tensor:
         """``spmm(self, x)``, computed once while a constant ``x`` is the
@@ -107,13 +107,25 @@ class SparseMatrix:
             self._memo = (x, spmm(self, x))
         return self._memo[1]
 
+    def restrict(self, rows) -> SparseMatrix:
+        """The operator ``A[rows]``: its rows at the given indices, in that
+        order, duplicates kept. ``spmm(A.restrict(rows), h)`` is the rows
+        ``rows`` of ``spmm(A, h)``. Built once per row set and kept here."""
+        ii = np.asarray(rows, dtype=np.int64).reshape(-1)
+        key = ii.tobytes()
+        if key not in self._restricted:
+            if ii.size and (ii.min() < 0 or ii.max() >= self.shape[0]):
+                raise IndexError(f"restrict: row index out of range for {self.shape[0]} rows")
+            self._restricted[key] = SparseMatrix(self.mat[ii], symmetric=False)
+        return self._restricted[key]
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.mat.shape  # type: ignore[return-value]
 
     @property
     def transposed(self):
-        return self.mat if self.symmetric else self._mat_t
+        return self.mat if self.symmetric else self.mat.T
 
 
 def _check_2d(*ts: Tensor) -> None:

@@ -108,17 +108,24 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, rows, floats=None) -> None:
     """Every CSV artifact: the header, then one line per row. Integers are
     written by str, strings as they are, other numbers by repr(float(x)),
-    which round-trips exactly."""
+    which round-trips exactly. ``floats``, a 2-D float array with one row per
+    row, appends its row's values to each line by the same rule, read as
+    Python floats in one ``tolist`` rather than checked cell by cell."""
     def cell(x) -> str:
         if isinstance(x, str):
             return x
         return str(x) if isinstance(x, numbers.Integral) else repr(float(x))
+    lines = (",".join(map(cell, row)) for row in rows)
+    if floats is not None:
+        lines = (",".join([lead, *map(repr, tail)])
+                 for lead, tail in zip(lines, floats.tolist(), strict=True))
     with open(path, "w", encoding="utf-8") as fh:
-        for row in [header, *rows]:
-            fh.write(",".join(map(cell, row)) + "\n")
+        fh.write(",".join(map(cell, header)) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _pick(columns: tuple[str, ...], rows: list[dict]) -> list[list]:
@@ -339,17 +346,18 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
     m11 = meta.get("phase1_old_acc")
     if not (m11 is None or _is_number(m11)):
         raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not a number")
+    # one full forward feeds both the metrics and nodes.csv
+    z = encode(state.encoder, operator_for(state.backbone, g),
+               input_tensor(g, rc.normalize_features))
     if state.joint_head is None or m11 is not None:
-        rep = stage_report(state, g, split, rc, m11)
+        rep = stage_report(state, g, split, rc, m11, z)
     else:  # phase-2 checkpoint without its phase-1 accuracy: no stage matrix
-        rep = evaluate_joint(state, g, split, rc.novel_alignment, rc.normalize_features)
+        rep = evaluate_joint(state, g, split, rc.novel_alignment, rc.normalize_features, z)
         rep.seed = rc.seed
     st.write_metrics(rep)
 
-    z = encode(state.encoder, operator_for(state.backbone, g),
-               input_tensor(g, rc.normalize_features)).data
     _write_csv(st.path("nodes.csv"), ["id", "label", *(f"z{i}" for i in range(z.shape[1]))],
-               [[i, y, *row] for i, (y, row) in enumerate(zip(g.labels.tolist(), z.tolist()))])
+               [[i, y] for i, y in enumerate(g.labels.tolist())], z.data)
     st.write_manifest("eval", phase=rep.phase, checkpoint=checkpoint,
                       old_acc=rep.old_acc, new_acc=rep.new_acc, all_acc=rep.all_acc)
     _say(f"eval: old_acc={rep.old_acc:.4f} new_acc={rep.new_acc:.4f} "

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .autodiff import Tensor
 from .graph import ClassSplit, Graph, input_tensor, operator_for
 from .models import encode, head_forward
 
@@ -97,11 +98,14 @@ def joint_predictions(state, g: Graph, normalize_features: bool = False) -> np.n
 
     In phase 1 the joint head does not exist yet and the old head stands in,
     so predictions live in old-slot space only."""
+    return _joint_argmax(state, encode(state.encoder, operator_for(state.backbone, g),
+                                       input_tensor(g, normalize_features)))
+
+
+def _joint_argmax(state, z: Tensor) -> np.ndarray:
+    """``joint_predictions`` from the encoder's full forward ``z``."""
     head = state.joint_head if state.joint_head is not None else state.old_head
-    z = encode(state.encoder, operator_for(state.backbone, g),
-               input_tensor(g, normalize_features))
-    logits = head_forward(head, z).data
-    return np.argmax(logits, axis=1)
+    return np.argmax(head_forward(head, z).data, axis=1)
 
 
 def _align_novel_slots(pred_idx: np.ndarray, g: Graph, split: ClassSplit,
@@ -129,13 +133,16 @@ def _align_novel_slots(pred_idx: np.ndarray, g: Graph, split: ClassSplit,
 
 def evaluate_joint(state, g: Graph, split: ClassSplit,
                    novel_alignment: str = "hungarian",
-                   normalize_features: bool = False) -> MetricsReport:
+                   normalize_features: bool = False,
+                   z: Tensor | None = None) -> MetricsReport:
     """Task-agnostic accuracy over old, new, and pooled test nodes.
 
     One argmax over the full joint logit row decides each node; a new-class
     node predicted as any old class counts as wrong. Predicted old slots map
-    to old class ids by position; novel slots map per novel_alignment."""
-    pred_idx = joint_predictions(state, g, normalize_features)
+    to old class ids by position; novel slots map per novel_alignment. A
+    caller that already ran the encoder's full forward on g passes it as z."""
+    pred_idx = (joint_predictions(state, g, normalize_features) if z is None
+                else _joint_argmax(state, z))
     n_old = len(split.old_classes)
     slot_map = {i: c for i, c in enumerate(split.old_classes)}
     if state.joint_head is not None:

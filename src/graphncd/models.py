@@ -10,6 +10,14 @@ Layer 0 of both backbones reads the input's propagation ``A·x`` from the
 operator's memo: the input is constant, so a stage computes it once. gcn
 layer 0 is therefore ``(A·x)·W`` rather than ``A·(x·W)``, the same product
 in another float order; deeper gcn layers stay ``A·(h·W)``.
+
+A loss that reads only some rows passes them as ``rows``, and the last layer
+computes only those: it runs on the restricted operator ``A[rows]``, which
+the full operator builds once per row set. gcn's last layer is then
+``A[rows]·(h·W)``, whose rows are bitwise those of the full product; sage's
+is ``concat(h[rows], A[rows]·h)·W``, whose matmul runs over fewer rows and
+so may differ from the full product's rows in the last bits. Earlier layers
+still run over every node, since the last one reads their neighbours.
 """
 from __future__ import annotations
 
@@ -85,8 +93,9 @@ def freeze_encoder(enc: EncoderParams) -> EncoderParams:
     )
 
 
-def encode(enc: EncoderParams, adj: SparseMatrix, x: Tensor) -> Tensor:
-    """Full-graph forward pass to representations, shape (N, repr_dim)."""
+def encode(enc: EncoderParams, adj: SparseMatrix, x: Tensor, rows=None) -> Tensor:
+    """Forward pass to representations, shape (N, repr_dim); with ``rows``,
+    only those rows of it, in that order, shape (len(rows), repr_dim)."""
     if adj.shape[0] != x.shape[0]:
         raise ValueError(f"operator is {adj.shape} but features have {x.shape[0]} rows")
     if x.shape[1] != enc.dims[0]:
@@ -94,12 +103,15 @@ def encode(enc: EncoderParams, adj: SparseMatrix, x: Tensor) -> Tensor:
     h = x
     last = enc.num_layers - 1
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+        # the last layer computes only the rows read: A[rows] in place of A
+        op = adj if rows is None or i != last else adj.restrict(rows)
         # layer 0 propagates the input, a constant of the run: A·x is memoized
-        ax = adj.spmm_memo(h) if i == 0 else None
+        ax = op.spmm_memo(h) if i == 0 else None
         if enc.backbone == "gcn":  # (A·x)·W at layer 0, A·(h·W) deeper
-            h = ad.spmm(adj, ad.matmul(h, w)) if ax is None else ad.matmul(ax, w)
+            h = ad.spmm(op, ad.matmul(h, w)) if ax is None else ad.matmul(ax, w)
         else:  # sage: concat self with mean of neighbors, then linear
-            h = ad.matmul(ad.concat_rows(h, ad.spmm(adj, h) if ax is None else ax), w)
+            own = h if op is adj else ad.gather_rows(h, rows)
+            h = ad.matmul(ad.concat_rows(own, ad.spmm(op, h) if ax is None else ax), w)
         h = ad.add(h, b)
         if i != last:
             h = ad.relu(h)

@@ -203,8 +203,7 @@ def pretrain(g: Graph, split: ClassSplit,
     rows: list[dict] = []
     best_epoch, best_val, best_snap = -1, -np.inf, _snapshot(named)
     for epoch in range(cfg.pretrain_epochs):
-        z = encode(enc, adj, x)
-        logits = head_forward(old_head, ad.gather_rows(z, tr))
+        logits = head_forward(old_head, encode(enc, adj, x, tr))
         loss = ad.nll_rows(ad.log_softmax_rows(logits), y_tr)
         loss_val = loss.item()
         if not np.isfinite(loss_val):
@@ -214,15 +213,15 @@ def pretrain(g: Graph, split: ClassSplit,
         grads = backward(loss, params)
         adam_step(params, grads, state.adam)
 
-        z_post = encode(enc, adj, x).data
-        val_logits = z_post[va] @ old_head.weight.data + old_head.bias.data
+        z_va = encode(enc, adj, x, va).data
+        val_logits = z_va @ old_head.weight.data + old_head.bias.data
         val_acc = float(np.mean(np.argmax(val_logits, axis=1) == y_va))
         rows.append({"epoch": epoch, "loss": loss_val, "val_acc": val_acc})
         if val_acc > best_val:
             best_epoch, best_val, best_snap = epoch, val_acc, _snapshot(named)
 
-    z_final = encode(enc, adj, x).data
-    protos = compute_prototypes(z_final[tr], g.labels[tr], split.old_classes)
+    protos = compute_prototypes(encode(enc, adj, x, tr).data, g.labels[tr],
+                                split.old_classes)
     return state, protos, PretrainLog(rows=rows, best_epoch=best_epoch,
                                       best_val_acc=best_val, best_snapshot=best_snap)
 
@@ -272,8 +271,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     state.adam = adam_init(params, cfg.lr, cfg.weight_decay)
 
     tr2 = np.asarray(split.p2_train, dtype=np.int64)
-    z_frozen = encode(state.frozen_encoder, adj, x).data  # constant all phase
-    zf_u = ad.constant(z_frozen[tr2])
+    zf_u = encode(state.frozen_encoder, adj, x, tr2)  # constant all phase
     old_index = {c: i for i, c in enumerate(split.old_classes)}
     frozen_ref = [a.data.copy() for a in
                   state.frozen_encoder.weights + state.frozen_encoder.biases]
@@ -290,8 +288,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     track_from = cfg.rampup_length
 
     for epoch in range(cfg.ncd_epochs):
-        z_all = encode(state.encoder, adj, x)
-        z_u = ad.gather_rows(z_all, tr2)
+        z_u = encode(state.encoder, adj, x, tr2)
         u_logits = head_forward(state.novel_head, z_u)
         joint_u = None
 
@@ -377,9 +374,11 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
 
 
 def stage_report(state: ModelState, g: Graph, split: ClassSplit, cfg: TrainConfig,
-                 phase1_old_acc: float | None = None) -> MetricsReport:
-    """Joint evaluation plus the stage performance matrix and AA/AF."""
-    rep = evaluate_joint(state, g, split, cfg.novel_alignment, cfg.normalize_features)
+                 phase1_old_acc: float | None = None,
+                 z: Tensor | None = None) -> MetricsReport:
+    """Joint evaluation plus the stage performance matrix and AA/AF; ``z`` is
+    passed on to ``evaluate_joint``."""
+    rep = evaluate_joint(state, g, split, cfg.novel_alignment, cfg.normalize_features, z)
     rep.seed = cfg.seed
     if rep.phase == 1:
         rep.perf = np.array([[rep.old_acc]])

@@ -375,4 +375,6 @@ def test_sparse_matrix_transposed_cache():
     asym = mean_adjacency(g)
     assert sym.transposed is sym.mat
     assert np.allclose(asym.transposed.toarray(), asym.mat.toarray().T)
+    # a view of the operator's own arrays, not a stored copy
+    assert np.shares_memory(asym.transposed.data, asym.mat.data)
 

@@ -56,3 +56,29 @@ def test_unaligned_sides_are_rejected():
         judge([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError):
         judge([], [], "lower")
+
+
+METRICS = [{"name": "run_s", "unit": "s", "better": "lower"},
+           {"name": "ncd_epoch_ms.mean", "unit": "ms", "better": "lower"},
+           {"name": "acc", "unit": "fraction", "better": "higher"}]
+
+
+def test_verdict_block_names_the_metrics_with_a_worse_median():
+    values = {"run_s": {"parent": PARENT, "change": [x - 3.0 for x in PARENT]},
+              "ncd_epoch_ms.mean": {"parent": PARENT, "change": [x + 0.01 for x in PARENT]},
+              "acc": {"parent": [0.8] * 10, "change": [0.7] * 10}}
+    lines = bench_pairs.verdict("propagate", 0, METRICS, values)
+    assert lines[0] == "propagate seed 0: median [q1, q3], parent -> change"
+    assert lines[1].startswith("run_s (s, lower is better): 26.05 [")
+    assert lines[1].endswith("change won 10/10; gain rule holds")
+    assert lines[2].endswith("change won 0/10; gain rule does not hold")
+    assert len(lines) == 1 + len(METRICS) + 1
+    assert lines[-1] == ("propagate: change median worse than parent's: "
+                         "ncd_epoch_ms.mean, acc")
+
+
+def test_verdict_block_with_no_worse_median():
+    same = {m["name"]: {"parent": PARENT, "change": list(PARENT)} for m in METRICS}
+    lines = bench_pairs.verdict("desk", 1, METRICS, same)
+    assert lines[-1] == "desk: change median worse than parent's: none"
+    assert all("change won 0/10" in line for line in lines[1:-1])   # all ties

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
-from graphncd import cli
+from graphncd import cli, metrics
 from graphncd.checkpoint import load_checkpoint, save_checkpoint
 from graphncd.cli import main
 from graphncd.config import load_config
@@ -292,6 +292,35 @@ def test_eval_phase1_checkpoint(pipeline, tmp_path):
     assert metrics["phase"] == 1
 
 
+@pytest.mark.parametrize("kind", ["phase1", "phase2", "phase2_without_phase1_acc"])
+def test_eval_runs_one_encoder_forward(pipeline, tmp_path, monkeypatch, kind):
+    cfg, pre, ncd = pipeline
+    ckpt = os.path.join(pre, "checkpoint_pretrain.bin") if kind == "phase1" else \
+        os.path.join(ncd, "checkpoint_ncd_best.bin")
+    if kind == "phase2_without_phase1_acc":  # evaluate_joint without the stage matrix
+        meta, tensors = load_checkpoint(ckpt)
+        del meta["phase1_old_acc"]
+        ckpt = str(tmp_path / "no_m11.bin")
+        save_checkpoint(ckpt, list(tensors.items()), meta)
+    calls = []
+    for mod in (cli, metrics):
+        monkeypatch.setattr(mod, "encode", lambda *a, _f=mod.encode, **k:
+                            calls.append((a, k)) or _f(*a, **k))
+    out = str(tmp_path / "ev")
+    assert main(["eval", "--config", cfg, "--out", out, "--checkpoint", ckpt]) == 0
+    # the metrics and nodes.csv share one full forward
+    assert len(calls) == 1 and len(calls[0][0]) == 3 and not calls[0][1]
+    state, _ = load_state(ckpt)
+    rc = load_config(cfg)
+    g, _ = cli.resolve_dataset(rc)
+    split = ClassSplit.load(os.path.join(pre, "split.json"))
+    want = evaluate_joint(state, g, split)
+    got = _read_json(os.path.join(out, "metrics.json"))
+    assert [got[k] for k in ("old_acc", "new_acc", "all_acc")] == \
+        [want.old_acc, want.new_acc, want.all_acc]
+    assert (kind == "phase2_without_phase1_acc") == (got["aa"] is None)
+
+
 def test_eval_dimension_mismatch(pipeline, tmp_path, capsys):
     cfg, pre, ncd = pipeline
     bad = _write_cfg(tmp_path, name="bad.cfg", extra="sbm_feat_dim = 8\n")
@@ -531,6 +560,20 @@ def test_write_csv_cell_rule(tmp_path):
     cli._write_csv(path, ["a", "b"], [[3, np.int64(-4), 0.1, np.float64(1 / 3), "", "x"]])
     with open(path, "r", encoding="utf-8") as fh:
         assert fh.read() == "a,b\n3,-4,0.1,0.3333333333333333,,x\n"
+
+
+def test_write_csv_float_rows_match_the_cell_rule(tmp_path):
+    lead = [[0, 7], [1, -2], [2, 0]]
+    floats = np.array([[0.1, 1 / 3, -0.0], [1e300, -2.5e-310, np.inf],
+                       [np.nan, -np.inf, 123456789.0]])
+    fast, cells = str(tmp_path / "fast.csv"), str(tmp_path / "cells.csv")
+    cli._write_csv(fast, ["id", "y", "a", "b", "c"], lead, floats)
+    cli._write_csv(cells, ["id", "y", "a", "b", "c"],
+                   [[*r, *f] for r, f in zip(lead, floats)])
+    with open(fast, "rb") as a, open(cells, "rb") as b:
+        assert a.read() == b.read()
+    with pytest.raises(ValueError):   # one float row per row
+        cli._write_csv(fast, ["id"], [[0]], floats)
 
 
 def test_run_csv_artifacts_follow_the_documented_format(tmp_path):

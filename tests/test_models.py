@@ -330,3 +330,84 @@ def test_operator_is_built_once_per_graph_and_backbone():
     assert np.array_equal(fresh.mat.toarray(), sage.mat.toarray())
     with pytest.raises(ValueError, match="unknown backbone"):
         operator_for("gat", g)
+
+
+# ------------------------------------------- row-restricted last layer
+
+# row sets of a 12-node graph; None stands for every node in order
+_ROW_SETS = {"empty": [], "single": [4], "sorted": [0, 2, 3, 7, 9],
+             "unsorted": [9, 2, 7, 0, 5], "duplicated": [3, 1, 3, 3, 8], "all": None}
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("layers", [2, 3])
+@pytest.mark.parametrize("kind", list(_ROW_SETS))
+def test_restricted_encode_is_the_gathered_full_forward(backbone, layers, kind):
+    g = _graph(seed=11, n=12)
+    adj = operator_for(backbone, g)
+    x = ad.constant(g.features)
+    enc = init_encoder(backbone, [3] + [4] * layers, seed=9)
+    params = encoder_parameters(enc)
+    rows = np.arange(g.num_nodes) if _ROW_SETS[kind] is None else \
+        np.array(_ROW_SETS[kind], dtype=np.int64)
+    weights = ad.constant(np.random.default_rng(2).standard_normal((len(rows), 4)))
+
+    full = ad.gather_rows(encode(enc, adj, x), rows)
+    full_grads = ad.backward(ad.sum(ad.mul(full, weights)), params)
+    part = encode(enc, adj, x, rows)
+    part_grads = ad.backward(ad.sum(ad.mul(part, weights)), params)
+
+    assert part.shape == full.shape == (len(rows), 4)
+    assert np.allclose(part.data, full.data, rtol=0.0, atol=1e-12)
+    for a, b in zip(part_grads, full_grads, strict=True):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+    if backbone == "gcn" and kind in ("empty", "single", "sorted", "all"):
+        # sorted unique rows, the form splits give: the same float operations
+        assert np.array_equal(part.data, full.data)
+        assert all(np.array_equal(a, b) for a, b in zip(part_grads, full_grads))
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_restricted_encoder_gradients_pass_grad_check(backbone):
+    g = _graph(seed=12, n=10)
+    adj = operator_for(backbone, g)
+    enc = init_encoder(backbone, [3, 4, 4, 2], seed=1)
+    x = ad.constant(g.features)
+
+    def loss():
+        z = encode(enc, adj, x, [6, 1, 6, 8])
+        return ad.sum(ad.mul(z, z))
+
+    assert ad.grad_check(loss, encoder_parameters(enc)) < 1e-4
+
+
+def test_one_layer_restricted_encode_reads_the_input_rows():
+    g = _graph(seed=13, n=10)
+    x = ad.constant(g.features)
+    rows = [7, 0, 7]
+    for backbone in ("gcn", "sage"):
+        adj = operator_for(backbone, g)
+        enc = init_encoder(backbone, [3, 2], seed=4)   # layer 0 is the last
+        want = encode(enc, adj, x).data[rows]
+        assert np.allclose(encode(enc, adj, x, rows).data, want, rtol=0.0, atol=1e-12)
+
+
+def test_restricted_operator_is_built_once_per_row_set():
+    g = _graph(seed=14, n=10)
+    for backbone in ("gcn", "sage"):
+        adj = operator_for(backbone, g)
+        op = adj.restrict([4, 1, 7])
+        assert adj.restrict(np.array([4, 1, 7])) is op
+        assert adj.restrict([1, 4, 7]) is not op
+        assert op.shape == (3, g.num_nodes)
+        assert np.array_equal(op.mat.toarray(), adj.mat.toarray()[[4, 1, 7]])
+        # the vjp reads A[rows].T as a view of the same arrays: no stored copy
+        assert np.shares_memory(op.transposed.data, op.mat.data)
+        assert np.array_equal(op.transposed.toarray(), op.mat.toarray().T)
+        # encode on a row set reuses the operator restrict built for it
+        enc = init_encoder(backbone, [3, 4, 2], seed=0)
+        encode(enc, adj, ad.constant(g.features), np.array([4, 1, 7]))
+        assert adj.restrict([4, 1, 7]) is op
+        for bad in ([-1], [10], [0, 10]):
+            with pytest.raises(IndexError, match="out of range"):
+                adj.restrict(bad)

@@ -4,7 +4,8 @@ import copy
 import numpy as np
 import pytest
 
-from graphncd.graph import sbm_generate, split_classes
+import graphncd.autodiff as ad
+from graphncd.graph import input_tensor, sbm_generate, split_classes
 from graphncd.metrics import joint_predictions
 from graphncd.training import (ModelState, NcdLog, TrainConfig,
                                TrainingDiverged, derive_seed, named_parameters,
@@ -357,3 +358,26 @@ def test_depth_sweep_runs_each_depth():
     for row in rows:
         for key in ("old_acc", "new_acc", "all_acc", "aa", "af"):
             assert np.isfinite(row[key])
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_losses_propagate_only_the_rows_they_read(monkeypatch, backbone):
+    g, split = _data()
+    cfg = _cfg(backbone=backbone, pretrain_epochs=3, ncd_epochs=4)
+    x = input_tensor(g, cfg.normalize_features)
+    seen = []
+    spmm = ad.spmm
+    monkeypatch.setattr(ad, "spmm", lambda m, h: seen.append((m.shape[0], h is x))
+                        or spmm(m, h))
+    state, protos, _ = pretrain(g, split, cfg)
+    pre = [rows for rows, on_input in seen if not on_input]
+    seen.clear()
+    ncd_train(state, protos, g, split, cfg)
+    ncd = [rows for rows, on_input in seen if not on_input]
+
+    n1, nv, n2 = len(split.p1_train), len(split.p1_val), len(split.p2_train)
+    assert g.num_nodes not in (n1, nv, n2)
+    # per epoch the loss reads p1_train and validation p1_val; then the prototypes
+    assert pre == [n1, nv] * 3 + [n1]
+    # the frozen encoder once, the live one once per epoch
+    assert ncd == [n2] * (1 + 4)

@@ -1,16 +1,19 @@
 """Run the benchmark on two source trees in alternated pairs and judge a gain.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --seed S \
-        --pairs N --seconds T
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W[,W...] \
+        --seed S --pairs N --seconds T
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each tree, every tree
-with its own copy of the benchmark, one after the other; even pairs run the
-parent first, odd pairs the change. For every end-to-end metric that
-BENCHMARK.json declares, prints each side's median and quartiles and the
-number of pairs the change won (ties count for neither side), and whether
-the gain rule holds: at least ten pairs, wins in at least nine tenths of
-them, and a median gap in the better direction larger than the distance
-between the parent's quartiles. Exits 1 if any run failed, else 0.
+For each workload in the comma list, in turn, each pair runs
+``perfbench/run.py --trace 0`` once in each tree, every tree with its own
+copy of the benchmark, one after the other; even pairs run the parent first,
+odd pairs the change. Each workload then gets a verdict block: for every
+end-to-end metric that BENCHMARK.json declares, each side's median and
+quartiles and the number of pairs the change won (ties count for neither
+side), and whether the gain rule holds: at least ten pairs, wins in at least
+nine tenths of them, and a median gap in the better direction larger than the
+distance between the parent's quartiles. The block's last line names every
+metric whose change median is worse than the parent's. Exits 1 if any run
+failed, else 0.
 """
 from __future__ import annotations
 
@@ -44,8 +47,31 @@ def judge(parent: list[float], change: list[float], better: str) -> dict:
     pq, cq = quartiles(parent), quartiles(change)
     gap = sign * (cq[1] - pq[1])
     n = len(parent)
-    return {"parent": pq, "change": cq, "wins": wins, "pairs": n,
+    return {"parent": pq, "change": cq, "wins": wins, "pairs": n, "worse": gap < 0,
             "holds": n >= MIN_PAIRS and wins >= WIN_SHARE * n and gap > pq[2] - pq[0]}
+
+
+def verdict(workload: str, seed: int, metrics: list[dict],
+            values: dict[str, dict[str, list[float]]]) -> list[str]:
+    """One workload's verdict block: a line per metric declared in
+    ``metrics``, judged on ``values[name]["parent"]`` and ``["change"]``,
+    then the line naming the metrics whose change median is worse."""
+    lines = [f"{workload} seed {seed}: median [q1, q3], parent -> change"]
+    worse = []
+    for m in metrics:
+        sides = values[m["name"]]
+        j = judge(sides["parent"], sides["change"], m["better"])
+        p, c = j["parent"], j["change"]
+        lines.append(
+            f"{m['name']} ({m['unit']}, {m['better']} is better): "
+            f"{p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]; "
+            f"change won {j['wins']}/{j['pairs']}; gain rule "
+            f"{'holds' if j['holds'] else 'does not hold'}")
+        if j["worse"]:
+            worse.append(m["name"])
+    lines.append(f"{workload}: change median worse than parent's: "
+                 f"{', '.join(worse) or 'none'}")
+    return lines
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -62,46 +88,52 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict | No
     return json.loads(lines[-1])
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
-    args = ap.parse_args(argv)
-    metrics = json.loads(_SPEC.read_text())["end_to_end"]
+def pairs(args: argparse.Namespace, workload: str,
+          metrics: list[dict]) -> tuple[dict[str, dict[str, list[float]]], int]:
+    """Run ``args.pairs`` alternated pairs of one workload; returns the
+    values per metric and side, and the number of pairs dropped."""
     values: dict[str, dict[str, list[float]]] = {
         m["name"]: {"parent": [], "change": []} for m in metrics}
     failed = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        results = {side: run_bench(getattr(args, side), args.workload, args.seed,
+        results = {side: run_bench(getattr(args, side), workload, args.seed,
                                    args.seconds) for side in order}
         if any(r is None or r["failed"] for r in results.values()):
             failed += 1
-            print(f"pair {i}: a run failed, pair dropped")
+            print(f"{workload} pair {i}: a run failed, pair dropped")
             continue
         for name, sides in values.items():
             for side, r in results.items():
                 sides[side].append(r["metrics"][name]["value"])
-        print(f"pair {i} ({order[0]} first): " + ", ".join(
+        print(f"{workload} pair {i} ({order[0]} first): " + ", ".join(
             f"{name} {sides['parent'][-1]:.4g} -> {sides['change'][-1]:.4g}"
             for name, sides in values.items()), flush=True)
-    if failed == args.pairs:
-        print("no pair completed")
-        return 1
-    print(f"{args.workload} seed {args.seed}: median [q1, q3], parent -> change")
-    for m in metrics:
-        sides = values[m["name"]]
-        j = judge(sides["parent"], sides["change"], m["better"])
-        p, c = j["parent"], j["change"]
-        print(f"{m['name']} ({m['unit']}, {m['better']} is better): "
-              f"{p[1]:.4g} [{p[0]:.4g}, {p[2]:.4g}] -> {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}]; "
-              f"change won {j['wins']}/{j['pairs']}; gain rule "
-              f"{'holds' if j['holds'] else 'does not hold'}")
-    return 1 if failed else 0
+    return values, failed
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True, help="one workload or a comma list")
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args(argv)
+    workloads = args.workload.split(",")
+    if not all(workloads):
+        ap.error(f"empty workload name in {args.workload!r}")
+    metrics = json.loads(_SPEC.read_text())["end_to_end"]
+    any_failed = False
+    for workload in workloads:
+        values, failed = pairs(args, workload, metrics)
+        any_failed = any_failed or failed > 0
+        if failed == args.pairs:
+            print(f"{workload}: no pair completed")
+            continue
+        print("\n".join(verdict(workload, args.seed, metrics, values)), flush=True)
+    return 1 if any_failed else 0
 
 
 if __name__ == "__main__":
