@@ -249,7 +249,11 @@ def relu(a: Tensor) -> Tensor:
     def vjp(g):
         return [g * mask]
 
-    return _make(np.where(mask, a.data, 0.0), (a,), vjp)
+    # fmax sends nan and -inf to 0 and += 0.0 turns -0.0 into +0.0: bitwise
+    # np.where(mask, a, 0.0), several times faster
+    out = np.fmax(a.data, 0.0)
+    out += 0.0
+    return _make(out, (a,), vjp)
 
 
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:

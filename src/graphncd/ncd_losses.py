@@ -78,6 +78,13 @@ def _row_blocks(n: int):
     return (slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK))
 
 
+class _Similarity(Tensor):
+    """What pairwise_similarity returns: a Tensor whose one parent is the
+    novel logits, so pairwise_bce can differentiate straight to them."""
+
+    __slots__ = ()
+
+
 def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     """s_ij = logistic(u_i . u_j) over all ordered pairs, shape (n, n).
 
@@ -98,7 +105,10 @@ def pairwise_similarity(novel_logits: Tensor) -> Tensor:
             grad += t.T @ u[r]
         return [grad]
 
-    return ad._make(s, (novel_logits,), vjp)
+    out = ad._make(s, (novel_logits,), vjp)
+    # marked after _make, so a wrapper that swaps out._vjp keeps the mark
+    out.__class__ = _Similarity
+    return out
 
 
 def topk_pseudo_pairs(z, k: int) -> np.ndarray:
@@ -112,9 +122,26 @@ def topk_pseudo_pairs(z, k: int) -> np.ndarray:
     if not 1 <= k <= arr.shape[1]:
         raise ValueError(f"top_k must be in [1, {arr.shape[1]}], got {k}")
     key = np.sort(np.argsort(-arr, axis=1, kind="stable")[:, :k], axis=1)
-    # rows with the same index set share a group id
-    gid = np.unique(key, axis=0, return_inverse=True)[1].reshape(-1)
+    # rows with the same index set share a group id: sort the rows, then a
+    # new id starts wherever a row differs from the one before it
+    order = np.lexsort(key.T[::-1])
+    rows = key[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    gid = np.empty(len(rows), dtype=np.int64)
+    gid[order] = np.cumsum(new)
     return (gid[:, None] == gid[None, :]).astype(np.float64)
+
+
+# the BCE clamps similarities to [_S_LO, _S_HI]; pairs outside the open
+# interval are saturated and get exactly zero gradient
+_S_LO, _S_HI = 1e-12, 1.0 - 1e-12
+
+
+def _unsaturated(sb: np.ndarray) -> np.ndarray:
+    keep = sb > _S_LO
+    keep &= sb < _S_HI
+    return keep
 
 
 def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
@@ -122,10 +149,16 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
 
     Targets must be 0 or 1. Similarities are clamped to [1e-12, 1 - 1e-12]
     before the log, so saturated pairs contribute a finite loss and a zero
-    gradient. One op, summed row block by row block as log(s) where y = 1
-    and log(1 - s) where y = 0, bitwise the terms y log(s) + (1 - y)
-    log(1 - s); its vjp is c (y - s) / (s (1 - s)), masked to 0 on the
-    saturated pairs.
+    gradient. One op, summed row block by row block as log|clip(s) + y - 1|,
+    bitwise the terms y log(s) + (1 - y) log(1 - s).
+
+    Given the output of pairwise_similarity on gradient-carrying logits U,
+    the loss is differentiated straight to U in the same block loop: with
+    t = c (y - s) m, where m masks out the saturated pairs and the logistic
+    derivative has cancelled, dL/dU = t U + t^T U. The loss's one parent is
+    then U, so the similarity gets no gradient and no n x n array is left
+    on the tape. Any other s gets the vjp c (y - s) / (s (1 - s)), masked to
+    0 on the saturated pairs.
     """
     n, m = s.shape
     if n != m:
@@ -133,30 +166,49 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     y = np.asarray(y_pair, dtype=np.float64)
     if y.shape != (n, n):
         raise ValueError(f"pair labels {y.shape} do not match similarities {s.shape}")
-    lo, hi = 1e-12, 1.0 - 1e-12
     sd = s.data
+    scale = -1.0 / (n * n)
+    fused = isinstance(s, _Similarity) and s.requires_grad
+    if fused:
+        logits = s._parents[0]
+        u = logits.data
+        grad_u = np.zeros_like(u)
     total = 0.0
     for r in _row_blocks(n):
-        sc, pos = np.clip(sd[r], lo, hi), y[r] == 1.0
-        if not (pos | (y[r] == 0.0)).all():
+        sb, yb = sd[r], y[r]
+        if not ((yb == 1.0) | (yb == 0.0)).all():
             raise ValueError("pair labels must be 0 or 1")
-        total += np.log(np.where(pos, sc, 1.0 - sc)).sum()
-    scale = -1.0 / (n * n)
+        # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
+        sc = np.clip(sb, _S_LO, _S_HI)
+        sc += yb - 1.0
+        total += np.log(np.abs(sc, out=sc), out=sc).sum()
+        if fused:
+            t = yb - sb
+            t[~_unsaturated(sb)] = 0.0
+            grad_u[r] += t @ u
+            grad_u += t.T @ u[r]
+    loss = np.array([[total * scale]])
+
+    if fused:
+        def fused_vjp(g):
+            return [grad_u * (g[0, 0] * scale)]
+
+        return ad._make(loss, (logits,), fused_vjp)
 
     def vjp(g):
         c = g[0, 0] * scale
         grad = np.empty((n, n))
         for r in _row_blocks(n):
             # in place: about a tenth faster than one expression at n = 900
-            sc = np.clip(sd[r], lo, hi)
+            sc = np.clip(sd[r], _S_LO, _S_HI)
             gb = np.subtract(y[r], sc, out=grad[r])
             gb *= c
             sc *= 1.0 - sc
             gb /= sc
-            gb *= (sd[r] > lo) & (sd[r] < hi)
+            gb *= _unsaturated(sd[r])
         return [grad]
 
-    return ad._make(np.array([[total * scale]]), (s,), vjp)
+    return ad._make(loss, (s,), vjp)
 
 
 def assign_pseudo_labels(novel_logits, num_old: int) -> np.ndarray:

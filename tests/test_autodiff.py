@@ -94,6 +94,19 @@ def test_relu_grad_away_from_kink():
     assert grad_check(lambda: ad.sum(ad.relu(x)), [x]) < TOL
 
 
+def test_relu_is_bitwise_the_where_formula():
+    rng = np.random.default_rng(7)
+    edges = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                       -5e-324, 1.0, -1.0]])
+    # -0.0 runs of every length up to 17, so both the vector and the scalar
+    # tail paths of fmax meet it
+    zeros = [np.full((1, n), -0.0) for n in range(1, 18)]
+    for x in (rng.standard_normal((60, 32)), edges, *zeros):
+        want = np.where(x > 0.0, x, 0.0)
+        # tobytes tells -0.0 from 0.0 and compares nan payloads
+        assert ad.relu(constant(x)).data.tobytes() == want.tobytes()
+
+
 def test_sigmoid_grad():
     rng = np.random.default_rng(6)
     x = _p(rng, 3, 5)

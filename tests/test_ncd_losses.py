@@ -254,13 +254,84 @@ def test_bce_gradient_is_zero_exactly_on_saturated_pairs():
     assert np.all(g[~saturated] != 0.0)
 
 
+# ---------------------------------------- the fused route to the novel logits
+
+def _general_route_grad(u, y):
+    """dL/dU by the general bce vjp chained through the similarity's vjp."""
+    s = pairwise_similarity(u)
+    s_leaf = parameter(s.data)
+    (g_s,) = backward(pairwise_bce(s_leaf, y), [s_leaf])
+    return s._vjp(g_s)[0]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_fused_bce_gradient_matches_the_general_route(n):
+    rng = np.random.default_rng(500 + n)
+    u = parameter(_mixed_logits(rng, n))
+    y = topk_pseudo_pairs(rng.integers(0, 3, size=(n, 6)).astype(float), 2)
+    s = pairwise_similarity(u)
+    loss = pairwise_bce(s, y)
+    assert loss._parents == (u,)
+    assert loss.item() == pairwise_bce(constant(s.data), y).item()
+    (got,) = backward(loss, [u])
+    assert s.grad is None
+    assert np.abs(got - _general_route_grad(u, y)).max() < ORACLE_TOL
+
+
+def test_fused_bce_gradient_is_zero_when_every_pair_saturates():
+    rng = np.random.default_rng(23)
+    n = 2 * PAIR_BLOCK + 3
+    # |u_i . u_j| >= 3 * 40^2 for every pair, of either sign
+    sign = rng.choice([-1.0, 1.0], size=(n, 1))
+    u = parameter(40.0 * sign * (1.0 + rng.random((n, 3))))
+    y = topk_pseudo_pairs(rng.standard_normal((n, 3)), 1)
+    s = pairwise_similarity(u)
+    assert np.all((s.data <= 1e-12) | (s.data >= 1.0 - 1e-12))
+    loss = pairwise_bce(s, y)
+    assert np.isfinite(loss.item())
+    (g,) = backward(loss, [u])
+    assert np.all(g == 0.0)
+
+
+def test_bce_of_constant_logits_has_no_parents():
+    u = constant(np.random.default_rng(24).standard_normal((9, 3)))
+    loss = pairwise_bce(pairwise_similarity(u), np.eye(9))
+    assert loss._parents == () and not loss.requires_grad
+
+
+def test_fused_bce_keeps_no_state_between_calls():
+    rng = np.random.default_rng(25)
+    u = parameter(_mixed_logits(rng, PAIR_BLOCK + 1))
+    y = topk_pseudo_pairs(rng.standard_normal((PAIR_BLOCK + 1, 4)), 2)
+    s = pairwise_similarity(u)
+    first, second = pairwise_bce(s, y), pairwise_bce(s, y)
+    assert first.item() == second.item()
+    assert np.array_equal(backward(first, [u])[0], backward(second, [u])[0])
+
+
+def test_fused_route_survives_a_wrapper_that_swaps_the_vjp(monkeypatch):
+    make = ad._make
+
+    def wrapped(data, parents, vjp):
+        out = make(data, parents, vjp)
+        if out._vjp is not None:
+            out._vjp = lambda g, inner=out._vjp: inner(g)
+        return out
+
+    monkeypatch.setattr(ad, "_make", wrapped)
+    rng = np.random.default_rng(26)
+    u = parameter(rng.standard_normal((7, 3)))
+    loss = pairwise_bce(pairwise_similarity(u), np.eye(7))
+    assert loss._parents == (u,)
+
+
 def _broadcast_topk_pairs(z, k):
     """topk_pseudo_pairs as the (n, n, k) key comparison it replaces."""
     key = np.sort(np.argsort(-z, axis=1, kind="stable")[:, :k], axis=1)
     return (key[:, None, :] == key[None, :, :]).all(axis=2).astype(np.float64)
 
 
-@pytest.mark.parametrize("n", (1, 50, 900))
+@pytest.mark.parametrize("n", (0, 1, 50, 900))
 def test_topk_group_ids_match_the_broadcast_comparison(n):
     # few distinct integer values, so ties and shared index sets are common
     d = 8

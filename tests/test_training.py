@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
+import graphncd.training as training
 from graphncd.graph import input_tensor, sbm_generate, split_classes
 from graphncd.metrics import joint_predictions
 from graphncd.training import (ModelState, NcdLog, TrainConfig,
@@ -231,6 +232,39 @@ def test_perturb_joint_head_variant_runs(pretrained):
     state, nlog = ncd_train(state, protos, g, split,
                             _cfg(ncd_epochs=4, eq8_head="joint"))
     assert nlog.epochs_run == 4
+
+
+def test_pair_loss_runs_once_per_epoch_and_leaves_no_n_by_n_tape(pretrained,
+                                                                 monkeypatch):
+    g, split, _, state, protos, _ = pretrained
+    cfg = _cfg(ncd_epochs=4)            # ends before the ramp, so never early
+    n = len(split.p2_train)
+    assert n not in (cfg.hidden, len(split.new_classes))
+    calls = {}
+    for name in ("pairwise_similarity", "topk_pseudo_pairs", "pairwise_bce"):
+        def counted(*args, _name=name, _orig=getattr(training, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _orig(*args)
+        monkeypatch.setattr(training, name, counted)
+    squares = []                        # n x n tape nodes, one count per sweep
+    sweep = training.backward
+
+    def walked(loss, params):
+        seen, stack, count = set(), [loss], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                count += node.shape == (n, n)
+                stack.extend(node._parents)
+        squares.append(count)
+        return sweep(loss, params)
+
+    monkeypatch.setattr(training, "backward", walked)
+    _, log = ncd_train(copy.deepcopy(state), protos, g, split, cfg)
+    assert log.epochs_run == 4
+    assert calls == dict.fromkeys(calls, 4) and len(calls) == 3
+    assert squares == [0] * 4
 
 
 # -------------------------------------------------------------- early stopping
