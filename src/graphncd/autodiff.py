@@ -2,9 +2,9 @@
 
 Every value is a 2-D float64 array wrapped in a :class:`Tensor`. Ops record
 a computation graph as they run; :func:`backward` walks that graph once in
-reverse topological order and accumulates vector-Jacobian products. A graph
-is single-use: calling backward on the same loss twice raises instead of
-silently double-accumulating.
+reverse topological order and accumulates vector-Jacobian products in a map
+local to the call. Nodes hold no gradients, so a graph can be swept again,
+or through another loss that shares part of it, with the same result.
 
 Shapes are strict. Scalars are (1, 1), row vectors (1, d). The only
 broadcasting allowed in ``add``/``mul`` is a (1, d) or (1, 1) operand
@@ -21,7 +21,7 @@ import scipy.sparse as _sp
 class Tensor:
     """A 2-D float64 value node; leaves with requires_grad=True are parameters."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_consumed")
+    __slots__ = ("data", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
@@ -33,10 +33,8 @@ class Tensor:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Callable[[np.ndarray], list[np.ndarray | None]] | None = None
-        self._consumed = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -63,8 +61,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Internal node constructor. ``vjp(g)`` returns grads aligned with parents."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
-    out._consumed = False
     out.requires_grad = any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
@@ -79,16 +75,15 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 class SparseMatrix:
     """Immutable CSR operator used by spmm. Not differentiated through.
 
-    ``symmetric`` is set at construction time by whoever built the matrix;
-    spmm's backward uses the matrix itself when symmetric and otherwise its
-    transpose as a CSC view of the same arrays, so no operator holds a copy.
+    spmm's backward multiplies by the transpose ``mat.T``, a CSC view of the
+    same arrays, so no operator holds a copy. For a bitwise-symmetric matrix
+    that product is bitwise the product with ``mat`` itself.
     """
 
-    def __init__(self, mat, symmetric: bool):
+    def __init__(self, mat):
         csr = _sp.csr_matrix(mat, dtype=np.float64)
         csr.sort_indices()
         self.mat = csr
-        self.symmetric = bool(symmetric)
         self._memo: tuple[Tensor, Tensor] | None = None
         self._restricted: dict[bytes, SparseMatrix] = {}
 
@@ -116,16 +111,12 @@ class SparseMatrix:
         if key not in self._restricted:
             if ii.size and (ii.min() < 0 or ii.max() >= self.shape[0]):
                 raise IndexError(f"restrict: row index out of range for {self.shape[0]} rows")
-            self._restricted[key] = SparseMatrix(self.mat[ii], symmetric=False)
+            self._restricted[key] = SparseMatrix(self.mat[ii])
         return self._restricted[key]
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.mat.shape  # type: ignore[return-value]
-
-    @property
-    def transposed(self):
-        return self.mat if self.symmetric else self.mat.T
 
 
 def _check_2d(*ts: Tensor) -> None:
@@ -171,7 +162,7 @@ def spmm(m: SparseMatrix, x: Tensor) -> Tensor:
         raise ValueError(f"spmm shape mismatch: {m.shape} @ {x.shape}")
 
     def vjp(g):
-        return [np.asarray(m.transposed @ g)]
+        return [np.asarray(m.mat.T @ g)]
 
     return _make(np.asarray(m.mat @ x.data), (x,), vjp)
 
@@ -432,13 +423,17 @@ def nll_rows(logp: Tensor, labels) -> Tensor:
 def backward(loss: Tensor, params: Sequence[Tensor] = ()) -> list[np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns gradients aligned with ``params`` (zeros for parameters the loss
-    does not reach). All reachable grads are reset first, so repeated training
-    steps never leak accumulation across epochs. The swept graph is marked
-    consumed; a second backward through it raises RuntimeError.
+    Returns gradients aligned with ``params``, which are leaves (zeros for
+    those the loss does not reach). The gradients live in a map local to the
+    call: a node's entry is popped when its vjp runs, so the tape keeps no
+    state, a second sweep returns the same gradients and two losses that
+    share a subgraph each get their own.
     """
     if loss.data.shape != (1, 1):
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+    for i, p in enumerate(params):
+        if p._vjp is not None:
+            raise ValueError(f"backward returns gradients of leaves; params[{i}] is computed")
 
     # iterative post-order DFS over grad-requiring ancestry
     order: list[Tensor] = []
@@ -452,34 +447,26 @@ def backward(loss: Tensor, params: Sequence[Tensor] = ()) -> list[np.ndarray]:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node._consumed and node._vjp is not None:
-            raise RuntimeError("backward called twice through the same graph; rebuild the loss")
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    for p in params:
-        p.grad = None
-    for node in order:
-        node.grad = None
-        if node._vjp is not None:
-            node._consumed = True
-    loss._consumed = True
-
-    loss.grad = np.ones((1, 1))
+    # keyed by id: every node stays alive in ``order`` until the call returns
+    grads: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
     for node in reversed(order):
-        if node.grad is None or node._vjp is None:
+        if node._vjp is None or id(node) not in grads:
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
+        for parent, g in zip(node._parents, node._vjp(grads.pop(id(node)))):
             if g is None or not parent.requires_grad:
                 continue
             # the first contribution is stored as returned, later ones are
             # added out of place: an array a vjp returned is never written,
             # even when one g reaches two parents
-            parent.grad = g if parent.grad is None else parent.grad + g
+            old = grads.get(id(parent))
+            grads[id(parent)] = g if old is None else old + g
 
-    return [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+    return [grads[id(p)] if id(p) in grads else np.zeros_like(p.data) for p in params]
 
 
 def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],

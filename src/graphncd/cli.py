@@ -104,8 +104,14 @@ def _make_dirs(d: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Serialize, write a temporary file beside ``path``, then rename it over
+    ``path``: a write that dies partway leaves no file there that looks
+    complete, which for a manifest would mark its stage finished."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _write_csv(path: str, header, rows, floats=None) -> None:
@@ -347,7 +353,7 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
     if not (m11 is None or _is_number(m11)):
         raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not a number")
     # one full forward feeds both the metrics and nodes.csv
-    z = encode(state.encoder, operator_for(state.backbone, g),
+    z = encode(state.encoder, operator_for(state.encoder.backbone, g),
                input_tensor(g, rc.normalize_features))
     if state.joint_head is None or m11 is not None:
         rep = stage_report(state, g, split, rc, m11, z)

@@ -212,7 +212,8 @@ def normalize_adjacency(g: Graph) -> SparseMatrix:
     """Symmetric GCN operator D^{-1/2} (A + I) D^{-1/2}.
 
     Entries are built as w / sqrt(d_i * d_j), so symmetric positions are
-    bitwise equal by construction.
+    bitwise equal by construction, and spmm's backward through the
+    transpose is bitwise the product with the operator itself.
     """
     n = g.num_nodes
     rows = np.concatenate([g.edges[:, 0], np.arange(n)])
@@ -220,7 +221,7 @@ def normalize_adjacency(g: Graph) -> SparseMatrix:
     deg = np.bincount(rows, minlength=n).astype(np.float64)  # includes self loop
     vals = 1.0 / np.sqrt(deg[rows] * deg[cols])
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return SparseMatrix(mat, symmetric=True)
+    return SparseMatrix(mat)
 
 
 def mean_adjacency(g: Graph) -> SparseMatrix:
@@ -231,7 +232,7 @@ def mean_adjacency(g: Graph) -> SparseMatrix:
     safe = np.where(deg > 0.0, deg, 1.0)
     vals = 1.0 / safe[rows]
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return SparseMatrix(mat, symmetric=False)
+    return SparseMatrix(mat)
 
 
 def operator_for(backbone: str, g: Graph) -> SparseMatrix:

@@ -98,7 +98,7 @@ def joint_predictions(state, g: Graph, normalize_features: bool = False) -> np.n
 
     In phase 1 the joint head does not exist yet and the old head stands in,
     so predictions live in old-slot space only."""
-    return _joint_argmax(state, encode(state.encoder, operator_for(state.backbone, g),
+    return _joint_argmax(state, encode(state.encoder, operator_for(state.encoder.backbone, g),
                                        input_tensor(g, normalize_features)))
 
 

@@ -29,7 +29,6 @@ from . import autodiff as ad
 from .autodiff import SparseMatrix, Tensor
 
 BACKBONES = ("gcn", "sage")
-HEAD_ROLES = ("old", "novel", "joint")
 
 
 @dataclass
@@ -50,7 +49,6 @@ class EncoderParams:
 
 @dataclass
 class HeadParams:
-    role: str
     weight: Tensor             # (repr_dim, num_outputs)
     bias: Tensor               # (1, num_outputs)
 
@@ -118,14 +116,11 @@ def encode(enc: EncoderParams, adj: SparseMatrix, x: Tensor, rows=None) -> Tenso
     return h
 
 
-def init_head(repr_dim: int, num_outputs: int, role: str, seed: int = 0) -> HeadParams:
-    if role not in HEAD_ROLES:
-        raise ValueError(f"unknown head role {role!r}, pick from {HEAD_ROLES}")
+def init_head(repr_dim: int, num_outputs: int, seed: int = 0) -> HeadParams:
     if num_outputs < 1:
         raise ValueError("head needs at least one output")
     rng = np.random.default_rng(seed)
-    return HeadParams(role=role,
-                      weight=ad.parameter(glorot(repr_dim, num_outputs, rng)),
+    return HeadParams(weight=ad.parameter(glorot(repr_dim, num_outputs, rng)),
                       bias=ad.parameter(np.zeros((1, num_outputs))))
 
 
@@ -157,4 +152,4 @@ def extend_head(old: HeadParams, num_new: int, init_scale: float = 0.01,
     w[:, c_old:] = init_scale * rng.standard_normal((d, num_new))
     b = np.zeros((1, c_old + num_new))
     b[0, :c_old] = old.bias.data[0]
-    return HeadParams(role="joint", weight=ad.parameter(w), bias=ad.parameter(b))
+    return HeadParams(weight=ad.parameter(w), bias=ad.parameter(b))

@@ -119,7 +119,6 @@ class TrainConfig(LossWeights):
 
 @dataclass
 class ModelState:
-    backbone: str
     encoder: EncoderParams
     old_head: HeadParams
     frozen_encoder: EncoderParams | None = None
@@ -187,9 +186,9 @@ def pretrain(g: Graph, split: ClassSplit,
     x = input_tensor(g, cfg.normalize_features)
     dims = [g.feat_dim] + [cfg.hidden] * cfg.layers
     enc = init_encoder(cfg.backbone, dims, derive_seed(cfg.seed, _SEED_ENCODER))
-    old_head = init_head(cfg.hidden, len(split.old_classes), "old",
+    old_head = init_head(cfg.hidden, len(split.old_classes),
                          derive_seed(cfg.seed, _SEED_OLD_HEAD))
-    state = ModelState(backbone=cfg.backbone, encoder=enc, old_head=old_head)
+    state = ModelState(encoder=enc, old_head=old_head)
     params = encoder_parameters(enc) + head_parameters(old_head)
     state.adam = adam_init(params, cfg.lr, cfg.weight_decay)
 
@@ -260,8 +259,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     repr_dim = state.encoder.repr_dim
 
     state.frozen_encoder = freeze_encoder(state.encoder)
-    state.novel_head = init_head(repr_dim, n_new, "novel",
-                                 derive_seed(cfg.seed, _SEED_NOVEL_HEAD))
+    state.novel_head = init_head(repr_dim, n_new, derive_seed(cfg.seed, _SEED_NOVEL_HEAD))
     state.joint_head = extend_head(state.old_head, n_new, cfg.init_scale,
                                    derive_seed(cfg.seed, _SEED_JOINT_EXT))
     state.phase = 2
@@ -414,7 +412,7 @@ def save_state(path: str, state: ModelState, meta_extra: dict | None = None,
 
     meta_extra entries are added to, and may override, the derived meta."""
     meta = {
-        "backbone": state.backbone,
+        "backbone": state.encoder.backbone,
         "dims": list(state.encoder.dims),
         "phase": state.phase,
         "num_old": state.old_head.num_outputs,
@@ -455,7 +453,7 @@ def load_state(path: str) -> tuple[ModelState, dict]:
         name = f"{role}_head.w"
         if width is None:
             width = tensors[name].shape[1] if name in tensors else 0
-        return HeadParams(role=role, weight=param(name, dims[-1], width),
+        return HeadParams(weight=param(name, dims[-1], width),
                           bias=param(f"{role}_head.b", 1, width))
 
     n_layers = len(dims) - 1
@@ -465,8 +463,7 @@ def load_state(path: str) -> tuple[ModelState, dict]:
         weights=[param(f"encoder.w{i}", rows_per_input * dims[i], dims[i + 1])
                  for i in range(n_layers)],
         biases=[param(f"encoder.b{i}", 1, dims[i + 1]) for i in range(n_layers)])
-    state = ModelState(backbone=backbone, encoder=enc, old_head=head("old"),
-                       phase=phase)
+    state = ModelState(encoder=enc, old_head=head("old"), phase=phase)
     joint = phase == 2 or "joint_head.w" in tensors
     # the joint head spans the old and novel outputs, so it needs the novel head
     if joint or meta.get("num_new") or "novel_head.w" in tensors:

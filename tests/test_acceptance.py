@@ -168,9 +168,9 @@ def _composed_scenarios(seed):
     adj = operator_for("gcn", g)
     x = ad.constant(g.features)
     enc = init_encoder("gcn", [g.feat_dim, 6, 5], seed=seed)
-    novel = init_head(5, 2, "novel", seed=seed + 1)
-    joint = init_head(5, 4, "joint", seed=seed + 2)
-    old = init_head(5, 2, "old", seed=seed + 3)
+    novel = init_head(5, 2, seed=seed + 1)
+    joint = init_head(5, 4, seed=seed + 2)
+    old = init_head(5, 2, seed=seed + 3)
     enc_params = encoder_parameters(enc)
 
     out = {}

@@ -1,11 +1,12 @@
 """Finite-difference checks and graph semantics for the autodiff core."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import graphncd.autodiff as ad
 from graphncd.autodiff import (SparseMatrix, Tensor, backward, constant,
                                grad_check, parameter)
-from graphncd.graph import build_graph, mean_adjacency, normalize_adjacency
+from graphncd.graph import build_graph, mean_adjacency, normalize_adjacency, sbm_generate
 from graphncd.optim import adam_init, adam_step
 
 TOL = 1e-4
@@ -247,6 +248,18 @@ def test_spmm_grad_asymmetric_operator():
     assert grad_check(lambda: ad.sum(ad.mul(ad.spmm(adj, x), w)), [x]) < TOL
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spmm_vjp_on_gcn_operator_is_bitwise_the_operator_product(seed):
+    # the vjp multiplies by the CSC view mat.T; the gcn operator is bitwise
+    # symmetric, so that is bitwise the product with the operator itself
+    g = sbm_generate([100] * 5, 0.05, 0.005, 8, 2.0, seed=seed)
+    adj = normalize_adjacency(g)
+    up = np.random.default_rng(seed).standard_normal((g.num_nodes, 32))
+    x = parameter(np.zeros((g.num_nodes, 32)))
+    (got,) = backward(ad.sum(ad.mul(ad.spmm(adj, x), constant(up))), [x])
+    assert got.tobytes() == np.asarray(adj.mat @ up).tobytes()
+
+
 def test_spmm_matches_dense():
     g = _toy_graph(seed=3)
     adj = normalize_adjacency(g)
@@ -257,12 +270,40 @@ def test_spmm_matches_dense():
 
 # --------------------------------------------------------- graph semantics
 
-def test_backward_twice_raises():
+def test_backward_twice_gives_the_same_gradients():
+    # no state outlives a sweep, so a second sweep of one tape repeats it
+    rng = np.random.default_rng(30)
+    x, w = _p(rng, 4, 3), _p(rng, 3, 2)
+    h = ad.matmul(x, w)
+    loss = ad.sum(ad.mul(ad.add(h, h), ad.sigmoid(h)))
+    first = backward(loss, [x, w])
+    second = backward(loss, [x, w])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+def test_losses_sharing_a_subgraph_each_get_their_own_gradients():
+    x = parameter([[1.0, -2.0], [0.5, 3.0]])
+    w = parameter([[2.0], [-1.0]])
+    shared = ad.matmul(x, w)               # both losses sweep through this
+    sq = ad.sum(ad.mul(shared, shared))
+    lin = ad.sum(ad.mul_scalar(shared, 3.0))
+    gx_sq, gw_sq = backward(sq, [x, w])
+    gx_lin, gw_lin = backward(lin, [x, w])
+    r = x.data @ w.data                    # d sum(r^2) = 2r, d sum(3r) = 3
+    assert np.array_equal(gx_sq, 2.0 * r @ w.data.T)
+    assert np.array_equal(gw_sq, x.data.T @ (2.0 * r))
+    assert np.array_equal(gx_lin, np.full((2, 1), 3.0) @ w.data.T)
+    assert np.array_equal(gw_lin, x.data.T @ np.full((2, 1), 3.0))
+    # and the first loss, swept again after the second, is unchanged
+    again = backward(sq, [x, w])
+    assert np.array_equal(again[0], gx_sq) and np.array_equal(again[1], gw_sq)
+
+
+def test_backward_rejects_a_computed_param():
     x = parameter([[1.0, 2.0]])
-    loss = ad.sum(ad.mul(x, x))
-    backward(loss, [x])
-    with pytest.raises(RuntimeError):
-        backward(loss, [x])
+    y = ad.mul(x, x)
+    with pytest.raises(ValueError, match="leaves"):
+        backward(ad.sum(y), [x, y])
 
 
 def test_unreached_param_gets_zeros():
@@ -288,12 +329,16 @@ def test_fanned_out_gradient_is_never_written(swap):
     b = parameter([[3.0, 0.0], [-1.0, 2.0]])
     c = constant([[0.25, -1.5], [2.0, 3.0]])
     s = ad.add(a, b)
+    upstream = []
+    vjp = s._vjp
+    s._vjp = lambda g: (upstream.append(g), vjp(g))[1]
     fan = ad.mul(s, c)
     rest = ad.add(ad.mul_scalar(a, 2.0), ad.mul_scalar(b, 3.0))
     ga, gb = backward(ad.sum(ad.add(rest, fan) if swap else ad.add(fan, rest)), [a, b])
     assert np.array_equal(ga, c.data + 2.0)
     assert np.array_equal(gb, c.data + 3.0)
-    assert np.array_equal(s.grad, c.data)    # the upstream array is unchanged
+    assert len(upstream) == 1
+    assert np.array_equal(upstream[0], c.data)   # the upstream array is unchanged
 
 
 def test_gather_rows_vjp_is_bitwise_add_at():
@@ -405,12 +450,13 @@ def test_adam_rejects_mismatched_lengths_and_shapes():
     assert all(np.array_equal(p.data, b) for p, b in zip(ps, before))
 
 
-def test_sparse_matrix_transposed_cache():
+def test_spmm_vjp_reads_the_transpose_of_the_one_stored_matrix():
     g = _toy_graph(seed=4)
-    sym = normalize_adjacency(g)
-    asym = mean_adjacency(g)
-    assert sym.transposed is sym.mat
-    assert np.allclose(asym.transposed.toarray(), asym.mat.toarray().T)
-    # a view of the operator's own arrays, not a stored copy
-    assert np.shares_memory(asym.transposed.data, asym.mat.data)
+    up = np.random.default_rng(31).standard_normal((g.num_nodes, 3))
+    for op in (normalize_adjacency(g), mean_adjacency(g)):
+        x = parameter(np.zeros((g.num_nodes, 3)))
+        (got,) = backward(ad.sum(ad.mul(ad.spmm(op, x), constant(up))), [x])
+        assert np.allclose(got, op.mat.toarray().T @ up, atol=1e-12)
+        # the operator holds its matrix once: no stored transpose or copy
+        assert [k for k, v in vars(op).items() if sp.issparse(v)] == ["mat"]
 

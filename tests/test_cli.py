@@ -247,6 +247,20 @@ def test_forced_rerun_that_fails_leaves_no_manifest(pipeline, tmp_path):
                  "--pretrain-dir", stage]) == 3
 
 
+def test_manifest_that_fails_to_serialize_is_not_left_behind(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path)
+    out = str(tmp_path / "pre")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "config_payload", lambda rc: {"unserializable": object()})
+        with pytest.raises(TypeError):
+            main(["pretrain", "--config", cfg, "--out", out])
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+    # no manifest vouches for the directory, so a rerun needs no --force
+    assert main(["pretrain", "--config", cfg, "--out", out]) == 0
+    assert _read_json(os.path.join(out, "manifest.json"))["command"] == "pretrain"
+    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+
+
 def test_phase2_knobs_do_not_invalidate_pretrain(pipeline, tmp_path):
     cfg, pre, _ = pipeline
     alt = _write_cfg(tmp_path, name="alt.cfg",

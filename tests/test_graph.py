@@ -170,8 +170,11 @@ def test_mean_adjacency_isolated_row_is_zero():
 
 def test_operator_for_dispatch():
     g = _small_graph()
-    assert operator_for("gcn", g).symmetric
-    assert not operator_for("sage", g).symmetric
+    gcn = operator_for("gcn", g).mat.toarray()
+    sage = operator_for("sage", g).mat.toarray()
+    assert np.array_equal(gcn, normalize_adjacency(g).mat.toarray())
+    assert np.array_equal(sage, mean_adjacency(g).mat.toarray())
+    assert gcn[3, 3] == 1.0 and sage[3, 3] == 0.0   # self loop only in gcn
     with pytest.raises(ValueError):
         operator_for("mlp", g)
 

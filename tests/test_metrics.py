@@ -98,13 +98,11 @@ def _stub_state(logit_rows, num_old):
     enc = EncoderParams(backbone="gcn", dims=[n, total],
                         weights=[ad.parameter(w)],
                         biases=[ad.parameter(np.zeros((1, total)))])
-    old = HeadParams(role="old",
-                     weight=ad.parameter(np.eye(total)[:, :num_old]),
+    old = HeadParams(weight=ad.parameter(np.eye(total)[:, :num_old]),
                      bias=ad.parameter(np.zeros((1, num_old))))
-    joint = HeadParams(role="joint", weight=ad.parameter(np.eye(total)),
+    joint = HeadParams(weight=ad.parameter(np.eye(total)),
                        bias=ad.parameter(np.zeros((1, total))))
-    state = ModelState(backbone="gcn", encoder=enc, old_head=old,
-                       joint_head=joint, phase=2)
+    state = ModelState(encoder=enc, old_head=old, joint_head=joint, phase=2)
     g = build_graph(n, np.zeros((0, 2)), np.eye(n), [0] * n)
     return state, g
 
@@ -179,9 +177,9 @@ def test_evaluate_joint_phase_one_uses_old_head():
     enc = EncoderParams(backbone="gcn", dims=[3, 2],
                         weights=[ad.parameter(w)],
                         biases=[ad.parameter(np.zeros((1, 2)))])
-    old = HeadParams(role="old", weight=ad.parameter(np.eye(2)),
+    old = HeadParams(weight=ad.parameter(np.eye(2)),
                      bias=ad.parameter(np.zeros((1, 2))))
-    state = ModelState(backbone="gcn", encoder=enc, old_head=old)
+    state = ModelState(encoder=enc, old_head=old)
     g = build_graph(3, np.zeros((0, 2)), np.eye(3), [0, 1, 1])
     split = ClassSplit(old_classes=[0, 1], new_classes=[2],
                        p1_test=[0, 1, 2], p2_test=[], all_test=[0, 1, 2])
