@@ -252,7 +252,7 @@ def _stable_sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     tails: 1/(1+e) where x >= 0 and e/(1+e) elsewhere, nan included, with
     e = exp(-|x|)."""
     pos = x >= 0
-    e = np.copysign(x, -1.0, out=out)
+    e = np.negative(np.abs(x, out=out), out=out)
     np.exp(e, out=e)
     d = e + 1.0
     # e <= 1 everywhere, so this is the numerator: 1 where x >= 0, e elsewhere

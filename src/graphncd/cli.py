@@ -25,7 +25,7 @@ from .config import (ConfigError, RunConfig, config_hash, config_payload,
                      load_config, phase1_hash)
 from .graph import (ClassSplit, Graph, GraphParseError, GraphValidationError,
                     canonical_texts, input_tensor, load_graph, operator_for,
-                    save_graph, sbm_generate, split_classes, validate_split)
+                    sbm_generate, split_classes, validate_split, write_atomic)
 from .metrics import MetricsReport, evaluate_joint
 from .models import encode
 from .ncd_losses import LOSS_TERMS, Prototypes
@@ -70,10 +70,16 @@ def resolve_dataset(rc: RunConfig) -> tuple[Graph, str]:
         g = load_graph(rc.edges, rc.features, rc.labels)
         return g, _sha256_bytes(*(Path(p).read_bytes()
                                   for p in (rc.edges, rc.features, rc.labels)))
+    g, blobs = _generate(rc)
+    return g, _sha256_bytes(*blobs)
+
+
+def _generate(rc: RunConfig) -> tuple[Graph, list[bytes]]:
+    """The SBM graph plus its gen-data files' bytes, formatted once, so what
+    gen-data writes is by construction what its hash covers."""
     g = sbm_generate(rc.sbm_blocks, rc.sbm_p_in, rc.sbm_p_out, rc.sbm_feat_dim,
                      rc.sbm_feat_shift, derive_seed(rc.seed, SEED_SBM))
-    texts = canonical_texts(g)
-    return g, _sha256_bytes(*(t.encode("utf-8") for t in texts))
+    return g, [t.encode("utf-8") for t in canonical_texts(g)]
 
 
 def resolve_split(rc: RunConfig, g: Graph) -> tuple[ClassSplit, str]:
@@ -104,14 +110,11 @@ def _make_dirs(d: str) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    """Serialize, write a temporary file beside ``path``, then rename it over
-    ``path``: a write that dies partway leaves no file there that looks
-    complete, which for a manifest would mark its stage finished."""
+    """Serialize, then write atomically: a write that dies partway leaves no
+    file that looks complete, which for a manifest would mark its stage
+    finished."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _write_csv(path: str, header, rows, floats=None) -> None:
@@ -220,12 +223,13 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
     clashes = [t for t in targets if os.path.exists(t)]
     if clashes and not force:
         raise ConfigError(f"refusing to overwrite {clashes[0]}; pass --force")
-    g, dataset_hash = resolve_dataset(rc)
+    g, blobs = _generate(rc)
     split, split_hash = resolve_split(rc, g)
-    save_graph(g, *targets[:3])
+    for path, blob in zip(targets, blobs):
+        write_atomic(path, blob)
     split.save(targets[3])
     _write_json(os.path.join(rc.out, "gen_manifest.json"), {
-        "command": "gen-data", "dataset_sha256": dataset_hash,
+        "command": "gen-data", "dataset_sha256": _sha256_bytes(*blobs),
         "split_sha256": split_hash, "seed": rc.seed,
         "num_nodes": g.num_nodes, "num_undirected_edges": g.num_undirected_edges(),
         "timestamp": _timestamp()})

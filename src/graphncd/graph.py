@@ -11,6 +11,7 @@ Edges are undirected; in memory both directions are stored exactly once each.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -182,11 +183,19 @@ def _int_lines(rows: np.ndarray) -> str:
     return "".join(out)
 
 
+def write_atomic(path: str, data: bytes) -> None:
+    """Write a temporary file beside ``path``, then rename it over ``path``:
+    a write that dies partway leaves no file there that looks complete."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def save_graph(g: Graph, edges_path: str, features_path: str, labels_path: str) -> None:
     texts = canonical_texts(g)
     for path, text in zip((edges_path, features_path, labels_path), texts):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomic(path, text.encode("utf-8"))
 
 
 def normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -284,8 +293,7 @@ class ClassSplit:
         return cls(**{f.name: raw[f.name] for f in fields(cls)})
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
+        write_atomic(path, (self.to_json() + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "ClassSplit":

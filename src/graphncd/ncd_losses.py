@@ -94,7 +94,7 @@ def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     n = u.shape[0]
     s = np.empty((n, n))
     for r in _row_blocks(n):
-        ad._stable_sigmoid(u[r] @ u.T, out=s[r])
+        ad._stable_sigmoid(np.matmul(u[r], u.T, out=s[r]), out=s[r])
 
     def vjp(g):
         grad = np.zeros_like(u)
@@ -111,13 +111,12 @@ def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     return out
 
 
-def topk_pseudo_pairs(z, k: int) -> np.ndarray:
-    """Pair label 1 where two rows share their top-k dimension index set.
+def topk_groups(z, k: int) -> np.ndarray:
+    """Group id per row, equal exactly where two rows share their top-k
+    dimension index set. Ranking ties break toward the lower dimension index.
 
-    Ranking ties break toward the lower dimension index. Output is a dense
-    symmetric 0/1 float matrix with an all-ones diagonal; it is a detached
-    target, never differentiated through.
-    """
+    Ids run from 1 to the number of groups, in the narrowest unsigned dtype
+    that holds the row count, so comparing them is cheap."""
     arr = _as_array(z)
     if not 1 <= k <= arr.shape[1]:
         raise ValueError(f"top_k must be in [1, {arr.shape[1]}], got {k}")
@@ -128,9 +127,19 @@ def topk_pseudo_pairs(z, k: int) -> np.ndarray:
     rows = key[order]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    gid = np.empty(len(rows), dtype=np.int64)
+    gid = np.empty(len(rows), dtype=np.min_scalar_type(len(rows)))
     gid[order] = np.cumsum(new)
-    return (gid[:, None] == gid[None, :]).astype(np.float64)
+    return gid
+
+
+def topk_pseudo_pairs(z, k: int) -> np.ndarray:
+    """Pair label True where two rows share their top-k dimension index set.
+
+    Output is the dense symmetric bool matrix of topk_groups' equal ids, with
+    an all-true diagonal; it is a detached target, never differentiated
+    through."""
+    gid = topk_groups(z, k)
+    return gid[:, None] == gid[None, :]
 
 
 # the BCE clamps similarities to [_S_LO, _S_HI]; pairs outside the open
@@ -147,10 +156,12 @@ def _unsaturated(sb: np.ndarray) -> np.ndarray:
 def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over all n^2 ordered pairs, diagonal included.
 
-    Targets must be 0 or 1. Similarities are clamped to [1e-12, 1 - 1e-12]
-    before the log, so saturated pairs contribute a finite loss and a zero
-    gradient. One op, summed row block by row block as log|clip(s) + y - 1|,
-    bitwise the terms y log(s) + (1 - y) log(1 - s).
+    Targets must be 0 or 1. A bool matrix, as topk_pseudo_pairs returns, is
+    that by its type and is cast to float one row block at a time; any other
+    dtype is converted to float64 and checked. Similarities are clamped to
+    [1e-12, 1 - 1e-12] before the log, so saturated pairs contribute a finite
+    loss and a zero gradient. One op, summed row block by row block as
+    log|clip(s) + y - 1|, bitwise the terms y log(s) + (1 - y) log(1 - s).
 
     Given the output of pairwise_similarity on gradient-carrying logits U,
     the loss is differentiated straight to U in the same block loop: with
@@ -163,7 +174,10 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     n, m = s.shape
     if n != m:
         raise ValueError(f"similarity matrix must be square, got {s.shape}")
-    y = np.asarray(y_pair, dtype=np.float64)
+    y = np.asarray(y_pair)
+    checked = y.dtype != bool
+    if checked:
+        y = np.asarray(y, dtype=np.float64)
     if y.shape != (n, n):
         raise ValueError(f"pair labels {y.shape} do not match similarities {s.shape}")
     sd = s.data
@@ -175,8 +189,8 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
         grad_u = np.zeros_like(u)
     total = 0.0
     for r in _row_blocks(n):
-        sb, yb = sd[r], y[r]
-        if not ((yb == 1.0) | (yb == 0.0)).all():
+        sb, yb = sd[r], np.asarray(y[r], dtype=np.float64)
+        if checked and not ((yb == 1.0) | (yb == 0.0)).all():
             raise ValueError("pair labels must be 0 or 1")
         # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
         sc = np.clip(sb, _S_LO, _S_HI)

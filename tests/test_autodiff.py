@@ -134,6 +134,27 @@ def test_sigmoid_is_bitwise_the_where_formula():
         assert np.array_equal(ad._stable_sigmoid(buf, buf), want, equal_nan=True)
 
 
+def _copysign_sigmoid(x):
+    """_stable_sigmoid as it was written with np.copysign for -|x|."""
+    pos = x >= 0
+    e = np.exp(np.copysign(x, -1.0))
+    return np.maximum(e, pos) / (e + 1.0)
+
+
+def test_stable_sigmoid_is_bitwise_the_copysign_formula():
+    rng = np.random.default_rng(27)
+    edges = np.array([[0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0,
+                       np.inf, -np.inf, np.nan]])
+    for x in (rng.standard_normal((64, 90)) * 30.0, edges):
+        want = _copysign_sigmoid(x)
+        buf = x.copy()
+        for got in (ad._stable_sigmoid(x, np.empty_like(x)),
+                    ad._stable_sigmoid(buf, buf)):
+            assert np.array_equal(got, want, equal_nan=True)
+            real = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+
+
 def test_log_grad():
     rng = np.random.default_rng(7)
     x = parameter(np.abs(rng.standard_normal((3, 3))) + 0.5)

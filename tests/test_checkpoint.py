@@ -1,6 +1,7 @@
 """Binary checkpoint byte layout, round-trips, and corruption handling."""
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_byte_layout_parses_by_hand(tmp_path):
     path = str(tmp_path / "ckpt.bin")
     tensors = _tensors(seed=1)
     save_checkpoint(path, tensors, {"k": "v"})
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
 
     (hlen,) = struct.unpack("<Q", raw[:8])
     header = json.loads(raw[8:8 + hlen].decode("utf-8"))
@@ -64,21 +65,21 @@ def test_save_is_deterministic(tmp_path):
     a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     save_checkpoint(a, _tensors(2), {"m": [1, 2]})
     save_checkpoint(b, _tensors(2), {"m": [1, 2]})
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_truncated_payload_rejected(tmp_path):
     path = str(tmp_path / "ckpt.bin")
     save_checkpoint(path, _tensors(3), {})
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-16])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[:-16])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
 def test_truncated_header_rejected(tmp_path):
     path = str(tmp_path / "ckpt.bin")
-    open(path, "wb").write(struct.pack("<Q", 10_000) + b"{}")
+    Path(path).write_bytes(struct.pack("<Q", 10_000) + b"{}")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -96,14 +97,14 @@ def test_wrong_format_version_rejected(tmp_path):
     path = str(tmp_path / "ckpt.bin")
     header = json.dumps({"format_version": 99, "meta": {}, "tensors": []},
                         sort_keys=True, separators=(",", ":")).encode()
-    open(path, "wb").write(struct.pack("<Q", len(header)) + header)
+    Path(path).write_bytes(struct.pack("<Q", len(header)) + header)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 
 def test_bad_header_json_rejected(tmp_path):
     path = str(tmp_path / "ckpt.bin")
-    open(path, "wb").write(struct.pack("<Q", 4) + b"oops")
+    Path(path).write_bytes(struct.pack("<Q", 4) + b"oops")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -128,7 +129,7 @@ def test_malformed_header_rejected(tmp_path, header):
     """Each header is followed by one float64, the payload of a 1 x 1 tensor."""
     path = str(tmp_path / "ckpt.bin")
     blob = json.dumps(header).encode("utf-8")
-    open(path, "wb").write(struct.pack("<Q", len(blob)) + blob + bytes(8))
+    Path(path).write_bytes(struct.pack("<Q", len(blob)) + blob + bytes(8))
     with pytest.raises(CheckpointError, match="header"):
         load_checkpoint(path)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
-from graphncd import cli, metrics
+from graphncd import cli, graph, metrics
 from graphncd.checkpoint import load_checkpoint, save_checkpoint
 from graphncd.cli import main
 from graphncd.config import load_config
@@ -85,6 +85,47 @@ def test_gen_data_rejects_file_datasets(tmp_path):
                                      "features = f\nlabels = l\n")
     assert main(["gen-data", "--config", cfg,
                  "--out", str(tmp_path / "d")]) == 2
+
+
+class _DiesHalfway:
+    """A file handle whose write puts down half its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def test_gen_data_that_dies_mid_write_leaves_no_truncated_file(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path)
+    clean, out = tmp_path / "clean", tmp_path / "data"
+    assert main(["gen-data", "--config", cfg, "--out", str(clean)]) == 0
+    real_open = open
+
+    def dying_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return _DiesHalfway(fh) if "features.txt" in os.fspath(path) else fh
+
+    with monkeypatch.context() as m:
+        m.setattr(graph, "open", dying_open, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            main(["gen-data", "--config", cfg, "--out", str(out)])
+    names = ("edges.txt", "features.txt", "labels.txt", "split.json", "gen_manifest.json")
+    # the first file is whole, the second never appeared, nothing after it ran
+    assert (out / "edges.txt").read_bytes() == (clean / "edges.txt").read_bytes()
+    assert [n for n in names if (out / n).exists()] == ["edges.txt"]
+    assert main(["gen-data", "--config", cfg, "--out", str(out), "--force"]) == 0
+    for n in names[:4]:
+        assert (out / n).read_bytes() == (clean / n).read_bytes()
+    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
 # ------------------------------------------------------------------- pretrain

@@ -11,7 +11,8 @@ from graphncd.ncd_losses import (PAIR_BLOCK, LossWeights, Prototypes,
                                  perturb_consistency_loss,
                                  perturb_representations, rampup, replay_loss,
                                  sample_prototype_batch, scheduled_total,
-                                 self_training_loss, topk_pseudo_pairs)
+                                 self_training_loss, topk_groups,
+                                 topk_pseudo_pairs)
 
 ORACLE_TOL = 1e-12
 
@@ -281,6 +282,24 @@ def test_fused_bce_gradient_matches_the_general_route(n):
     assert np.abs(got - _general_route_grad(u, y)).max() < ORACLE_TOL
 
 
+@pytest.mark.parametrize("n", (1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 3))
+def test_bce_bool_targets_are_bitwise_the_float_ones(n):
+    rng = np.random.default_rng(600 + n)
+    logits = _mixed_logits(rng, n)
+    y = topk_pseudo_pairs(rng.integers(0, 3, size=(n, 6)).astype(float), 2)
+    assert y.dtype == bool
+    results = []
+    for target in (y, y.astype(np.float64)):
+        u = parameter(logits.copy())
+        fused = pairwise_bce(pairwise_similarity(u), target)
+        s = parameter(pairwise_similarity(constant(logits)).data)
+        general = pairwise_bce(s, target)
+        results.append((fused.data, backward(fused, [u])[0],
+                        general.data, backward(general, [s])[0]))
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fused_bce_gradient_is_zero_when_every_pair_saturates():
     rng = np.random.default_rng(23)
     n = 2 * PAIR_BLOCK + 3
@@ -341,8 +360,37 @@ def test_topk_group_ids_match_the_broadcast_comparison(n):
     z = np.random.default_rng(n).integers(0, 3, size=(n, d)).astype(float)
     for k in (1, 5, d):
         got = topk_pseudo_pairs(z, k)
-        assert got.dtype == np.float64
+        assert got.dtype == bool
         assert np.array_equal(got, _broadcast_topk_pairs(z, k))
+
+
+@pytest.mark.parametrize("n", (255, 256, 300))
+def test_topk_pairs_stay_exact_past_255_groups(n):
+    # 10 of 20 dimensions: almost every row gets its own group, so the ids
+    # reach n and need uint16 from n = 256 on
+    z = np.random.default_rng(n).standard_normal((n, 20))
+    gid = topk_groups(z, 10)
+    assert gid.dtype == np.min_scalar_type(n)
+    assert gid.max() > 250
+    got = topk_pseudo_pairs(z, 10)
+    assert got.dtype == bool
+    assert np.array_equal(got, _broadcast_topk_pairs(z, 10))
+
+
+def test_topk_groups_stay_exact_past_65535_rows():
+    # the n x n pair matrix would take 4.9 GB here, so the ids are checked
+    # against np.unique's labelling of the index sets instead
+    n, d, k = 70_000, 24, 12
+    z = np.random.default_rng(65536).standard_normal((n, d))
+    gid = topk_groups(z, k)
+    assert gid.dtype == np.uint32
+    key = np.sort(np.argsort(-z, axis=1, kind="stable")[:, :k], axis=1)
+    _, inverse = np.unique(key, axis=0, return_inverse=True)
+    groups = int(inverse.max()) + 1
+    assert groups > 65_535
+    # a bijection between the two labellings: equal ids exactly on equal sets
+    assert len(set(zip(gid.tolist(), inverse.ravel().tolist()))) == groups
+    assert sorted(set(gid.tolist())) == list(range(1, groups + 1))
 
 
 # ------------------------------------------------------------- pseudo labels
