@@ -18,6 +18,8 @@ import struct
 
 import numpy as np
 
+from .graph import write_atomic
+
 FORMAT_VERSION = 1
 
 
@@ -37,11 +39,7 @@ def save_checkpoint(path: str, tensors: list[tuple[str, np.ndarray]], meta: dict
     header = json.dumps(
         {"format_version": FORMAT_VERSION, "meta": meta, "tensors": entries},
         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    write_atomic(path, b"".join([struct.pack("<Q", len(header)), header, *blobs]))
 
 
 def _is_entry(e) -> bool:

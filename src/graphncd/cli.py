@@ -4,7 +4,7 @@ Subcommands: gen-data, pretrain, ncd, eval, sweep-depth, run. Every command
 takes --config (flat key=value or JSON) plus optional --seed/--out overrides
 and writes its artifacts into the output directory.
 
-Exit codes: 0 success, 2 missing input or parse failure, 3 stale or missing
+Exit codes: 0 success, 2 bad input or an I/O failure, 3 stale or missing
 phase-1 artifacts, 4 checkpoint/dataset dimension mismatch, 1 anything else.
 """
 from __future__ import annotations
@@ -131,10 +131,8 @@ def _write_csv(path: str, header, rows, floats=None) -> None:
     if floats is not None:
         lines = (",".join([lead, *map(repr, tail)])
                  for lead, tail in zip(lines, floats.tolist(), strict=True))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(map(cell, header)) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+    text = "\n".join([",".join(map(cell, header)), *lines]) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 def _pick(columns: tuple[str, ...], rows: list[dict]) -> list[list]:
@@ -453,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep-depth":
             return cmd_sweep_depth(st)
         return cmd_run(st)
-    except (FileNotFoundError, ConfigError, GraphParseError, GraphValidationError,
+    except (OSError, ConfigError, GraphParseError, GraphValidationError,
             CheckpointError, *_EXIT_CODES) as exc:
         _say(f"error: {exc}", sys.stderr)
         return _EXIT_CODES.get(type(exc), 2)

@@ -185,11 +185,17 @@ def _int_lines(rows: np.ndarray) -> str:
 
 def write_atomic(path: str, data: bytes) -> None:
     """Write a temporary file beside ``path``, then rename it over ``path``:
-    a write that dies partway leaves no file there that looks complete."""
+    a write that dies partway leaves neither a file that looks complete nor
+    the temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_graph(g: Graph, edges_path: str, features_path: str, labels_path: str) -> None:

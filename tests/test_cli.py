@@ -1,11 +1,15 @@
 """Command-line pipeline: artifacts, exit codes, guards, chaining."""
+import builtins
 import csv
+import importlib.util
 import io
+import itertools
 import json
 import os
 import shutil
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,11 @@ from graphncd.config import load_config
 from graphncd.graph import ClassSplit, load_graph, validate_split
 from graphncd.metrics import evaluate_joint
 from graphncd.training import load_state
+
+_TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_artifacts.py"
+_spec = importlib.util.spec_from_file_location("same_artifacts", _TOOL)
+same_artifacts = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_artifacts)
 
 BASE = """
 dataset = sbm
@@ -104,10 +113,12 @@ class _DiesHalfway:
         raise OSError(28, "No space left on device")
 
 
-def test_gen_data_that_dies_mid_write_leaves_no_truncated_file(tmp_path, monkeypatch):
+def test_gen_data_that_dies_mid_write_leaves_no_truncated_file(tmp_path, monkeypatch,
+                                                               capsys):
     cfg = _write_cfg(tmp_path)
     clean, out = tmp_path / "clean", tmp_path / "data"
     assert main(["gen-data", "--config", cfg, "--out", str(clean)]) == 0
+    capsys.readouterr()
     real_open = open
 
     def dying_open(path, *args, **kwargs):
@@ -116,16 +127,40 @@ def test_gen_data_that_dies_mid_write_leaves_no_truncated_file(tmp_path, monkeyp
 
     with monkeypatch.context() as m:
         m.setattr(graph, "open", dying_open, raising=False)
-        with pytest.raises(OSError, match="No space"):
-            main(["gen-data", "--config", cfg, "--out", str(out)])
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "No space" in err[0]
     names = ("edges.txt", "features.txt", "labels.txt", "split.json", "gen_manifest.json")
     # the first file is whole, the second never appeared, nothing after it ran
     assert (out / "edges.txt").read_bytes() == (clean / "edges.txt").read_bytes()
     assert [n for n in names if (out / n).exists()] == ["edges.txt"]
+    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
     assert main(["gen-data", "--config", cfg, "--out", str(out), "--force"]) == 0
     for n in names[:4]:
         assert (out / n).read_bytes() == (clean / n).read_bytes()
     assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("write", [
+    lambda path, v: save_checkpoint(path, [("w", np.full((2, 3), v))], {"v": v}),
+    lambda path, v: cli._write_csv(path, ["v"], [[v]]),
+], ids=["checkpoint", "csv"])
+def test_failed_overwrite_leaves_the_old_file_whole(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    write(str(path), 1.0)
+    old = path.read_bytes()
+    real_open = open
+
+    def dying_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _DiesHalfway(fh) if "w" in mode else fh
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", dying_open)
+        with pytest.raises(OSError, match="No space"):
+            write(str(path), 2.0)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["artifact"]
 
 
 # ------------------------------------------------------------------- pretrain
@@ -608,6 +643,62 @@ def test_run_chains_all_three_stages(tmp_path):
     assert ncd_manifest["pretrain_dir"] == os.path.join(out, "pretrain")
     ev = _read_json(os.path.join(out, "eval", "metrics.json"))
     assert ev["phase"] == 2
+
+
+def _tree(root) -> dict:
+    """{relative path: bytes} of every file under root, each JSON file
+    without its timestamp line."""
+    out = {}
+    for d, _, files in os.walk(root):
+        for f in files:
+            data = Path(d, f).read_bytes()
+            if f.endswith(".json"):
+                data = b"".join(line for line in data.splitlines(True)
+                                if b'"timestamp"' not in line)
+            out[os.path.relpath(os.path.join(d, f), root)] = data
+    return out
+
+
+def test_run_that_dies_at_any_write_leaves_only_whole_files(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path)
+    out, clean = tmp_path / "run", tmp_path / "clean"
+    argv = ["run", "--config", cfg, "--out", str(out)]
+    real_open = open
+    writes = []
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(os.path.relpath(path, out))
+        return real_open(path, mode, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(graph, "open", recording_open, raising=False)
+        assert main(argv) == 0
+    # one writer: every file on disk landed as a write_atomic temp file
+    assert sorted(w.removesuffix(".tmp") for w in writes) == sorted(_tree(out))
+    assert all(w.endswith(".tmp") for w in writes)
+    out.rename(clean)
+    want = _tree(clean)
+    stages = ["pretrain", "ncd", "eval"]
+    for k, target in enumerate(writes):
+        seen = itertools.count()
+
+        def dying_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            return _DiesHalfway(fh) if "w" in mode and next(seen) == k else fh
+
+        with monkeypatch.context() as m:
+            m.setattr(graph, "open", dying_open, raising=False)
+            assert main(argv) == 2, target
+        have = _tree(out)
+        assert not [p for p in have if p.endswith(".tmp")], target
+        assert {p: want.get(p) for p in have} == have, target
+        failed = stages.index(target.split(os.sep)[0])
+        assert not [s for s in stages[failed:] if (out / s / "manifest.json").exists()]
+        assert main(argv) in (0, 2)
+        assert main([*argv, "--force"]) == 0
+        assert same_artifacts.differences(clean, out) == [], target
+        shutil.rmtree(out)
 
 
 def test_write_csv_cell_rule(tmp_path):
