@@ -17,7 +17,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
+
+import numpy as np
 
 # unused here, but perfbench/spans.py hooks cli.save_checkpoint, so it stays bound
 from .checkpoint import CheckpointError, save_checkpoint  # noqa: F401
@@ -27,7 +28,7 @@ from .graph import (ClassSplit, Graph, GraphParseError, GraphValidationError,
                     canonical_texts, input_tensor, load_graph, operator_for,
                     sbm_generate, split_classes, validate_split, write_atomic)
 from .metrics import MetricsReport, evaluate_joint
-from .models import encode
+from .models import encode, freeze_encoder
 from .ncd_losses import LOSS_TERMS, Prototypes
 from .training import (SEED_SBM, SEED_SPLIT, TrainingDiverged, derive_seed,
                        load_state, ncd_train, pretrain, run_depth_sweep,
@@ -54,7 +55,7 @@ def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _sha256_bytes(*blobs: bytes) -> str:
+def _sha256_bytes(*blobs) -> str:
     h = hashlib.sha256()
     for b in blobs:
         h.update(b)
@@ -62,24 +63,22 @@ def _sha256_bytes(*blobs: bytes) -> str:
 
 
 def resolve_dataset(rc: RunConfig) -> tuple[Graph, str]:
-    """Load or generate the graph plus its content hash."""
+    """Load or generate the graph plus its ``dataset_sha256``: the sha256 of
+    its parsed arrays, not of any text. The shapes come first, then edges,
+    features and labels, as little-endian int64 (features float64), so text
+    that parses to the same graph hashes the same."""
     if rc.dataset == "files":
         for p in (rc.edges, rc.features, rc.labels):
             if not os.path.isfile(p):
                 raise FileNotFoundError(f"missing dataset file: {p}")
         g = load_graph(rc.edges, rc.features, rc.labels)
-        return g, _sha256_bytes(*(Path(p).read_bytes()
-                                  for p in (rc.edges, rc.features, rc.labels)))
-    g, blobs = _generate(rc)
-    return g, _sha256_bytes(*blobs)
-
-
-def _generate(rc: RunConfig) -> tuple[Graph, list[bytes]]:
-    """The SBM graph plus its gen-data files' bytes, formatted once, so what
-    gen-data writes is by construction what its hash covers."""
-    g = sbm_generate(rc.sbm_blocks, rc.sbm_p_in, rc.sbm_p_out, rc.sbm_feat_dim,
-                     rc.sbm_feat_shift, derive_seed(rc.seed, SEED_SBM))
-    return g, [t.encode("utf-8") for t in canonical_texts(g)]
+    else:
+        g = sbm_generate(rc.sbm_blocks, rc.sbm_p_in, rc.sbm_p_out, rc.sbm_feat_dim,
+                         rc.sbm_feat_shift, derive_seed(rc.seed, SEED_SBM))
+    shapes = np.array([*g.edges.shape, *g.features.shape, *g.labels.shape], "<i8")
+    return g, _sha256_bytes(shapes, np.ascontiguousarray(g.edges, "<i8"),
+                            np.ascontiguousarray(g.features, "<f8"),
+                            np.ascontiguousarray(g.labels, "<i8"))
 
 
 def resolve_split(rc: RunConfig, g: Graph) -> tuple[ClassSplit, str]:
@@ -221,13 +220,13 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
     clashes = [t for t in targets if os.path.exists(t)]
     if clashes and not force:
         raise ConfigError(f"refusing to overwrite {clashes[0]}; pass --force")
-    g, blobs = _generate(rc)
+    g, dataset_hash = resolve_dataset(rc)
     split, split_hash = resolve_split(rc, g)
-    for path, blob in zip(targets, blobs):
-        write_atomic(path, blob)
+    for path, text in zip(targets, canonical_texts(g)):
+        write_atomic(path, text.encode("utf-8"))
     split.save(targets[3])
     _write_json(os.path.join(rc.out, "gen_manifest.json"), {
-        "command": "gen-data", "dataset_sha256": _sha256_bytes(*blobs),
+        "command": "gen-data", "dataset_sha256": dataset_hash,
         "split_sha256": split_hash, "seed": rc.seed,
         "num_nodes": g.num_nodes, "num_undirected_edges": g.num_undirected_edges(),
         "timestamp": _timestamp()})
@@ -354,8 +353,8 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
     m11 = meta.get("phase1_old_acc")
     if not (m11 is None or _is_number(m11)):
         raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not a number")
-    # one full forward feeds both the metrics and nodes.csv
-    z = encode(state.encoder, operator_for(state.encoder.backbone, g),
+    # one full forward, on constants, feeds both the metrics and nodes.csv
+    z = encode(freeze_encoder(state.encoder), operator_for(state.encoder.backbone, g),
                input_tensor(g, rc.normalize_features))
     if state.joint_head is None or m11 is not None:
         rep = stage_report(state, g, split, rc, m11, z)

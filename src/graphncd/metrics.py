@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .autodiff import Tensor
 from .graph import ClassSplit, Graph, input_tensor, operator_for
-from .models import encode, head_forward
+from .models import encode, freeze_encoder, head_forward
 
 
 @dataclass
@@ -98,7 +98,8 @@ def joint_predictions(state, g: Graph, normalize_features: bool = False) -> np.n
 
     In phase 1 the joint head does not exist yet and the old head stands in,
     so predictions live in old-slot space only."""
-    return _joint_argmax(state, encode(state.encoder, operator_for(state.encoder.backbone, g),
+    return _joint_argmax(state, encode(freeze_encoder(state.encoder),
+                                       operator_for(state.encoder.backbone, g),
                                        input_tensor(g, normalize_features)))
 
 

@@ -82,7 +82,8 @@ def encoder_parameters(enc: EncoderParams) -> list[Tensor]:
 
 
 def freeze_encoder(enc: EncoderParams) -> EncoderParams:
-    """Deep copy with gradients off; used as the distillation anchor."""
+    """Deep copy with gradients off: the distillation anchor, and the encoder a
+    forward that only reads values runs on, so that it builds no tape."""
     return EncoderParams(
         backbone=enc.backbone,
         dims=list(enc.dims),

@@ -86,7 +86,6 @@ class TrainConfig(LossWeights):
     per_class_replay: int = 32
     novel_alignment: str = "hungarian"
     normalize_features: bool = False
-    debug_checks: bool = False
 
     def validate(self) -> None:
         if self.backbone not in ("gcn", "sage"):
@@ -212,32 +211,17 @@ def pretrain(g: Graph, split: ClassSplit,
         grads = backward(loss, params)
         adam_step(params, grads, state.adam)
 
-        z_va = encode(enc, adj, x, va).data
+        z_va = encode(freeze_encoder(enc), adj, x, va).data
         val_logits = z_va @ old_head.weight.data + old_head.bias.data
         val_acc = float(np.mean(np.argmax(val_logits, axis=1) == y_va))
         rows.append({"epoch": epoch, "loss": loss_val, "val_acc": val_acc})
         if val_acc > best_val:
             best_epoch, best_val, best_snap = epoch, val_acc, _snapshot(named)
 
-    protos = compute_prototypes(encode(enc, adj, x, tr).data, g.labels[tr],
-                                split.old_classes)
+    protos = compute_prototypes(encode(freeze_encoder(enc), adj, x, tr).data,
+                                g.labels[tr], split.old_classes)
     return state, protos, PretrainLog(rows=rows, best_epoch=best_epoch,
                                       best_val_acc=best_val, best_snapshot=best_snap)
-
-
-def _leaf_params(t: Tensor) -> set[int]:
-    """ids of grad-requiring leaves reachable from t."""
-    out: set[int] = set()
-    stack, seen = [t], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.requires_grad and not node._parents:
-            out.add(id(node))
-        stack.extend(node._parents)
-    return out
 
 
 def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit,
@@ -271,8 +255,6 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     tr2 = np.asarray(split.p2_train, dtype=np.int64)
     zf_u = encode(state.frozen_encoder, adj, x, tr2)  # constant all phase
     old_index = {c: i for i, c in enumerate(split.old_classes)}
-    frozen_ref = [a.data.copy() for a in
-                  state.frozen_encoder.weights + state.frozen_encoder.biases]
 
     named = named_parameters(state)
     zero = ad.constant([[0.0]])
@@ -336,16 +318,6 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
         if not all(np.isfinite(v) for v in report.values()):
             raise TrainingDiverged(
                 f"phase-2 loss not finite at epoch {epoch}: {report}", report)
-
-        if cfg.debug_checks:
-            if cfg.use_replay:
-                enc_ids = {id(p) for p in encoder_parameters(state.encoder)}
-                if _leaf_params(l_replay) & enc_ids:
-                    raise AssertionError("replay loss reaches encoder parameters")
-            for ref, cur in zip(frozen_ref, state.frozen_encoder.weights
-                                + state.frozen_encoder.biases):
-                if not np.array_equal(ref, cur.data):
-                    raise AssertionError("frozen encoder was mutated")
 
         grads = backward(total_t, params)
         adam_step(params, grads, state.adam)

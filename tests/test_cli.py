@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
-from graphncd import cli, graph, metrics
+from graphncd import cli, graph, metrics, training
 from graphncd.checkpoint import load_checkpoint, save_checkpoint
 from graphncd.cli import main
 from graphncd.config import load_config
-from graphncd.graph import ClassSplit, load_graph, validate_split
+from graphncd.graph import ClassSplit, build_graph, load_graph, save_graph, validate_split
 from graphncd.metrics import evaluate_joint
 from graphncd.training import load_state
 
@@ -626,6 +626,108 @@ def test_seed_override_changes_dataset(tmp_path):
     ha = _read_json(os.path.join(a, "gen_manifest.json"))["dataset_sha256"]
     hb = _read_json(os.path.join(b, "gen_manifest.json"))["dataset_sha256"]
     assert ha != hb
+
+
+# ----------------------------------------------------------- dataset identity
+
+def _files_cfg(tmp_path, data):
+    """The BASE config over the dataset files in data."""
+    return _write_cfg(tmp_path, name="files.cfg", extra="dataset = files\n" + "".join(
+        f"{key} = {data / f'{key}.txt'}\n" for key in ("edges", "features", "labels")))
+
+
+def _dataset_hash(cfg):
+    return cli.resolve_dataset(load_config(cfg))[1]
+
+
+def _relayout_edges(path):
+    """Rewrite an edge file as the same edge set in other text: a comment, the
+    lines in reverse order with their endpoints swapped, a blank line and the
+    last edge twice, once with a trailing comment."""
+    lines = [" ".join(line.split()[::-1]) for line in path.read_text().splitlines()]
+    lines.reverse()
+    path.write_text("# the same graph\n" + "\n".join(lines) + f"\n\n{lines[0]}  # again\n")
+
+
+def test_dataset_hash_ignores_the_layout_of_the_edge_text(tmp_path):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", _write_cfg(tmp_path), "--out", str(data)]) == 0
+    cfg = _files_cfg(tmp_path, data)
+    before, text = _dataset_hash(cfg), (data / "edges.txt").read_text()
+    _relayout_edges(data / "edges.txt")
+    assert (data / "edges.txt").read_text() != text
+    assert _dataset_hash(cfg) == before
+
+
+def test_ncd_reuses_pretrain_after_a_text_edit_not_a_feature_edit(tmp_path, capsys):
+    data, pre = tmp_path / "data", str(tmp_path / "pre")
+    assert main(["gen-data", "--config", _write_cfg(tmp_path), "--out", str(data)]) == 0
+    cfg = _files_cfg(tmp_path, data)
+    assert main(["pretrain", "--config", cfg, "--out", pre]) == 0
+    _relayout_edges(data / "edges.txt")
+    assert main(["ncd", "--config", cfg, "--out", str(tmp_path / "n1"),
+                 "--pretrain-dir", pre]) == 0
+    # one ulp up in the first feature of the first node
+    first, rest = (data / "features.txt").read_text().split(" ", 1)
+    (data / "features.txt").write_text(f"{float(np.nextafter(float(first), np.inf))!r} "
+                                       + rest)
+    capsys.readouterr()
+    assert main(["ncd", "--config", cfg, "--out", str(tmp_path / "n2"),
+                 "--pretrain-dir", pre]) == 3
+    assert "rerun pretrain" in capsys.readouterr().err
+
+
+def test_gen_data_the_sbm_run_and_the_files_run_share_one_dataset_hash(tmp_path):
+    cfg, data = _write_cfg(tmp_path), tmp_path / "data"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "sbm")]) == 0
+    assert main(["pretrain", "--config", _files_cfg(tmp_path, data),
+                 "--out", str(tmp_path / "files")]) == 0
+    manifests = [data / "gen_manifest.json", tmp_path / "sbm" / "manifest.json",
+                 tmp_path / "files" / "manifest.json"]
+    hashes = {_read_json(m)["dataset_sha256"] for m in manifests}
+    assert len(hashes) == 1 and len(hashes.pop()) == 64
+
+
+def test_dataset_hash_tells_apart_graphs_whose_array_bytes_run_together(tmp_path):
+    # 4 nodes with 2 edges and 1 feature each, against 1 edge and 2 features
+    # each, whose first features are the subnormal floats with the bits of the
+    # other graph's second edge: the edges, features and labels give the same
+    # bytes end to end, and only their shapes differ
+    feats, labels = np.array([[0.5], [-1.0], [2.0], [0.25]]), [0, 0, 1, 1]
+    two = build_graph(4, [(0, 1), (2, 3)], feats, labels)
+    bits = two.edges[2:].reshape(2, 2).view(np.float64)
+    one = build_graph(4, [(0, 1)], np.vstack([bits, feats.reshape(2, 2)]), labels)
+    assert np.isfinite(bits).all() and 0 < np.abs(bits).max() < 1e-300
+    assert b"".join(a.tobytes() for a in (one.edges, one.features, one.labels)) == \
+        b"".join(a.tobytes() for a in (two.edges, two.features, two.labels))
+    hashes = []
+    for name, g in (("one", one), ("two", two)):
+        (tmp_path / name).mkdir()
+        save_graph(g, *(str(tmp_path / name / f"{key}.txt")
+                        for key in ("edges", "features", "labels")))
+        hashes.append(_dataset_hash(_files_cfg(tmp_path, tmp_path / name)))
+    assert hashes[0] != hashes[1]
+
+
+def test_only_training_forwards_build_a_tape(tmp_path, monkeypatch):
+    taped = []
+
+    def recording(encode):
+        def wrapper(*args, **kwargs):
+            z = encode(*args, **kwargs)
+            taped.append(z.requires_grad)
+            return z
+        return wrapper
+
+    for mod in (training, metrics, cli):
+        monkeypatch.setattr(mod, "encode", recording(mod.encode))
+    out = tmp_path / "full"
+    assert main(["run", "--config", _write_cfg(tmp_path), "--out", str(out)]) == 0
+    epochs = 12 + _read_json(out / "ncd" / "manifest.json")["epochs_run"]
+    # validation, prototypes, the distillation anchor, the two stage reports
+    # and eval's one forward read values only
+    assert sum(taped) == epochs and len(taped) > epochs
 
 
 # ------------------------------------------------------------------- chaining

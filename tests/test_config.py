@@ -64,10 +64,10 @@ def test_bool_words():
     for word, expect in [("true", True), ("YES", True), ("1", True),
                          ("on", True), ("false", False), ("No", False),
                          ("0", False), ("off", False)]:
-        cfg = parse_config_text(f"debug_checks = {word}")
-        assert cfg.debug_checks is expect
-    with pytest.raises(ConfigError, match="debug_checks"):
-        parse_config_text("debug_checks = maybe")
+        cfg = parse_config_text(f"use_self = {word}")
+        assert cfg.use_self is expect
+    with pytest.raises(ConfigError, match="use_self"):
+        parse_config_text("use_self = maybe")
 
 
 def test_list_tolerates_spaces_and_trailing_comma():
@@ -177,7 +177,7 @@ def test_default_train_config_round_trips():
 
 def test_every_training_knob_is_a_run_key_with_its_default():
     run_defaults = config_payload(RunConfig())
-    assert len(run_defaults) == 47
+    assert len(run_defaults) == 46
     for source in (TrainConfig(), LossWeights()):
         for f in fields(source):
             assert run_defaults[f.name] == getattr(source, f.name), f.name
@@ -193,7 +193,7 @@ def test_run_config_pickles():
 def test_default_hashes_are_pinned():
     # changing either value makes every existing run directory look stale
     assert config_hash(RunConfig(), "d", "s") == \
-        "0fd59611edb08303b9c766f8949d7a4f1df1d87e1ac4a4c2071a96e28fb062e3"
+        "a6af2d33bf6dbeaa7a369c3c955ab79fe920fdf2c9f37a4eea0afc9b238451be"
     assert phase1_hash(RunConfig(), "d", "s") == \
         "40fb99fab538ffe5fae399f4f0d0420d0f6e3b1a7b14afe72c67e615fec20973"
 
@@ -248,7 +248,7 @@ PHASE2_ALTERNATIVES = {
     "top_k": "2", "use_pseudo": "off", "use_self": "off", "use_perturb": "off",
     "use_replay": "off", "use_distill": "off", "sigma_mode": "unit",
     "eq8_head": "joint", "init_scale": "0.3", "per_class_replay": "5",
-    "novel_alignment": "positional", "debug_checks": "on",
+    "novel_alignment": "positional",
 }
 
 PHASE1_BASE = "hidden = 16\npretrain_epochs = 6\n"
@@ -263,7 +263,7 @@ def _phase2_knobs():
 
 def test_phase2_alternatives_name_exactly_the_knobs_outside_the_phase1_hash():
     knobs = _phase2_knobs()
-    assert len(knobs) == 20
+    assert len(knobs) == 19
     assert set(PHASE2_ALTERNATIVES) == set(knobs)
 
 

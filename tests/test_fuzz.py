@@ -1,5 +1,6 @@
-"""Property tests: on any input the parsers raise only their typed errors, and
-the command line returns one of its documented exit codes.
+"""Property tests: on any input the parsers raise only their typed errors, the
+dataset hash is that of the parsed graph, whatever text spells it, and the
+command line returns one of its documented exit codes.
 
 Hypothesis runs derandomized and without its example database, so every run
 draws the same examples (conftest.py keeps its caches out of the tree).
@@ -13,13 +14,15 @@ import sys
 import tempfile
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from graphncd import cli
 from graphncd.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint
 from graphncd.config import ConfigError, RunConfig, parse_config_text
 from graphncd.graph import (ClassSplit, GraphParseError, GraphValidationError,
-                            build_graph, load_graph, save_graph, validate_split)
+                            build_graph, canonical_texts, load_graph, save_graph,
+                            validate_split)
 from graphncd.training import load_state
 
 pytest.importorskip("hypothesis")
@@ -168,6 +171,83 @@ def test_load_graph_raises_only_graph_errors(tmp_path, texts):
         load_graph(*paths)
     except (GraphParseError, GraphValidationError):
         pass
+
+
+@st.composite
+def small_graphs(draw):
+    """(n, features, labels, edge pairs) of a valid graph of 2-6 nodes, with
+    subnormal, signed-zero and repeated feature values among the floats."""
+    n, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    value = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, 1.0])
+    feats = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)),
+                          max_size=8))
+    return n, feats, labels, [(u, (u + k) % n) for u, k in steps]
+
+
+def _interleave(draw, lines) -> str:
+    """The lines in order, with comment and blank lines drawn in between."""
+    out = list(lines)
+    for noise in draw(st.lists(st.sampled_from(["", "  ", "# note", "\t# 0 1"]),
+                               max_size=4)):
+        out.insert(draw(st.integers(0, len(out))), noise)
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def relaid(draw, graph):
+    """Other text for the same graph: the edge lines permuted, with endpoints
+    swapped, some edges repeated and trailing comments, the features at 17
+    significant digits, and comment and blank lines anywhere."""
+    n, feats, labels, pairs = graph
+    pairs = pairs + (draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else [])
+    edges = draw(st.permutations(
+        [" ".join(map(str, p[::-1] if draw(st.booleans()) else p))
+         + draw(st.sampled_from(["", " # edge"])) for p in pairs]))
+    rows = [" ".join(format(x, ".17g") for x in row) for row in feats]
+    return tuple(_interleave(draw, lines) for lines in (edges, rows, map(str, labels)))
+
+
+@st.composite
+def one_change(draw, graph):
+    """The graph with one label, one feature (by one ulp) or one edge changed."""
+    n, feats, labels, pairs = graph
+    feats, labels = [list(row) for row in feats], list(labels)
+    i = draw(st.integers(0, n - 1))
+    what = draw(st.sampled_from(["label", "feature", "edge"]))
+    if what == "label":
+        labels[i] += 1
+    elif what == "feature":
+        j = draw(st.integers(0, len(feats[i]) - 1))
+        feats[i][j] = float(np.nextafter(feats[i][j], np.inf))
+    else:  # drop the edge if the graph has it, else add it
+        edge = {i, (i + draw(st.integers(1, n - 1))) % n}
+        kept = [p for p in pairs if set(p) != edge]
+        pairs = kept if len(kept) < len(pairs) else pairs + [tuple(edge)]
+    return n, feats, labels, pairs
+
+
+def _files_hash(tmp_path, texts) -> str:
+    paths = [str(tmp_path / f"{key}.txt") for key in ("edges", "features", "labels")]
+    for path, text in zip(paths, texts):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    rc = RunConfig(dataset="files", edges=paths[0], features=paths[1], labels=paths[2])
+    return cli.resolve_dataset(rc)[1]
+
+
+def _canonical(graph):
+    n, feats, labels, pairs = graph
+    return canonical_texts(build_graph(n, pairs, feats, labels))
+
+
+@FUZZ
+@given(graph=small_graphs(), data=st.data())
+def test_dataset_hash_is_that_of_the_parsed_graph(tmp_path, graph, data):
+    want = _files_hash(tmp_path, _canonical(graph))
+    assert _files_hash(tmp_path, data.draw(relaid(graph))) == want
+    assert _files_hash(tmp_path, _canonical(data.draw(one_change(graph)))) != want
 
 
 # A small dataset and schedule that validate and train in a blink. A drawn

@@ -212,12 +212,6 @@ def test_frozen_encoder_is_pretrain_encoder_bitwise(pretrained):
     assert not np.array_equal(state.encoder.weights[0].data, pre_enc[0])
 
 
-def test_debug_checks_pass_on_normal_run(pretrained):
-    g, split, cfg, state0, protos, _ = pretrained
-    state = copy.deepcopy(state0)
-    ncd_train(state, protos, g, split, _cfg(ncd_epochs=4, debug_checks=True))
-
-
 def test_perturb_novel_head_consistency_path(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     before_enc, after, _ = _routed(pretrained, use_perturb=True)
