@@ -307,7 +307,8 @@ class ClassSplit:
 
 
 def validate_split(g: Graph, split: ClassSplit) -> None:
-    """Check the split is consistent with the graph's label set."""
+    """Check the split is consistent with the graph's label set and that
+    both training phases can run on it."""
     old, new = set(split.old_classes), set(split.new_classes)
     if old & new:
         raise GraphValidationError(f"classes in both old and new: {sorted(old & new)}")
@@ -315,12 +316,15 @@ def validate_split(g: Graph, split: ClassSplit) -> None:
     if not present <= (old | new):
         raise GraphValidationError(
             f"labels {sorted(present - old - new)} missing from old/new lists")
+    # what training needs: a loss and a validation set in phase 1, and nodes
+    # to discover on in phase 2
+    for name in ("p1_train", "p1_val", "p2_train"):
+        if not getattr(split, name):
+            raise GraphValidationError(f"{name} is empty")
     phase1 = split.p1_train + split.p1_val + split.p1_test
     phase2 = split.p2_train + split.p2_val + split.p2_test
     for name, ids, classes in (("phase-1", phase1, old), ("phase-2", phase2, new)):
         arr = np.asarray(ids, dtype=np.int64)
-        if arr.size == 0:
-            raise GraphValidationError(f"{name} masks are empty")
         if arr.min() < 0 or arr.max() >= g.num_nodes:
             raise GraphValidationError(f"{name} mask has out-of-range node id")
         if len(set(ids)) != len(ids):
@@ -330,6 +334,10 @@ def validate_split(g: Graph, split: ClassSplit) -> None:
             raise GraphValidationError(f"{name} mask contains classes {sorted(bad)}")
     if sorted(split.all_test) != sorted(split.p1_test + split.p2_test):
         raise GraphValidationError("all_test must be the union of p1_test and p2_test")
+    # and a prototype for every old class
+    unseen = old - set(int(c) for c in g.labels[split.p1_train])
+    if unseen:
+        raise GraphValidationError(f"old classes {sorted(unseen)} have no p1_train node")
 
 
 def _allocate(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, int]:
@@ -359,17 +367,11 @@ def check_split_ratios(ratios) -> None:
 def split_classes(g: Graph, old_classes: list[int], new_classes: list[int],
                   ratios: tuple[float, float, float] = (0.6, 0.2, 0.2),
                   seed: int = 0) -> ClassSplit:
-    """Stratified per-class shuffle into train/val/test for both phases."""
+    """Stratified per-class shuffle into train/val/test for both phases,
+    checked by validate_split."""
     check_split_ratios(ratios)
     old = [int(c) for c in old_classes]
     new = [int(c) for c in new_classes]
-    if set(old) & set(new):
-        raise GraphValidationError("old and new class lists overlap")
-    present = set(int(c) for c in np.unique(g.labels))
-    if not present <= set(old) | set(new):
-        raise GraphValidationError(
-            f"labels {sorted(present - set(old) - set(new))} not covered by old/new lists")
-
     rng = np.random.default_rng(seed)
     split = ClassSplit(old_classes=old, new_classes=new)
     for classes, buckets in ((old, ("p1_train", "p1_val", "p1_test")),

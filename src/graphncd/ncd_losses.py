@@ -85,27 +85,22 @@ class _Similarity(Tensor):
     __slots__ = ()
 
 
+def _similarity_vjp(g):
+    raise TypeError("a pairwise similarity is differentiated only through pairwise_bce")
+
+
 def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     """s_ij = logistic(u_i . u_j) over all ordered pairs, shape (n, n).
 
-    One op, forward and vjp row block by row block. The vjp is closed-form:
-    dL/dU = T U + T^T U with T = g * s * (1 - s)."""
+    One op, forward row block by row block. It has no vjp of its own:
+    pairwise_bce differentiates straight to the logits, and any other route
+    to a gradient-carrying similarity raises TypeError in backward."""
     u = novel_logits.data
     n = u.shape[0]
     s = np.empty((n, n))
     for r in _row_blocks(n):
         ad._stable_sigmoid(np.matmul(u[r], u.T, out=s[r]), out=s[r])
-
-    def vjp(g):
-        grad = np.zeros_like(u)
-        for r in _row_blocks(n):
-            t = g[r] * s[r]
-            t *= 1.0 - s[r]
-            grad[r] += t @ u
-            grad += t.T @ u[r]
-        return [grad]
-
-    out = ad._make(s, (novel_logits,), vjp)
+    out = ad._make(s, (novel_logits,), _similarity_vjp)
     # marked after _make, so a wrapper that swaps out._vjp keeps the mark
     out.__class__ = _Similarity
     return out
@@ -156,73 +151,54 @@ def _unsaturated(sb: np.ndarray) -> np.ndarray:
 def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     """Mean binary cross-entropy over all n^2 ordered pairs, diagonal included.
 
-    Targets must be 0 or 1. A bool matrix, as topk_pseudo_pairs returns, is
-    that by its type and is cast to float one row block at a time; any other
-    dtype is converted to float64 and checked. Similarities are clamped to
+    Targets must be 0 or 1, validated once on entry: a bool matrix,
+    as topk_pseudo_pairs returns, is that by its type, and any other array
+    must hold only 0 and 1 (else ValueError) and is read as y == 1. The row
+    blocks are cast to float one at a time. Similarities are clamped to
     [1e-12, 1 - 1e-12] before the log, so saturated pairs contribute a finite
     loss and a zero gradient. One op, summed row block by row block as
     log|clip(s) + y - 1|, bitwise the terms y log(s) + (1 - y) log(1 - s).
 
-    Given the output of pairwise_similarity on gradient-carrying logits U,
-    the loss is differentiated straight to U in the same block loop: with
-    t = c (y - s) m, where m masks out the saturated pairs and the logistic
-    derivative has cancelled, dL/dU = t U + t^T U. The loss's one parent is
-    then U, so the similarity gets no gradient and no n x n array is left
-    on the tape. Any other s gets the vjp c (y - s) / (s (1 - s)), masked to
-    0 on the saturated pairs.
+    The loss is differentiated straight to the novel logits U under s, in
+    the same block loop: with t = c (y - s) m, where m masks out the
+    saturated pairs and the logistic derivative has cancelled, dL/dU =
+    t U + t^T U. The loss's one parent is then U, so no n x n array is left
+    on the tape. A constant s gives a constant loss; a gradient-carrying s
+    that pairwise_similarity did not return raises TypeError.
     """
     n, m = s.shape
     if n != m:
         raise ValueError(f"similarity matrix must be square, got {s.shape}")
     y = np.asarray(y_pair)
-    checked = y.dtype != bool
-    if checked:
-        y = np.asarray(y, dtype=np.float64)
     if y.shape != (n, n):
         raise ValueError(f"pair labels {y.shape} do not match similarities {s.shape}")
+    if y.dtype != bool:
+        if not ((y == 1) | (y == 0)).all():
+            raise ValueError("pair labels must be 0 or 1")
+        y = y == 1
+    if s.requires_grad and not isinstance(s, _Similarity):
+        raise TypeError("pairwise_bce differentiates only the output of pairwise_similarity")
+    # the logits under s, or none for a constant s
+    parents = s._parents
     sd = s.data
     scale = -1.0 / (n * n)
-    fused = isinstance(s, _Similarity) and s.requires_grad
-    if fused:
-        logits = s._parents[0]
-        u = logits.data
+    if parents:
+        u = parents[0].data
         grad_u = np.zeros_like(u)
     total = 0.0
     for r in _row_blocks(n):
         sb, yb = sd[r], np.asarray(y[r], dtype=np.float64)
-        if checked and not ((yb == 1.0) | (yb == 0.0)).all():
-            raise ValueError("pair labels must be 0 or 1")
         # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
         sc = np.clip(sb, _S_LO, _S_HI)
         sc += yb - 1.0
         total += np.log(np.abs(sc, out=sc), out=sc).sum()
-        if fused:
+        if parents:
             t = yb - sb
             t[~_unsaturated(sb)] = 0.0
             grad_u[r] += t @ u
             grad_u += t.T @ u[r]
     loss = np.array([[total * scale]])
-
-    if fused:
-        def fused_vjp(g):
-            return [grad_u * (g[0, 0] * scale)]
-
-        return ad._make(loss, (logits,), fused_vjp)
-
-    def vjp(g):
-        c = g[0, 0] * scale
-        grad = np.empty((n, n))
-        for r in _row_blocks(n):
-            # in place: about a tenth faster than one expression at n = 900
-            sc = np.clip(sd[r], _S_LO, _S_HI)
-            gb = np.subtract(y[r], sc, out=grad[r])
-            gb *= c
-            sc *= 1.0 - sc
-            gb /= sc
-            gb *= _unsaturated(sd[r])
-        return [grad]
-
-    return ad._make(loss, (s,), vjp)
+    return ad._make(loss, parents, lambda g: [grad_u * (g[0, 0] * scale)])
 
 
 def assign_pseudo_labels(novel_logits, num_old: int) -> np.ndarray:

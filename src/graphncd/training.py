@@ -28,8 +28,8 @@ from .metrics import MetricsReport, aa_af, evaluate_joint
 from .models import (BACKBONES, EncoderParams, HeadParams, encode, encoder_parameters,
                      extend_head, freeze_encoder, head_forward, head_parameters,
                      init_encoder, init_head)
-from .ncd_losses import (LossWeights, Prototypes, assign_pseudo_labels, batch_sigma,
-                         compute_prototypes, distill_loss, pairwise_bce,
+from .ncd_losses import (LOSS_TERMS, LossWeights, Prototypes, assign_pseudo_labels,
+                         batch_sigma, compute_prototypes, distill_loss, pairwise_bce,
                          pairwise_similarity, perturb_consistency_loss,
                          perturb_representations, replay_loss, sample_prototype_batch,
                          scheduled_total, self_training_loss, topk_pseudo_pairs)
@@ -254,7 +254,11 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
 
     tr2 = np.asarray(split.p2_train, dtype=np.int64)
     zf_u = encode(state.frozen_encoder, adj, x, tr2)  # constant all phase
+    # joint-head columns of the replayed labels, in the class-major layout
+    # sample_prototype_batch returns every epoch
     old_index = {c: i for i, c in enumerate(split.old_classes)}
+    idx_r = np.repeat([old_index[c] for c in protos.class_ids], cfg.per_class_replay)
+    joint_for_perturb = cfg.use_perturb and cfg.eq8_head == "joint"
 
     named = named_parameters(state)
     zero = ad.constant([[0.0]])
@@ -270,50 +274,33 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     for epoch in range(cfg.ncd_epochs):
         z_u = encode(state.encoder, adj, x, tr2)
         u_logits = head_forward(state.novel_head, z_u)
-        joint_u = None
+        joint_u = (head_forward(state.joint_head, z_u)
+                   if cfg.use_self or joint_for_perturb else None)
+        terms = dict.fromkeys(LOSS_TERMS, zero)
 
         if cfg.use_pseudo:
             sim = pairwise_similarity(u_logits)
             pair_targets = topk_pseudo_pairs(z_u.data, cfg.top_k)
-            l_pseudo = pairwise_bce(sim, pair_targets)
-        else:
-            l_pseudo = zero
-
+            terms["pseudo"] = pairwise_bce(sim, pair_targets)
         if cfg.use_self:
-            pseudo = assign_pseudo_labels(u_logits.data, n_old)
-            joint_u = head_forward(state.joint_head, z_u)
-            l_self = self_training_loss(joint_u, pseudo)
-        else:
-            l_self = zero
-
+            terms["self"] = self_training_loss(joint_u,
+                                               assign_pseudo_labels(u_logits.data, n_old))
         if cfg.use_perturb:
             sigma = batch_sigma(z_u.data, cfg.sigma_mode)
             z_pert = perturb_representations(z_u, cfg.eta, sigma,
                                              derive_seed(cfg.seed, _SEED_PERTURB, epoch))
-            if cfg.eq8_head == "novel":
-                clean, pert = u_logits, head_forward(state.novel_head, z_pert)
-            else:
-                if joint_u is None:
-                    joint_u = head_forward(state.joint_head, z_u)
-                clean, pert = joint_u, head_forward(state.joint_head, z_pert)
-            l_perturb = perturb_consistency_loss(clean, pert)
-        else:
-            l_perturb = zero
-
+            head, clean = ((state.joint_head, joint_u) if joint_for_perturb
+                           else (state.novel_head, u_logits))
+            terms["perturb"] = perturb_consistency_loss(clean, head_forward(head, z_pert))
         if cfg.use_replay:
-            feats_r, labels_r = sample_prototype_batch(
+            feats_r, _ = sample_prototype_batch(
                 protos, cfg.per_class_replay, derive_seed(cfg.seed, _SEED_REPLAY, epoch))
-            idx_r = np.array([old_index[int(c)] for c in labels_r], dtype=np.int64)
-            l_replay = replay_loss(head_forward(state.joint_head, ad.constant(feats_r)),
-                                   idx_r)
-        else:
-            l_replay = zero
+            terms["replay"] = replay_loss(
+                head_forward(state.joint_head, ad.constant(feats_r)), idx_r)
+        if cfg.use_distill:
+            terms["distill"] = distill_loss(zf_u, z_u)
 
-        l_distill = distill_loss(zf_u, z_u) if cfg.use_distill else zero
-
-        total_t, report = scheduled_total(
-            {"pseudo": l_pseudo, "self": l_self, "perturb": l_perturb,
-             "replay": l_replay, "distill": l_distill}, cfg, epoch)
+        total_t, report = scheduled_total(terms, cfg, epoch)
         report["epoch"] = epoch
         if not all(np.isfinite(v) for v in report.values()):
             raise TrainingDiverged(

@@ -537,6 +537,39 @@ def test_undecodable_outside_file_exits_2(tmp_path, capsys, name):
     assert f"{bad}: not UTF-8" in capsys.readouterr().err
 
 
+def _drop_old_class_0(split, labels):
+    split["p1_train"] = [i for i in split["p1_train"] if labels[i] != 0]
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda split, labels: split.update(p2_train=[]), "p2_train is empty"),
+    (_drop_old_class_0, "old classes [0] have no p1_train node"),
+    (lambda split, labels: split.update(p1_train=[]), "p1_train is empty"),
+    (lambda split, labels: split.update(p1_val=[]), "p1_val is empty"),
+], ids=["no_p2_train", "old_class_without_p1_train", "no_p1_train", "no_p1_val"])
+def test_split_that_training_cannot_run_on_exits_2(tmp_path, capsys, edit, needle):
+    text = (BASE.replace("15,15,15,15", "30,30,30,30,30")
+            .replace("old_classes = 0,1\nnew_classes = 2,3",
+                     "old_classes = 0,1,2\nnew_classes = 3,4"))
+    cfg = tmp_path / "sbm.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
+    split = _read_json(data / "split.json")
+    edit(split, load_graph(*(str(data / f"{key}.txt")
+                             for key in ("edges", "features", "labels"))).labels)
+    (data / "split.json").write_text(json.dumps(split), encoding="utf-8")
+    files = "".join(f"{key} = {data / key}.txt\n" for key in ("edges", "features", "labels"))
+    cfg.write_text(text + "dataset = files\n" + files
+                   + f"split_file = {data / 'split.json'}\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+    assert not list(out.rglob("manifest.json"))
+
+
 def test_missing_config_file(tmp_path):
     assert main(["pretrain", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
+import graphncd.ncd_losses as ncd_losses
 from graphncd.autodiff import backward, constant, grad_check, parameter
-from graphncd.ncd_losses import (PAIR_BLOCK, LossWeights, Prototypes,
+from graphncd.ncd_losses import (PAIR_BLOCK, LossWeights, Prototypes, _unsaturated,
                                  assign_pseudo_labels, batch_sigma,
                                  compute_prototypes, distill_loss,
                                  loss_betas, pairwise_bce, pairwise_similarity,
@@ -186,29 +187,25 @@ def test_pair_ops_match_the_primitive_chain(n):
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
-def test_similarity_vjp_matches_the_primitive_chain(n):
-    # a dense random upstream gradient reaches every pair
+def test_similarity_off_the_bce_route_raises_type_error(n):
+    # a dense upstream gradient reaches the similarity by a route other than
+    # pairwise_bce; its reference, the primitive chain, is checked above
     rng = np.random.default_rng(200 + n)
-    logits, upstream = _mixed_logits(rng, n), constant(rng.standard_normal((n, n)))
-    grads = []
-    for sim in (pairwise_similarity, _chain_similarity):
-        u = parameter(logits.copy())
-        grads.append(backward(ad.sum(ad.mul(sim(u), upstream)), [u])[0])
-    scale = max(1.0, np.abs(grads[1]).max())
-    assert np.abs(grads[0] - grads[1]).max() < ORACLE_TOL * scale
+    u = parameter(_mixed_logits(rng, n))
+    loss = ad.sum(ad.mul(pairwise_similarity(u), constant(rng.standard_normal((n, n)))))
+    with pytest.raises(TypeError, match="only through pairwise_bce"):
+        backward(loss, [u])
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
-def test_bce_vjp_matches_the_primitive_chain(n):
+def test_bce_of_a_free_similarity_raises_type_error(n):
     rng = np.random.default_rng(300 + n)
-    s0 = ad.sigmoid(constant(_mixed_logits(rng, n) @ _mixed_logits(rng, n).T)).data
-    y = (rng.random((n, n)) < 0.3).astype(float)
-    grads = []
-    for bce in (pairwise_bce, _chain_bce):
-        s = parameter(s0.copy())
-        grads.append(backward(bce(s, y), [s])[0])
-    # 1/s(1-s) reaches 1e12 next to the clamp: compare relative to each entry
-    assert np.all(np.abs(grads[0] - grads[1]) <= ORACLE_TOL * np.abs(grads[1]))
+    s = parameter(ad.sigmoid(constant(_mixed_logits(rng, n) @ _mixed_logits(rng, n).T)).data)
+    y = rng.random((n, n)) < 0.3
+    with pytest.raises(TypeError, match="only the output of pairwise_similarity"):
+        pairwise_bce(s, y)
+    with pytest.raises(TypeError):
+        pairwise_bce(_chain_similarity(parameter(np.ones((n, 2)))), y)
 
 
 def _two_log_bce(s, y):
@@ -240,30 +237,34 @@ def test_bce_rejects_targets_other_than_0_and_1(bad):
         pairwise_bce(constant(np.full(y.shape, 0.5)), y)
 
 
+def test_bce_checks_targets_before_any_row_block(monkeypatch):
+    n = 2 * PAIR_BLOCK + 3
+    s = pairwise_similarity(parameter(np.random.default_rng(21).standard_normal((n, 3))))
+    blocks = []
+    row_blocks = ncd_losses._row_blocks
+    monkeypatch.setattr(ncd_losses, "_row_blocks",
+                        lambda n: blocks.append(n) or row_blocks(n))
+    y = np.eye(n)
+    y[-1, 0] = 0.5                               # in the last row block
+    with pytest.raises(ValueError, match="0 or 1"):
+        pairwise_bce(s, y)
+    assert blocks == []
+    y[-1, 0] = 1.0
+    pairwise_bce(s, y)
+    assert blocks == [n]
+
+
 def test_bce_gradient_is_zero_exactly_on_saturated_pairs():
+    # the mask the fused gradient is multiplied by, at and next to its edges
     lo, hi = 1e-12, 1.0 - 1e-12
-    edge = [0.0, 1e-300, lo, np.nextafter(lo, 1.0), 0.5,
-            np.nextafter(hi, 0.0), hi, np.nextafter(hi, 1.0), 1.0]
-    rng = np.random.default_rng(22)
-    vals = np.concatenate([edge, rng.random(16), _sigmoid(40.0 * rng.standard_normal(56))])
-    s = parameter(rng.permutation(vals).reshape(9, 9))
-    y = (rng.random((9, 9)) < 0.5).astype(float)
-    (g,) = backward(pairwise_bce(s, y), [s])
-    saturated = (s.data <= lo) | (s.data >= hi)
-    assert saturated.any() and (~saturated).any()
-    assert np.all(g[saturated] == 0.0)
-    assert np.all(g[~saturated] != 0.0)
+    edge = np.array([0.0, 1e-300, lo, np.nextafter(lo, 1.0), 0.5,
+                     np.nextafter(hi, 0.0), hi, np.nextafter(hi, 1.0), 1.0])
+    want = [False, False, False, True, True, True, False, False, False]
+    assert _unsaturated(edge).tolist() == want
+    assert _unsaturated(edge.reshape(3, 3)).ravel().tolist() == want
 
 
 # ---------------------------------------- the fused route to the novel logits
-
-def _general_route_grad(u, y):
-    """dL/dU by the general bce vjp chained through the similarity's vjp."""
-    s = pairwise_similarity(u)
-    s_leaf = parameter(s.data)
-    (g_s,) = backward(pairwise_bce(s_leaf, y), [s_leaf])
-    return s._vjp(g_s)[0]
-
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_fused_bce_gradient_matches_the_general_route(n):
@@ -279,7 +280,9 @@ def test_fused_bce_gradient_matches_the_general_route(n):
     assert loss.item() == pairwise_bce(constant(s.data), y).item()
     (got,) = backward(loss, [u])
     assert not ran                         # the similarity's vjp never runs
-    assert np.abs(got - _general_route_grad(u, y)).max() < ORACLE_TOL
+    u_chain = parameter(u.data.copy())
+    (want,) = backward(_chain_bce(_chain_similarity(u_chain), y), [u_chain])
+    assert np.abs(got - want).max() < ORACLE_TOL
 
 
 @pytest.mark.parametrize("n", (1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 3))
@@ -292,10 +295,7 @@ def test_bce_bool_targets_are_bitwise_the_float_ones(n):
     for target in (y, y.astype(np.float64)):
         u = parameter(logits.copy())
         fused = pairwise_bce(pairwise_similarity(u), target)
-        s = parameter(pairwise_similarity(constant(logits)).data)
-        general = pairwise_bce(s, target)
-        results.append((fused.data, backward(fused, [u])[0],
-                        general.data, backward(general, [s])[0]))
+        results.append((fused.data, backward(fused, [u])[0]))
     for got, want in zip(*results):
         assert got.tobytes() == want.tobytes()
 

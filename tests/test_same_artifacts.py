@@ -69,3 +69,108 @@ def test_timestamp_and_manifests_are_ignored_but_missing_files_are_not(runs, tmp
     assert same_artifacts.main([str(runs["a"]), str(copy)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [f"ncd/ (missing {copy / 'ncd'})", "eval/nodes.csv"]
+
+
+# ------------------------------------------------- --trees: building the runs
+
+class FakeRunner:
+    """Stands in for ``run_cli``: records each call and writes a run whose
+    files hold the tree's name where ``differ`` says they should."""
+
+    def __init__(self, differ=(), fail=None):
+        self.calls, self.differ, self.fail = [], set(differ), fail
+
+    def __call__(self, tree, argv, cwd):
+        config = Path(argv[argv.index("--config") + 1]).read_text()
+        self.calls.append((tree.name, argv[0], config))
+        if argv[0] == self.fail:
+            raise RuntimeError(f"{tree}: graphncd {argv[0]} exited 1: boom")
+        out = Path(argv[argv.index("--out") + 1])
+        if argv[0] == "gen-data":
+            out.mkdir()
+            return
+        for stage in same_artifacts._bench.STAGES:
+            (out / stage).mkdir(parents=True)
+            for name in ("losses.csv", "metrics.json"):
+                differs = f"{stage}/{name}" in self.differ
+                (out / stage / name).write_text(tree.name if differs else "same")
+
+
+@pytest.fixture
+def trees(tmp_path):
+    out = []
+    for name in ("parent", "change"):
+        (tmp_path / name / "src" / "graphncd").mkdir(parents=True)
+        out.append(str(tmp_path / name))
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--workload", "desk,nope", "--seed", "0"],
+    ["--workload", "desk,", "--seed", "0"],
+    ["--workload", "desk", "--seed", "0,,1"],
+    ["--workload", "desk", "--seed", "x"],
+    ["--workload", "desk"],
+    ["--seed", "0"],
+])
+def test_bad_tree_arguments_exit_2_before_any_run(trees, capsys, argv):
+    runner = FakeRunner()
+    with pytest.raises(SystemExit) as exc:
+        same_artifacts.main(["--trees", *trees, *argv], runner)
+    assert exc.value.code == 2 and runner.calls == []
+    assert "error:" in capsys.readouterr().err
+
+
+def test_trees_and_run_directories_do_not_mix(trees, tmp_path):
+    runner = FakeRunner()
+    for argv in (["--trees", *trees, "--workload", "desk", "--seed", "0", "a"],
+                 ["a", "b", "--seed", "0"],
+                 ["a"],
+                 ["--trees", str(tmp_path), trees[1], "--workload", "desk", "--seed", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            same_artifacts.main(argv, runner)
+        assert exc.value.code == 2
+    assert runner.calls == []
+
+
+def test_trees_run_every_workload_at_every_seed(trees, capsys):
+    runner = FakeRunner()
+    argv = ["--trees", *trees, "--workload", "desk,discover", "--seed", "3,4"]
+    assert same_artifacts.main(argv, runner) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "desk seed 3:", "identical", "discover seed 3:", "identical",
+        "desk seed 4:", "identical", "discover seed 4:", "identical"]
+    steps = [(tree, cmd) for tree, cmd, _ in runner.calls]
+    desk, discover = [("parent", "run"), ("change", "run")], [
+        ("parent", "gen-data"), ("parent", "run"), ("change", "gen-data"), ("change", "run")]
+    assert steps == (desk + discover) * 2
+    # the configs are the benchmark's, with the seed, and discover reads its files
+    workloads = same_artifacts.WORKLOADS
+    for (_, cmd, config), workload in zip(runner.calls[:6], ["desk"] * 2 + ["discover"] * 4):
+        assert config.startswith(workloads[workload]["config"] + "seed = 3\n")
+        assert ("dataset = files" in config) == (workload == "discover" and cmd == "run")
+    assert "split_file = " in runner.calls[3][2]
+
+
+def test_trees_report_each_differing_file_and_failed_run(trees, capsys):
+    runner = FakeRunner(differ={"ncd/losses.csv", "eval/metrics.json"})
+    assert same_artifacts.main(["--trees", *trees, "--workload", "desk", "--seed", "0"],
+                               runner) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "desk seed 0:", "ncd/losses.csv", "eval/metrics.json", "2 differing files"]
+    runner = FakeRunner(fail="gen-data")
+    assert same_artifacts.main(["--trees", *trees, "--workload", "discover,desk",
+                                "--seed", "0"], runner) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "discover seed 0:" and out[1].startswith("run failed: ")
+    assert out[2:] == ["desk seed 0:", "identical"]
+
+
+def test_run_cli_runs_the_tree_own_source(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY + "seed = 0\npretrain_epochs = 2\nncd_epochs = 2\n")
+    same_artifacts.run_cli(root, ["run", "--config", str(cfg), "--out", "r"], tmp_path)
+    assert (tmp_path / "r" / "eval" / "manifest.json").is_file()
+    with pytest.raises(RuntimeError, match="exited 2"):
+        same_artifacts.run_cli(root, ["run", "--config", str(cfg), "--out", "r"], tmp_path)

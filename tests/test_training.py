@@ -8,6 +8,7 @@ import graphncd.autodiff as ad
 import graphncd.training as training
 from graphncd.graph import input_tensor, sbm_generate, split_classes
 from graphncd.metrics import joint_predictions
+from graphncd.ncd_losses import Prototypes
 from graphncd.training import (ModelState, NcdLog, TrainConfig,
                                TrainingDiverged, derive_seed, named_parameters,
                                ncd_train, pretrain, run_depth_sweep,
@@ -226,6 +227,34 @@ def test_perturb_joint_head_variant_runs(pretrained):
     state, nlog = ncd_train(state, protos, g, split,
                             _cfg(ncd_epochs=4, eq8_head="joint"))
     assert nlog.epochs_run == 4
+
+
+def test_replay_indices_follow_the_sampled_labels_for_permuted_prototypes(
+        pretrained, monkeypatch):
+    g, split, _, state, protos, _ = pretrained
+    perm = [1, 0]
+    permuted = Prototypes(class_ids=protos.class_ids[perm], mean=protos.mean[perm],
+                          var=protos.var[perm], counts=protos.counts[perm])
+    assert permuted.class_ids.tolist() != list(split.old_classes)
+    old_index = {c: i for i, c in enumerate(split.old_classes)}
+    sampled, replayed = [], []
+    sample, replay = training.sample_prototype_batch, training.replay_loss
+
+    def sampling(*args):
+        feats, labels = sample(*args)
+        sampled.append(labels)
+        return feats, labels
+
+    def replaying(logits, idx):
+        replayed.append(np.asarray(idx))
+        return replay(logits, idx)
+
+    monkeypatch.setattr(training, "sample_prototype_batch", sampling)
+    monkeypatch.setattr(training, "replay_loss", replaying)
+    _, log = ncd_train(copy.deepcopy(state), permuted, g, split, _cfg(ncd_epochs=4))
+    assert log.epochs_run == len(sampled) == len(replayed) == 4
+    for labels, idx in zip(sampled, replayed):
+        assert idx.tolist() == [old_index[int(c)] for c in labels]
 
 
 def test_pair_loss_runs_once_per_epoch_and_leaves_no_n_by_n_tape(pretrained,
