@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -113,14 +114,15 @@ def _read_text(path: str) -> str:
         raise GraphParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _read_lines(path: str) -> list[tuple[int, str]]:
-    """Non-empty, non-comment lines with their 1-based line numbers."""
-    out = []
+def _read_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Non-empty, non-comment lines with their 1-based line numbers.
+
+    Yielded one at a time, as load_graph keeps no (line, body) pair: tens of
+    thousands of surviving tuples would set off a full garbage collection."""
     for i, line in enumerate(_read_text(path).split("\n"), start=1):
         body = line.split("#", 1)[0].strip()
         if body:
-            out.append((i, body))
-    return out
+            yield i, body
 
 
 def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
@@ -147,13 +149,13 @@ def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
         except ValueError as exc:
             raise GraphParseError(f"{labels_path}: line {lineno}: {exc}") from exc
 
-    pairs = []
+    ends = []  # flat u, v, u, v, ...: no tuple per edge
     for lineno, body in _read_lines(edges_path):
         toks = body.split()
         if len(toks) != 2:
             raise GraphParseError(f"{edges_path}: line {lineno}: expected 'u v', got {body!r}")
         try:
-            pairs.append((_int64(toks[0]), _int64(toks[1])))
+            ends += _int64(toks[0]), _int64(toks[1])
         except ValueError as exc:
             raise GraphParseError(f"{edges_path}: line {lineno}: {exc}") from exc
 
@@ -161,7 +163,7 @@ def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
     if len(labels) != n:
         raise GraphValidationError(
             f"{labels_path}: {len(labels)} labels for {n} feature rows")
-    edge_arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    edge_arr = np.array(ends, dtype=np.int64).reshape(-1, 2)
     return build_graph(n, edge_arr, np.array(feat_rows), np.array(labels))
 
 

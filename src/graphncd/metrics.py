@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .autodiff import Tensor
 from .graph import ClassSplit, Graph, input_tensor, operator_for
@@ -41,6 +40,51 @@ class MetricsReport:
         return out
 
 
+def _assignment_cost(c: list[list[float]]) -> float:
+    """Optimal value of the square assignment problem on the rows of c.
+
+    Hungarian method by shortest augmenting paths with row and column
+    potentials, O(n^3). Plain lists: numpy's per-call cost dominates at the
+    sizes matched here. Index 0 of u, v, match and way is a virtual column.
+    Entries near the float64 limit can overflow the potentials; the search
+    then stops and returns inf instead of looping."""
+    n = len(c)
+    if n < 2:
+        return c[0][0] if n else 0.0
+    inf = float("inf")
+    u, v = [0.0] * (n + 1), [0.0] * (n + 1)
+    match = [0] * (n + 1)  # match[j]: 1-based row in column j, 0 while free
+    cols = range(1, n + 1)
+    for i in cols:
+        match[0], j0 = i, 0
+        minv, way, used = [inf] * (n + 1), [0] * (n + 1), [False] * (n + 1)
+        while match[j0]:
+            used[j0] = True
+            i0 = match[j0]
+            row, ui = c[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in cols:
+                if not used[j]:
+                    cur = row[j - 1] - ui - v[j]
+                    if cur < minv[j]:
+                        minv[j], way[j] = cur, j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            if not j1:  # every reduced cost is inf or NaN
+                return inf
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            match[j0] = match[way[j0]]
+            j0 = way[j0]
+    return sum((c[match[j] - 1][j - 1] for j in cols), 0.0)
+
+
 def hungarian_match(cost) -> list[int]:
     """Minimum-cost row-to-column assignment of a square matrix.
 
@@ -52,27 +96,21 @@ def hungarian_match(cost) -> list[int]:
         raise ValueError(f"cost matrix must be square, got {c.shape}")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost matrix must be finite")
-    n = c.shape[0]
-    rows, cols = linear_sum_assignment(c)
-    best = float(c[rows, cols].sum())
+    rows = c.tolist()
+    best = _assignment_cost(rows)
     tol = 1e-9 * max(1.0, abs(best))
 
     perm: list[int] = []
-    remaining = list(range(n))
+    remaining = list(range(len(rows)))
     prefix = 0.0
-    for i in range(n):
+    for i, row in enumerate(rows):
         for j in remaining:  # kept sorted
             rest = [x for x in remaining if x != j]
-            if rest:
-                sub = c[np.ix_(range(i + 1, n), rest)]
-                rr, cc = linear_sum_assignment(sub)
-                completion = float(sub[rr, cc].sum())
-            else:
-                completion = 0.0
-            if prefix + c[i, j] + completion <= best + tol:
+            completion = _assignment_cost([[r[x] for x in rest] for r in rows[i + 1:]])
+            if prefix + row[j] + completion <= best + tol:
                 perm.append(j)
                 remaining.remove(j)
-                prefix += float(c[i, j])
+                prefix += row[j]
                 break
     return perm
 

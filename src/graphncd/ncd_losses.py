@@ -142,9 +142,10 @@ def topk_pseudo_pairs(z, k: int) -> np.ndarray:
 _S_LO, _S_HI = 1e-12, 1.0 - 1e-12
 
 
-def _unsaturated(sb: np.ndarray) -> np.ndarray:
-    keep = sb > _S_LO
-    keep &= sb < _S_HI
+def _unsaturated(sb: np.ndarray, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    keep = np.greater(sb, _S_LO, out=out)
+    keep &= np.less(sb, _S_HI, out=scratch)
     return keep
 
 
@@ -186,15 +187,26 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
         u = parents[0].data
         grad_u = np.zeros_like(u)
     total = 0.0
+    # one row block of scratch per call: y as float, then y - 1; clip(s); t; masks
+    shape = (min(PAIR_BLOCK, n), n)
+    yf, sf, tf = np.empty(shape), np.empty(shape), np.empty(shape)
+    keepf, hif = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
     for r in _row_blocks(n):
-        sb, yb = sd[r], np.asarray(y[r], dtype=np.float64)
+        sb = sd[r]
+        k = sb.shape[0]
+        yb, sc = yf[:k], sf[:k]
+        np.copyto(yb, y[r])
+        if parents:
+            t = np.subtract(yb, sb, out=tf[:k])
+            keep = _unsaturated(sb, keepf[:k], hif[:k])
+            if not keep.all():
+                t[~keep] = 0.0
         # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
-        sc = np.clip(sb, _S_LO, _S_HI)
-        sc += yb - 1.0
+        yb -= 1.0
+        np.clip(sb, _S_LO, _S_HI, out=sc)
+        sc += yb
         total += np.log(np.abs(sc, out=sc), out=sc).sum()
         if parents:
-            t = yb - sb
-            t[~_unsaturated(sb)] = 0.0
             grad_u[r] += t @ u
             grad_u += t.T @ u[r]
     loss = np.array([[total * scale]])

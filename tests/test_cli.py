@@ -8,6 +8,7 @@ import json
 import os
 import shutil
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -923,6 +924,27 @@ def test_run_resolves_its_inputs_once(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "full")]) == 0
     assert len(calls) == 1
+
+
+def test_run_with_hungarian_alignment_never_imports_scipy_optimize(tmp_path):
+    # a fresh interpreter, since any test may have imported scipy.optimize here
+    cfg = tmp_path / "sbm.cfg"
+    cfg.write_text(BASE.replace("15,15,15,15", "30,30,30,30,30")
+                   .replace("old_classes = 0,1\nnew_classes = 2,3",
+                            "old_classes = 0,1,2\nnew_classes = 3,4")
+                   .replace("pretrain_epochs = 12\nncd_epochs = 20",
+                            "pretrain_epochs = 5\nncd_epochs = 5"), encoding="utf-8")
+    assert load_config(str(cfg)).novel_alignment == "hungarian"
+    code = ("import sys\n"
+            "from graphncd.cli import main\n"
+            f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "eval" / "confusion.csv").is_file()
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])

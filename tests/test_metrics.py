@@ -9,7 +9,7 @@ import graphncd.autodiff as ad
 from graphncd import cli
 from graphncd.config import RunConfig
 from graphncd.graph import ClassSplit, build_graph
-from graphncd.metrics import (MetricsReport, aa_af, evaluate_joint,
+from graphncd.metrics import (MetricsReport, _assignment_cost, aa_af, evaluate_joint,
                               hungarian_match, joint_predictions)
 from graphncd.models import EncoderParams, HeadParams
 from graphncd.training import ModelState
@@ -59,6 +59,46 @@ def test_hungarian_rejects_bad_input():
         hungarian_match(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         hungarian_match(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        hungarian_match(np.array([[0.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        hungarian_match(np.zeros(3))
+    with pytest.raises(ValueError):
+        hungarian_match([[1.0, 2.0]])
+
+
+def test_hungarian_edge_cases():
+    assert hungarian_match(np.zeros((0, 0))) == []
+    assert hungarian_match([[5.0]]) == [0]
+    assert hungarian_match([[1e300, -1e300], [0.0, 1.0]]) == [1, 0]
+    assert hungarian_match([[1, 2], [3, 4]]) == [0, 1]
+
+
+def test_assignment_cost_matches_scipy():
+    # scipy is the reference only: the package itself does not import scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(7)
+    kinds = [lambda n: rng.integers(0, 4, size=(n, n)).astype(float),   # heavy ties
+             lambda n: -rng.integers(0, 51, size=(n, n)).astype(float),  # -contingency
+             lambda n: rng.standard_normal((n, n))]
+    checked = 0
+    for n in range(1, 13):
+        for make in kinds:
+            for _ in range(56):
+                c = make(n)
+                rows, cols = linear_sum_assignment(c)
+                want = float(c[rows, cols].sum())
+                got = _assignment_cost(c.tolist())
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (c, got, want)
+                checked += 1
+    assert checked >= 2000
+
+
+def test_assignment_cost_stops_when_its_sums_overflow():
+    # reduced costs turn inf/NaN; the solver must return, not loop
+    big = 1.7e308
+    c = [[big, big, -big], [-big, 0.0, 0.0], [big, big, -big]]
+    assert _assignment_cost(c) == np.inf
 
 
 # --------------------------------------------------------------------- aa/af
