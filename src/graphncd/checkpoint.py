@@ -49,11 +49,8 @@ def _is_entry(e) -> bool:
 
 def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """Returns (meta, {name: array}) or raises CheckpointError."""
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read checkpoint {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 8:
         raise CheckpointError(f"{path}: too short for a header")
     (hlen,) = struct.unpack("<Q", raw[:8])

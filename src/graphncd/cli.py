@@ -26,7 +26,8 @@ from .config import (ConfigError, RunConfig, config_hash, config_payload,
                      load_config, phase1_hash)
 from .graph import (ClassSplit, Graph, GraphParseError, GraphValidationError,
                     canonical_texts, input_tensor, load_graph, operator_for,
-                    sbm_generate, split_classes, validate_split, write_atomic)
+                    read_text, sbm_generate, split_classes, validate_split,
+                    write_atomic)
 from .metrics import MetricsReport, evaluate_joint
 from .models import encode, freeze_encoder
 from .ncd_losses import LOSS_TERMS, Prototypes
@@ -68,9 +69,6 @@ def resolve_dataset(rc: RunConfig) -> tuple[Graph, str]:
     features and labels, as little-endian int64 (features float64), so text
     that parses to the same graph hashes the same."""
     if rc.dataset == "files":
-        for p in (rc.edges, rc.features, rc.labels):
-            if not os.path.isfile(p):
-                raise FileNotFoundError(f"missing dataset file: {p}")
         g = load_graph(rc.edges, rc.features, rc.labels)
     else:
         g = sbm_generate(rc.sbm_blocks, rc.sbm_p_in, rc.sbm_p_out, rc.sbm_feat_dim,
@@ -83,8 +81,6 @@ def resolve_dataset(rc: RunConfig) -> tuple[Graph, str]:
 
 def resolve_split(rc: RunConfig, g: Graph) -> tuple[ClassSplit, str]:
     if rc.split_file:
-        if not os.path.isfile(rc.split_file):
-            raise FileNotFoundError(f"missing split file: {rc.split_file}")
         split = ClassSplit.load(rc.split_file)
         validate_split(g, split)
     else:
@@ -264,8 +260,7 @@ def _is_number(v) -> bool:
 
 def _phase1_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = json.loads(read_text(path, StaleArtifacts))
     except (ValueError, RecursionError) as exc:
         raise StaleArtifacts(f"{path} is not JSON ({exc}); rerun pretrain") from exc
     if not isinstance(obj, dict):

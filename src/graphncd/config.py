@@ -10,12 +10,12 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .graph import check_split_ratios, fits_int64
+from .graph import check_split_ratios, fits_int64, numbered_lines, read_text
 from .training import MAX_LAYERS, TrainConfig
 
 
 class ConfigError(ValueError):
-    """Bad key, bad value, or unreadable config file."""
+    """Bad key, bad value, or a config file that is not UTF-8 text."""
 
 
 @dataclass
@@ -160,10 +160,7 @@ def parse_config_text(text: str) -> RunConfig:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config key {k!r}: {exc}") from exc
     else:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
+        for lineno, body in numbered_lines(text):
             if "=" not in body:
                 raise ConfigError(f"config line {lineno}: expected key=value, got {body!r}")
             key, _, val = body.partition("=")
@@ -178,14 +175,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(read_text(path, ConfigError))
 
 
 def _digest(payload: dict) -> str:

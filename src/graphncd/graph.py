@@ -1,7 +1,8 @@
 """Graph containers, text/JSON IO, adjacency preprocessing, splits, SBM data.
 
-File formats:
-  edges     one "u v" pair per line, whitespace separated, '#' starts a comment
+File formats (each read by read_text and cut into lines by numbered_lines,
+where '#' starts a comment and blank lines are skipped):
+  edges     one "u v" pair per line, whitespace separated
   features  one row of floats per node, whitespace separated
   labels    one integer per node
   split     JSON with old/new class lists and the six node-id masks
@@ -104,67 +105,63 @@ def build_graph(num_nodes: int, edge_pairs, features, labels) -> Graph:
                  features=feats, labels=labs)
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str, error: type[Exception] = GraphParseError) -> str:
+    """The text of the regular file at ``path``, the one reader of every text
+    input: anything else at ``path`` is FileNotFoundError, text that is not
+    UTF-8 is ``error``, and other OSErrors propagate as ``open`` raised them."""
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{path}: no such regular file")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise GraphParseError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _read_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Non-empty, non-comment lines with their 1-based line numbers.
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Non-empty, non-comment lines with their 1-based line numbers: '#'
+    starts a comment, and lines break where ``str.splitlines`` breaks them.
 
     Yielded one at a time, as load_graph keeps no (line, body) pair: tens of
     thousands of surviving tuples would set off a full garbage collection."""
-    for i, line in enumerate(_read_text(path).split("\n"), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if body:
             yield i, body
 
 
-def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
-    feat_rows = []
-    width = None
-    for lineno, body in _read_lines(features_path):
-        try:
-            row = [float(tok) for tok in body.split()]
-        except ValueError as exc:
-            raise GraphParseError(f"{features_path}: line {lineno}: {exc}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise GraphParseError(
-                f"{features_path}: line {lineno}: expected {width} values, got {len(row)}")
-        feat_rows.append(row)
-    if not feat_rows:
-        raise GraphParseError(f"{features_path}: no feature rows")
-
-    labels = []
-    for lineno, body in _read_lines(labels_path):
-        try:
-            labels.append(_int64(body))
-        except ValueError as exc:
-            raise GraphParseError(f"{labels_path}: line {lineno}: {exc}") from exc
-
-    ends = []  # flat u, v, u, v, ...: no tuple per edge
-    for lineno, body in _read_lines(edges_path):
+def _table(path: str, parse, width: int | None) -> tuple[list, int | None]:
+    """Every token of a whitespace-separated table file, read by ``parse``,
+    in one flat list (no list per line), and the width: ``width`` tokens per
+    line, or as many as the first line holds when it is None."""
+    flat = []
+    add = flat.append  # per token: faster than extending by a map or a list
+    for lineno, body in numbered_lines(read_text(path)):
         toks = body.split()
-        if len(toks) != 2:
-            raise GraphParseError(f"{edges_path}: line {lineno}: expected 'u v', got {body!r}")
+        if len(toks) != width:
+            if width is not None:
+                raise GraphParseError(
+                    f"{path}: line {lineno}: expected {width} values, got {len(toks)}")
+            width = len(toks)
         try:
-            ends += _int64(toks[0]), _int64(toks[1])
+            for tok in toks:
+                add(parse(tok))
         except ValueError as exc:
-            raise GraphParseError(f"{edges_path}: line {lineno}: {exc}") from exc
+            raise GraphParseError(f"{path}: line {lineno}: {exc}") from exc
+    return flat, width
 
-    n = len(feat_rows)
+
+def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
+    feats, width = _table(features_path, float, None)
+    if not feats:
+        raise GraphParseError(f"{features_path}: no feature rows")
+    labels, _ = _table(labels_path, _int64, 1)
+    ends, _ = _table(edges_path, _int64, 2)  # flat u, v, u, v, ...
+    n = len(feats) // width
     if len(labels) != n:
         raise GraphValidationError(
             f"{labels_path}: {len(labels)} labels for {n} feature rows")
-    edge_arr = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    return build_graph(n, edge_arr, np.array(feat_rows), np.array(labels))
+    return build_graph(n, ends, np.array(feats).reshape(n, width), labels)
 
 
 def canonical_texts(g: Graph) -> tuple[str, str, str]:
@@ -305,7 +302,7 @@ class ClassSplit:
 
     @classmethod
     def load(cls, path: str) -> "ClassSplit":
-        return cls.from_json(_read_text(path))
+        return cls.from_json(read_text(path))
 
 
 def validate_split(g: Graph, split: ClassSplit) -> None:

@@ -90,7 +90,8 @@ def hungarian_match(cost) -> list[int]:
 
     Among all optimal assignments, returns the lexicographically smallest
     permutation (perm[0], perm[1], ...): each row in turn greedily takes the
-    smallest column that still allows an optimal completion."""
+    smallest column that still allows an optimal completion. ValueError when
+    no column does, which entries near the float64 limit can cause."""
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"cost matrix must be square, got {c.shape}")
@@ -112,6 +113,8 @@ def hungarian_match(cost) -> list[int]:
                 remaining.remove(j)
                 prefix += row[j]
                 break
+        else:  # the sums lost the optimum: entries near the float64 limit
+            raise ValueError("cost entries too large to match rows to columns")
     return perm
 
 

@@ -82,13 +82,14 @@ def encoder_parameters(enc: EncoderParams) -> list[Tensor]:
 
 
 def freeze_encoder(enc: EncoderParams) -> EncoderParams:
-    """Deep copy with gradients off: the distillation anchor, and the encoder a
-    forward that only reads values runs on, so that it builds no tape."""
+    """Deep copy (a Tensor copies its data) with gradients off: the
+    distillation anchor, and the encoder a forward that only reads values
+    runs on, so that it builds no tape."""
     return EncoderParams(
         backbone=enc.backbone,
         dims=list(enc.dims),
-        weights=[ad.constant(w.data.copy()) for w in enc.weights],
-        biases=[ad.constant(b.data.copy()) for b in enc.biases],
+        weights=[ad.constant(w.data) for w in enc.weights],
+        biases=[ad.constant(b.data) for b in enc.biases],
     )
 
 

@@ -414,11 +414,37 @@ def test_eval_runs_one_encoder_forward(pipeline, tmp_path, monkeypatch, kind):
 
 def test_eval_dimension_mismatch(pipeline, tmp_path, capsys):
     cfg, pre, ncd = pipeline
-    bad = _write_cfg(tmp_path, name="bad.cfg", extra="sbm_feat_dim = 8\n")
-    assert main(["eval", "--config", bad, "--out", str(tmp_path / "ev"),
-                 "--checkpoint",
-                 os.path.join(ncd, "checkpoint_ncd_best.bin")]) == 4
-    assert "input features" in capsys.readouterr().err
+    # the checkpoint has 6 input features, 2 old-class and 2 novel outputs
+    for i, (extra, needle) in enumerate([
+            ("sbm_feat_dim = 8\n", "input features"),
+            ("old_classes = 0,1,2\nnew_classes = 3\n", "old-class outputs"),
+            ("sbm_blocks = 15,15,15\nnew_classes = 2\n", "novel outputs")]):
+        bad = _write_cfg(tmp_path, name=f"bad{i}.cfg", extra=extra)
+        assert main(["eval", "--config", bad, "--out", str(tmp_path / f"ev{i}"),
+                     "--checkpoint",
+                     os.path.join(ncd, "checkpoint_ncd_best.bin")]) == 4
+        assert needle in capsys.readouterr().err
+
+
+def test_reference_comparison_only_when_every_reference_is_set(pipeline, tmp_path):
+    cfg, pre, ncd = pipeline
+    ckpt = os.path.join(ncd, "checkpoint_ncd_best.bin")
+    assert "reference_comparison" not in _read_json(os.path.join(ncd, "metrics.json"))
+    for i, refs in enumerate([(0.5, 0.25, 1.0), (0.5, None, None)]):
+        extra = "".join(f"reference_{k} = {v}\n" for k, v in zip(("old", "new", "all"), refs)
+                        if v is not None)
+        out = tmp_path / f"ev{i}"
+        assert main(["eval", "--config", _write_cfg(tmp_path, name=f"ref{i}.cfg", extra=extra),
+                     "--out", str(out), "--checkpoint", ckpt]) == 0
+        got = _read_json(out / "metrics.json")
+        if None in refs:
+            assert "reference_comparison" not in got
+            continue
+        assert got["reference_comparison"] == {
+            "reference_only": True,
+            "reference_old": 0.5, "reference_new": 0.25, "reference_all": 1.0,
+            "delta_old": got["old_acc"] - 0.5, "delta_new": got["new_acc"] - 0.25,
+            "delta_all": got["all_acc"] - 1.0}
 
 
 def test_eval_missing_checkpoint(pipeline, tmp_path):
@@ -547,7 +573,14 @@ def _drop_old_class_0(split, labels):
     (_drop_old_class_0, "old classes [0] have no p1_train node"),
     (lambda split, labels: split.update(p1_train=[]), "p1_train is empty"),
     (lambda split, labels: split.update(p1_val=[]), "p1_val is empty"),
-], ids=["no_p2_train", "old_class_without_p1_train", "no_p1_train", "no_p1_val"])
+    (lambda split, labels: split.update(p1_test=split["p1_test"] + [len(labels)]),
+     "phase-1 mask has out-of-range node id"),
+    (lambda split, labels: split.update(p1_val=split["p1_val"] + split["p2_train"][:1]),
+     "phase-1 mask contains classes"),
+    (lambda split, labels: split.update(all_test=split["all_test"][1:]),
+     "all_test must be the union of p1_test and p2_test"),
+], ids=["no_p2_train", "old_class_without_p1_train", "no_p1_train", "no_p1_val",
+        "node_id_out_of_range", "new_class_in_phase_1", "all_test_not_the_union"])
 def test_split_that_training_cannot_run_on_exits_2(tmp_path, capsys, edit, needle):
     text = (BASE.replace("15,15,15,15", "30,30,30,30,30")
             .replace("old_classes = 0,1\nnew_classes = 2,3",
@@ -569,6 +602,27 @@ def test_split_that_training_cannot_run_on_exits_2(tmp_path, capsys, edit, needl
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
     assert not list(out.rglob("manifest.json"))
+
+
+@pytest.mark.parametrize("key,target", [("split_file", "missing"), ("config", "dir"),
+                                        ("edges", "dir"), ("split_file", "dir")])
+def test_input_that_is_no_regular_file_exits_2(tmp_path, capsys, key, target):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", _write_cfg(tmp_path), "--out", str(data)]) == 0
+    bad = str(tmp_path / "nope") if target == "missing" else str(data)
+    paths = {k: str(data / f"{k}.txt") for k in ("edges", "features", "labels")}
+    paths["split_file"] = str(data / "split.json")
+    if key != "config":
+        paths[key] = bad
+    cfg = _write_cfg(tmp_path, name="files.cfg", extra="dataset = files\n" + "".join(
+        f"{k} = {v}\n" for k, v in paths.items()))
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["pretrain", "--config", bad if key == "config" else cfg,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and bad in err[0]
+    assert not (out / "manifest.json").exists()
 
 
 def test_missing_config_file(tmp_path):

@@ -124,6 +124,7 @@ def test_load_config_round_trip(tmp_path):
     ("old_classes = 0,1,2\nnew_classes = 2,3", "overlap"),
     ("new_classes =", "non-empty"),
     ("hidden = 20", "hidden"),          # model validation surfaces here
+    ("eq8_head = both", "eq8_head"),
     ("layers = 1", "layers"),
     ("top_k = 40", "top_k"),
     ("lr = 0", "lr"),

@@ -1,5 +1,7 @@
 """Graph IO, adjacency operators, splits, and the SBM generator."""
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,71 @@ def test_bad_edge_token_count_rejected(tmp_path):
         load_graph(str(tmp_path / "e.txt"), str(tmp_path / "f.txt"),
                    str(tmp_path / "l.txt"))
     assert "e.txt" in str(err.value)
+
+
+def test_bad_label_token_count_rejected(tmp_path):
+    (tmp_path / "e.txt").write_text("0 1\n")
+    (tmp_path / "f.txt").write_text("1.0\n2.0\n")
+    (tmp_path / "l.txt").write_text("0\n0 1\n")
+    with pytest.raises(GraphParseError, match="l.txt: line 2: expected 1 values, got 2"):
+        load_graph(str(tmp_path / "e.txt"), str(tmp_path / "f.txt"),
+                   str(tmp_path / "l.txt"))
+
+
+def test_numbered_lines_breaks_where_splitlines_does():
+    text = "a # note\n\n  b\x0cc\r\n# only a comment\nd\u2028e\x85f"
+    assert list(graph.numbered_lines(text)) == [
+        (1, "a"), (3, "b"), (4, "c"), (6, "d"), (7, "e"), (8, "f")]
+
+
+def test_read_text_refuses_what_is_not_a_regular_file(tmp_path):
+    for path in (str(tmp_path), str(tmp_path / "nope")):
+        with pytest.raises(FileNotFoundError) as err:
+            graph.read_text(path)
+        assert path in str(err.value)
+
+
+def test_read_text_raises_the_callers_error_on_text_that_is_not_utf8(tmp_path):
+    class Custom(Exception):
+        pass
+    path = tmp_path / "x.txt"
+    path.write_bytes(b"0 1\n\xff\n")
+    with pytest.raises(GraphParseError, match="not UTF-8"):
+        graph.read_text(str(path))
+    with pytest.raises(Custom, match="not UTF-8"):
+        graph.read_text(str(path), Custom)
+
+
+def _open_calls(tree: ast.AST, module: str) -> list[tuple[str, str, bool]]:
+    """(module, enclosing function, text mode?) of each call to open,
+    os.open, io.open, os.fdopen or Path.open in a parsed module."""
+    calls = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and (
+                (isinstance(func, ast.Name) and func.id == "open")
+                or (isinstance(func, ast.Attribute) and func.attr in ("open", "fdopen"))):
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), None)
+            calls.append((module, where, not (isinstance(mode, ast.Constant)
+                                              and "b" in mode.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, None)
+    return calls
+
+
+def test_only_the_reader_the_writer_and_the_checkpoint_loader_open_files():
+    src = Path(graph.__file__).parent
+    calls = [call for path in sorted(src.glob("*.py"))
+             for call in _open_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert sorted(calls) == [("checkpoint", "load_checkpoint", False),
+                             ("graph", "read_text", True),
+                             ("graph", "write_atomic", False)]
 
 
 def test_label_count_mismatch_rejected(tmp_path):

@@ -65,6 +65,9 @@ def test_hungarian_rejects_bad_input():
         hungarian_match(np.zeros(3))
     with pytest.raises(ValueError):
         hungarian_match([[1.0, 2.0]])
+    # finite, but the sums overflow: no optimal completion is ever found
+    with pytest.raises(ValueError):
+        hungarian_match([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
 
 
 def test_hungarian_edge_cases():
