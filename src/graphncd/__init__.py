@@ -10,7 +10,7 @@ from .autodiff import SparseMatrix, Tensor, backward, grad_check
 from .graph import (ClassSplit, Graph, load_graph, mean_adjacency,
                     normalize_adjacency, save_graph, sbm_generate, split_classes)
 from .metrics import MetricsReport, aa_af, evaluate_joint, hungarian_match
-from .models import (EncoderParams, HeadParams, encode, extend_head,
+from .models import (EncoderInput, EncoderParams, HeadParams, encode, extend_head,
                      head_forward, init_encoder, init_head)
 from .ncd_losses import (LossWeights, Prototypes, assign_pseudo_labels,
                          compute_prototypes, distill_loss, pairwise_bce,

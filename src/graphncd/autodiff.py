@@ -84,35 +84,15 @@ class SparseMatrix:
         csr = _sp.csr_matrix(mat, dtype=np.float64)
         csr.sort_indices()
         self.mat = csr
-        self._memo: tuple[Tensor, Tensor] | None = None
-        self._restricted: dict[bytes, SparseMatrix] = {}
-
-    def spmm_memo(self, x: Tensor) -> Tensor:
-        """``spmm(self, x)``, computed once while a constant ``x`` is the
-        last constant operand seen; a gradient-carrying ``x`` always takes
-        plain spmm.
-
-        The one-slot memo is keyed on the operand's identity and holds it,
-        so no other tensor can take over the key. Constant tensors are never
-        written in place, so a hit is the product spmm would return.
-        """
-        if x.requires_grad:
-            return spmm(self, x)
-        if self._memo is None or self._memo[0] is not x:
-            self._memo = (x, spmm(self, x))
-        return self._memo[1]
 
     def restrict(self, rows) -> SparseMatrix:
         """The operator ``A[rows]``: its rows at the given indices, in that
         order, duplicates kept. ``spmm(A.restrict(rows), h)`` is the rows
-        ``rows`` of ``spmm(A, h)``. Built once per row set and kept here."""
+        ``rows`` of ``spmm(A, h)``."""
         ii = np.asarray(rows, dtype=np.int64).reshape(-1)
-        key = ii.tobytes()
-        if key not in self._restricted:
-            if ii.size and (ii.min() < 0 or ii.max() >= self.shape[0]):
-                raise IndexError(f"restrict: row index out of range for {self.shape[0]} rows")
-            self._restricted[key] = SparseMatrix(self.mat[ii])
-        return self._restricted[key]
+        if ii.size and (ii.min() < 0 or ii.max() >= self.shape[0]):
+            raise IndexError(f"restrict: row index out of range for {self.shape[0]} rows")
+        return SparseMatrix(self.mat[ii])
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -5,7 +5,8 @@ takes --config (flat key=value or JSON) plus optional --seed/--out overrides
 and writes its artifacts into the output directory.
 
 Exit codes: 0 success, 2 bad input or an I/O failure, 3 stale or missing
-phase-1 artifacts, 4 checkpoint/dataset dimension mismatch, 1 anything else.
+phase-1 artifacts, 4 a checkpoint whose backbone or dimensions do not fit the
+config, dataset or split, 1 anything else.
 """
 from __future__ import annotations
 
@@ -20,16 +21,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .autodiff import constant
 # unused here, but perfbench/spans.py hooks cli.save_checkpoint, so it stays bound
 from .checkpoint import CheckpointError, save_checkpoint  # noqa: F401
 from .config import (ConfigError, RunConfig, config_hash, config_payload,
                      load_config, phase1_hash)
 from .graph import (ClassSplit, Graph, GraphParseError, GraphValidationError,
-                    canonical_texts, input_tensor, load_graph, operator_for,
+                    canonical_texts, input_features, load_graph, operator_for,
                     read_text, sbm_generate, split_classes, validate_split,
                     write_atomic)
 from .metrics import MetricsReport, evaluate_joint
-from .models import encode, freeze_encoder
+from .models import EncoderInput, encode, freeze_encoder
 from .ncd_losses import LOSS_TERMS, Prototypes
 from .training import (SEED_SBM, SEED_SPLIT, TrainingDiverged, derive_seed,
                        load_state, ncd_train, pretrain, run_depth_sweep,
@@ -41,7 +43,7 @@ class StaleArtifacts(Exception):
 
 
 class DimensionMismatch(Exception):
-    """Checkpoint geometry does not fit the dataset or split."""
+    """Checkpoint backbone or geometry does not fit the config, dataset or split."""
 
 
 # typed failures that are not bad input (exit 2); anything else is a traceback
@@ -156,6 +158,7 @@ class _Stage:
     rc: RunConfig
     g: Graph
     split: ClassSplit
+    inp: EncoderInput
     dataset_hash: str
     split_hash: str
     config_hash: str
@@ -232,8 +235,9 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
 
 
 def cmd_pretrain(st: _Stage) -> int:
-    state, protos, plog = pretrain(st.g, st.split, st.rc)
-    rep = stage_report(state, st.g, st.split, st.rc)
+    state, protos, plog = pretrain(st.g, st.split, st.rc, st.inp)
+    rep = stage_report(state, st.g, st.split, st.rc,
+                       encode(freeze_encoder(state.encoder), st.inp))
     p1hash = phase1_hash(st.rc, st.dataset_hash, st.split_hash)
 
     meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": st.rc.seed}
@@ -308,8 +312,9 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
 
 def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
     state, protos, m11 = _load_phase1(pretrain_dir, st)
-    state, nlog = ncd_train(state, protos, st.g, st.split, st.rc)
-    rep = stage_report(state, st.g, st.split, st.rc, m11)
+    state, nlog = ncd_train(state, protos, st.g, st.split, st.rc, st.inp)
+    rep = stage_report(state, st.g, st.split, st.rc,
+                       encode(freeze_encoder(state.encoder), st.inp), m11)
     rep.extras.update({f"use_{t}": getattr(st.rc, f"use_{t}") for t in LOSS_TERMS})
 
     meta = {"config_hash": st.config_hash, "seed": st.rc.seed, "phase1_old_acc": m11,
@@ -332,6 +337,9 @@ def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
 def cmd_eval(st: _Stage, checkpoint: str) -> int:
     rc, g, split = st.rc, st.g, st.split
     state, meta = load_state(checkpoint)
+    if state.encoder.backbone != rc.backbone:
+        raise DimensionMismatch(f"checkpoint has a {state.encoder.backbone} encoder, "
+                                f"config asks for {rc.backbone}")
     if state.encoder.dims[0] != g.feat_dim:
         raise DimensionMismatch(
             f"checkpoint expects {state.encoder.dims[0]} input features, "
@@ -349,12 +357,11 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
     if not (m11 is None or _is_number(m11)):
         raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not a number")
     # one full forward, on constants, feeds both the metrics and nodes.csv
-    z = encode(freeze_encoder(state.encoder), operator_for(state.encoder.backbone, g),
-               input_tensor(g, rc.normalize_features))
+    z = encode(freeze_encoder(state.encoder), st.inp)
     if state.joint_head is None or m11 is not None:
-        rep = stage_report(state, g, split, rc, m11, z)
+        rep = stage_report(state, g, split, rc, z, m11)
     else:  # phase-2 checkpoint without its phase-1 accuracy: no stage matrix
-        rep = evaluate_joint(state, g, split, rc.novel_alignment, rc.normalize_features, z)
+        rep = evaluate_joint(state, g, split, z, rc.novel_alignment)
         rep.seed = rc.seed
     st.write_metrics(rep)
 
@@ -368,7 +375,7 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
 
 
 def cmd_sweep_depth(st: _Stage) -> int:
-    rows = run_depth_sweep(st.g, st.split, st.rc, st.rc.sweep_layers)
+    rows = run_depth_sweep(st.g, st.split, st.rc, st.inp, st.rc.sweep_layers)
     _write_csv(st.path("sweep.csv"), SWEEP_COLUMNS, _pick(SWEEP_COLUMNS, rows))
     st.write_manifest("sweep-depth", layers=st.rc.sweep_layers)
     for row in rows:
@@ -434,7 +441,10 @@ def main(argv: list[str] | None = None) -> int:
         _claim(_run_dirs(rc.out) if args.command == "run" else [rc.out], args.force)
         g, dataset_hash = resolve_dataset(rc)
         split, split_hash = resolve_split(rc, g)
-        st = _Stage(rc, g, split, dataset_hash, split_hash,
+        # the one encoder input of every stage: A·x is computed here, once
+        inp = EncoderInput.build(operator_for(rc.backbone, g),
+                                 constant(input_features(g, rc.normalize_features)))
+        st = _Stage(rc, g, split, inp, dataset_hash, split_hash,
                     config_hash(rc, dataset_hash, split_hash))
         if args.command == "pretrain":
             return cmd_pretrain(st)

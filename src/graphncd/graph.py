@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 
-from .autodiff import SparseMatrix, Tensor, constant
+from .autodiff import SparseMatrix
 
 # candidate pairs per row block of the SBM sampler: bounds its temporaries
 SBM_BLOCK_PAIRS = 2 ** 20
@@ -54,10 +54,6 @@ class Graph:
     edges: np.ndarray      # (2E, 2) int64, both directions present exactly once
     features: np.ndarray   # (N, d) float64
     labels: np.ndarray     # (N,) int64
-    # the operators operator_for built for this graph, by backbone
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the encoder inputs input_tensor built for this graph, by normalize flag
-    _inputs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def feat_dim(self) -> int:
@@ -214,14 +210,6 @@ def input_features(g: Graph, normalize: bool) -> np.ndarray:
     return normalize_rows(g.features) if normalize else g.features
 
 
-def input_tensor(g: Graph, normalize: bool) -> Tensor:
-    """``input_features`` as a constant tensor, built once per graph and flag,
-    so every stage's encoder hits the operator's layer-0 memo."""
-    if normalize not in g._inputs:
-        g._inputs[normalize] = constant(input_features(g, normalize))
-    return g._inputs[normalize]
-
-
 def normalize_adjacency(g: Graph) -> SparseMatrix:
     """Symmetric GCN operator D^{-1/2} (A + I) D^{-1/2}.
 
@@ -250,16 +238,12 @@ def mean_adjacency(g: Graph) -> SparseMatrix:
 
 
 def operator_for(backbone: str, g: Graph) -> SparseMatrix:
-    """Message-passing operator matching the backbone's aggregation rule,
-    built once per graph and backbone."""
-    if backbone not in g._operators:
-        if backbone == "gcn":
-            g._operators[backbone] = normalize_adjacency(g)
-        elif backbone == "sage":
-            g._operators[backbone] = mean_adjacency(g)
-        else:
-            raise ValueError(f"unknown backbone {backbone!r}")
-    return g._operators[backbone]
+    """Message-passing operator matching the backbone's aggregation rule."""
+    if backbone == "gcn":
+        return normalize_adjacency(g)
+    if backbone == "sage":
+        return mean_adjacency(g)
+    raise ValueError(f"unknown backbone {backbone!r}")
 
 
 @dataclass
@@ -302,7 +286,11 @@ class ClassSplit:
 
     @classmethod
     def load(cls, path: str) -> "ClassSplit":
-        return cls.from_json(read_text(path))
+        text = read_text(path)
+        try:
+            return cls.from_json(text)
+        except GraphParseError as exc:
+            raise GraphParseError(f"{path}: {exc}") from exc
 
 
 def validate_split(g: Graph, split: ClassSplit) -> None:

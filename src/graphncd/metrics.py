@@ -5,9 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-from .graph import ClassSplit, Graph, input_tensor, operator_for
-from .models import encode, freeze_encoder, head_forward
+from .autodiff import Tensor, constant
+from .graph import ClassSplit, Graph, input_features, operator_for
+from .models import EncoderInput, encode, freeze_encoder, head_forward
 
 
 @dataclass
@@ -139,9 +139,9 @@ def joint_predictions(state, g: Graph, normalize_features: bool = False) -> np.n
 
     In phase 1 the joint head does not exist yet and the old head stands in,
     so predictions live in old-slot space only."""
-    return _joint_argmax(state, encode(freeze_encoder(state.encoder),
-                                       operator_for(state.encoder.backbone, g),
-                                       input_tensor(g, normalize_features)))
+    inp = EncoderInput.build(operator_for(state.encoder.backbone, g),
+                             constant(input_features(g, normalize_features)))
+    return _joint_argmax(state, encode(freeze_encoder(state.encoder), inp))
 
 
 def _joint_argmax(state, z: Tensor) -> np.ndarray:
@@ -173,18 +173,15 @@ def _align_novel_slots(pred_idx: np.ndarray, g: Graph, split: ClassSplit,
     return {s: split.new_classes[perm[s]] for s in range(n_new)}
 
 
-def evaluate_joint(state, g: Graph, split: ClassSplit,
-                   novel_alignment: str = "hungarian",
-                   normalize_features: bool = False,
-                   z: Tensor | None = None) -> MetricsReport:
+def evaluate_joint(state, g: Graph, split: ClassSplit, z: Tensor,
+                   novel_alignment: str = "hungarian") -> MetricsReport:
     """Task-agnostic accuracy over old, new, and pooled test nodes.
 
     One argmax over the full joint logit row decides each node; a new-class
     node predicted as any old class counts as wrong. Predicted old slots map
-    to old class ids by position; novel slots map per novel_alignment. A
-    caller that already ran the encoder's full forward on g passes it as z."""
-    pred_idx = (joint_predictions(state, g, normalize_features) if z is None
-                else _joint_argmax(state, z))
+    to old class ids by position; novel slots map per novel_alignment. ``z``
+    is the encoder's full forward on g."""
+    pred_idx = _joint_argmax(state, z)
     n_old = len(split.old_classes)
     slot_map = {i: c for i, c in enumerate(split.old_classes)}
     if state.joint_head is not None:

@@ -2,18 +2,18 @@
 
 Two message-passing backbones share one interface: each layer is a linear
 map of aggregated node features, ReLU between layers, nothing after the
-last. ``encode`` takes the preprocessing operator that matches the backbone
-(symmetric normalized adjacency for gcn, row-mean neighbor aggregator for
-sage), so the forward pass itself is backbone-agnostic about graph wiring.
+last. ``encode`` reads the operator that matches the backbone (symmetric
+normalized adjacency for gcn, row-mean neighbor aggregator for sage) from an
+``EncoderInput``, so the forward pass itself is backbone-agnostic about
+graph wiring.
 
-Layer 0 of both backbones reads the input's propagation ``A·x`` from the
-operator's memo: the input is constant, so a stage computes it once. gcn
-layer 0 is therefore ``(A·x)·W`` rather than ``A·(x·W)``, the same product
-in another float order; deeper gcn layers stay ``A·(h·W)``.
+The input is a constant of the run, and so is its propagation ``A·x``: the
+``EncoderInput`` computes it once, and layer 0 of both backbones reads it.
+gcn layer 0 is therefore ``(A·x)·W`` rather than ``A·(x·W)``, the same
+product in another float order; deeper gcn layers stay ``A·(h·W)``.
 
-A loss that reads only some rows passes them as ``rows``, and the last layer
-computes only those: it runs on the restricted operator ``A[rows]``, which
-the full operator builds once per row set. gcn's last layer is then
+A loss that reads only some rows encodes on ``inp.at(rows)``, and the last
+layer computes only those, on ``A[rows]``. gcn's last layer is then
 ``A[rows]·(h·W)``, whose rows are bitwise those of the full product; sage's
 is ``concat(h[rows], A[rows]·h)·W``, whose matmul runs over fewer rows and
 so may differ from the full product's rows in the last bits. Earlier layers
@@ -21,7 +21,7 @@ still run over every node, since the last one reads their neighbours.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,24 +93,48 @@ def freeze_encoder(enc: EncoderParams) -> EncoderParams:
     )
 
 
-def encode(enc: EncoderParams, adj: SparseMatrix, x: Tensor, rows=None) -> Tensor:
-    """Forward pass to representations, shape (N, repr_dim); with ``rows``,
+@dataclass(frozen=True)
+class EncoderInput:
+    """What ``encode`` reads of the graph: the operator ``adj``, the input
+    ``x`` and ``ax = A·x``; after ``at(rows)``, also ``rows`` and
+    ``adj_rows = A[rows]``. ``x`` is never written in place, or ``ax`` would
+    go stale: a caller that moves ``x`` builds a new input. A
+    gradient-carrying ``x`` still differentiates through ``ax``."""
+
+    adj: SparseMatrix
+    x: Tensor
+    ax: Tensor
+    rows: np.ndarray | None = None
+    adj_rows: SparseMatrix | None = None
+
+    @classmethod
+    def build(cls, adj: SparseMatrix, x: Tensor) -> EncoderInput:
+        return cls(adj, x, ad.spmm(adj, x))
+
+    def at(self, rows) -> EncoderInput:
+        """The same input, with the last layer computing only ``rows``, in
+        that order; IndexError for a row out of range."""
+        ii = np.asarray(rows, dtype=np.int64).reshape(-1)
+        return replace(self, rows=ii, adj_rows=self.adj.restrict(ii))
+
+
+def encode(enc: EncoderParams, inp: EncoderInput) -> Tensor:
+    """Forward pass to representations, shape (N, repr_dim); on ``inp.at(rows)``,
     only those rows of it, in that order, shape (len(rows), repr_dim)."""
-    if adj.shape[0] != x.shape[0]:
-        raise ValueError(f"operator is {adj.shape} but features have {x.shape[0]} rows")
-    if x.shape[1] != enc.dims[0]:
-        raise ValueError(f"encoder expects {enc.dims[0]} input features, got {x.shape[1]}")
-    h = x
+    if inp.x.shape[1] != enc.dims[0]:
+        raise ValueError(f"encoder expects {enc.dims[0]} input features, got {inp.x.shape[1]}")
+    h, rows = inp.x, inp.rows
     last = enc.num_layers - 1
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
         # the last layer computes only the rows read: A[rows] in place of A
-        op = adj if rows is None or i != last else adj.restrict(rows)
-        # layer 0 propagates the input, a constant of the run: A·x is memoized
-        ax = op.spmm_memo(h) if i == 0 else None
+        op = inp.adj if rows is None or i != last else inp.adj_rows
+        ax = None
+        if i == 0:  # layer 0 reads A·x, built with the input
+            ax = inp.ax if op is inp.adj else ad.gather_rows(inp.ax, rows)
         if enc.backbone == "gcn":  # (A·x)·W at layer 0, A·(h·W) deeper
             h = ad.spmm(op, ad.matmul(h, w)) if ax is None else ad.matmul(ax, w)
         else:  # sage: concat self with mean of neighbors, then linear
-            own = h if op is adj else ad.gather_rows(h, rows)
+            own = h if op is inp.adj else ad.gather_rows(h, rows)
             h = ad.matmul(ad.concat_rows(own, ad.spmm(op, h) if ax is None else ax), w)
         h = ad.add(h, b)
         if i != last:

@@ -23,11 +23,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .graph import ClassSplit, Graph, input_tensor, operator_for, validate_split
+# operator_for is unused here, but perfbench/spans.py hooks it, so it stays bound
+from .graph import ClassSplit, Graph, operator_for, validate_split  # noqa: F401
 from .metrics import MetricsReport, aa_af, evaluate_joint
-from .models import (BACKBONES, EncoderParams, HeadParams, encode, encoder_parameters,
-                     extend_head, freeze_encoder, head_forward, head_parameters,
-                     init_encoder, init_head)
+from .models import (BACKBONES, EncoderInput, EncoderParams, HeadParams, encode,
+                     encoder_parameters, extend_head, freeze_encoder, head_forward,
+                     head_parameters, init_encoder, init_head)
 from .ncd_losses import (LOSS_TERMS, LossWeights, Prototypes, assign_pseudo_labels,
                          batch_sigma, compute_prototypes, distill_loss, pairwise_bce,
                          pairwise_similarity, perturb_consistency_loss,
@@ -171,9 +172,9 @@ def _restore(named: list[tuple[str, Tensor]], snap: dict[str, np.ndarray]) -> No
         t.data[...] = snap[name]
 
 
-def pretrain(g: Graph, split: ClassSplit,
-             cfg: TrainConfig) -> tuple[ModelState, Prototypes, PretrainLog]:
-    """Supervised phase-1 training on old-class nodes.
+def pretrain(g: Graph, split: ClassSplit, cfg: TrainConfig,
+             inp: EncoderInput) -> tuple[ModelState, Prototypes, PretrainLog]:
+    """Supervised phase-1 training on old-class nodes, encoding on ``inp``.
 
     Runs the full epoch budget; the final state ships to phase 2 and the
     prototypes are computed from it, so replayed samples match the encoder
@@ -181,8 +182,6 @@ def pretrain(g: Graph, split: ClassSplit,
     returned in the log for archival."""
     cfg.validate()
     validate_split(g, split)
-    adj = operator_for(cfg.backbone, g)
-    x = input_tensor(g, cfg.normalize_features)
     dims = [g.feat_dim] + [cfg.hidden] * cfg.layers
     enc = init_encoder(cfg.backbone, dims, derive_seed(cfg.seed, _SEED_ENCODER))
     old_head = init_head(cfg.hidden, len(split.old_classes),
@@ -196,12 +195,13 @@ def pretrain(g: Graph, split: ClassSplit,
     va = np.asarray(split.p1_val, dtype=np.int64)
     y_tr = np.array([old_index[int(c)] for c in g.labels[tr]], dtype=np.int64)
     y_va = np.array([old_index[int(c)] for c in g.labels[va]], dtype=np.int64)
+    tr_in, va_in = inp.at(tr), inp.at(va)
 
     named = named_parameters(state)
     rows: list[dict] = []
     best_epoch, best_val, best_snap = -1, -np.inf, _snapshot(named)
     for epoch in range(cfg.pretrain_epochs):
-        logits = head_forward(old_head, encode(enc, adj, x, tr))
+        logits = head_forward(old_head, encode(enc, tr_in))
         loss = ad.nll_rows(ad.log_softmax_rows(logits), y_tr)
         loss_val = loss.item()
         if not np.isfinite(loss_val):
@@ -211,22 +211,23 @@ def pretrain(g: Graph, split: ClassSplit,
         grads = backward(loss, params)
         adam_step(params, grads, state.adam)
 
-        z_va = encode(freeze_encoder(enc), adj, x, va).data
+        z_va = encode(freeze_encoder(enc), va_in).data
         val_logits = z_va @ old_head.weight.data + old_head.bias.data
         val_acc = float(np.mean(np.argmax(val_logits, axis=1) == y_va))
         rows.append({"epoch": epoch, "loss": loss_val, "val_acc": val_acc})
         if val_acc > best_val:
             best_epoch, best_val, best_snap = epoch, val_acc, _snapshot(named)
 
-    protos = compute_prototypes(encode(freeze_encoder(enc), adj, x, tr).data,
+    protos = compute_prototypes(encode(freeze_encoder(enc), tr_in).data,
                                 g.labels[tr], split.old_classes)
     return state, protos, PretrainLog(rows=rows, best_epoch=best_epoch,
                                       best_val_acc=best_val, best_snapshot=best_snap)
 
 
 def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit,
-              cfg: TrainConfig) -> tuple[ModelState, NcdLog]:
-    """Phase-2 discovery loop with early stopping on the smoothed total loss.
+              cfg: TrainConfig, inp: EncoderInput) -> tuple[ModelState, NcdLog]:
+    """Phase-2 discovery loop with early stopping on the smoothed total loss,
+    encoding on ``inp``.
 
     Freezes a copy of the incoming encoder as the distillation anchor,
     attaches novel and joint heads, and trains full-batch on phase-2 train
@@ -237,8 +238,6 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     if protos.mean.shape[0] != len(split.old_classes):
         raise ValueError(f"{protos.mean.shape[0]} prototypes for "
                          f"{len(split.old_classes)} old classes")
-    adj = operator_for(cfg.backbone, g)
-    x = input_tensor(g, cfg.normalize_features)
     n_old, n_new = len(split.old_classes), len(split.new_classes)
     repr_dim = state.encoder.repr_dim
 
@@ -252,8 +251,8 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
               + head_parameters(state.joint_head))
     state.adam = adam_init(params, cfg.lr, cfg.weight_decay)
 
-    tr2 = np.asarray(split.p2_train, dtype=np.int64)
-    zf_u = encode(state.frozen_encoder, adj, x, tr2)  # constant all phase
+    u_in = inp.at(split.p2_train)  # the live and the frozen encoder share it
+    zf_u = encode(state.frozen_encoder, u_in)  # constant all phase
     # joint-head columns of the replayed labels, in the class-major layout
     # sample_prototype_batch returns every epoch
     old_index = {c: i for i, c in enumerate(split.old_classes)}
@@ -272,7 +271,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     track_from = cfg.rampup_length
 
     for epoch in range(cfg.ncd_epochs):
-        z_u = encode(state.encoder, adj, x, tr2)
+        z_u = encode(state.encoder, u_in)
         u_logits = head_forward(state.novel_head, z_u)
         joint_u = (head_forward(state.joint_head, z_u)
                    if cfg.use_self or joint_for_perturb else None)
@@ -331,11 +330,10 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
 
 
 def stage_report(state: ModelState, g: Graph, split: ClassSplit, cfg: TrainConfig,
-                 phase1_old_acc: float | None = None,
-                 z: Tensor | None = None) -> MetricsReport:
-    """Joint evaluation plus the stage performance matrix and AA/AF; ``z`` is
-    passed on to ``evaluate_joint``."""
-    rep = evaluate_joint(state, g, split, cfg.novel_alignment, cfg.normalize_features, z)
+                 z: Tensor, phase1_old_acc: float | None = None) -> MetricsReport:
+    """Joint evaluation of the encoder's full forward ``z`` plus the stage
+    performance matrix and AA/AF."""
+    rep = evaluate_joint(state, g, split, z, cfg.novel_alignment)
     rep.seed = cfg.seed
     if rep.phase == 1:
         rep.perf = np.array([[rep.old_acc]])
@@ -349,17 +347,18 @@ def stage_report(state: ModelState, g: Graph, split: ClassSplit, cfg: TrainConfi
     return rep
 
 
-def run_depth_sweep(g: Graph, split: ClassSplit, cfg: TrainConfig,
+def run_depth_sweep(g: Graph, split: ClassSplit, cfg: TrainConfig, inp: EncoderInput,
                     layer_counts: list[int]) -> list[dict]:
     """Full pipeline per depth with everything else held fixed."""
     out = []
     for nl in layer_counts:
         c = replace(cfg, layers=int(nl))
-        state, protos, _ = pretrain(g, split, c)
-        m11 = evaluate_joint(state, g, split, c.novel_alignment,
-                             c.normalize_features).old_acc
-        state, _ = ncd_train(state, protos, g, split, c)
-        rep = stage_report(state, g, split, c, m11)
+        state, protos, _ = pretrain(g, split, c, inp)
+        z = encode(freeze_encoder(state.encoder), inp)
+        m11 = evaluate_joint(state, g, split, z, c.novel_alignment).old_acc
+        state, _ = ncd_train(state, protos, g, split, c, inp)
+        z = encode(freeze_encoder(state.encoder), inp)
+        rep = stage_report(state, g, split, c, z, m11)
         out.append({"layers": int(nl), "old_acc": rep.old_acc, "new_acc": rep.new_acc,
                     "all_acc": rep.all_acc, "aa": rep.aa, "af": rep.af})
     return out

@@ -39,7 +39,7 @@ from graphncd.config import load_config, parse_config_text
 from graphncd.graph import Graph, mean_adjacency, normalize_adjacency, \
     operator_for, sbm_generate
 from graphncd.metrics import aa_af, hungarian_match, joint_predictions
-from graphncd.models import encode, encoder_parameters, head_forward, \
+from graphncd.models import EncoderInput, encode, encoder_parameters, head_forward, \
     head_parameters, init_encoder, init_head
 from graphncd.ncd_losses import (assign_pseudo_labels, batch_sigma,
                                  compute_prototypes, distill_loss,
@@ -165,8 +165,7 @@ def _composed_scenarios(seed):
     through a live two-layer graph encoder."""
     rng = np.random.default_rng(seed + 10_000)
     g = _tiny_graph(seed + 20_000)
-    adj = operator_for("gcn", g)
-    x = ad.constant(g.features)
+    inp = EncoderInput.build(operator_for("gcn", g), ad.constant(g.features))
     enc = init_encoder("gcn", [g.feat_dim, 6, 5], seed=seed)
     novel = init_head(5, 2, seed=seed + 1)
     joint = init_head(5, 4, seed=seed + 2)
@@ -174,25 +173,25 @@ def _composed_scenarios(seed):
     enc_params = encoder_parameters(enc)
 
     out = {}
-    z0 = encode(enc, adj, x).data
+    z0 = encode(enc, inp).data
     y_pair = topk_pseudo_pairs(z0 @ novel.weight.data + novel.bias.data, 2)
 
     def f_pairwise():
-        u = head_forward(novel, encode(enc, adj, x))
+        u = head_forward(novel, encode(enc, inp))
         return pairwise_bce(pairwise_similarity(u), y_pair)
     out["loss_pairwise"] = (f_pairwise, enc_params + head_parameters(novel))
 
     pseudo = assign_pseudo_labels(z0 @ novel.weight.data + novel.bias.data, 2)
 
     def f_self():
-        return self_training_loss(head_forward(joint, encode(enc, adj, x)),
+        return self_training_loss(head_forward(joint, encode(enc, inp)),
                                   pseudo)
     out["loss_self"] = (f_self, enc_params + head_parameters(joint))
 
     sigma = batch_sigma(z0, "empirical")
 
     def f_perturb():
-        z = encode(enc, adj, x)
+        z = encode(enc, inp)
         zp = perturb_representations(z, 0.4, sigma, seed=seed + 77)
         return perturb_consistency_loss(head_forward(novel, z),
                                         head_forward(novel, zp))
@@ -208,14 +207,14 @@ def _composed_scenarios(seed):
     z_frozen = ad.constant(rng.normal(size=(g.num_nodes, 5)))
 
     def f_distill():
-        return distill_loss(z_frozen, encode(enc, adj, x))
+        return distill_loss(z_frozen, encode(enc, inp))
     out["loss_distill"] = (f_distill, enc_params)
 
     tr = np.array([0, 2, 5, 7])
     tr_labels = np.array([0, 0, 1, 1])
 
     def f_supervised():
-        z = encode(enc, adj, x)
+        z = encode(enc, inp)
         logits = head_forward(old, ad.gather_rows(z, tr))
         return ad.nll_rows(ad.log_softmax_rows(logits), tr_labels)
     out["loss_supervised"] = (f_supervised, enc_params + head_parameters(old))

@@ -6,13 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import graphncd.autodiff as ad
 from graphncd.checkpoint import (FORMAT_VERSION, CheckpointError,
                                  load_checkpoint, save_checkpoint)
-from graphncd.graph import sbm_generate, split_classes
+from graphncd.graph import operator_for, sbm_generate, split_classes
 from graphncd.training import (TrainConfig, derive_seed, load_state,
                                named_parameters, ncd_train, pretrain,
                                save_state, SEED_SBM, SEED_SPLIT)
 from graphncd.metrics import joint_predictions
+from graphncd.models import EncoderInput
 
 
 def _tensors(seed=0):
@@ -152,12 +154,13 @@ def _tiny_pipeline():
     split = split_classes(g, [0, 1], [2, 3], seed=derive_seed(0, SEED_SPLIT))
     cfg = TrainConfig(hidden=16, pretrain_epochs=10, ncd_epochs=15, seed=0,
                       rampup_length=5, top_k=3)
-    return g, split, cfg
+    return g, split, cfg, EncoderInput.build(operator_for(cfg.backbone, g),
+                                             ad.constant(g.features))
 
 
 def test_model_state_round_trip_phase_one(tmp_path):
-    g, split, cfg = _tiny_pipeline()
-    state, _, _ = pretrain(g, split, cfg)
+    g, split, cfg, inp = _tiny_pipeline()
+    state, _, _ = pretrain(g, split, cfg, inp)
     path = str(tmp_path / "p1.bin")
     save_state(path, state, {"extra": 42})
     back, meta = load_state(path)
@@ -168,9 +171,9 @@ def test_model_state_round_trip_phase_one(tmp_path):
 
 
 def test_model_state_round_trip_phase_two(tmp_path):
-    g, split, cfg = _tiny_pipeline()
-    state, protos, _ = pretrain(g, split, cfg)
-    state, _ = ncd_train(state, protos, g, split, cfg)
+    g, split, cfg, inp = _tiny_pipeline()
+    state, protos, _ = pretrain(g, split, cfg, inp)
+    state, _ = ncd_train(state, protos, g, split, cfg, inp)
     path = str(tmp_path / "p2.bin")
     save_state(path, state)
     back, meta = load_state(path)
@@ -185,8 +188,8 @@ def test_model_state_round_trip_phase_two(tmp_path):
 
 
 def test_save_state_writes_snapshot_with_meta_overrides(tmp_path):
-    g, split, cfg = _tiny_pipeline()
-    state, _, plog = pretrain(g, split, cfg)
+    g, split, cfg, inp = _tiny_pipeline()
+    state, _, plog = pretrain(g, split, cfg, inp)
     path = str(tmp_path / "best.bin")
     save_state(path, state, {"step": plog.best_epoch + 1}, plog.best_snapshot)
     back, meta = load_state(path)

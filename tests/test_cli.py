@@ -20,8 +20,10 @@ from graphncd import cli, graph, metrics, training
 from graphncd.checkpoint import load_checkpoint, save_checkpoint
 from graphncd.cli import main
 from graphncd.config import load_config
-from graphncd.graph import ClassSplit, build_graph, load_graph, save_graph, validate_split
+from graphncd.graph import (ClassSplit, build_graph, input_features, load_graph,
+                            operator_for, save_graph, validate_split)
 from graphncd.metrics import evaluate_joint
+from graphncd.models import EncoderInput, encode, freeze_encoder
 from graphncd.training import load_state
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_artifacts.py"
@@ -56,6 +58,13 @@ def _write_cfg(tmp_path, name="run.cfg", extra=""):
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _forward(state, rc, g):
+    """The full forward the CLI evaluates a state on."""
+    inp = EncoderInput.build(operator_for(rc.backbone, g),
+                             ad.constant(input_features(g, rc.normalize_features)))
+    return encode(freeze_encoder(state.encoder), inp)
 
 
 def _csv_rows(path):
@@ -400,12 +409,12 @@ def test_eval_runs_one_encoder_forward(pipeline, tmp_path, monkeypatch, kind):
     out = str(tmp_path / "ev")
     assert main(["eval", "--config", cfg, "--out", out, "--checkpoint", ckpt]) == 0
     # the metrics and nodes.csv share one full forward
-    assert len(calls) == 1 and len(calls[0][0]) == 3 and not calls[0][1]
+    assert len(calls) == 1 and len(calls[0][0]) == 2 and not calls[0][1]
     state, _ = load_state(ckpt)
     rc = load_config(cfg)
     g, _ = cli.resolve_dataset(rc)
     split = ClassSplit.load(os.path.join(pre, "split.json"))
-    want = evaluate_joint(state, g, split)
+    want = evaluate_joint(state, g, split, _forward(state, rc, g))
     got = _read_json(os.path.join(out, "metrics.json"))
     assert [got[k] for k in ("old_acc", "new_acc", "all_acc")] == \
         [want.old_acc, want.new_acc, want.all_acc]
@@ -414,8 +423,10 @@ def test_eval_runs_one_encoder_forward(pipeline, tmp_path, monkeypatch, kind):
 
 def test_eval_dimension_mismatch(pipeline, tmp_path, capsys):
     cfg, pre, ncd = pipeline
-    # the checkpoint has 6 input features, 2 old-class and 2 novel outputs
+    # the checkpoint has a gcn encoder, 6 input features, 2 old-class and 2
+    # novel outputs
     for i, (extra, needle) in enumerate([
+            ("backbone = sage\n", "gcn encoder"),
             ("sbm_feat_dim = 8\n", "input features"),
             ("old_classes = 0,1,2\nnew_classes = 3\n", "old-class outputs"),
             ("sbm_blocks = 15,15,15\nnew_classes = 2\n", "novel outputs")]):
@@ -515,6 +526,9 @@ def _ckpt_with_meta(**entries):
     # a line appended to a file of the dataset, past int64
     ("edges", "0 99999999999999999999", "edges.txt: line"),
     ("labels", "9223372036854775808", "labels.txt: line"),
+    # a split that is no JSON, and one with a key that is no list
+    ("split", lambda raw: "[", "must be JSON"),
+    ("split", lambda raw: {**raw, "p2_train": 3}, "p2_train"),
 ])
 def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate,
                                         needle):
@@ -522,8 +536,9 @@ def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate
     bad = str(tmp_path / "bad")
     out = str(tmp_path / "o")
     if kind == "split":
+        text = mutate(_read_json(os.path.join(pre, "split.json")))
         with open(bad, "w", encoding="utf-8") as fh:
-            json.dump(mutate(_read_json(os.path.join(pre, "split.json"))), fh)
+            fh.write(text if isinstance(text, str) else json.dumps(text))
         cfg = _write_cfg(tmp_path, name="split.cfg", extra=f"split_file = {bad}\n")
         argv = ["pretrain", "--config", cfg, "--out", out]
     elif kind in ("edges", "labels"):
@@ -546,7 +561,10 @@ def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate
             save_checkpoint(bad, list(tensors.items()), meta)
         argv = ["eval", "--config", cfg, "--out", out, "--checkpoint", bad]
     assert main(argv) == 2
-    assert needle in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
+    if kind == "split":  # the one error line names the file
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", ["labels.txt", "split.json"])
@@ -934,7 +952,7 @@ def test_run_csv_artifacts_follow_the_documented_format(tmp_path):
 
         # the confusion matrix evaluate_joint computes for the stage's state
         state, _ = load_state(str(out / ckpt))
-        rep = evaluate_joint(state, g, split)
+        rep = evaluate_joint(state, g, split, _forward(state, rc, g))
         assert csvs["confusion.csv"] == \
             [["true\\pred", *map(str, rep.class_order)]] + \
             [[str(c), *map(str, row)] for c, row in zip(rep.class_order,

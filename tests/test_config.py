@@ -8,10 +8,12 @@ import pytest
 
 import numpy as np
 
+import graphncd.autodiff as ad
 from graphncd.config import (_PHASE1_KEYS, ConfigError, RunConfig, config_hash,
                              config_payload, load_config, parse_config_text,
                              phase1_hash)
-from graphncd.graph import sbm_generate, split_classes
+from graphncd.graph import input_features, operator_for, sbm_generate, split_classes
+from graphncd.models import EncoderInput
 from graphncd.ncd_losses import LossWeights
 from graphncd.training import TrainConfig, named_parameters, pretrain
 
@@ -272,7 +274,9 @@ def _pretrain_outputs(text):
     cfg = parse_config_text(text)
     g = sbm_generate([12] * 4, 0.4, 0.03, 6, 2.5, seed=1)
     split = split_classes(g, [0, 1], [2, 3], seed=2)
-    state, protos, plog = pretrain(g, split, cfg)
+    inp = EncoderInput.build(operator_for(cfg.backbone, g),
+                             ad.constant(input_features(g, cfg.normalize_features)))
+    state, protos, plog = pretrain(g, split, cfg, inp)
     return ([(n, t.data) for n, t in named_parameters(state)],
             [protos.class_ids, protos.mean, protos.var, protos.counts],
             plog.rows, (plog.best_epoch, plog.best_val_acc),

@@ -8,10 +8,10 @@ import pytest
 import graphncd.autodiff as ad
 from graphncd import cli
 from graphncd.config import RunConfig
-from graphncd.graph import ClassSplit, build_graph
+from graphncd.graph import ClassSplit, build_graph, operator_for
 from graphncd.metrics import (MetricsReport, _assignment_cost, aa_af, evaluate_joint,
                               hungarian_match, joint_predictions)
-from graphncd.models import EncoderParams, HeadParams
+from graphncd.models import EncoderInput, EncoderParams, HeadParams, encode
 from graphncd.training import ModelState
 
 
@@ -150,6 +150,12 @@ def _stub_state(logit_rows, num_old):
     return state, g
 
 
+def _forward(state, g):
+    """The encoder's full forward on g, which evaluate_joint reads."""
+    return encode(state.encoder, EncoderInput.build(operator_for("gcn", g),
+                                                    ad.constant(g.features)))
+
+
 def test_joint_predictions_argmax_over_all_slots():
     logits = [[5.0, 0.0, 0.0, 0.0],
               [0.0, 0.0, 7.0, 0.0],
@@ -169,7 +175,7 @@ def test_evaluate_joint_hand_case():
     split = ClassSplit(old_classes=[0, 1], new_classes=[2, 3],
                        p1_test=[0, 1], p2_test=[2, 3], all_test=[0, 1, 2, 3])
     for mode in ("positional", "hungarian"):
-        rep = evaluate_joint(state, g, split, novel_alignment=mode)
+        rep = evaluate_joint(state, g, split, _forward(state, g), novel_alignment=mode)
         assert rep.old_acc == 0.5
         assert rep.new_acc == 0.5
         assert rep.all_acc == 0.5
@@ -189,7 +195,7 @@ def test_evaluate_joint_constant_old_predictor():
     g = build_graph(5, np.zeros((0, 2)), np.eye(5), [0, 1, 1, 2, 3])
     split = ClassSplit(old_classes=[0, 1], new_classes=[2, 3],
                        p1_test=[0, 1, 2], p2_test=[3, 4], all_test=[0, 1, 2, 3, 4])
-    rep = evaluate_joint(state, g, split)
+    rep = evaluate_joint(state, g, split, _forward(state, g))
     assert rep.new_acc == 0.0
     assert abs(rep.old_acc - 1.0 / 3.0) < 1e-15
     assert abs(rep.all_acc - 1.0 / 5.0) < 1e-15
@@ -207,9 +213,9 @@ def test_hungarian_alignment_repairs_swapped_clusters():
     split = ClassSplit(old_classes=[0, 1], new_classes=[2, 3],
                        p1_test=[0], p2_test=[1, 2, 3, 4],
                        all_test=[0, 1, 2, 3, 4])
-    swapped = evaluate_joint(state, g, split, novel_alignment="positional")
+    swapped = evaluate_joint(state, g, split, _forward(state, g), novel_alignment="positional")
     assert swapped.new_acc == 0.0
-    fixed = evaluate_joint(state, g, split, novel_alignment="hungarian")
+    fixed = evaluate_joint(state, g, split, _forward(state, g), novel_alignment="hungarian")
     assert fixed.new_acc == 1.0
     assert fixed.old_acc == swapped.old_acc == 1.0
 
@@ -226,7 +232,7 @@ def test_evaluate_joint_phase_one_uses_old_head():
     g = build_graph(3, np.zeros((0, 2)), np.eye(3), [0, 1, 1])
     split = ClassSplit(old_classes=[0, 1], new_classes=[2],
                        p1_test=[0, 1, 2], p2_test=[], all_test=[0, 1, 2])
-    rep = evaluate_joint(state, g, split)
+    rep = evaluate_joint(state, g, split, _forward(state, g))
     assert rep.phase == 1
     assert abs(rep.old_acc - 2.0 / 3.0) < 1e-15
 
@@ -237,7 +243,7 @@ def _write_report(tmp_path, confusion, order, perf=None):
     """Write a report through the stage writer the CLI uses; return its CSVs."""
     rep = MetricsReport(old_acc=0.5, new_acc=0.5, all_acc=0.5,
                         confusion=confusion, class_order=order, perf=perf)
-    stage = cli._Stage(rc=RunConfig(out=str(tmp_path)), g=None, split=None,
+    stage = cli._Stage(rc=RunConfig(out=str(tmp_path)), g=None, split=None, inp=None,
                        dataset_hash="", split_hash="", config_hash="")
     stage.write_metrics(rep)
 

@@ -1,4 +1,6 @@
 """Encoder forward passes against dense hand compositions, head mechanics."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ import graphncd.autodiff as ad
 from graphncd.graph import (Graph, build_graph, input_features, mean_adjacency,
                             normalize_adjacency, operator_for, sbm_generate,
                             split_classes)
-from graphncd.models import (encode, encoder_parameters, extend_head,
+from graphncd.models import (EncoderInput, encode, encoder_parameters, extend_head,
                              freeze_encoder, head_forward, head_parameters,
                              init_encoder, init_head)
 from graphncd.training import TrainConfig, pretrain
@@ -24,7 +26,7 @@ def test_gcn_two_layer_matches_dense_oracle():
     g = _graph(seed=1)
     enc = init_encoder("gcn", [3, 4, 2], seed=5)
     adj = normalize_adjacency(g)
-    out = encode(enc, adj, ad.constant(g.features)).data
+    out = encode(enc, EncoderInput.build(adj, ad.constant(g.features))).data
 
     a = adj.mat.toarray()
     h = a @ (g.features @ enc.weights[0].data) + enc.biases[0].data
@@ -37,7 +39,7 @@ def test_sage_two_layer_matches_dense_oracle():
     g = _graph(seed=2)
     enc = init_encoder("sage", [3, 4, 2], seed=6)
     adj = mean_adjacency(g)
-    out = encode(enc, adj, ad.constant(g.features)).data
+    out = encode(enc, EncoderInput.build(adj, ad.constant(g.features))).data
 
     a = adj.mat.toarray()
     h = np.hstack([g.features, a @ g.features]) @ enc.weights[0].data + enc.biases[0].data
@@ -50,7 +52,8 @@ def test_final_layer_has_no_relu():
     # with enough random draws some outputs must be negative
     g = _graph(seed=3, n=20)
     enc = init_encoder("gcn", [3, 8, 8], seed=7)
-    out = encode(enc, normalize_adjacency(g), ad.constant(g.features)).data
+    out = encode(enc, EncoderInput.build(normalize_adjacency(g),
+                                         ad.constant(g.features))).data
     assert out.min() < 0.0
 
 
@@ -146,12 +149,13 @@ def test_extend_head_new_columns_scaled_and_seeded():
 def test_deep_encoder_stacks():
     g = _graph(seed=8)
     enc = init_encoder("gcn", [3] + [4] * 5, seed=13)
-    out = encode(enc, normalize_adjacency(g), ad.constant(g.features)).data
+    out = encode(enc, EncoderInput.build(normalize_adjacency(g),
+                                         ad.constant(g.features))).data
     assert out.shape == (g.num_nodes, 4)
     assert np.all(np.isfinite(out))
 
 
-# ------------------------------------------- layer-0 propagation memo
+# ------------------------------------------- layer-0 propagation
 
 def _record_spmm(monkeypatch):
     """Wrap the module attribute, as the benchmark's hooks do; returns the
@@ -184,9 +188,10 @@ def test_repeated_sage_encode_is_bitwise_the_uncached_composition(monkeypatch):
     x = ad.constant(g.features)
     want = _uncached_sage(enc, adj, x)
     operands = _record_spmm(monkeypatch)
+    inp = EncoderInput.build(adj, x)
     for _ in range(3):
-        assert np.array_equal(encode(enc, adj, x).data, want)
-    # layer 0 propagates x once; layers 1 and 2 run on every forward
+        assert np.array_equal(encode(enc, inp).data, want)
+    # the input propagates x once; layers 1 and 2 run on every forward
     assert [o is x for o in operands] == [True] + [False] * 6
 
     a = adj.mat.toarray()
@@ -197,61 +202,53 @@ def test_repeated_sage_encode_is_bitwise_the_uncached_composition(monkeypatch):
     assert np.allclose(want, h, atol=1e-12)
 
 
-def test_each_constant_input_gets_its_own_product(monkeypatch):
-    g = _graph(seed=4, n=10)
-    adj = mean_adjacency(g)
-    a = adj.mat.toarray()
-    enc = init_encoder("sage", [3, 2], seed=1)     # one layer: all spmm is layer 0
-    w, b = enc.weights[0].data, enc.biases[0].data
-    x = ad.constant(g.features)
-    twin = ad.constant(g.features.copy())           # equal data, another tensor
-    other = ad.constant(g.features[::-1].copy())
-    z = encode(enc, adj, x).data
-    operands = _record_spmm(monkeypatch)
-    for t in (twin, other, x):
-        out = encode(enc, adj, t).data
-        assert np.allclose(out, np.hstack([t.data, a @ t.data]) @ w + b, atol=1e-12)
-    assert np.array_equal(encode(enc, adj, twin).data, z)
-    assert [id(o) for o in operands] == [id(twin), id(other), id(x), id(twin)]
-
-
 def test_frozen_and_live_encoders_share_the_input_product(monkeypatch):
     g = _graph(seed=7, n=12)
     enc = init_encoder("sage", [3, 4, 2], seed=3)
     frozen = freeze_encoder(enc)
-    adj = mean_adjacency(g)
-    x = ad.constant(g.features)
+    inp = EncoderInput.build(mean_adjacency(g), ad.constant(g.features))
     operands = _record_spmm(monkeypatch)
-    zf = encode(frozen, adj, x).data
-    assert np.array_equal(encode(enc, adj, x).data, zf)
-    # the frozen encoder's constant layer-1 input must not evict x
-    assert [o is x for o in operands] == [True, False, False]
+    for view in (inp, inp.at([5, 0, 5])):
+        zf = encode(frozen, view).data
+        assert np.array_equal(encode(enc, view).data, zf)
+    # after the input is built, only layer 1 propagates: once per forward
+    assert len(operands) == 4 and not any(o is inp.x for o in operands)
 
 
-def test_sage_input_with_grad_never_touches_the_memo():
-    g = _graph(seed=5)
-    enc = init_encoder("sage", [3, 4, 2], seed=2)
-    adj = mean_adjacency(g)
-    x = ad.parameter(g.features.copy())
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_encoder_gradients_through_the_input_product(backbone):
+    g = _graph(seed=8, n=10)
+    adj = operator_for(backbone, g)
+    for dims, rows in itertools.product(([3, 2], [3, 4, 2]), (None, [6, 1, 6, 8])):
+        enc = init_encoder(backbone, dims, seed=4)
+        inp = EncoderInput.build(adj, ad.constant(g.features))
 
-    def loss():
-        z = encode(enc, adj, x)
-        return ad.sum(ad.mul(z, z))
+        def loss():
+            z = encode(enc, inp if rows is None else inp.at(rows))
+            return ad.sum(ad.mul(z, z))
 
-    # grad_check moves x in place between probes: a memoized product would
-    # go stale and fail it
-    assert ad.grad_check(loss, [x] + encoder_parameters(enc)) < 1e-4
-    assert adj._memo is None
+        assert ad.grad_check(loss, encoder_parameters(enc)) < 1e-4
+        # an input with a gradient flows it through A·x; grad_check moves x
+        # in place between probes, so the loss builds its input each time
+        x = ad.parameter(g.features.copy())
+
+        def loss():
+            inp = EncoderInput.build(adj, x)
+            z = encode(enc, inp if rows is None else inp.at(rows))
+            return ad.sum(ad.mul(z, z))
+
+        assert ad.grad_check(loss, [x] + encoder_parameters(enc)) < 1e-4
 
 
 def _pretrain_spmm_operands(monkeypatch, backbone):
-    """(operands on the input, all operands) of a 5-epoch pretrain."""
+    """(operands on the input, all operands) of building the input and a
+    5-epoch pretrain on it."""
     g = sbm_generate([15] * 4, 0.4, 0.03, 6, 2.5, seed=3)
     split = split_classes(g, [0, 1], [2, 3], seed=4)
     cfg = TrainConfig(backbone=backbone, hidden=16, pretrain_epochs=5, seed=0, top_k=3)
     x = input_features(g, cfg.normalize_features)
     operands = _record_spmm(monkeypatch)
-    pretrain(g, split, cfg)
+    pretrain(g, split, cfg, EncoderInput.build(operator_for(backbone, g), ad.constant(x)))
     return [o for o in operands if o.shape == x.shape and np.array_equal(o.data, x)], operands
 
 
@@ -286,9 +283,10 @@ def test_repeated_gcn_encode_is_bitwise_the_uncached_composition(monkeypatch):
     x = ad.constant(g.features)
     want = _uncached_gcn(enc, adj, x)
     operands = _record_spmm(monkeypatch)
+    inp = EncoderInput.build(adj, x)
     for _ in range(3):
-        assert np.array_equal(encode(enc, adj, x).data, want)
-    # layer 0 propagates x once; layers 1 and 2 run on every forward
+        assert np.array_equal(encode(enc, inp).data, want)
+    # the input propagates x once; layers 1 and 2 run on every forward
     assert [o is x for o in operands] == [True] + [False] * 6
 
     a = adj.mat.toarray()
@@ -299,34 +297,14 @@ def test_repeated_gcn_encode_is_bitwise_the_uncached_composition(monkeypatch):
     assert np.allclose(want, h, atol=1e-12)
 
 
-def test_gcn_encoder_gradients_through_the_memo():
-    g = _graph(seed=8, n=10)
-    enc = init_encoder("gcn", [3, 4, 2], seed=4)
-    adj = normalize_adjacency(g)
-    x = ad.constant(g.features)
-
-    def loss():
-        z = encode(enc, adj, x)
-        return ad.sum(ad.mul(z, z))
-
-    assert ad.grad_check(loss, encoder_parameters(enc)) < 1e-4
-    assert adj._memo[0] is x
-    # an input with a gradient takes plain spmm, and its gradient flows through A
-    adj, x = normalize_adjacency(g), ad.parameter(g.features.copy())
-    assert ad.grad_check(loss, [x] + encoder_parameters(enc)) < 1e-4
-    assert adj._memo is None
-
-
 def test_operator_is_built_once_per_graph_and_backbone():
     g = _graph(seed=6)
     gcn, sage = operator_for("gcn", g), operator_for("sage", g)
-    assert operator_for("gcn", g) is gcn and operator_for("sage", g) is sage
-    assert gcn is not sage
+    assert not np.array_equal(gcn.mat.toarray(), sage.mat.toarray())
     # the task-agnostic case: the same arrays in a rebuilt Graph
     blank = Graph(num_nodes=g.num_nodes, edges=g.edges, features=g.features,
                   labels=np.zeros_like(g.labels))
     fresh = operator_for("sage", blank)
-    assert fresh is not sage
     assert np.array_equal(fresh.mat.toarray(), sage.mat.toarray())
     with pytest.raises(ValueError, match="unknown backbone"):
         operator_for("gat", g)
@@ -344,17 +322,16 @@ _ROW_SETS = {"empty": [], "single": [4], "sorted": [0, 2, 3, 7, 9],
 @pytest.mark.parametrize("kind", list(_ROW_SETS))
 def test_restricted_encode_is_the_gathered_full_forward(backbone, layers, kind):
     g = _graph(seed=11, n=12)
-    adj = operator_for(backbone, g)
-    x = ad.constant(g.features)
+    inp = EncoderInput.build(operator_for(backbone, g), ad.constant(g.features))
     enc = init_encoder(backbone, [3] + [4] * layers, seed=9)
     params = encoder_parameters(enc)
     rows = np.arange(g.num_nodes) if _ROW_SETS[kind] is None else \
         np.array(_ROW_SETS[kind], dtype=np.int64)
     weights = ad.constant(np.random.default_rng(2).standard_normal((len(rows), 4)))
 
-    full = ad.gather_rows(encode(enc, adj, x), rows)
+    full = ad.gather_rows(encode(enc, inp), rows)
     full_grads = ad.backward(ad.sum(ad.mul(full, weights)), params)
-    part = encode(enc, adj, x, rows)
+    part = encode(enc, inp.at(rows))
     part_grads = ad.backward(ad.sum(ad.mul(part, weights)), params)
 
     assert part.shape == full.shape == (len(rows), 4)
@@ -370,12 +347,11 @@ def test_restricted_encode_is_the_gathered_full_forward(backbone, layers, kind):
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 def test_restricted_encoder_gradients_pass_grad_check(backbone):
     g = _graph(seed=12, n=10)
-    adj = operator_for(backbone, g)
+    inp = EncoderInput.build(operator_for(backbone, g), ad.constant(g.features))
     enc = init_encoder(backbone, [3, 4, 4, 2], seed=1)
-    x = ad.constant(g.features)
 
     def loss():
-        z = encode(enc, adj, x, [6, 1, 6, 8])
+        z = encode(enc, inp.at([6, 1, 6, 8]))
         return ad.sum(ad.mul(z, z))
 
     assert ad.grad_check(loss, encoder_parameters(enc)) < 1e-4
@@ -386,10 +362,10 @@ def test_one_layer_restricted_encode_reads_the_input_rows():
     x = ad.constant(g.features)
     rows = [7, 0, 7]
     for backbone in ("gcn", "sage"):
-        adj = operator_for(backbone, g)
+        inp = EncoderInput.build(operator_for(backbone, g), x)
         enc = init_encoder(backbone, [3, 2], seed=4)   # layer 0 is the last
-        want = encode(enc, adj, x).data[rows]
-        assert np.allclose(encode(enc, adj, x, rows).data, want, rtol=0.0, atol=1e-12)
+        want = encode(enc, inp).data[rows]
+        assert np.allclose(encode(enc, inp.at(rows)).data, want, rtol=0.0, atol=1e-12)
 
 
 def test_restricted_operator_is_built_once_per_row_set():
@@ -397,8 +373,6 @@ def test_restricted_operator_is_built_once_per_row_set():
     for backbone in ("gcn", "sage"):
         adj = operator_for(backbone, g)
         op = adj.restrict([4, 1, 7])
-        assert adj.restrict(np.array([4, 1, 7])) is op
-        assert adj.restrict([1, 4, 7]) is not op
         assert op.shape == (3, g.num_nodes)
         assert np.array_equal(op.mat.toarray(), adj.mat.toarray()[[4, 1, 7]])
         # spmm's vjp through it is the product with A[rows] transposed
@@ -406,10 +380,12 @@ def test_restricted_operator_is_built_once_per_row_set():
         up = np.arange(6.0).reshape(3, 2)
         (gx,) = ad.backward(ad.sum(ad.mul(ad.spmm(op, x), ad.constant(up))), [x])
         assert np.allclose(gx, op.mat.toarray().T @ up, atol=1e-12)
-        # encode on a row set reuses the operator restrict built for it
-        enc = init_encoder(backbone, [3, 4, 2], seed=0)
-        encode(enc, adj, ad.constant(g.features), np.array([4, 1, 7]))
-        assert adj.restrict([4, 1, 7]) is op
+        # at(rows) keeps the rows and the operator restrict builds for them
+        inp = EncoderInput.build(adj, ad.constant(g.features)).at(np.array([4, 1, 7]))
+        assert inp.rows.tolist() == [4, 1, 7]
+        assert np.array_equal(inp.adj_rows.mat.toarray(), op.mat.toarray())
         for bad in ([-1], [10], [0, 10]):
             with pytest.raises(IndexError, match="out of range"):
                 adj.restrict(bad)
+            with pytest.raises(IndexError, match="out of range"):
+                inp.at(bad)

@@ -1,13 +1,15 @@
 """Two-phase pipeline: routing, freezing, early stopping, determinism."""
 import copy
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
 import graphncd.training as training
-from graphncd.graph import input_tensor, sbm_generate, split_classes
+from graphncd.graph import Graph, operator_for, sbm_generate, split_classes
 from graphncd.metrics import joint_predictions
+from graphncd.models import EncoderInput, encode, freeze_encoder
 from graphncd.ncd_losses import Prototypes
 from graphncd.training import (ModelState, NcdLog, TrainConfig,
                                TrainingDiverged, derive_seed, named_parameters,
@@ -21,6 +23,15 @@ def _data(seed=0):
     return g, split
 
 
+def _input(g, backbone="gcn"):
+    return EncoderInput.build(operator_for(backbone, g), ad.constant(g.features))
+
+
+def _z(state, g):
+    """The full forward the stage reports evaluate."""
+    return encode(freeze_encoder(state.encoder), _input(g))
+
+
 def _cfg(**over):
     base = dict(hidden=16, pretrain_epochs=15, ncd_epochs=30, seed=0,
                 rampup_length=5, top_k=3)
@@ -32,7 +43,7 @@ def _cfg(**over):
 def pretrained():
     g, split = _data()
     cfg = _cfg()
-    state, protos, plog = pretrain(g, split, cfg)
+    state, protos, plog = pretrain(g, split, cfg, _input(g))
     return g, split, cfg, state, protos, plog
 
 
@@ -44,7 +55,7 @@ def _params_snapshot(state):
 
 def test_pretrain_learns_old_classes(pretrained):
     g, split, cfg, state, protos, plog = pretrained
-    rep = stage_report(state, g, split, cfg)
+    rep = stage_report(state, g, split, cfg, _z(state, g))
     assert rep.phase == 1
     assert rep.old_acc >= 0.8
     assert rep.perf.shape == (1, 1) and rep.aa == rep.old_acc and rep.af == 0.0
@@ -81,12 +92,12 @@ def test_pretrain_prototypes_cover_old_classes(pretrained):
 
 def test_pretrain_deterministic():
     g, split = _data(seed=3)
-    a, _, loga = pretrain(g, split, _cfg(seed=3))
-    b, _, logb = pretrain(g, split, _cfg(seed=3))
+    a, _, loga = pretrain(g, split, _cfg(seed=3), _input(g))
+    b, _, logb = pretrain(g, split, _cfg(seed=3), _input(g))
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and np.array_equal(ta.data, tb.data)
     assert loga.rows == logb.rows
-    c, _, _ = pretrain(g, split, _cfg(seed=4))
+    c, _, _ = pretrain(g, split, _cfg(seed=4), _input(g))
     assert not np.array_equal(a.encoder.weights[0].data,
                               c.encoder.weights[0].data)
 
@@ -94,18 +105,18 @@ def test_pretrain_deterministic():
 def test_pretrain_validates_config():
     g, split = _data()
     with pytest.raises(ValueError):
-        pretrain(g, split, _cfg(hidden=17))
+        pretrain(g, split, _cfg(hidden=17), _input(g))
     with pytest.raises(ValueError):
-        pretrain(g, split, _cfg(layers=1))
+        pretrain(g, split, _cfg(layers=1), _input(g))
     with pytest.raises(ValueError):
-        pretrain(g, split, _cfg(top_k=99))
+        pretrain(g, split, _cfg(top_k=99), _input(g))
     with pytest.raises(ValueError, match="seed"):
-        pretrain(g, split, _cfg(seed=-1))
+        pretrain(g, split, _cfg(seed=-1), _input(g))
     # an int too large for a float or a numpy int64 is still compared exactly
     with pytest.raises(ValueError, match="per_class_replay"):
-        pretrain(g, split, _cfg(per_class_replay=-2 ** 63 - 1))
+        pretrain(g, split, _cfg(per_class_replay=-2 ** 63 - 1), _input(g))
     with pytest.raises(ValueError, match="patience"):
-        pretrain(g, split, _cfg(patience=-10 ** 400))
+        pretrain(g, split, _cfg(patience=-10 ** 400), _input(g))
 
 
 # ------------------------------------------------------------ phase-2 routing
@@ -118,7 +129,7 @@ def _routed(pretrained, **flags):
     off.update(flags)
     cfg2 = _cfg(ncd_epochs=3, weight_decay=0.0, **off)
     before_enc = [w.data.copy() for w in state.encoder.weights]
-    state, _ = ncd_train(state, protos, g, split, cfg2)
+    state, _ = ncd_train(state, protos, g, split, cfg2, _input(g))
     after = _params_snapshot(state)
     return before_enc, after, state
 
@@ -164,7 +175,7 @@ def test_distill_anchors_encoder_to_frozen_copy(pretrained):
         off = dict(use_pseudo=True, use_self=False, use_perturb=False,
                    use_replay=False, use_distill=use_distill)
         cfg2 = _cfg(ncd_epochs=10, weight_decay=0.0, **off)
-        state, _ = ncd_train(state, protos, g, split, cfg2)
+        state, _ = ncd_train(state, protos, g, split, cfg2, _input(g))
         deltas = [np.linalg.norm(w.data - f.data) for w, f in
                   zip(state.encoder.weights, state.frozen_encoder.weights)]
         return sum(deltas)
@@ -198,7 +209,7 @@ def test_old_head_read_only_in_phase_two(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     old_w = state0.old_head.weight.data.copy()
     state = copy.deepcopy(state0)
-    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=5))
+    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=5), _input(g))
     assert np.array_equal(state.old_head.weight.data, old_w)
 
 
@@ -206,7 +217,7 @@ def test_frozen_encoder_is_pretrain_encoder_bitwise(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     pre_enc = [w.data.copy() for w in state0.encoder.weights]
     state = copy.deepcopy(state0)
-    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=5))
+    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=5), _input(g))
     for ref, frz in zip(pre_enc, state.frozen_encoder.weights):
         assert np.array_equal(ref, frz.data)
     # and the live encoder has moved away from it
@@ -225,7 +236,7 @@ def test_perturb_joint_head_variant_runs(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     state = copy.deepcopy(state0)
     state, nlog = ncd_train(state, protos, g, split,
-                            _cfg(ncd_epochs=4, eq8_head="joint"))
+                            _cfg(ncd_epochs=4, eq8_head="joint"), _input(g))
     assert nlog.epochs_run == 4
 
 
@@ -251,7 +262,8 @@ def test_replay_indices_follow_the_sampled_labels_for_permuted_prototypes(
 
     monkeypatch.setattr(training, "sample_prototype_batch", sampling)
     monkeypatch.setattr(training, "replay_loss", replaying)
-    _, log = ncd_train(copy.deepcopy(state), permuted, g, split, _cfg(ncd_epochs=4))
+    _, log = ncd_train(copy.deepcopy(state), permuted, g, split, _cfg(ncd_epochs=4),
+                       _input(g))
     assert log.epochs_run == len(sampled) == len(replayed) == 4
     for labels, idx in zip(sampled, replayed):
         assert idx.tolist() == [old_index[int(c)] for c in labels]
@@ -284,7 +296,7 @@ def test_pair_loss_runs_once_per_epoch_and_leaves_no_n_by_n_tape(pretrained,
         return sweep(loss, params)
 
     monkeypatch.setattr(training, "backward", walked)
-    _, log = ncd_train(copy.deepcopy(state), protos, g, split, cfg)
+    _, log = ncd_train(copy.deepcopy(state), protos, g, split, cfg, _input(g))
     assert log.epochs_run == 4
     assert calls == dict.fromkeys(calls, 4) and len(calls) == 3
     assert squares == [0] * 4
@@ -296,8 +308,8 @@ def test_early_stopping_matches_reimplemented_rule():
     g, split = _data(seed=5)
     cfg = _cfg(seed=5, ncd_epochs=250, patience=8,
                rampup_length=5, top_k=3)
-    state, protos, _ = pretrain(g, split, cfg)
-    state, nlog = ncd_train(state, protos, g, split, cfg)
+    state, protos, _ = pretrain(g, split, cfg, _input(g))
+    state, nlog = ncd_train(state, protos, g, split, cfg, _input(g))
 
     smoothed, best, best_epoch, wait = None, np.inf, -1, 0
     stop_epoch, stopped = None, False
@@ -326,8 +338,8 @@ def test_no_tracking_before_ramp_finishes():
     g, split = _data(seed=6)
     cfg = _cfg(seed=6, ncd_epochs=4,
                rampup_length=10, top_k=3)
-    state, protos, _ = pretrain(g, split, cfg)
-    state, nlog = ncd_train(state, protos, g, split, cfg)
+    state, protos, _ = pretrain(g, split, cfg, _input(g))
+    state, nlog = ncd_train(state, protos, g, split, cfg, _input(g))
     assert nlog.epochs_run == 4              # ran the full budget
     assert nlog.best_epoch == -1             # nothing was tracked yet
     assert not nlog.stopped_early
@@ -341,7 +353,7 @@ def test_best_snapshot_restored(pretrained):
     state = copy.deepcopy(state0)
     cfg2 = _cfg(ncd_epochs=40, patience=3,
                 rampup_length=2, top_k=3)
-    state, nlog = ncd_train(state, protos, g, split, cfg2)
+    state, nlog = ncd_train(state, protos, g, split, cfg2, _input(g))
     if nlog.best_epoch >= 0 and nlog.epochs_run - 1 != nlog.best_epoch:
         # restored parameters differ from the final snapshot
         assert not np.array_equal(state.encoder.weights[0].data,
@@ -351,7 +363,7 @@ def test_best_snapshot_restored(pretrained):
 def test_loss_rows_complete(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     state = copy.deepcopy(state0)
-    state, nlog = ncd_train(state, protos, g, split, _cfg(ncd_epochs=6))
+    state, nlog = ncd_train(state, protos, g, split, _cfg(ncd_epochs=6), _input(g))
     assert len(nlog.rows) == nlog.epochs_run
     for row in nlog.rows:
         for key in ("epoch", "pseudo", "self", "perturb", "replay", "distill",
@@ -366,7 +378,7 @@ def test_divergence_raises_with_report(pretrained):
     state = copy.deepcopy(state0)
     bad = _cfg(lam=float("inf"), rampup_length=5, top_k=3)
     with pytest.raises(TrainingDiverged) as err:
-        ncd_train(state, protos, g, split, bad)
+        ncd_train(state, protos, g, split, bad, _input(g))
     assert err.value.report["epoch"] == 0
 
 
@@ -376,7 +388,7 @@ def test_prototype_count_mismatch_rejected(pretrained):
     short = copy.deepcopy(protos)
     short.mean = short.mean[:1]
     with pytest.raises(ValueError):
-        ncd_train(state, short, g, split, _cfg())
+        ncd_train(state, short, g, split, _cfg(), _input(g))
 
 
 # -------------------------------------------------------------- determinism
@@ -385,8 +397,8 @@ def test_ncd_train_deterministic(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     a = copy.deepcopy(state0)
     b = copy.deepcopy(state0)
-    a, loga = ncd_train(a, protos, g, split, _cfg(ncd_epochs=8))
-    b, logb = ncd_train(b, protos, g, split, _cfg(ncd_epochs=8))
+    a, loga = ncd_train(a, protos, g, split, _cfg(ncd_epochs=8), _input(g))
+    b, logb = ncd_train(b, protos, g, split, _cfg(ncd_epochs=8), _input(g))
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and np.array_equal(ta.data, tb.data)
     assert loga.rows == logb.rows
@@ -396,21 +408,22 @@ def test_ncd_train_deterministic(pretrained):
 def test_stage_report_phase_two_matrix(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     state = copy.deepcopy(state0)
-    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=10))
-    rep = stage_report(state, g, split, cfg, phase1_old_acc=0.9)
+    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=10), _input(g))
+    rep = stage_report(state, g, split, cfg, _z(state, g), phase1_old_acc=0.9)
     assert rep.perf.shape == (2, 2)
     assert rep.perf[0, 0] == 0.9 and np.isnan(rep.perf[0, 1])
     assert rep.perf[1, 0] == rep.old_acc and rep.perf[1, 1] == rep.new_acc
     assert abs(rep.aa - (rep.old_acc + rep.new_acc) / 2) < 1e-15
     assert abs(rep.af - (rep.old_acc - 0.9)) < 1e-15
     with pytest.raises(ValueError):
-        stage_report(state, g, split, cfg)   # phase-2 needs the phase-1 number
+        # phase 2 needs the phase-1 number
+        stage_report(state, g, split, cfg, _z(state, g))
 
 
 def test_depth_sweep_runs_each_depth():
     g, split = _data(seed=7)
     cfg = _cfg(seed=7, pretrain_epochs=8, ncd_epochs=10)
-    rows = run_depth_sweep(g, split, cfg, [2, 3])
+    rows = run_depth_sweep(g, split, cfg, _input(g), [2, 3])
     assert [r["layers"] for r in rows] == [2, 3]
     for row in rows:
         for key in ("old_acc", "new_acc", "all_acc", "aa", "af"):
@@ -421,15 +434,16 @@ def test_depth_sweep_runs_each_depth():
 def test_losses_propagate_only_the_rows_they_read(monkeypatch, backbone):
     g, split = _data()
     cfg = _cfg(backbone=backbone, pretrain_epochs=3, ncd_epochs=4)
-    x = input_tensor(g, cfg.normalize_features)
+    inp = _input(g, backbone)
+    x = inp.x
     seen = []
     spmm = ad.spmm
     monkeypatch.setattr(ad, "spmm", lambda m, h: seen.append((m.shape[0], h is x))
                         or spmm(m, h))
-    state, protos, _ = pretrain(g, split, cfg)
+    state, protos, _ = pretrain(g, split, cfg, inp)
     pre = [rows for rows, on_input in seen if not on_input]
     seen.clear()
-    ncd_train(state, protos, g, split, cfg)
+    ncd_train(state, protos, g, split, cfg, inp)
     ncd = [rows for rows, on_input in seen if not on_input]
 
     n1, nv, n2 = len(split.p1_train), len(split.p1_val), len(split.p2_train)
@@ -438,3 +452,14 @@ def test_losses_propagate_only_the_rows_they_read(monkeypatch, backbone):
     assert pre == [n1, nv] * 3 + [n1]
     # the frozen encoder once, the live one once per epoch
     assert ncd == [n2] * (1 + 4)
+
+
+def test_shared_values_hold_no_hidden_state():
+    # every stage shares the graph and the operator, so neither caches
+    assert [f.name for f in fields(Graph)] == ["num_nodes", "edges", "features", "labels"]
+    g, split = _data()
+    cfg = _cfg(pretrain_epochs=2, ncd_epochs=2)
+    inp = _input(g)
+    state, protos, _ = pretrain(g, split, cfg, inp)
+    ncd_train(state, protos, g, split, cfg, inp)
+    assert set(vars(inp.adj)) == {"mat"}
