@@ -240,7 +240,8 @@ def cmd_pretrain(st: _Stage) -> int:
                        encode(freeze_encoder(state.encoder), st.inp))
     p1hash = phase1_hash(st.rc, st.dataset_hash, st.split_hash)
 
-    meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": st.rc.seed}
+    meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": st.rc.seed,
+            "step": len(plog.rows)}
     save_state(st.path("checkpoint_pretrain.bin"), state, meta)
     save_state(st.path("checkpoint_pretrain_best.bin"), state,
                {**meta, "best_epoch": plog.best_epoch,
@@ -318,7 +319,8 @@ def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
     rep.extras.update({f"use_{t}": getattr(st.rc, f"use_{t}") for t in LOSS_TERMS})
 
     meta = {"config_hash": st.config_hash, "seed": st.rc.seed, "phase1_old_acc": m11,
-            "best_epoch": nlog.best_epoch, "epochs_run": nlog.epochs_run}
+            "best_epoch": nlog.best_epoch, "epochs_run": nlog.epochs_run,
+            "step": nlog.epochs_run}
     save_state(st.path("checkpoint_ncd_best.bin"), state, meta)
     save_state(st.path("checkpoint_ncd_final.bin"), state, meta, nlog.final_snapshot)
     st.split.save(st.path("split.json"))
@@ -442,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
         g, dataset_hash = resolve_dataset(rc)
         split, split_hash = resolve_split(rc, g)
         # the one encoder input of every stage: A·x is computed here, once
-        inp = EncoderInput.build(operator_for(rc.backbone, g),
+        inp = EncoderInput.build(rc.backbone, operator_for(rc.backbone, g),
                                  constant(input_features(g, rc.normalize_features)))
         st = _Stage(rc, g, split, inp, dataset_hash, split_hash,
                     config_hash(rc, dataset_hash, split_hash))

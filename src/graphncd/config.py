@@ -99,43 +99,42 @@ _BOOL_WORDS = {"true": True, "yes": True, "1": True, "on": True,
 _HASH_EXCLUDE = {"out", "pretrain_dir", "edges", "features", "labels", "split_file"}
 
 
-def _parse_value(name: str, text: str, default) -> object:
-    text = text.strip()
-    try:
-        if isinstance(default, bool):
-            word = text.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"not a boolean: {text!r}")
-            return _BOOL_WORDS[word]
-        if isinstance(default, int):
-            return int(text)
-        if isinstance(default, float):
-            return float(text)
-        if isinstance(default, list):
-            return _coerce([tok for tok in text.split(",") if tok.strip() != ""], default)
-        return text
-    except ValueError as exc:
-        raise ConfigError(f"config key {name!r}: {exc}") from exc
-
-
 _KIND_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
 
 
 def _coerce(v, default) -> object:
-    """v (a JSON value, or a list of string tokens) as the default's type.
+    """v (a JSON value or key=value text) as the default's type.
 
-    A list element that is a string is parsed as text; otherwise a boolean key
-    takes only a boolean, an int key only an int and a float key any number,
-    never a boolean. Raises TypeError or ValueError when v does not fit."""
-    if isinstance(default, list):
+    A string is stripped and read as text: a boolean word, a comma list with
+    empty items dropped, an int or a float, or kept as it is for a string key.
+    Otherwise a boolean key takes only a boolean, an int key only an int and a
+    float key any number, never a boolean. Raises TypeError or ValueError
+    when v does not fit."""
+    kind = type(default)
+    if isinstance(v, str):
+        v = v.strip()
+        if kind is bool:
+            if v.lower() not in _BOOL_WORDS:
+                raise ValueError(f"not a boolean: {v!r}")
+            return _BOOL_WORDS[v.lower()]
+        if kind is not list:
+            return kind(v)
+        v = [tok for tok in v.split(",") if tok.strip() != ""]
+    if kind is list:
         if not isinstance(v, list):
             raise TypeError(f"expected a list, got {v!r}")
         elem = type(default[0]) if default else float
-        return [elem(x) if isinstance(x, str) else _coerce(x, elem()) for x in v]
-    kind = type(default)
+        return [_coerce(x, elem()) for x in v]
     if type(v) is kind or (kind is float and type(v) is int):
         return kind(v)
     raise TypeError(f"expected {_KIND_NAMES[kind]}, got {v!r}")
+
+
+def _value(key: str, v, default) -> object:
+    try:
+        return _coerce(v, default)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -152,13 +151,7 @@ def parse_config_text(text: str) -> RunConfig:
         for k, v in raw.items():
             if k not in known:
                 raise ConfigError(f"unknown config key {k!r}")
-            if isinstance(v, str):
-                values[k] = _parse_value(k, v, known[k])
-                continue
-            try:
-                values[k] = _coerce(v, known[k])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"config key {k!r}: {exc}") from exc
+            values[k] = _value(k, v, known[k])
     else:
         for lineno, body in numbered_lines(text):
             if "=" not in body:
@@ -167,7 +160,7 @@ def parse_config_text(text: str) -> RunConfig:
             key = key.strip()
             if key not in known:
                 raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = _parse_value(key, val, known[key])
+            values[key] = _value(key, val, known[key])
 
     cfg = RunConfig(**values)  # type: ignore[arg-type]
     cfg.validate()

@@ -139,7 +139,8 @@ def joint_predictions(state, g: Graph, normalize_features: bool = False) -> np.n
 
     In phase 1 the joint head does not exist yet and the old head stands in,
     so predictions live in old-slot space only."""
-    inp = EncoderInput.build(operator_for(state.encoder.backbone, g),
+    inp = EncoderInput.build(state.encoder.backbone,
+                             operator_for(state.encoder.backbone, g),
                              constant(input_features(g, normalize_features)))
     return _joint_argmax(state, encode(freeze_encoder(state.encoder), inp))
 
@@ -207,6 +208,6 @@ def evaluate_joint(state, g: Graph, split: ClassSplit, z: Tensor,
         all_acc=acc(split.all_test),
         confusion=confusion,
         class_order=order,
-        phase=2 if state.joint_head is not None else 1,
+        phase=state.phase,
     )
 

@@ -95,12 +95,14 @@ def freeze_encoder(enc: EncoderParams) -> EncoderParams:
 
 @dataclass(frozen=True)
 class EncoderInput:
-    """What ``encode`` reads of the graph: the operator ``adj``, the input
-    ``x`` and ``ax = A·x``; after ``at(rows)``, also ``rows`` and
-    ``adj_rows = A[rows]``. ``x`` is never written in place, or ``ax`` would
-    go stale: a caller that moves ``x`` builds a new input. A
-    gradient-carrying ``x`` still differentiates through ``ax``."""
+    """What ``encode`` reads of the graph: the ``backbone`` whose operator
+    ``adj`` is, the input ``x`` and ``ax = A·x``; after ``at(rows)``, also
+    ``rows`` and ``adj_rows = A[rows]``. ``encode`` rejects an encoder of
+    another backbone. ``x`` is never written in place, or ``ax`` would go
+    stale: a caller that moves ``x`` builds a new input. A gradient-carrying
+    ``x`` still differentiates through ``ax``."""
 
+    backbone: str
     adj: SparseMatrix
     x: Tensor
     ax: Tensor
@@ -108,8 +110,8 @@ class EncoderInput:
     adj_rows: SparseMatrix | None = None
 
     @classmethod
-    def build(cls, adj: SparseMatrix, x: Tensor) -> EncoderInput:
-        return cls(adj, x, ad.spmm(adj, x))
+    def build(cls, backbone: str, adj: SparseMatrix, x: Tensor) -> EncoderInput:
+        return cls(backbone, adj, x, ad.spmm(adj, x))
 
     def at(self, rows) -> EncoderInput:
         """The same input, with the last layer computing only ``rows``, in
@@ -121,6 +123,8 @@ class EncoderInput:
 def encode(enc: EncoderParams, inp: EncoderInput) -> Tensor:
     """Forward pass to representations, shape (N, repr_dim); on ``inp.at(rows)``,
     only those rows of it, in that order, shape (len(rows), repr_dim)."""
+    if inp.backbone != enc.backbone:
+        raise ValueError(f"a {enc.backbone} encoder cannot read a {inp.backbone} input")
     if inp.x.shape[1] != enc.dims[0]:
         raise ValueError(f"encoder expects {enc.dims[0]} input features, got {inp.x.shape[1]}")
     h, rows = inp.x, inp.rows

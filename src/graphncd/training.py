@@ -10,11 +10,12 @@ objective full-batch. Gradient routing falls out of the graph structure:
   replay               updates joint head only (samples bypass the encoder)
   distill              updates encoder only
 
-The pretrained old head is kept read-only after phase 1 starts; the frozen
-encoder copy is never registered with the optimizer.
+The old head is read-only in phase 2. A ModelState is the model alone: the
+Adam state and the frozen anchor are locals, and phase 2 trains a copy.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -34,7 +35,7 @@ from .ncd_losses import (LOSS_TERMS, LossWeights, Prototypes, assign_pseudo_labe
                          pairwise_similarity, perturb_consistency_loss,
                          perturb_representations, replay_loss, sample_prototype_batch,
                          scheduled_total, self_training_loss, topk_pseudo_pairs)
-from .optim import AdamState, adam_init, adam_step
+from .optim import adam_init, adam_step
 
 ALLOWED_HIDDEN = (16, 32, 128)
 MAX_LAYERS = 64
@@ -119,13 +120,15 @@ class TrainConfig(LossWeights):
 
 @dataclass
 class ModelState:
+    """The encoder and its heads; the novel and joint heads come with phase 2."""
     encoder: EncoderParams
     old_head: HeadParams
-    frozen_encoder: EncoderParams | None = None
     novel_head: HeadParams | None = None
     joint_head: HeadParams | None = None
-    adam: AdamState | None = None
-    phase: int = 1
+
+    @property
+    def phase(self) -> int:
+        return 2 if self.joint_head is not None else 1
 
 
 @dataclass
@@ -188,7 +191,7 @@ def pretrain(g: Graph, split: ClassSplit, cfg: TrainConfig,
                          derive_seed(cfg.seed, _SEED_OLD_HEAD))
     state = ModelState(encoder=enc, old_head=old_head)
     params = encoder_parameters(enc) + head_parameters(old_head)
-    state.adam = adam_init(params, cfg.lr, cfg.weight_decay)
+    adam = adam_init(params, cfg.lr, cfg.weight_decay)
 
     old_index = {c: i for i, c in enumerate(split.old_classes)}
     tr = np.asarray(split.p1_train, dtype=np.int64)
@@ -209,7 +212,7 @@ def pretrain(g: Graph, split: ClassSplit, cfg: TrainConfig,
                 f"pretrain loss is not finite at epoch {epoch}: {loss_val}",
                 {"epoch": epoch, "loss": loss_val})
         grads = backward(loss, params)
-        adam_step(params, grads, state.adam)
+        adam_step(params, grads, adam)
 
         z_va = encode(freeze_encoder(enc), va_in).data
         val_logits = z_va @ old_head.weight.data + old_head.bias.data
@@ -227,12 +230,12 @@ def pretrain(g: Graph, split: ClassSplit, cfg: TrainConfig,
 def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit,
               cfg: TrainConfig, inp: EncoderInput) -> tuple[ModelState, NcdLog]:
     """Phase-2 discovery loop with early stopping on the smoothed total loss,
-    encoding on ``inp``.
+    encoding on ``inp``; returns a new state and leaves ``state`` unchanged.
 
-    Freezes a copy of the incoming encoder as the distillation anchor,
-    attaches novel and joint heads, and trains full-batch on phase-2 train
-    nodes. Stops once the exponentially smoothed total has not improved by
-    more than 1e-4 for `patience` epochs and restores the best snapshot."""
+    Trains a copy of the incoming model: freezes its encoder as the distillation
+    anchor, attaches novel and joint heads, and trains full-batch on phase-2
+    train nodes. Stops once the exponentially smoothed total has not improved
+    by more than 1e-4 for `patience` epochs and restores the best snapshot."""
     cfg.validate()
     validate_split(g, split)
     if protos.mean.shape[0] != len(split.old_classes):
@@ -241,18 +244,18 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
     n_old, n_new = len(split.old_classes), len(split.new_classes)
     repr_dim = state.encoder.repr_dim
 
-    state.frozen_encoder = freeze_encoder(state.encoder)
+    state = copy.deepcopy(state)  # shares no tensor with the caller's
+    anchor = freeze_encoder(state.encoder)
     state.novel_head = init_head(repr_dim, n_new, derive_seed(cfg.seed, _SEED_NOVEL_HEAD))
     state.joint_head = extend_head(state.old_head, n_new, cfg.init_scale,
                                    derive_seed(cfg.seed, _SEED_JOINT_EXT))
-    state.phase = 2
     params = (encoder_parameters(state.encoder)
               + head_parameters(state.novel_head)
               + head_parameters(state.joint_head))
-    state.adam = adam_init(params, cfg.lr, cfg.weight_decay)
+    adam = adam_init(params, cfg.lr, cfg.weight_decay)
 
     u_in = inp.at(split.p2_train)  # the live and the frozen encoder share it
-    zf_u = encode(state.frozen_encoder, u_in)  # constant all phase
+    zf_u = encode(anchor, u_in)  # constant all phase
     # joint-head columns of the replayed labels, in the class-major layout
     # sample_prototype_batch returns every epoch
     old_index = {c: i for i, c in enumerate(split.old_classes)}
@@ -306,7 +309,7 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
                 f"phase-2 loss not finite at epoch {epoch}: {report}", report)
 
         grads = backward(total_t, params)
-        adam_step(params, grads, state.adam)
+        adam_step(params, grads, adam)
         rows.append(report)
 
         if epoch >= track_from:
@@ -366,16 +369,14 @@ def run_depth_sweep(g: Graph, split: ClassSplit, cfg: TrainConfig, inp: EncoderI
 
 def save_state(path: str, state: ModelState, meta_extra: dict | None = None,
                snapshot: dict[str, np.ndarray] | None = None) -> None:
-    """Write the state's parameters, or the given snapshot of them, plus meta.
-
-    meta_extra entries are added to, and may override, the derived meta."""
+    """Write the state's parameters, or the given snapshot of them, with its
+    geometry as meta; meta_extra (e.g. the optimizer ``step``) adds or overrides keys."""
     meta = {
         "backbone": state.encoder.backbone,
         "dims": list(state.encoder.dims),
         "phase": state.phase,
         "num_old": state.old_head.num_outputs,
         "num_new": state.novel_head.num_outputs if state.novel_head else 0,
-        "step": state.adam.step if state.adam else 0,
     }
     meta.update(meta_extra or {})
     save_checkpoint(path, [(n, t.data if snapshot is None else snapshot[n])
@@ -421,7 +422,7 @@ def load_state(path: str) -> tuple[ModelState, dict]:
         weights=[param(f"encoder.w{i}", rows_per_input * dims[i], dims[i + 1])
                  for i in range(n_layers)],
         biases=[param(f"encoder.b{i}", 1, dims[i + 1]) for i in range(n_layers)])
-    state = ModelState(encoder=enc, old_head=head("old"), phase=phase)
+    state = ModelState(encoder=enc, old_head=head("old"))
     joint = phase == 2 or "joint_head.w" in tensors
     # the joint head spans the old and novel outputs, so it needs the novel head
     if joint or meta.get("num_new") or "novel_head.w" in tensors:

@@ -165,7 +165,7 @@ def _composed_scenarios(seed):
     through a live two-layer graph encoder."""
     rng = np.random.default_rng(seed + 10_000)
     g = _tiny_graph(seed + 20_000)
-    inp = EncoderInput.build(operator_for("gcn", g), ad.constant(g.features))
+    inp = EncoderInput.build("gcn", operator_for("gcn", g), ad.constant(g.features))
     enc = init_encoder("gcn", [g.feat_dim, 6, 5], seed=seed)
     novel = init_head(5, 2, seed=seed + 1)
     joint = init_head(5, 4, seed=seed + 2)

@@ -33,8 +33,26 @@ def test_item_requires_scalar():
 
 
 def test_add_rejects_incompatible_shapes():
-    with pytest.raises(ValueError):
-        ad.add(constant(np.zeros((2, 3))), constant(np.zeros((3, 3))))
+    # and every other op's operand check: (exception, message fragment, call)
+    a, b = constant(np.zeros((2, 3))), constant(np.zeros((3, 3)))
+    cases = [
+        (ValueError, "add shape mismatch", lambda: ad.add(a, b)),
+        (ValueError, "sub shape mismatch", lambda: ad.sub(a, b)),
+        (ValueError, "mul shape mismatch", lambda: ad.mul(a, b)),
+        (ValueError, "matmul shape mismatch", lambda: ad.matmul(a, a)),
+        (ValueError, "spmm shape mismatch",
+         lambda: ad.spmm(SparseMatrix(np.eye(2)), b)),
+        (ValueError, "concat_rows needs equal row counts", lambda: ad.concat_rows(a, b)),
+        (ValueError, "mse shape mismatch", lambda: ad.mse(a, b)),
+        (ValueError, "2 rows but 1 labels", lambda: ad.nll_rows(a, [0])),
+        (ValueError, "label out of range", lambda: ad.nll_rows(a, [0, 3])),
+        (ValueError, "clamp needs lo < hi", lambda: ad.clamp(a, 1.0, 1.0)),
+        (TypeError, "expected Tensor, got ndarray", lambda: ad.add(a, np.zeros((2, 3)))),
+        (ValueError, "backward needs a scalar loss", lambda: backward(a, [])),
+    ]
+    for exc, fragment, call in cases:
+        with pytest.raises(exc, match=fragment):
+            call()
 
 
 def test_log_rejects_nonpositive():

@@ -154,7 +154,7 @@ def _tiny_pipeline():
     split = split_classes(g, [0, 1], [2, 3], seed=derive_seed(0, SEED_SPLIT))
     cfg = TrainConfig(hidden=16, pretrain_epochs=10, ncd_epochs=15, seed=0,
                       rampup_length=5, top_k=3)
-    return g, split, cfg, EncoderInput.build(operator_for(cfg.backbone, g),
+    return g, split, cfg, EncoderInput.build(cfg.backbone, operator_for(cfg.backbone, g),
                                              ad.constant(g.features))
 
 

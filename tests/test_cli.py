@@ -62,7 +62,7 @@ def _read_json(path):
 
 def _forward(state, rc, g):
     """The full forward the CLI evaluates a state on."""
-    inp = EncoderInput.build(operator_for(rc.backbone, g),
+    inp = EncoderInput.build(rc.backbone, operator_for(rc.backbone, g),
                              ad.constant(input_features(g, rc.normalize_features)))
     return encode(freeze_encoder(state.encoder), inp)
 

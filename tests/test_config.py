@@ -274,7 +274,7 @@ def _pretrain_outputs(text):
     cfg = parse_config_text(text)
     g = sbm_generate([12] * 4, 0.4, 0.03, 6, 2.5, seed=1)
     split = split_classes(g, [0, 1], [2, 3], seed=2)
-    inp = EncoderInput.build(operator_for(cfg.backbone, g),
+    inp = EncoderInput.build(cfg.backbone, operator_for(cfg.backbone, g),
                              ad.constant(input_features(g, cfg.normalize_features)))
     state, protos, plog = pretrain(g, split, cfg, inp)
     return ([(n, t.data) for n, t in named_parameters(state)],

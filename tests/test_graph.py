@@ -57,6 +57,13 @@ def test_nan_features_rejected():
     feats[0, 0] = np.nan
     with pytest.raises(GraphValidationError):
         build_graph(2, [(0, 1)], feats, [0, 0])
+    # and features or labels that do not match the node count
+    with pytest.raises(GraphValidationError, match=r"features must be \(2, d\), got \(3, 2\)"):
+        build_graph(2, [(0, 1)], np.zeros((3, 2)), [0, 0])
+    with pytest.raises(GraphValidationError, match=r"features must be \(2, d\), got \(2,\)"):
+        build_graph(2, [(0, 1)], np.zeros(2), [0, 0])
+    with pytest.raises(GraphValidationError, match="expected 2 labels, got 3"):
+        build_graph(2, [(0, 1)], np.zeros((2, 2)), [0, 0, 1])
 
 
 def test_negative_labels_rejected():

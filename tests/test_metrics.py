@@ -145,14 +145,14 @@ def _stub_state(logit_rows, num_old):
                      bias=ad.parameter(np.zeros((1, num_old))))
     joint = HeadParams(weight=ad.parameter(np.eye(total)),
                        bias=ad.parameter(np.zeros((1, total))))
-    state = ModelState(encoder=enc, old_head=old, joint_head=joint, phase=2)
+    state = ModelState(encoder=enc, old_head=old, joint_head=joint)
     g = build_graph(n, np.zeros((0, 2)), np.eye(n), [0] * n)
     return state, g
 
 
 def _forward(state, g):
     """The encoder's full forward on g, which evaluate_joint reads."""
-    return encode(state.encoder, EncoderInput.build(operator_for("gcn", g),
+    return encode(state.encoder, EncoderInput.build("gcn", operator_for("gcn", g),
                                                     ad.constant(g.features)))
 
 
@@ -218,6 +218,8 @@ def test_hungarian_alignment_repairs_swapped_clusters():
     fixed = evaluate_joint(state, g, split, _forward(state, g), novel_alignment="hungarian")
     assert fixed.new_acc == 1.0
     assert fixed.old_acc == swapped.old_acc == 1.0
+    with pytest.raises(ValueError, match="unknown novel alignment 'nearest'"):
+        evaluate_joint(state, g, split, _forward(state, g), novel_alignment="nearest")
 
 
 def test_evaluate_joint_phase_one_uses_old_head():

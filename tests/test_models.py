@@ -26,7 +26,7 @@ def test_gcn_two_layer_matches_dense_oracle():
     g = _graph(seed=1)
     enc = init_encoder("gcn", [3, 4, 2], seed=5)
     adj = normalize_adjacency(g)
-    out = encode(enc, EncoderInput.build(adj, ad.constant(g.features))).data
+    out = encode(enc, EncoderInput.build("gcn", adj, ad.constant(g.features))).data
 
     a = adj.mat.toarray()
     h = a @ (g.features @ enc.weights[0].data) + enc.biases[0].data
@@ -39,7 +39,7 @@ def test_sage_two_layer_matches_dense_oracle():
     g = _graph(seed=2)
     enc = init_encoder("sage", [3, 4, 2], seed=6)
     adj = mean_adjacency(g)
-    out = encode(enc, EncoderInput.build(adj, ad.constant(g.features))).data
+    out = encode(enc, EncoderInput.build("sage", adj, ad.constant(g.features))).data
 
     a = adj.mat.toarray()
     h = np.hstack([g.features, a @ g.features]) @ enc.weights[0].data + enc.biases[0].data
@@ -52,7 +52,7 @@ def test_final_layer_has_no_relu():
     # with enough random draws some outputs must be negative
     g = _graph(seed=3, n=20)
     enc = init_encoder("gcn", [3, 8, 8], seed=7)
-    out = encode(enc, EncoderInput.build(normalize_adjacency(g),
+    out = encode(enc, EncoderInput.build("gcn", normalize_adjacency(g),
                                          ad.constant(g.features))).data
     assert out.min() < 0.0
 
@@ -79,6 +79,10 @@ def test_encoder_rejects_bad_dims():
         init_encoder("gcn", [5], seed=0)
     with pytest.raises(ValueError):
         init_encoder("rnn", [5, 3], seed=0)
+    g = _graph()
+    inp = EncoderInput.build("gcn", normalize_adjacency(g), ad.constant(g.features))
+    with pytest.raises(ValueError, match="encoder expects 4 input features, got 3"):
+        encode(init_encoder("gcn", [4, 2], seed=0), inp)
 
 
 def test_freeze_encoder_is_a_constant_copy():
@@ -103,6 +107,8 @@ def test_head_forward_is_affine():
     z = rng.standard_normal((6, 4))
     out = head_forward(head, ad.constant(z)).data
     assert np.allclose(out, z @ head.weight.data + head.bias.data, atol=1e-12)
+    with pytest.raises(ValueError, match="head expects 4-dim representations, got 3"):
+        head_forward(head, ad.constant(z[:, :3]))
 
 
 def test_init_head_roles_and_shapes():
@@ -124,6 +130,8 @@ def test_extend_head_copies_old_columns_verbatim():
     assert np.array_equal(joint.weight.data[:, :3], old.weight.data)
     assert np.array_equal(joint.bias.data[0, :3], old.bias.data[0])
     assert np.array_equal(joint.bias.data[0, 3:], np.zeros(2))
+    with pytest.raises(ValueError, match="at least one new output"):
+        extend_head(old, num_new=0)
 
 
 def test_extend_head_preserves_old_logits():
@@ -149,7 +157,7 @@ def test_extend_head_new_columns_scaled_and_seeded():
 def test_deep_encoder_stacks():
     g = _graph(seed=8)
     enc = init_encoder("gcn", [3] + [4] * 5, seed=13)
-    out = encode(enc, EncoderInput.build(normalize_adjacency(g),
+    out = encode(enc, EncoderInput.build("gcn", normalize_adjacency(g),
                                          ad.constant(g.features))).data
     assert out.shape == (g.num_nodes, 4)
     assert np.all(np.isfinite(out))
@@ -188,7 +196,7 @@ def test_repeated_sage_encode_is_bitwise_the_uncached_composition(monkeypatch):
     x = ad.constant(g.features)
     want = _uncached_sage(enc, adj, x)
     operands = _record_spmm(monkeypatch)
-    inp = EncoderInput.build(adj, x)
+    inp = EncoderInput.build("sage", adj, x)
     for _ in range(3):
         assert np.array_equal(encode(enc, inp).data, want)
     # the input propagates x once; layers 1 and 2 run on every forward
@@ -206,7 +214,7 @@ def test_frozen_and_live_encoders_share_the_input_product(monkeypatch):
     g = _graph(seed=7, n=12)
     enc = init_encoder("sage", [3, 4, 2], seed=3)
     frozen = freeze_encoder(enc)
-    inp = EncoderInput.build(mean_adjacency(g), ad.constant(g.features))
+    inp = EncoderInput.build("sage", mean_adjacency(g), ad.constant(g.features))
     operands = _record_spmm(monkeypatch)
     for view in (inp, inp.at([5, 0, 5])):
         zf = encode(frozen, view).data
@@ -221,7 +229,7 @@ def test_encoder_gradients_through_the_input_product(backbone):
     adj = operator_for(backbone, g)
     for dims, rows in itertools.product(([3, 2], [3, 4, 2]), (None, [6, 1, 6, 8])):
         enc = init_encoder(backbone, dims, seed=4)
-        inp = EncoderInput.build(adj, ad.constant(g.features))
+        inp = EncoderInput.build(backbone, adj, ad.constant(g.features))
 
         def loss():
             z = encode(enc, inp if rows is None else inp.at(rows))
@@ -233,7 +241,7 @@ def test_encoder_gradients_through_the_input_product(backbone):
         x = ad.parameter(g.features.copy())
 
         def loss():
-            inp = EncoderInput.build(adj, x)
+            inp = EncoderInput.build(backbone, adj, x)
             z = encode(enc, inp if rows is None else inp.at(rows))
             return ad.sum(ad.mul(z, z))
 
@@ -248,7 +256,8 @@ def _pretrain_spmm_operands(monkeypatch, backbone):
     cfg = TrainConfig(backbone=backbone, hidden=16, pretrain_epochs=5, seed=0, top_k=3)
     x = input_features(g, cfg.normalize_features)
     operands = _record_spmm(monkeypatch)
-    pretrain(g, split, cfg, EncoderInput.build(operator_for(backbone, g), ad.constant(x)))
+    pretrain(g, split, cfg,
+             EncoderInput.build(backbone, operator_for(backbone, g), ad.constant(x)))
     return [o for o in operands if o.shape == x.shape and np.array_equal(o.data, x)], operands
 
 
@@ -283,7 +292,7 @@ def test_repeated_gcn_encode_is_bitwise_the_uncached_composition(monkeypatch):
     x = ad.constant(g.features)
     want = _uncached_gcn(enc, adj, x)
     operands = _record_spmm(monkeypatch)
-    inp = EncoderInput.build(adj, x)
+    inp = EncoderInput.build("gcn", adj, x)
     for _ in range(3):
         assert np.array_equal(encode(enc, inp).data, want)
     # the input propagates x once; layers 1 and 2 run on every forward
@@ -322,7 +331,7 @@ _ROW_SETS = {"empty": [], "single": [4], "sorted": [0, 2, 3, 7, 9],
 @pytest.mark.parametrize("kind", list(_ROW_SETS))
 def test_restricted_encode_is_the_gathered_full_forward(backbone, layers, kind):
     g = _graph(seed=11, n=12)
-    inp = EncoderInput.build(operator_for(backbone, g), ad.constant(g.features))
+    inp = EncoderInput.build(backbone, operator_for(backbone, g), ad.constant(g.features))
     enc = init_encoder(backbone, [3] + [4] * layers, seed=9)
     params = encoder_parameters(enc)
     rows = np.arange(g.num_nodes) if _ROW_SETS[kind] is None else \
@@ -347,7 +356,7 @@ def test_restricted_encode_is_the_gathered_full_forward(backbone, layers, kind):
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 def test_restricted_encoder_gradients_pass_grad_check(backbone):
     g = _graph(seed=12, n=10)
-    inp = EncoderInput.build(operator_for(backbone, g), ad.constant(g.features))
+    inp = EncoderInput.build(backbone, operator_for(backbone, g), ad.constant(g.features))
     enc = init_encoder(backbone, [3, 4, 4, 2], seed=1)
 
     def loss():
@@ -362,7 +371,7 @@ def test_one_layer_restricted_encode_reads_the_input_rows():
     x = ad.constant(g.features)
     rows = [7, 0, 7]
     for backbone in ("gcn", "sage"):
-        inp = EncoderInput.build(operator_for(backbone, g), x)
+        inp = EncoderInput.build(backbone, operator_for(backbone, g), x)
         enc = init_encoder(backbone, [3, 2], seed=4)   # layer 0 is the last
         want = encode(enc, inp).data[rows]
         assert np.allclose(encode(enc, inp.at(rows)).data, want, rtol=0.0, atol=1e-12)
@@ -381,7 +390,7 @@ def test_restricted_operator_is_built_once_per_row_set():
         (gx,) = ad.backward(ad.sum(ad.mul(ad.spmm(op, x), ad.constant(up))), [x])
         assert np.allclose(gx, op.mat.toarray().T @ up, atol=1e-12)
         # at(rows) keeps the rows and the operator restrict builds for them
-        inp = EncoderInput.build(adj, ad.constant(g.features)).at(np.array([4, 1, 7]))
+        inp = EncoderInput.build(backbone, adj, ad.constant(g.features)).at(np.array([4, 1, 7]))
         assert inp.rows.tolist() == [4, 1, 7]
         assert np.array_equal(inp.adj_rows.mat.toarray(), op.mat.toarray())
         for bad in ([-1], [10], [0, 10]):

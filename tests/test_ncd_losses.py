@@ -468,6 +468,8 @@ def test_perturb_consistency_matches_formula():
     want = np.mean((_softmax(a) - _softmax(b)) ** 2)
     assert abs(got - want) < ORACLE_TOL
     assert perturb_consistency_loss(constant(a), constant(a)).item() == 0.0
+    with pytest.raises(ValueError, match=r"clean \(6, 4\) vs perturbed \(6, 3\)"):
+        perturb_consistency_loss(constant(a), constant(b[:, :3]))
 
 
 def test_batch_sigma_modes():
@@ -510,6 +512,8 @@ def test_compute_prototypes_matches_loop_oracle():
 def test_compute_prototypes_missing_class_raises():
     with pytest.raises(ValueError):
         compute_prototypes(np.zeros((3, 2)), [0, 0, 1], [0, 1, 2])
+    with pytest.raises(ValueError, match="3 rows but 2 labels"):
+        compute_prototypes(np.zeros((3, 2)), [0, 1], [0, 1])
 
 
 def test_prototypes_json_round_trip():

@@ -7,7 +7,7 @@ import pytest
 
 import graphncd.autodiff as ad
 import graphncd.training as training
-from graphncd.graph import Graph, operator_for, sbm_generate, split_classes
+from graphncd.graph import Graph, mean_adjacency, operator_for, sbm_generate, split_classes
 from graphncd.metrics import joint_predictions
 from graphncd.models import EncoderInput, encode, freeze_encoder
 from graphncd.ncd_losses import Prototypes
@@ -24,7 +24,7 @@ def _data(seed=0):
 
 
 def _input(g, backbone="gcn"):
-    return EncoderInput.build(operator_for(backbone, g), ad.constant(g.features))
+    return EncoderInput.build(backbone, operator_for(backbone, g), ad.constant(g.features))
 
 
 def _z(state, g):
@@ -117,13 +117,16 @@ def test_pretrain_validates_config():
         pretrain(g, split, _cfg(per_class_replay=-2 ** 63 - 1), _input(g))
     with pytest.raises(ValueError, match="patience"):
         pretrain(g, split, _cfg(patience=-10 ** 400), _input(g))
+    # an input built for another backbone
+    sage_in = EncoderInput.build("sage", mean_adjacency(g), ad.constant(g.features))
+    with pytest.raises(ValueError, match="a gcn encoder cannot read a sage input"):
+        pretrain(g, split, _cfg(backbone="gcn"), sage_in)
 
 
 # ------------------------------------------------------------ phase-2 routing
 
 def _routed(pretrained, **flags):
     g, split, cfg, state, protos, _ = pretrained
-    state = copy.deepcopy(state)
     off = dict(use_pseudo=False, use_self=False, use_perturb=False,
                use_replay=False, use_distill=False)
     off.update(flags)
@@ -167,17 +170,16 @@ def test_distill_alone_is_a_fixed_point(pretrained):
 
 def test_distill_anchors_encoder_to_frozen_copy(pretrained):
     # with the pairwise loss pulling the encoder, adding distillation keeps
-    # the representation measurably closer to the frozen one
+    # the representation measurably closer to the pretrained one
     g, split, cfg, state0, protos, _ = pretrained
 
     def drift(use_distill):
-        state = copy.deepcopy(state0)
         off = dict(use_pseudo=True, use_self=False, use_perturb=False,
                    use_replay=False, use_distill=use_distill)
         cfg2 = _cfg(ncd_epochs=10, weight_decay=0.0, **off)
-        state, _ = ncd_train(state, protos, g, split, cfg2, _input(g))
+        state, _ = ncd_train(state0, protos, g, split, cfg2, _input(g))
         deltas = [np.linalg.norm(w.data - f.data) for w, f in
-                  zip(state.encoder.weights, state.frozen_encoder.weights)]
+                  zip(state.encoder.weights, state0.encoder.weights)]
         return sum(deltas)
 
     assert drift(True) < drift(False)
@@ -208,18 +210,23 @@ def test_self_training_updates_joint_not_novel(pretrained):
 def test_old_head_read_only_in_phase_two(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     old_w = state0.old_head.weight.data.copy()
-    state = copy.deepcopy(state0)
-    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=5), _input(g))
+    state, _ = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=5), _input(g))
     assert np.array_equal(state.old_head.weight.data, old_w)
 
 
-def test_frozen_encoder_is_pretrain_encoder_bitwise(pretrained):
+def test_frozen_encoder_is_pretrain_encoder_bitwise(pretrained, monkeypatch):
     g, split, cfg, state0, protos, _ = pretrained
     pre_enc = [w.data.copy() for w in state0.encoder.weights]
-    state = copy.deepcopy(state0)
-    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=5), _input(g))
-    for ref, frz in zip(pre_enc, state.frozen_encoder.weights):
-        assert np.array_equal(ref, frz.data)
+    anchors = []
+    distill = training.distill_loss
+    monkeypatch.setattr(training, "distill_loss",
+                        lambda zf, z: anchors.append(zf.data.copy()) or distill(zf, z))
+    state, _ = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=5), _input(g))
+    # the distillation target is the untouched pretrained encoder's forward
+    want = encode(freeze_encoder(state0.encoder), _input(g).at(split.p2_train)).data
+    assert len(anchors) == 5 and all(np.array_equal(zf, want) for zf in anchors)
+    for ref, w in zip(pre_enc, state0.encoder.weights):
+        assert np.array_equal(ref, w.data)
     # and the live encoder has moved away from it
     assert not np.array_equal(state.encoder.weights[0].data, pre_enc[0])
 
@@ -234,8 +241,7 @@ def test_perturb_novel_head_consistency_path(pretrained):
 
 def test_perturb_joint_head_variant_runs(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
-    state = copy.deepcopy(state0)
-    state, nlog = ncd_train(state, protos, g, split,
+    state, nlog = ncd_train(state0, protos, g, split,
                             _cfg(ncd_epochs=4, eq8_head="joint"), _input(g))
     assert nlog.epochs_run == 4
 
@@ -262,8 +268,7 @@ def test_replay_indices_follow_the_sampled_labels_for_permuted_prototypes(
 
     monkeypatch.setattr(training, "sample_prototype_batch", sampling)
     monkeypatch.setattr(training, "replay_loss", replaying)
-    _, log = ncd_train(copy.deepcopy(state), permuted, g, split, _cfg(ncd_epochs=4),
-                       _input(g))
+    _, log = ncd_train(state, permuted, g, split, _cfg(ncd_epochs=4), _input(g))
     assert log.epochs_run == len(sampled) == len(replayed) == 4
     for labels, idx in zip(sampled, replayed):
         assert idx.tolist() == [old_index[int(c)] for c in labels]
@@ -296,7 +301,7 @@ def test_pair_loss_runs_once_per_epoch_and_leaves_no_n_by_n_tape(pretrained,
         return sweep(loss, params)
 
     monkeypatch.setattr(training, "backward", walked)
-    _, log = ncd_train(copy.deepcopy(state), protos, g, split, cfg, _input(g))
+    _, log = ncd_train(state, protos, g, split, cfg, _input(g))
     assert log.epochs_run == 4
     assert calls == dict.fromkeys(calls, 4) and len(calls) == 3
     assert squares == [0] * 4
@@ -350,10 +355,9 @@ def test_no_tracking_before_ramp_finishes():
 
 def test_best_snapshot_restored(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
-    state = copy.deepcopy(state0)
     cfg2 = _cfg(ncd_epochs=40, patience=3,
                 rampup_length=2, top_k=3)
-    state, nlog = ncd_train(state, protos, g, split, cfg2, _input(g))
+    state, nlog = ncd_train(state0, protos, g, split, cfg2, _input(g))
     if nlog.best_epoch >= 0 and nlog.epochs_run - 1 != nlog.best_epoch:
         # restored parameters differ from the final snapshot
         assert not np.array_equal(state.encoder.weights[0].data,
@@ -362,8 +366,7 @@ def test_best_snapshot_restored(pretrained):
 
 def test_loss_rows_complete(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
-    state = copy.deepcopy(state0)
-    state, nlog = ncd_train(state, protos, g, split, _cfg(ncd_epochs=6), _input(g))
+    state, nlog = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=6), _input(g))
     assert len(nlog.rows) == nlog.epochs_run
     for row in nlog.rows:
         for key in ("epoch", "pseudo", "self", "perturb", "replay", "distill",
@@ -375,40 +378,45 @@ def test_loss_rows_complete(pretrained):
 
 def test_divergence_raises_with_report(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
-    state = copy.deepcopy(state0)
     bad = _cfg(lam=float("inf"), rampup_length=5, top_k=3)
     with pytest.raises(TrainingDiverged) as err:
-        ncd_train(state, protos, g, split, bad, _input(g))
+        ncd_train(state0, protos, g, split, bad, _input(g))
     assert err.value.report["epoch"] == 0
 
 
 def test_prototype_count_mismatch_rejected(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
-    state = copy.deepcopy(state0)
     short = copy.deepcopy(protos)
     short.mean = short.mean[:1]
     with pytest.raises(ValueError):
-        ncd_train(state, short, g, split, _cfg(), _input(g))
+        ncd_train(state0, short, g, split, _cfg(), _input(g))
 
 
 # -------------------------------------------------------------- determinism
 
 def test_ncd_train_deterministic(pretrained):
+    # two sessions from one pretrained state agree, and neither touches it
     g, split, cfg, state0, protos, _ = pretrained
-    a = copy.deepcopy(state0)
-    b = copy.deepcopy(state0)
-    a, loga = ncd_train(a, protos, g, split, _cfg(ncd_epochs=8), _input(g))
-    b, logb = ncd_train(b, protos, g, split, _cfg(ncd_epochs=8), _input(g))
+    before = _params_snapshot(state0)
+    a, loga = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=8), _input(g))
+    b, logb = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=8), _input(g))
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and np.array_equal(ta.data, tb.data)
     assert loga.rows == logb.rows
     assert np.array_equal(joint_predictions(a, g), joint_predictions(b, g))
+    assert a is not state0 and b is not state0
+    assert state0.phase == 1 and state0.novel_head is None and state0.joint_head is None
+    after = _params_snapshot(state0)
+    assert before.keys() == after.keys()
+    assert all(np.array_equal(before[n], after[n]) for n in before)
+    # the returned model shares no tensor with its input
+    ids = {id(t) for _, t in named_parameters(state0)}
+    assert ids.isdisjoint(id(t) for _, t in named_parameters(a))
 
 
 def test_stage_report_phase_two_matrix(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
-    state = copy.deepcopy(state0)
-    state, _ = ncd_train(state, protos, g, split, _cfg(ncd_epochs=10), _input(g))
+    state, _ = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=10), _input(g))
     rep = stage_report(state, g, split, cfg, _z(state, g), phase1_old_acc=0.9)
     assert rep.perf.shape == (2, 2)
     assert rep.perf[0, 0] == 0.9 and np.isnan(rep.perf[0, 1])
@@ -463,3 +471,6 @@ def test_shared_values_hold_no_hidden_state():
     state, protos, _ = pretrain(g, split, cfg, inp)
     ncd_train(state, protos, g, split, cfg, inp)
     assert set(vars(inp.adj)) == {"mat"}
+    # a model state is the model: no optimizer state, anchor or phase field
+    assert [f.name for f in fields(ModelState)] == ["encoder", "old_head", "novel_head",
+                                                   "joint_head"]
