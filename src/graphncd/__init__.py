@@ -20,6 +20,6 @@ from .ncd_losses import (LossWeights, Prototypes, assign_pseudo_labels,
                          topk_pseudo_pairs)
 from .optim import AdamState, adam_init, adam_step
 from .training import (ModelState, TrainConfig, TrainingDiverged, ncd_train,
-                       pretrain, run_depth_sweep, stage_report)
+                       pretrain, run_depth_sweep)
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .models import EncoderInput, encode, freeze_encoder
 from .ncd_losses import LOSS_TERMS, Prototypes
 from .training import (SEED_SBM, SEED_SPLIT, TrainingDiverged, derive_seed,
                        load_state, ncd_train, pretrain, run_depth_sweep,
-                       save_state, stage_report)
+                       save_state)
 
 
 class StaleArtifacts(Exception):
@@ -84,7 +84,10 @@ def resolve_dataset(rc: RunConfig) -> tuple[Graph, str]:
 def resolve_split(rc: RunConfig, g: Graph) -> tuple[ClassSplit, str]:
     if rc.split_file:
         split = ClassSplit.load(rc.split_file)
-        validate_split(g, split)
+        try:
+            validate_split(g, split)
+        except GraphValidationError as exc:
+            raise GraphValidationError(f"{rc.split_file}: {exc}") from exc
     else:
         split = split_classes(g, rc.old_classes, rc.new_classes,
                               tuple(rc.split_ratios), derive_seed(rc.seed, SEED_SPLIT))
@@ -168,12 +171,13 @@ class _Stage:
         self.artifacts.append(name)
         return os.path.join(self.rc.out, name)
 
-    def write_metrics(self, rep: MetricsReport) -> None:
-        rep.config_hash = self.config_hash
-        rep.extras.update(_reference_extras(self.rc, rep))
-        payload = rep.to_dict()
-        payload["timestamp"] = _timestamp()
-        _write_json(self.path("metrics.json"), payload)
+    def write_metrics(self, rep: MetricsReport, **extras) -> None:
+        """metrics.json: the report, then what describes the run (its seed,
+        config hash and reference comparison), the stage's extras and a
+        timestamp; then the report's CSVs."""
+        _write_json(self.path("metrics.json"), {
+            **rep.to_dict(), "seed": self.rc.seed, "config_hash": self.config_hash,
+            **_reference_extras(self.rc, rep), **extras, "timestamp": _timestamp()})
         _write_csv(self.path("confusion.csv"), ["true\\pred", *rep.class_order],
                    [[c, *row] for c, row in zip(rep.class_order, rep.confusion)])
         if rep.perf is not None:  # lower-triangular: the cells above stay empty
@@ -236,8 +240,8 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
 
 def cmd_pretrain(st: _Stage) -> int:
     state, protos, plog = pretrain(st.g, st.split, st.rc, st.inp)
-    rep = stage_report(state, st.g, st.split, st.rc,
-                       encode(freeze_encoder(state.encoder), st.inp))
+    rep = evaluate_joint(state, st.g, st.split, encode(freeze_encoder(state.encoder), st.inp),
+                         st.rc.novel_alignment)
     p1hash = phase1_hash(st.rc, st.dataset_hash, st.split_hash)
 
     meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": st.rc.seed,
@@ -259,8 +263,10 @@ def cmd_pretrain(st: _Stage) -> int:
     return 0
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_accuracy(v) -> bool:
+    """A number read from outside the program that can be an accuracy: not a
+    bool, and in [0, 1], which NaN and the infinities are not."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1
 
 
 def _phase1_json(path: str) -> dict:
@@ -291,8 +297,9 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
             f"phase-1 artifacts in {pretrain_dir} were built under a different "
             f"config/dataset (hash {have} != {want}); rerun pretrain")
     old_acc = manifest.get("old_acc")
-    if not _is_number(old_acc):
-        raise StaleArtifacts(f"{manifest_path} records no phase-1 old_acc; rerun pretrain")
+    if not _is_accuracy(old_acc):
+        raise StaleArtifacts(f"{manifest_path} records no phase-1 old_acc in [0, 1]; "
+                             "rerun pretrain")
     state, meta = load_state(ckpt_path)
     if meta.get("phase1_hash") != want:
         raise StaleArtifacts(
@@ -314,9 +321,8 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
 def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
     state, protos, m11 = _load_phase1(pretrain_dir, st)
     state, nlog = ncd_train(state, protos, st.g, st.split, st.rc, st.inp)
-    rep = stage_report(state, st.g, st.split, st.rc,
-                       encode(freeze_encoder(state.encoder), st.inp), m11)
-    rep.extras.update({f"use_{t}": getattr(st.rc, f"use_{t}") for t in LOSS_TERMS})
+    rep = evaluate_joint(state, st.g, st.split, encode(freeze_encoder(state.encoder), st.inp),
+                         st.rc.novel_alignment, m11)
 
     meta = {"config_hash": st.config_hash, "seed": st.rc.seed, "phase1_old_acc": m11,
             "best_epoch": nlog.best_epoch, "epochs_run": nlog.epochs_run,
@@ -325,7 +331,7 @@ def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
     save_state(st.path("checkpoint_ncd_final.bin"), state, meta, nlog.final_snapshot)
     st.split.save(st.path("split.json"))
     _write_csv(st.path("losses.csv"), LOSS_COLUMNS, _pick(LOSS_COLUMNS, nlog.rows))
-    st.write_metrics(rep)
+    st.write_metrics(rep, **{f"use_{t}": getattr(st.rc, f"use_{t}") for t in LOSS_TERMS})
     st.write_manifest("ncd", phase=2, pretrain_dir=pretrain_dir,
                       epochs_run=nlog.epochs_run, best_epoch=nlog.best_epoch,
                       stopped_early=nlog.stopped_early, aa=rep.aa, af=rep.af,
@@ -356,15 +362,13 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
             f"checkpoint has {state.novel_head.num_outputs} novel outputs, "
             f"split lists {len(split.new_classes)} new classes")
     m11 = meta.get("phase1_old_acc")
-    if not (m11 is None or _is_number(m11)):
-        raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not a number")
+    if not (m11 is None or _is_accuracy(m11)):
+        raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not an accuracy "
+                              "in [0, 1]")
     # one full forward, on constants, feeds both the metrics and nodes.csv
     z = encode(freeze_encoder(state.encoder), st.inp)
-    if state.joint_head is None or m11 is not None:
-        rep = stage_report(state, g, split, rc, z, m11)
-    else:  # phase-2 checkpoint without its phase-1 accuracy: no stage matrix
-        rep = evaluate_joint(state, g, split, z, rc.novel_alignment)
-        rep.seed = rc.seed
+    # a phase-2 checkpoint without its phase-1 accuracy gets no stage matrix
+    rep = evaluate_joint(state, g, split, z, rc.novel_alignment, m11)
     st.write_metrics(rep)
 
     _write_csv(st.path("nodes.csv"), ["id", "label", *(f"z{i}" for i in range(z.shape[1]))],

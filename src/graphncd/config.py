@@ -78,6 +78,9 @@ class RunConfig(TrainConfig):
             v = getattr(self, key)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{key} must be finite and non-negative, got {v}")
+        for key in ("reference_old", "reference_new", "reference_all"):
+            if math.isinf(getattr(self, key)):  # NaN leaves the reference unset
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if not (self.sweep_layers and all(2 <= n <= MAX_LAYERS for n in self.sweep_layers)):
             raise ConfigError(f"sweep_layers needs one or more depths in [2, {MAX_LAYERS}], "
                               f"got {self.sweep_layers}")

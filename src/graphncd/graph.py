@@ -296,6 +296,11 @@ class ClassSplit:
 def validate_split(g: Graph, split: ClassSplit) -> None:
     """Check the split is consistent with the graph's label set and that
     both training phases can run on it."""
+    for name in ("old_classes", "new_classes"):
+        ids = getattr(split, name)
+        twice = [c for i, c in enumerate(ids) if c in ids[:i]]
+        if twice:
+            raise GraphValidationError(f"{name} lists class {twice[0]} more than once")
     old, new = set(split.old_classes), set(split.new_classes)
     if old & new:
         raise GraphValidationError(f"classes in both old and new: {sorted(old & new)}")

@@ -1,7 +1,7 @@
 """Joint evaluation, novel-slot matching, and stage-wise retention metrics."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,8 +10,9 @@ from .graph import ClassSplit, Graph, input_features, operator_for
 from .models import EncoderInput, encode, freeze_encoder, head_forward
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricsReport:
+    """One stage's evaluation, complete when built: nothing edits it after."""
     old_acc: float
     new_acc: float
     all_acc: float
@@ -21,23 +22,11 @@ class MetricsReport:
     aa: float | None = None
     af: float | None = None
     phase: int = 1
-    seed: int = 0
-    config_hash: str = ""
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "old_acc": self.old_acc,
-            "new_acc": self.new_acc,
-            "all_acc": self.all_acc,
-            "aa": self.aa,
-            "af": self.af,
-            "phase": self.phase,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-        }
-        out.update(self.extras)
-        return out
+        return {"old_acc": self.old_acc, "new_acc": self.new_acc,
+                "all_acc": self.all_acc, "aa": self.aa, "af": self.af,
+                "phase": self.phase}
 
 
 def _assignment_cost(c: list[list[float]]) -> float:
@@ -175,13 +164,17 @@ def _align_novel_slots(pred_idx: np.ndarray, g: Graph, split: ClassSplit,
 
 
 def evaluate_joint(state, g: Graph, split: ClassSplit, z: Tensor,
-                   novel_alignment: str = "hungarian") -> MetricsReport:
-    """Task-agnostic accuracy over old, new, and pooled test nodes.
+                   novel_alignment: str = "hungarian",
+                   phase1_old_acc: float | None = None) -> MetricsReport:
+    """Task-agnostic accuracy over old, new, and pooled test nodes, plus the
+    stage performance matrix and AA/AF.
 
     One argmax over the full joint logit row decides each node; a new-class
     node predicted as any old class counts as wrong. Predicted old slots map
     to old class ids by position; novel slots map per novel_alignment. ``z``
-    is the encoder's full forward on g."""
+    is the encoder's full forward on g. A phase-2 report needs
+    ``phase1_old_acc`` for its stage matrix; without it, perf, aa and af
+    are None."""
     pred_idx = _joint_argmax(state, z)
     n_old = len(split.old_classes)
     slot_map = {i: c for i, c in enumerate(split.old_classes)}
@@ -202,12 +195,14 @@ def evaluate_joint(state, g: Graph, split: ClassSplit, z: Tensor,
     for node in split.all_test:
         confusion[pos[int(g.labels[node])], pos[int(pred_class[node])]] += 1
 
-    return MetricsReport(
-        old_acc=acc(split.p1_test),
-        new_acc=acc(split.p2_test),
-        all_acc=acc(split.all_test),
-        confusion=confusion,
-        class_order=order,
-        phase=state.phase,
-    )
-
+    old_acc, new_acc = acc(split.p1_test), acc(split.p2_test)
+    if state.phase == 1:
+        perf = np.array([[old_acc]])
+    elif phase1_old_acc is not None:
+        perf = np.array([[phase1_old_acc, np.nan], [old_acc, new_acc]])
+    else:
+        perf = None
+    aa, af = (None, None) if perf is None else aa_af(perf, len(perf))
+    return MetricsReport(old_acc=old_acc, new_acc=new_acc, all_acc=acc(split.all_test),
+                         confusion=confusion, class_order=order, perf=perf,
+                         aa=aa, af=af, phase=state.phase)

@@ -26,7 +26,7 @@ from .autodiff import Tensor, backward
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 # operator_for is unused here, but perfbench/spans.py hooks it, so it stays bound
 from .graph import ClassSplit, Graph, operator_for, validate_split  # noqa: F401
-from .metrics import MetricsReport, aa_af, evaluate_joint
+from .metrics import evaluate_joint
 from .models import (BACKBONES, EncoderInput, EncoderParams, HeadParams, encode,
                      encoder_parameters, extend_head, freeze_encoder, head_forward,
                      head_parameters, init_encoder, init_head)
@@ -332,24 +332,6 @@ def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit
                          stopped_early=stopped_early, final_snapshot=final_snap)
 
 
-def stage_report(state: ModelState, g: Graph, split: ClassSplit, cfg: TrainConfig,
-                 z: Tensor, phase1_old_acc: float | None = None) -> MetricsReport:
-    """Joint evaluation of the encoder's full forward ``z`` plus the stage
-    performance matrix and AA/AF."""
-    rep = evaluate_joint(state, g, split, z, cfg.novel_alignment)
-    rep.seed = cfg.seed
-    if rep.phase == 1:
-        rep.perf = np.array([[rep.old_acc]])
-        rep.aa, rep.af = aa_af(rep.perf, 1)
-    else:
-        if phase1_old_acc is None:
-            raise ValueError("phase-2 report needs the phase-1 old-class accuracy")
-        rep.perf = np.array([[phase1_old_acc, np.nan],
-                             [rep.old_acc, rep.new_acc]])
-        rep.aa, rep.af = aa_af(rep.perf, 2)
-    return rep
-
-
 def run_depth_sweep(g: Graph, split: ClassSplit, cfg: TrainConfig, inp: EncoderInput,
                     layer_counts: list[int]) -> list[dict]:
     """Full pipeline per depth with everything else held fixed."""
@@ -361,7 +343,7 @@ def run_depth_sweep(g: Graph, split: ClassSplit, cfg: TrainConfig, inp: EncoderI
         m11 = evaluate_joint(state, g, split, z, c.novel_alignment).old_acc
         state, _ = ncd_train(state, protos, g, split, c, inp)
         z = encode(freeze_encoder(state.encoder), inp)
-        rep = stage_report(state, g, split, c, z, m11)
+        rep = evaluate_joint(state, g, split, z, c.novel_alignment, m11)
         out.append({"layers": int(nl), "old_acc": rep.old_acc, "new_acc": rep.new_acc,
                     "all_acc": rep.all_acc, "aa": rep.aa, "af": rep.af})
     return out

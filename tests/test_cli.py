@@ -55,9 +55,14 @@ def _write_cfg(tmp_path, name="run.cfg", extra=""):
     return str(path)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not standard JSON")
+
+
 def _read_json(path):
+    """A JSON artifact, which must be standard JSON: no NaN or Infinity."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_refuse_constant)
 
 
 def _forward(state, rc, g):
@@ -260,7 +265,8 @@ def test_ncd_rejects_checkpoint_from_another_pretrain(pipeline, tmp_path, capsys
     assert "different pretrain run" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old_acc", [None, "0.9", True])
+@pytest.mark.parametrize("old_acc", [None, "0.9", True, float("nan"), float("inf"),
+                                     -5.0, 1.5])
 def test_ncd_needs_numeric_phase1_old_acc(pipeline, tmp_path, capsys, old_acc):
     cfg, pre, _ = pipeline
     bad = _copy_stage(pre, tmp_path / "bad")
@@ -437,16 +443,22 @@ def test_eval_dimension_mismatch(pipeline, tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
-def test_reference_comparison_only_when_every_reference_is_set(pipeline, tmp_path):
+def test_reference_comparison_only_when_every_reference_is_set(pipeline, tmp_path,
+                                                               capsys):
     cfg, pre, ncd = pipeline
     ckpt = os.path.join(ncd, "checkpoint_ncd_best.bin")
     assert "reference_comparison" not in _read_json(os.path.join(ncd, "metrics.json"))
-    for i, refs in enumerate([(0.5, 0.25, 1.0), (0.5, None, None)]):
+    for i, refs in enumerate([(0.5, 0.25, 1.0), (0.5, None, None), ("inf", 0.25, 1.0),
+                              (0.5, 0.25, "-inf")]):
         extra = "".join(f"reference_{k} = {v}\n" for k, v in zip(("old", "new", "all"), refs)
                         if v is not None)
         out = tmp_path / f"ev{i}"
-        assert main(["eval", "--config", _write_cfg(tmp_path, name=f"ref{i}.cfg", extra=extra),
-                     "--out", str(out), "--checkpoint", ckpt]) == 0
+        code = main(["eval", "--config", _write_cfg(tmp_path, name=f"ref{i}.cfg", extra=extra),
+                     "--out", str(out), "--checkpoint", ckpt])
+        if "inf" in extra:  # a reference must be finite
+            assert code == 2 and "must be finite" in capsys.readouterr().err
+            continue
+        assert code == 0
         got = _read_json(out / "metrics.json")
         if None in refs:
             assert "reference_comparison" not in got
@@ -529,6 +541,10 @@ def _ckpt_with_meta(**entries):
     # a split that is no JSON, and one with a key that is no list
     ("split", lambda raw: "[", "must be JSON"),
     ("split", lambda raw: {**raw, "p2_train": 3}, "p2_train"),
+    # numbers that are not accuracies, which would reach metrics.json as af
+    *(pytest.param("checkpoint", _ckpt_with_meta(phase1_old_acc=v), "phase1_old_acc",
+                   id=f"checkpoint-phase1_old_acc-{v}")
+      for v in (float("nan"), float("-inf"), -5.0)),
 ])
 def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate,
                                         needle):
@@ -597,8 +613,11 @@ def _drop_old_class_0(split, labels):
      "phase-1 mask contains classes"),
     (lambda split, labels: split.update(all_test=split["all_test"][1:]),
      "all_test must be the union of p1_test and p2_test"),
+    (lambda split, labels: split.update(old_classes=[0, 0, 1, 2]),
+     "old_classes lists class 0 more than once"),
 ], ids=["no_p2_train", "old_class_without_p1_train", "no_p1_train", "no_p1_val",
-        "node_id_out_of_range", "new_class_in_phase_1", "all_test_not_the_union"])
+        "node_id_out_of_range", "new_class_in_phase_1", "all_test_not_the_union",
+        "class_listed_twice"])
 def test_split_that_training_cannot_run_on_exits_2(tmp_path, capsys, edit, needle):
     text = (BASE.replace("15,15,15,15", "30,30,30,30,30")
             .replace("old_classes = 0,1\nnew_classes = 2,3",
@@ -618,7 +637,18 @@ def test_split_that_training_cannot_run_on_exits_2(tmp_path, capsys, edit, needl
     out = tmp_path / "o"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+    # the one error line names the split file first
+    assert len(err) == 1 and err[0].startswith(f"error: {data / 'split.json'}: ")
+    assert needle in err[0]
+    assert not list(out.rglob("manifest.json"))
+
+
+def test_config_class_listed_twice_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, extra="old_classes = 0,0,1\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: old_classes lists class 0 more than once"]
     assert not list(out.rglob("manifest.json"))
 
 
@@ -851,6 +881,21 @@ def test_run_chains_all_three_stages(tmp_path):
     assert ncd_manifest["pretrain_dir"] == os.path.join(out, "pretrain")
     ev = _read_json(os.path.join(out, "eval", "metrics.json"))
     assert ev["phase"] == 2
+
+
+def test_each_stage_metrics_json_holds_its_pinned_keys(tmp_path):
+    out = str(tmp_path / "full")
+    assert main(["run", "--config", _write_cfg(tmp_path), "--out", out]) == 0
+    report = {"old_acc", "new_acc", "all_acc", "aa", "af", "phase"}
+    run = {"seed", "config_hash", "timestamp"}
+    echoes = {f"use_{t}" for t in ("pseudo", "self", "perturb", "replay", "distill")}
+    for stage, want in (("pretrain", report | run), ("ncd", report | run | echoes),
+                        ("eval", report | run)):
+        got = _read_json(os.path.join(out, stage, "metrics.json"))
+        manifest = _read_json(os.path.join(out, stage, "manifest.json"))
+        assert set(got) == want, stage
+        assert (got["seed"], got["config_hash"]) == \
+            (manifest["seed"], manifest["config_hash"]), stage
 
 
 def _tree(root) -> dict:

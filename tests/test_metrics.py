@@ -1,5 +1,6 @@
 """Assignment matching, joint evaluation, retention metrics, CSV round-trips."""
 import csv
+import dataclasses
 import itertools
 
 import numpy as np
@@ -181,6 +182,14 @@ def test_evaluate_joint_hand_case():
         assert rep.all_acc == 0.5
         assert rep.phase == 2
     assert rep.class_order == [0, 1, 2, 3]
+    # phase 2 without the phase-1 accuracy: no stage matrix
+    assert rep.perf is None and rep.aa is None and rep.af is None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.aa = 0.5
+    full = evaluate_joint(state, g, split, _forward(state, g), phase1_old_acc=0.75)
+    assert full.perf[0, 0] == 0.75 and np.isnan(full.perf[0, 1])
+    assert full.perf[1].tolist() == [0.5, 0.5]
+    assert full.aa == 0.5 and full.af == -0.25
     # confusion rows: true 0 -> pred {0,1}; true 2 -> pred 2; true 3 -> pred 2
     assert np.array_equal(rep.confusion, [[1, 1, 0, 0],
                                           [0, 0, 0, 0],
@@ -237,6 +246,7 @@ def test_evaluate_joint_phase_one_uses_old_head():
     rep = evaluate_joint(state, g, split, _forward(state, g))
     assert rep.phase == 1
     assert abs(rep.old_acc - 2.0 / 3.0) < 1e-15
+    assert rep.perf.tolist() == [[rep.old_acc]] and rep.aa == rep.old_acc and rep.af == 0.0
 
 
 # ----------------------------------------------------------------------- CSV

@@ -8,13 +8,13 @@ import pytest
 import graphncd.autodiff as ad
 import graphncd.training as training
 from graphncd.graph import Graph, mean_adjacency, operator_for, sbm_generate, split_classes
-from graphncd.metrics import joint_predictions
+from graphncd.metrics import evaluate_joint, joint_predictions
 from graphncd.models import EncoderInput, encode, freeze_encoder
 from graphncd.ncd_losses import Prototypes
 from graphncd.training import (ModelState, NcdLog, TrainConfig,
                                TrainingDiverged, derive_seed, named_parameters,
                                ncd_train, pretrain, run_depth_sweep,
-                               stage_report, SEED_SBM, SEED_SPLIT)
+                               SEED_SBM, SEED_SPLIT)
 
 
 def _data(seed=0):
@@ -54,8 +54,8 @@ def _params_snapshot(state):
 # ----------------------------------------------------------------- pretrain
 
 def test_pretrain_learns_old_classes(pretrained):
-    g, split, cfg, state, protos, plog = pretrained
-    rep = stage_report(state, g, split, cfg, _z(state, g))
+    g, split, _, state, protos, plog = pretrained
+    rep = evaluate_joint(state, g, split, _z(state, g))
     assert rep.phase == 1
     assert rep.old_acc >= 0.8
     assert rep.perf.shape == (1, 1) and rep.aa == rep.old_acc and rep.af == 0.0
@@ -414,18 +414,19 @@ def test_ncd_train_deterministic(pretrained):
     assert ids.isdisjoint(id(t) for _, t in named_parameters(a))
 
 
-def test_stage_report_phase_two_matrix(pretrained):
-    g, split, cfg, state0, protos, _ = pretrained
+def test_evaluate_joint_phase_two_matrix(pretrained):
+    g, split, _, state0, protos, _ = pretrained
     state, _ = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=10), _input(g))
-    rep = stage_report(state, g, split, cfg, _z(state, g), phase1_old_acc=0.9)
+    rep = evaluate_joint(state, g, split, _z(state, g), phase1_old_acc=0.9)
     assert rep.perf.shape == (2, 2)
     assert rep.perf[0, 0] == 0.9 and np.isnan(rep.perf[0, 1])
     assert rep.perf[1, 0] == rep.old_acc and rep.perf[1, 1] == rep.new_acc
     assert abs(rep.aa - (rep.old_acc + rep.new_acc) / 2) < 1e-15
     assert abs(rep.af - (rep.old_acc - 0.9)) < 1e-15
-    with pytest.raises(ValueError):
-        # phase 2 needs the phase-1 number
-        stage_report(state, g, split, cfg, _z(state, g))
+    # without the phase-1 number a phase-2 report has no stage matrix
+    bare = evaluate_joint(state, g, split, _z(state, g))
+    assert bare.perf is None and bare.aa is None and bare.af is None
+    assert bare.old_acc == rep.old_acc and bare.new_acc == rep.new_acc
 
 
 def test_depth_sweep_runs_each_depth():
