@@ -106,7 +106,8 @@ def _check_2d(*ts: Tensor) -> None:
 
 
 def _broadcastable(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return all(x == y or x == 1 or y == 1 for x, y in zip(a, b))
+    """Equal shapes, or a (1, d) or (1, 1) operand against an (n, d) one."""
+    return a == b or any(s[0] == 1 and s[1] in (1, o[1]) for s, o in ((a, b), (b, a)))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -309,9 +309,11 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
     try:
         protos = Prototypes.from_dict(_phase1_json(proto_path))
         if not (protos.class_ids.tolist() == list(st.split.old_classes)
-                and protos.mean.shape == protos.var.shape == shape):
-            raise ValueError(f"want {shape[0]} prototypes of width {shape[1]} "
-                             f"for old classes {st.split.old_classes}")
+                and protos.mean.shape == protos.var.shape == shape
+                and np.isfinite(protos.mean).all()
+                and ((0 <= protos.var) & (protos.var < np.inf)).all()):
+            raise ValueError(f"want {shape[0]} finite prototypes of width {shape[1]}, "
+                             f"variances >= 0, for old classes {st.split.old_classes}")
     except (KeyError, TypeError, ValueError) as exc:
         raise StaleArtifacts(f"{proto_path}: bad prototypes ({exc!r}); "
                              "rerun pretrain") from exc
@@ -345,22 +347,15 @@ def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
 def cmd_eval(st: _Stage, checkpoint: str) -> int:
     rc, g, split = st.rc, st.g, st.split
     state, meta = load_state(checkpoint)
-    if state.encoder.backbone != rc.backbone:
-        raise DimensionMismatch(f"checkpoint has a {state.encoder.backbone} encoder, "
-                                f"config asks for {rc.backbone}")
-    if state.encoder.dims[0] != g.feat_dim:
-        raise DimensionMismatch(
-            f"checkpoint expects {state.encoder.dims[0]} input features, "
-            f"dataset has {g.feat_dim}")
-    if state.old_head.num_outputs != len(split.old_classes):
-        raise DimensionMismatch(
-            f"checkpoint has {state.old_head.num_outputs} old-class outputs, "
-            f"split lists {len(split.old_classes)} old classes")
-    if state.novel_head is not None and \
-            state.novel_head.num_outputs != len(split.new_classes):
-        raise DimensionMismatch(
-            f"checkpoint has {state.novel_head.num_outputs} novel outputs, "
-            f"split lists {len(split.new_classes)} new classes")
+    # what the model is against what the config, dataset and split ask of it
+    fit = [("encoder", state.encoder.backbone, rc.backbone),
+           ("input features", state.encoder.dims[0], g.feat_dim),
+           ("old-class outputs", state.old_head.num_outputs, len(split.old_classes))]
+    if state.novel_head is not None:
+        fit.append(("novel outputs", state.novel_head.num_outputs, len(split.new_classes)))
+    for what, have, want in fit:
+        if have != want:
+            raise DimensionMismatch(f"checkpoint has {have} {what}, the run has {want}")
     m11 = meta.get("phase1_old_acc")
     if not (m11 is None or _is_accuracy(m11)):
         raise CheckpointError(f"{checkpoint}: phase1_old_acc {m11!r} is not an accuracy "

@@ -295,7 +295,7 @@ class ClassSplit:
 
 def validate_split(g: Graph, split: ClassSplit) -> None:
     """Check the split is consistent with the graph's label set and that
-    both training phases can run on it."""
+    both training phases can run and be scored on it."""
     for name in ("old_classes", "new_classes"):
         ids = getattr(split, name)
         twice = [c for i, c in enumerate(ids) if c in ids[:i]]
@@ -309,8 +309,8 @@ def validate_split(g: Graph, split: ClassSplit) -> None:
         raise GraphValidationError(
             f"labels {sorted(present - old - new)} missing from old/new lists")
     # what training needs: a loss and a validation set in phase 1, and nodes
-    # to discover on in phase 2
-    for name in ("p1_train", "p1_val", "p2_train"):
+    # to discover on in phase 2; and what the report needs: a test pool in each
+    for name in ("p1_train", "p1_val", "p1_test", "p2_train", "p2_test"):
         if not getattr(split, name):
             raise GraphValidationError(f"{name} is empty")
     phase1 = split.p1_train + split.p1_val + split.p1_test

@@ -62,6 +62,12 @@ def glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def weight_rows(backbone: str, d_in: int) -> int:
+    """Rows of a layer's weight over d_in inputs: sage reads each node's own
+    features next to its neighbours' mean."""
+    return 2 * d_in if backbone == "sage" else d_in
+
+
 def init_encoder(backbone: str, dims: list[int], seed: int = 0) -> EncoderParams:
     """Glorot-uniform weights, zero biases. dims[0] is the feature width."""
     if backbone not in BACKBONES:
@@ -71,8 +77,7 @@ def init_encoder(backbone: str, dims: list[int], seed: int = 0) -> EncoderParams
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
-        rows = 2 * d_in if backbone == "sage" else d_in
-        weights.append(ad.parameter(glorot(rows, d_out, rng)))
+        weights.append(ad.parameter(glorot(weight_rows(backbone, d_in), d_out, rng)))
         biases.append(ad.parameter(np.zeros((1, d_out))))
     return EncoderParams(backbone=backbone, dims=list(dims), weights=weights, biases=biases)
 

@@ -29,7 +29,7 @@ from .graph import ClassSplit, Graph, operator_for, validate_split  # noqa: F401
 from .metrics import evaluate_joint
 from .models import (BACKBONES, EncoderInput, EncoderParams, HeadParams, encode,
                      encoder_parameters, extend_head, freeze_encoder, head_forward,
-                     head_parameters, init_encoder, init_head)
+                     head_parameters, init_encoder, init_head, weight_rows)
 from .ncd_losses import (LOSS_TERMS, LossWeights, Prototypes, assign_pseudo_labels,
                          batch_sigma, compute_prototypes, distill_loss, pairwise_bce,
                          pairwise_similarity, perturb_consistency_loss,
@@ -366,50 +366,42 @@ def save_state(path: str, state: ModelState, meta_extra: dict | None = None,
 
 
 def load_state(path: str) -> tuple[ModelState, dict]:
-    """The model a checkpoint holds. CheckpointError when the meta lacks the
-    geometry, or a tensor that the dims, phase or head sizes imply is absent
-    or has another shape: encoder weights are d_in x d_out (twice d_in rows
-    for sage), biases 1 x d_out, and the joint head is as wide as the old and
-    novel heads together."""
+    """The model a checkpoint holds. The meta's geometry, as save_state writes
+    it (backbone, dims, phase, num_old, num_new), names every tensor and its
+    shape: a novel head iff num_new > 0, a joint head num_old + num_new wide iff
+    phase 2. CheckpointError for a missing or bad geometry key, and for a
+    missing, unexpected or misshapen tensor."""
     meta, tensors = load_checkpoint(path)
     try:
-        backbone = meta["backbone"]
-        dims = [int(d) for d in meta["dims"]]
-        phase = int(meta.get("phase", 1))
-        if backbone not in BACKBONES or len(dims) < 2 or min(dims) < 1:
-            raise ValueError(f"backbone {backbone!r} with dims {dims}")
+        backbone, dims = meta["backbone"], [int(d) for d in meta["dims"]]
+        phase, num_old, num_new = (int(meta[k]) for k in ("phase", "num_old", "num_new"))
+        if (backbone not in BACKBONES or len(dims) < 2 or min(dims) < 1
+                or phase not in (1, 2) or num_old < 1 or num_new < phase - 1):
+            raise ValueError(f"backbone {backbone!r}, dims {dims}, phase {phase}, "
+                             f"num_old {num_old}, num_new {num_new}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: bad meta: {exc!r}") from exc
-
-    def param(name: str, rows: int, cols: int) -> Tensor:
+    shapes = {}
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes[f"encoder.w{i}"] = (weight_rows(backbone, d_in), d_out)
+        shapes[f"encoder.b{i}"] = (1, d_out)
+    heads = {"old": num_old, "novel": num_new, "joint": (num_old + num_new) * (phase == 2)}
+    for role, width in heads.items():
+        if width:
+            shapes[f"{role}_head.w"], shapes[f"{role}_head.b"] = (dims[-1], width), (1, width)
+    for name in dict.fromkeys([*shapes, *tensors]):
         if name not in tensors:
             raise CheckpointError(f"{path}: missing tensor {name!r}")
-        if tensors[name].shape != (rows, cols):
+        if name not in shapes:
+            raise CheckpointError(f"{path}: unexpected tensor {name!r}")
+        if tensors[name].shape != shapes[name]:
             raise CheckpointError(f"{path}: tensor {name!r} has shape "
-                                  f"{tensors[name].shape}, expected {(rows, cols)}")
-        return ad.parameter(tensors[name])
-
-    def head(role: str, width: int | None = None) -> HeadParams:
-        """The head over dims[-1] inputs; its own weight sets the width unless given."""
-        name = f"{role}_head.w"
-        if width is None:
-            width = tensors[name].shape[1] if name in tensors else 0
-        return HeadParams(weight=param(name, dims[-1], width),
-                          bias=param(f"{role}_head.b", 1, width))
-
+                                  f"{tensors[name].shape}, expected {shapes[name]}")
+    p = {name: ad.parameter(a) for name, a in tensors.items()}
     n_layers = len(dims) - 1
-    rows_per_input = 2 if backbone == "sage" else 1  # sage concatenates self and mean
-    enc = EncoderParams(
-        backbone=backbone, dims=dims,
-        weights=[param(f"encoder.w{i}", rows_per_input * dims[i], dims[i + 1])
-                 for i in range(n_layers)],
-        biases=[param(f"encoder.b{i}", 1, dims[i + 1]) for i in range(n_layers)])
-    state = ModelState(encoder=enc, old_head=head("old"))
-    joint = phase == 2 or "joint_head.w" in tensors
-    # the joint head spans the old and novel outputs, so it needs the novel head
-    if joint or meta.get("num_new") or "novel_head.w" in tensors:
-        state.novel_head = head("novel")
-    if joint:
-        state.joint_head = head("joint", state.old_head.num_outputs
-                                + state.novel_head.num_outputs)
-    return state, meta
+    enc = EncoderParams(backbone=backbone, dims=dims,
+                        weights=[p[f"encoder.w{i}"] for i in range(n_layers)],
+                        biases=[p[f"encoder.b{i}"] for i in range(n_layers)])
+    head = {role: HeadParams(weight=p[f"{role}_head.w"], bias=p[f"{role}_head.b"])
+            for role, width in heads.items() if width}
+    return ModelState(enc, head["old"], head.get("novel"), head.get("joint")), meta

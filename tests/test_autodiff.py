@@ -35,8 +35,12 @@ def test_item_requires_scalar():
 def test_add_rejects_incompatible_shapes():
     # and every other op's operand check: (exception, message fragment, call)
     a, b = constant(np.zeros((2, 3))), constant(np.zeros((3, 3)))
+    col, row = constant(np.zeros((3, 1))), constant(np.zeros((1, 4)))
     cases = [
         (ValueError, "add shape mismatch", lambda: ad.add(a, b)),
+        # only a (1, d) or (1, 1) operand broadcasts, and only against (n, d)
+        (ValueError, "add shape mismatch", lambda: ad.add(col, row)),
+        (ValueError, "mul shape mismatch", lambda: ad.mul(col, constant(np.zeros((3, 4))))),
         (ValueError, "sub shape mismatch", lambda: ad.sub(a, b)),
         (ValueError, "mul shape mismatch", lambda: ad.mul(a, b)),
         (ValueError, "matmul shape mismatch", lambda: ad.matmul(a, a)),

@@ -10,11 +10,11 @@ import graphncd.autodiff as ad
 from graphncd.checkpoint import (FORMAT_VERSION, CheckpointError,
                                  load_checkpoint, save_checkpoint)
 from graphncd.graph import operator_for, sbm_generate, split_classes
-from graphncd.training import (TrainConfig, derive_seed, load_state,
+from graphncd.training import (ModelState, TrainConfig, derive_seed, load_state,
                                named_parameters, ncd_train, pretrain,
                                save_state, SEED_SBM, SEED_SPLIT)
 from graphncd.metrics import joint_predictions
-from graphncd.models import EncoderInput
+from graphncd.models import EncoderInput, extend_head, init_encoder, init_head
 
 
 def _tensors(seed=0):
@@ -196,3 +196,28 @@ def test_save_state_writes_snapshot_with_meta_overrides(tmp_path):
     assert meta["step"] == plog.best_epoch + 1 and meta["phase"] == 1
     for name, t in named_parameters(back):
         assert np.array_equal(t.data, plog.best_snapshot[name])
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("heads", ["old", "old_novel", "old_novel_joint"])
+def test_state_round_trip_is_bitwise_for_every_layout(tmp_path, backbone, layers, heads):
+    dims = [6, 5, 4, 3][:layers + 1]
+    state = ModelState(init_encoder(backbone, dims, seed=1), init_head(dims[-1], 3, seed=2))
+    if "novel" in heads:  # phase 1 may carry a novel head without the joint one
+        state.novel_head = init_head(dims[-1], 2, seed=3)
+    if "joint" in heads:
+        state.joint_head = extend_head(state.old_head, 2, seed=4)
+    rng = np.random.default_rng(5)
+    for _, t in named_parameters(state):  # no zero bias or copied column to hide a swap
+        t.data[...] = rng.standard_normal(t.shape)
+    path, again = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
+    save_state(path, state, {"step": 7})
+    back, meta = load_state(path)
+    assert meta == {"backbone": backbone, "dims": dims, "phase": state.phase, "num_old": 3,
+                    "num_new": 2 if "novel" in heads else 0, "step": 7}
+    assert back.phase == state.phase
+    assert [(n, t.data.tobytes(), t.requires_grad) for n, t in named_parameters(back)] == \
+        [(n, t.data.tobytes(), True) for n, t in named_parameters(state)]
+    save_state(again, back, {"step": 7})
+    assert Path(again).read_bytes() == Path(path).read_bytes()

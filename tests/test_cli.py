@@ -287,6 +287,14 @@ def _json(mutate):
     return lambda raw: json.dumps(mutate(json.loads(raw)))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _set_first(rows, v):
+    """rows with its first value replaced by v."""
+    return [[v, *rows[0][1:]], *rows[1:]]
+
+
 @pytest.mark.parametrize("name,rewrite", [
     ("manifest.json", _json(lambda m: [m])),
     ("prototypes.json", _json(lambda p: {k: v for k, v in p.items() if k != "class_ids"})),
@@ -298,6 +306,13 @@ def _json(mutate):
     ("prototypes.json", _json(lambda p: {**p, "var": [[1.0], [1.0, 2.0]]})),
     ("prototypes.json", _json(lambda p: "not an object")),
     ("prototypes.json", lambda raw: raw[:20]),  # not JSON
+    # values a trained model cannot write, which replay would turn into NaN
+    pytest.param("prototypes.json", _json(lambda p: {**p, "mean": _set_first(p["mean"], NAN)}),
+                 id="prototypes.json-nan_mean"),
+    pytest.param("prototypes.json", _json(lambda p: {**p, "var": _set_first(p["var"], -1.0)}),
+                 id="prototypes.json-negative_var"),
+    pytest.param("prototypes.json", _json(lambda p: {**p, "var": _set_first(p["var"], INF)}),
+                 id="prototypes.json-infinite_var"),
 ])
 def test_ncd_rejects_malformed_phase1_artifacts(pipeline, tmp_path, capsys, name, rewrite):
     cfg, pre, _ = pipeline
@@ -503,6 +518,12 @@ def _ckpt_without_dims(meta, tensors):
     return {k: v for k, v in meta.items() if k != "dims"}, tensors
 
 
+def _ckpt_without_meta(key):
+    def drop(meta, tensors):
+        return {k: v for k, v in meta.items() if k != key}, tensors
+    return drop
+
+
 def _ckpt_with(name, shape):
     def resize(meta, tensors):
         tensors[name] = np.zeros(shape)
@@ -545,6 +566,20 @@ def _ckpt_with_meta(**entries):
     *(pytest.param("checkpoint", _ckpt_with_meta(phase1_old_acc=v), "phase1_old_acc",
                    id=f"checkpoint-phase1_old_acc-{v}")
       for v in (float("nan"), float("-inf"), -5.0)),
+    # the meta's geometry names exactly the tensors: none is ignored, and no
+    # head size or phase is taken from the tensors
+    pytest.param("checkpoint", _ckpt_with("encoder.w2", (16, 16)),
+                 "unexpected tensor 'encoder.w2'", id="checkpoint-extra_tensor"),
+    pytest.param("checkpoint", _ckpt_with_meta(num_old=7), "'old_head.w' has shape",
+                 id="checkpoint-num_old_disagrees"),
+    pytest.param("checkpoint", _ckpt_with_meta(phase=1), "unexpected tensor 'joint_head.w'",
+                 id="checkpoint-phase_1_with_joint_head"),
+    *(pytest.param("checkpoint", mutate, "bad meta", id=f"checkpoint-bad_meta-{case}")
+      for case, mutate in [("no_num_old", _ckpt_without_meta("num_old")),
+                           ("no_phase", _ckpt_without_meta("phase")),
+                           ("phase_3", _ckpt_with_meta(phase=3)),
+                           ("num_old_0", _ckpt_with_meta(num_old=0)),
+                           ("phase_2_num_new_0", _ckpt_with_meta(num_new=0))]),
 ])
 def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate,
                                         needle):
@@ -615,9 +650,14 @@ def _drop_old_class_0(split, labels):
      "all_test must be the union of p1_test and p2_test"),
     (lambda split, labels: split.update(old_classes=[0, 0, 1, 2]),
      "old_classes lists class 0 more than once"),
+    # no pool to score a phase on: its accuracy would read 0.0
+    (lambda split, labels: split.update(p1_test=[], all_test=split["p2_test"]),
+     "p1_test is empty"),
+    (lambda split, labels: split.update(p2_test=[], all_test=split["p1_test"]),
+     "p2_test is empty"),
 ], ids=["no_p2_train", "old_class_without_p1_train", "no_p1_train", "no_p1_val",
         "node_id_out_of_range", "new_class_in_phase_1", "all_test_not_the_union",
-        "class_listed_twice"])
+        "class_listed_twice", "no_p1_test", "no_p2_test"])
 def test_split_that_training_cannot_run_on_exits_2(tmp_path, capsys, edit, needle):
     text = (BASE.replace("15,15,15,15", "30,30,30,30,30")
             .replace("old_classes = 0,1\nnew_classes = 2,3",

@@ -96,7 +96,9 @@ entries = (st.fixed_dictionaries({"name": st.text(max_size=3) | json_values,
            | json_values)
 metas = (st.fixed_dictionaries({"backbone": st.sampled_from(["gcn", "sage"]) | json_values,
                                 "dims": st.lists(small, max_size=3) | json_values,
-                                "phase": st.sampled_from([1, 2]) | json_values})
+                                "phase": st.sampled_from([1, 2]) | json_values,
+                                "num_old": small | json_values,
+                                "num_new": small | json_values})
          | json_values)
 headers = (st.fixed_dictionaries({"format_version": st.just(FORMAT_VERSION) | json_values,
                                   "meta": metas,
