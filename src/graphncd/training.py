@@ -369,14 +369,15 @@ def load_state(path: str) -> tuple[ModelState, dict]:
     """The model a checkpoint holds. The meta's geometry, as save_state writes
     it (backbone, dims, phase, num_old, num_new), names every tensor and its
     shape: a novel head iff num_new > 0, a joint head num_old + num_new wide iff
-    phase 2. CheckpointError for a missing or bad geometry key, and for a
-    missing, unexpected or misshapen tensor."""
+    phase 2. CheckpointError for a missing geometry key or one that is not an
+    int of its range, and for a missing, unexpected or misshapen tensor."""
     meta, tensors = load_checkpoint(path)
     try:
-        backbone, dims = meta["backbone"], [int(d) for d in meta["dims"]]
-        phase, num_old, num_new = (int(meta[k]) for k in ("phase", "num_old", "num_new"))
-        if (backbone not in BACKBONES or len(dims) < 2 or min(dims) < 1
-                or phase not in (1, 2) or num_old < 1 or num_new < phase - 1):
+        backbone, dims = meta["backbone"], list(meta["dims"])
+        phase, num_old, num_new = (meta[k] for k in ("phase", "num_old", "num_new"))
+        if (backbone not in BACKBONES or len(dims) < 2
+                or not all(type(v) is int for v in (*dims, phase, num_old, num_new))
+                or min(dims) < 1 or phase not in (1, 2) or num_old < 1 or num_new < phase - 1):
             raise ValueError(f"backbone {backbone!r}, dims {dims}, phase {phase}, "
                              f"num_old {num_old}, num_new {num_new}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -579,7 +579,12 @@ def _ckpt_with_meta(**entries):
                            ("no_phase", _ckpt_without_meta("phase")),
                            ("phase_3", _ckpt_with_meta(phase=3)),
                            ("num_old_0", _ckpt_with_meta(num_old=0)),
-                           ("phase_2_num_new_0", _ckpt_with_meta(num_new=0))]),
+                           ("phase_2_num_new_0", _ckpt_with_meta(num_new=0)),
+                           # a geometry value is an int as save_state wrote it, never
+                           # coerced into one
+                           ("num_old_2.5", _ckpt_with_meta(num_old=2.5)),
+                           ("phase_true", _ckpt_with_meta(phase=True)),
+                           ("dims_str", _ckpt_with_meta(dims=["6", 16, 16]))]),
 ])
 def test_malformed_outside_file_exits_2(pipeline, tmp_path, capsys, kind, mutate,
                                         needle):
