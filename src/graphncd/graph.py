@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
@@ -118,21 +119,52 @@ def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
     """Non-empty, non-comment lines with their 1-based line numbers: '#'
     starts a comment, and lines break where ``str.splitlines`` breaks them.
 
-    Yielded one at a time, as load_graph keeps no (line, body) pair: tens of
-    thousands of surviving tuples would set off a full garbage collection."""
+    Yielded one at a time, so the config reader and _parse_tokens keep no
+    (line, body) pair: tens of thousands of surviving tuples would set off
+    a full garbage collection."""
     for i, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if body:
             yield i, body
 
 
-def _table(path: str, parse, width: int | None) -> tuple[list, int | None]:
-    """Every token of a whitespace-separated table file, read by ``parse``,
-    in one flat list (no list per line), and the width: ``width`` tokens per
-    line, or as many as the first line holds when it is None."""
+def _table(path: str, dtype: type, width: int | None) -> np.ndarray:
+    """The whitespace-separated table in the file at ``path`` as a (rows,
+    width) array of ``dtype`` (np.float64 or np.int64): ``width`` values per
+    line, or as many as the first line holds when it is None.
+
+    np.loadtxt reads ASCII text cut where numbered_lines cuts it (the list
+    of lines, never the path, so read_text stays the one reader). Where the
+    text is not ASCII, or loadtxt refuses a token or reads another width,
+    _parse_tokens reads the text: it raises the error naming file and line,
+    or reads what Python's float or int takes and loadtxt does not (``1_0``,
+    non-ASCII digits). So _parse_tokens alone decides which files are
+    accepted and what they hold."""
+    text = read_text(path)
+    if next(numbered_lines(text), None) is None:  # loadtxt warns on no data
+        return np.zeros((0, width or 0), dtype)
+    # numpy's int reader hands any character, past 255 too, to C's isdigit,
+    # which is undefined there and now and then crashes the process
+    if text.isascii():
+        try:
+            with warnings.catch_warnings():
+                # older numpy reads "5.0" as the int 5 with only this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                arr = np.loadtxt(text.splitlines(), dtype=dtype, comments="#", ndmin=2)
+            if width in (None, arr.shape[1]):
+                return arr
+        except (ValueError, DeprecationWarning):
+            pass
+    return _parse_tokens(path, text, dtype, width)
+
+
+def _parse_tokens(path: str, text: str, dtype: type, width: int | None) -> np.ndarray:
+    """_table's rule one token at a time, each read by Python's float, or
+    int within 64 bits, for a ``text`` with at least one line of data."""
+    parse = float if dtype is np.float64 else _int64
     flat = []
     add = flat.append  # per token: faster than extending by a map or a list
-    for lineno, body in numbered_lines(read_text(path)):
+    for lineno, body in numbered_lines(text):
         toks = body.split()
         if len(toks) != width:
             if width is not None:
@@ -144,20 +176,19 @@ def _table(path: str, parse, width: int | None) -> tuple[list, int | None]:
                 add(parse(tok))
         except ValueError as exc:
             raise GraphParseError(f"{path}: line {lineno}: {exc}") from exc
-    return flat, width
+    return np.array(flat, dtype).reshape(-1, width)
 
 
 def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
-    feats, width = _table(features_path, float, None)
-    if not feats:
+    feats = _table(features_path, np.float64, None)
+    if not len(feats):
         raise GraphParseError(f"{features_path}: no feature rows")
-    labels, _ = _table(labels_path, _int64, 1)
-    ends, _ = _table(edges_path, _int64, 2)  # flat u, v, u, v, ...
-    n = len(feats) // width
-    if len(labels) != n:
+    labels = _table(labels_path, np.int64, 1)
+    ends = _table(edges_path, np.int64, 2)
+    if len(labels) != len(feats):
         raise GraphValidationError(
-            f"{labels_path}: {len(labels)} labels for {n} feature rows")
-    return build_graph(n, ends, np.array(feats).reshape(n, width), labels)
+            f"{labels_path}: {len(labels)} labels for {len(feats)} feature rows")
+    return build_graph(len(feats), ends, feats, labels)
 
 
 def canonical_texts(g: Graph) -> tuple[str, str, str]:

@@ -1,6 +1,7 @@
 """Property tests: on any input the parsers raise only their typed errors, the
-dataset hash is that of the parsed graph, whatever text spells it, and the
-command line returns one of its documented exit codes.
+dataset hash is that of the parsed graph, whatever text spells it, the graph
+tables read by np.loadtxt are what the per-token loop reads, and the command
+line returns one of its documented exit codes.
 
 Hypothesis runs derandomized and without its example database, so every run
 draws the same examples (conftest.py keeps its caches out of the tree).
@@ -21,8 +22,8 @@ from graphncd import cli
 from graphncd.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint
 from graphncd.config import ConfigError, RunConfig, parse_config_text
 from graphncd.graph import (ClassSplit, GraphParseError, GraphValidationError,
-                            build_graph, canonical_texts, load_graph, save_graph,
-                            validate_split)
+                            _parse_tokens, _table, build_graph, canonical_texts,
+                            load_graph, save_graph, validate_split)
 from graphncd.training import load_state
 
 pytest.importorskip("hypothesis")
@@ -250,6 +251,62 @@ def test_dataset_hash_is_that_of_the_parsed_graph(tmp_path, graph, data):
     want = _files_hash(tmp_path, _canonical(graph))
     assert _files_hash(tmp_path, data.draw(relaid(graph))) == want
     assert _files_hash(tmp_path, _canonical(data.draw(one_change(graph)))) != want
+
+
+# token forms on which np.loadtxt and Python's float or int might part:
+# AGREED both read alike in a table of that dtype, and loadtxt refuses every
+# REFUSED form in an int table (Python reads some of them)
+INT_AGREED = ["+5", "-0", "00012", "0" * 25 + "7", "9223372036854775807",
+              "-9223372036854775808"]
+AGREED = {np.int64: INT_AGREED,
+          np.float64: INT_AGREED + ["nan", "-nan", "Infinity", "-inf", "1e400", "1e-400",
+                                    ".5", "5.", "5e-324", "5.0", "1e5"]}
+REFUSED = ["1_0", "\u0661\u0662", "\U0001d7d9", "9223372036854775808", "-9223372036854775809",
+           "5.0", "1e5", "0x10", "1\x002", "\ufeff1", "1e", "--1"]
+SEPARATORS = st.sampled_from([" ", "\t", "\xa0", "\x1f", "\u2000", " \t "])
+plain = {np.float64: st.floats().map(repr) | st.floats().map(lambda x: format(x, ".17g")),
+         np.int64: st.integers(-2 ** 63, 2 ** 63 - 1).map(str)}
+
+
+@st.composite
+def tables(draw, dtype):
+    """(text, width) of a table with at least one line of data: rows of plain
+    numbers, with up to two tokens of an odd form and now and then one row of
+    another width, joined by drawn separators, with separators around the
+    row, trailing comments, and blank and comment lines in between."""
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(plain[dtype], min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[draw(st.integers(0, width - 1))] = draw(st.sampled_from(AGREED[dtype] + REFUSED))
+    if draw(st.integers(0, 3)) == 0:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[:] = row[1:] or row + row
+    lines = [draw(SEPARATORS | st.just("")) + draw(SEPARATORS).join(row)
+             + draw(st.sampled_from(["", " ", "# note", " # 1 2", "\xa0"])) for row in rows]
+    return _interleave(draw, lines), width
+
+
+def _outcome(read):
+    """A table's dtype, shape and bytes, or the text of its parse error."""
+    try:
+        arr = read()
+    except GraphParseError as exc:
+        return str(exc)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@FUZZ
+@given(dtype=st.sampled_from([np.float64, np.int64]), data=st.data())
+def test_table_reads_what_the_per_token_loop_reads(tmp_path, dtype, data):
+    text, drawn = data.draw(tables(dtype))
+    width = data.draw(st.sampled_from([None, drawn, drawn % 3 + 1]))
+    path = str(tmp_path / "table.txt")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    want = _outcome(lambda: _parse_tokens(path, text, dtype, width))
+    assert _outcome(lambda: _table(path, dtype, width)) == want
 
 
 # A small dataset and schedule that validate and train in a blink. A drawn

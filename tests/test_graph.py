@@ -1,6 +1,7 @@
 """Graph IO, adjacency operators, splits, and the SBM generator."""
 import ast
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -158,36 +159,97 @@ def test_read_text_raises_the_callers_error_on_text_that_is_not_utf8(tmp_path):
         graph.read_text(str(path), Custom)
 
 
-def _open_calls(tree: ast.AST, module: str) -> list[tuple[str, str, bool]]:
-    """(module, enclosing function, text mode?) of each call to open,
-    os.open, io.open, os.fdopen or Path.open in a parsed module."""
-    calls = []
+NUMPY_READERS = ("loadtxt", "genfromtxt", "fromfile", "load")
+
+
+def _file_calls(tree: ast.AST, module: str) -> tuple[list, list]:
+    """In a parsed module: (module, enclosing function, text mode?) of each
+    call to open, os.open, io.open, os.fdopen or Path.open, and (module,
+    enclosing function, reader, first argument) of each call to one of
+    numpy's file readers, as np.X, numpy.X or a bare imported X."""
+    opens, reads = [], []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
         func = getattr(node, "func", None)
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
         if isinstance(node, ast.Call) and (
-                (isinstance(func, ast.Name) and func.id == "open")
-                or (isinstance(func, ast.Attribute) and func.attr in ("open", "fdopen"))):
+                name == "open" or isinstance(func, ast.Attribute) and name == "fdopen"):
             mode = node.args[1] if len(node.args) > 1 else next(
                 (k.value for k in node.keywords if k.arg == "mode"), None)
-            calls.append((module, where, not (isinstance(mode, ast.Constant)
+            opens.append((module, where, not (isinstance(mode, ast.Constant)
                                               and "b" in mode.value)))
+        elif isinstance(node, ast.Call) and name in NUMPY_READERS and (
+                isinstance(func, ast.Name)
+                or isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")):
+            reads.append((module, where, name, ast.unparse(node.args[0]) if node.args else ""))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
     visit(tree, None)
-    return calls
+    return opens, reads
 
 
 def test_only_the_reader_the_writer_and_the_checkpoint_loader_open_files():
     src = Path(graph.__file__).parent
-    calls = [call for path in sorted(src.glob("*.py"))
-             for call in _open_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
-    assert sorted(calls) == [("checkpoint", "load_checkpoint", False),
-                             ("graph", "read_text", True),
-                             ("graph", "write_atomic", False)]
+    found = [_file_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+             for path in sorted(src.glob("*.py"))]
+    assert sorted(call for opens, _ in found for call in opens) == [
+        ("checkpoint", "load_checkpoint", False),
+        ("graph", "read_text", True),
+        ("graph", "write_atomic", False)]
+    # and no numpy reader opens a path behind read_text: loadtxt is fed the
+    # list of lines of the text read_text returned
+    assert [call for _, reads in found for call in reads] == [
+        ("graph", "_table", "loadtxt", "text.splitlines()")]
+
+
+def test_text_that_is_not_ascii_never_reaches_loadtxt(tmp_path, monkeypatch):
+    # numpy's int reader hands such characters to C's isdigit, which can crash
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was given text that is not ASCII")
+
+    monkeypatch.setattr(graph.np, "loadtxt", refuse)
+    path = tmp_path / "e.txt"
+    path.write_text("0\xa01\n1 \u0662\n", encoding="utf-8")
+    assert graph._table(str(path), np.int64, 2).tolist() == [[0, 1], [1, 2]]
+    path.write_text("0 1\n\U00097356\xa2 2\n", encoding="utf-8")
+    with pytest.raises(GraphParseError, match=r"e\.txt: line 2: invalid literal"):
+        graph._table(str(path), np.int64, 2)
+
+
+def _no_data_files(tmp_path, edges="0 1\n", features="1.0\n2.0\n", labels="0\n0\n"):
+    paths = [str(tmp_path / n) for n in ("e.txt", "f.txt", "l.txt")]
+    for path, text in zip(paths, (edges, features, labels)):
+        Path(path).write_text(text, encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n\t# 0 1\n"])
+def test_an_edges_file_without_data_is_an_edgeless_graph(tmp_path, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = load_graph(*_no_data_files(tmp_path, edges=text))
+    assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+    assert g.num_nodes == 2
+
+
+def test_a_features_file_without_data_has_no_feature_rows(tmp_path):
+    paths = _no_data_files(tmp_path, features="# only a comment\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphParseError, match=r"f\.txt: no feature rows$"):
+            load_graph(*paths)
+
+
+def test_an_empty_labels_file_has_no_labels_for_the_feature_rows(tmp_path):
+    paths = _no_data_files(tmp_path, labels="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphValidationError, match=r"l\.txt: 0 labels for 2 feature rows$"):
+            load_graph(*paths)
 
 
 def test_label_count_mismatch_rejected(tmp_path):
