@@ -322,7 +322,7 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
 
 def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
     state, protos, m11 = _load_phase1(pretrain_dir, st)
-    state, nlog = ncd_train(state, protos, st.g, st.split, st.rc, st.inp)
+    state, nlog = ncd_train(state, protos, st.split, st.rc, st.inp)
     rep = evaluate_joint(state, st.g, st.split, encode(freeze_encoder(state.encoder), st.inp),
                          st.rc.novel_alignment, m11)
 

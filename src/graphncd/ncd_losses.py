@@ -150,7 +150,7 @@ def _unsaturated(sb: np.ndarray, out: np.ndarray | None = None,
 
 
 def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over all n^2 ordered pairs, diagonal included.
+    """Mean binary cross-entropy over all n^2 ordered pairs, diagonal included; n >= 1.
 
     Targets must be 0 or 1, validated once on entry: a bool matrix,
     as topk_pseudo_pairs returns, is that by its type, and any other array
@@ -168,8 +168,8 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     that pairwise_similarity did not return raises TypeError.
     """
     n, m = s.shape
-    if n != m:
-        raise ValueError(f"similarity matrix must be square, got {s.shape}")
+    if n != m or not n:  # a mean over no pairs is undefined
+        raise ValueError(f"similarity matrix must be square and non-empty, got {s.shape}")
     y = np.asarray(y_pair)
     if y.shape != (n, n):
         raise ValueError(f"pair labels {y.shape} do not match similarities {s.shape}")

@@ -153,16 +153,11 @@ def named_parameters(state: ModelState) -> list[tuple[str, Tensor]]:
     """Stable (name, tensor) listing of every present model component."""
     out: list[tuple[str, Tensor]] = []
     for i, (w, b) in enumerate(zip(state.encoder.weights, state.encoder.biases)):
-        out.append((f"encoder.w{i}", w))
-        out.append((f"encoder.b{i}", b))
-    out.append(("old_head.w", state.old_head.weight))
-    out.append(("old_head.b", state.old_head.bias))
-    if state.novel_head is not None:
-        out.append(("novel_head.w", state.novel_head.weight))
-        out.append(("novel_head.b", state.novel_head.bias))
-    if state.joint_head is not None:
-        out.append(("joint_head.w", state.joint_head.weight))
-        out.append(("joint_head.b", state.joint_head.bias))
+        out += [(f"encoder.w{i}", w), (f"encoder.b{i}", b)]
+    for role in ("old", "novel", "joint"):
+        head = getattr(state, f"{role}_head")
+        if head is not None:
+            out += [(f"{role}_head.w", head.weight), (f"{role}_head.b", head.bias)]
     return out
 
 
@@ -227,20 +222,25 @@ def pretrain(g: Graph, split: ClassSplit, cfg: TrainConfig,
                                       best_val_acc=best_val, best_snapshot=best_snap)
 
 
-def ncd_train(state: ModelState, protos: Prototypes, g: Graph, split: ClassSplit,
+def ncd_train(state: ModelState, protos: Prototypes, split: ClassSplit,
               cfg: TrainConfig, inp: EncoderInput) -> tuple[ModelState, NcdLog]:
     """Phase-2 discovery loop with early stopping on the smoothed total loss,
     encoding on ``inp``; returns a new state and leaves ``state`` unchanged.
+    It reads no label, only ``inp``, the split's class lists and ``p2_train``
+    rows, and the phase-1 model and prototypes: ValueError for an empty
+    ``p2_train`` or prototypes not one per old class (in any order).
 
     Trains a copy of the incoming model: freezes its encoder as the distillation
     anchor, attaches novel and joint heads, and trains full-batch on phase-2
     train nodes. Stops once the exponentially smoothed total has not improved
     by more than 1e-4 for `patience` epochs and restores the best snapshot."""
     cfg.validate()
-    validate_split(g, split)
-    if protos.mean.shape[0] != len(split.old_classes):
-        raise ValueError(f"{protos.mean.shape[0]} prototypes for "
-                         f"{len(split.old_classes)} old classes")
+    if not split.p2_train:
+        raise ValueError("p2_train is empty")
+    ids = protos.class_ids.tolist()
+    if sorted(ids) != sorted(split.old_classes) or len(protos.mean) != len(ids):
+        raise ValueError(f"{len(protos.mean)} prototypes of classes {ids} "
+                         f"for old classes {split.old_classes}")
     n_old, n_new = len(split.old_classes), len(split.new_classes)
     repr_dim = state.encoder.repr_dim
 
@@ -341,7 +341,7 @@ def run_depth_sweep(g: Graph, split: ClassSplit, cfg: TrainConfig, inp: EncoderI
         state, protos, _ = pretrain(g, split, c, inp)
         z = encode(freeze_encoder(state.encoder), inp)
         m11 = evaluate_joint(state, g, split, z, c.novel_alignment).old_acc
-        state, _ = ncd_train(state, protos, g, split, c, inp)
+        state, _ = ncd_train(state, protos, split, c, inp)
         z = encode(freeze_encoder(state.encoder), inp)
         rep = evaluate_joint(state, g, split, z, c.novel_alignment, m11)
         out.append({"layers": int(nl), "old_acc": rep.old_acc, "new_acc": rep.new_acc,

@@ -173,7 +173,7 @@ def test_model_state_round_trip_phase_one(tmp_path):
 def test_model_state_round_trip_phase_two(tmp_path):
     g, split, cfg, inp = _tiny_pipeline()
     state, protos, _ = pretrain(g, split, cfg, inp)
-    state, _ = ncd_train(state, protos, g, split, cfg, inp)
+    state, _ = ncd_train(state, protos, split, cfg, inp)
     path = str(tmp_path / "p2.bin")
     save_state(path, state)
     back, meta = load_state(path)

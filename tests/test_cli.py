@@ -870,6 +870,41 @@ def test_gen_data_the_sbm_run_and_the_files_run_share_one_dataset_hash(tmp_path)
     assert len(hashes) == 1 and len(hashes.pop()) == 64
 
 
+def test_run_reads_no_label_of_a_phase_2_train_node(tmp_path):
+    # phase 2 clusters unlabelled nodes: moving the labels among its train
+    # nodes, on the same edges, features and split, changes no trained number
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", _write_cfg(tmp_path), "--out", str(data)]) == 0
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    for name in ("edges.txt", "features.txt", "split.json"):
+        shutil.copy(data / name, moved / name)
+    lines = (data / "labels.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    p2 = _read_json(data / "split.json")["p2_train"]
+    rolled = [lines[i] for i in p2[1:] + p2[:1]]
+    for i, line in zip(p2, rolled):
+        lines[i] = line
+    (moved / "labels.txt").write_text("".join(lines), encoding="utf-8")
+    assert (moved / "labels.txt").read_bytes() != (data / "labels.txt").read_bytes()
+
+    outs = []
+    for d in (data, moved):
+        cfg = _write_cfg(tmp_path, name=f"{d.name}.cfg", extra="dataset = files\n" + "".join(
+            f"{key} = {d / key}.txt\n" for key in ("edges", "features", "labels"))
+            + f"split_file = {d / 'split.json'}\n")
+        outs.append(tmp_path / f"out_{d.name}")
+        assert main(["run", "--config", cfg, "--out", str(outs[-1])]) == 0
+    for ckpt in ("pretrain/checkpoint_pretrain.bin", "ncd/checkpoint_ncd_best.bin",
+                 "ncd/checkpoint_ncd_final.bin"):
+        (_, a), (_, b) = (load_checkpoint(str(out / ckpt)) for out in outs)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert a[name].dtype == b[name].dtype and a[name].shape == b[name].shape
+            assert a[name].tobytes() == b[name].tobytes(), (ckpt, name)
+    assert (outs[0] / "ncd" / "losses.csv").read_bytes() == \
+        (outs[1] / "ncd" / "losses.csv").read_bytes()
+
+
 def test_dataset_hash_tells_apart_graphs_whose_array_bytes_run_together(tmp_path):
     # 4 nodes with 2 edges and 1 feature each, against 1 edge and 2 features
     # each, whose first features are the subnormal floats with the bits of the

@@ -138,6 +138,10 @@ def test_pairwise_bce_shape_checks():
         pairwise_bce(constant(np.zeros((2, 3))), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         pairwise_bce(constant(np.zeros((2, 2))), np.zeros((3, 3)))
+    # a mean over no pairs is undefined
+    u = parameter(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="non-empty"):
+        pairwise_bce(pairwise_similarity(u), topk_pseudo_pairs(u.data, 1))
 
 
 def test_pairwise_bce_gradient():

@@ -1,15 +1,19 @@
 """Two-phase pipeline: routing, freezing, early stopping, determinism."""
 import copy
-from dataclasses import fields
+import inspect
+import typing
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
 import graphncd.training as training
-from graphncd.graph import Graph, mean_adjacency, operator_for, sbm_generate, split_classes
+from graphncd.autodiff import SparseMatrix
+from graphncd.graph import (ClassSplit, Graph, mean_adjacency, operator_for, sbm_generate,
+                            split_classes)
 from graphncd.metrics import evaluate_joint, joint_predictions
-from graphncd.models import EncoderInput, encode, freeze_encoder
+from graphncd.models import EncoderInput, EncoderParams, HeadParams, encode, freeze_encoder
 from graphncd.ncd_losses import Prototypes
 from graphncd.training import (ModelState, NcdLog, TrainConfig,
                                TrainingDiverged, derive_seed, named_parameters,
@@ -132,7 +136,7 @@ def _routed(pretrained, **flags):
     off.update(flags)
     cfg2 = _cfg(ncd_epochs=3, weight_decay=0.0, **off)
     before_enc = [w.data.copy() for w in state.encoder.weights]
-    state, _ = ncd_train(state, protos, g, split, cfg2, _input(g))
+    state, _ = ncd_train(state, protos, split, cfg2, _input(g))
     after = _params_snapshot(state)
     return before_enc, after, state
 
@@ -177,7 +181,7 @@ def test_distill_anchors_encoder_to_frozen_copy(pretrained):
         off = dict(use_pseudo=True, use_self=False, use_perturb=False,
                    use_replay=False, use_distill=use_distill)
         cfg2 = _cfg(ncd_epochs=10, weight_decay=0.0, **off)
-        state, _ = ncd_train(state0, protos, g, split, cfg2, _input(g))
+        state, _ = ncd_train(state0, protos, split, cfg2, _input(g))
         deltas = [np.linalg.norm(w.data - f.data) for w, f in
                   zip(state.encoder.weights, state0.encoder.weights)]
         return sum(deltas)
@@ -210,7 +214,7 @@ def test_self_training_updates_joint_not_novel(pretrained):
 def test_old_head_read_only_in_phase_two(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     old_w = state0.old_head.weight.data.copy()
-    state, _ = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=5), _input(g))
+    state, _ = ncd_train(state0, protos, split, _cfg(ncd_epochs=5), _input(g))
     assert np.array_equal(state.old_head.weight.data, old_w)
 
 
@@ -221,7 +225,7 @@ def test_frozen_encoder_is_pretrain_encoder_bitwise(pretrained, monkeypatch):
     distill = training.distill_loss
     monkeypatch.setattr(training, "distill_loss",
                         lambda zf, z: anchors.append(zf.data.copy()) or distill(zf, z))
-    state, _ = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=5), _input(g))
+    state, _ = ncd_train(state0, protos, split, _cfg(ncd_epochs=5), _input(g))
     # the distillation target is the untouched pretrained encoder's forward
     want = encode(freeze_encoder(state0.encoder), _input(g).at(split.p2_train)).data
     assert len(anchors) == 5 and all(np.array_equal(zf, want) for zf in anchors)
@@ -241,7 +245,7 @@ def test_perturb_novel_head_consistency_path(pretrained):
 
 def test_perturb_joint_head_variant_runs(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
-    state, nlog = ncd_train(state0, protos, g, split,
+    state, nlog = ncd_train(state0, protos, split,
                             _cfg(ncd_epochs=4, eq8_head="joint"), _input(g))
     assert nlog.epochs_run == 4
 
@@ -268,7 +272,7 @@ def test_replay_indices_follow_the_sampled_labels_for_permuted_prototypes(
 
     monkeypatch.setattr(training, "sample_prototype_batch", sampling)
     monkeypatch.setattr(training, "replay_loss", replaying)
-    _, log = ncd_train(state, permuted, g, split, _cfg(ncd_epochs=4), _input(g))
+    _, log = ncd_train(state, permuted, split, _cfg(ncd_epochs=4), _input(g))
     assert log.epochs_run == len(sampled) == len(replayed) == 4
     for labels, idx in zip(sampled, replayed):
         assert idx.tolist() == [old_index[int(c)] for c in labels]
@@ -301,7 +305,7 @@ def test_pair_loss_runs_once_per_epoch_and_leaves_no_n_by_n_tape(pretrained,
         return sweep(loss, params)
 
     monkeypatch.setattr(training, "backward", walked)
-    _, log = ncd_train(state, protos, g, split, cfg, _input(g))
+    _, log = ncd_train(state, protos, split, cfg, _input(g))
     assert log.epochs_run == 4
     assert calls == dict.fromkeys(calls, 4) and len(calls) == 3
     assert squares == [0] * 4
@@ -314,7 +318,7 @@ def test_early_stopping_matches_reimplemented_rule():
     cfg = _cfg(seed=5, ncd_epochs=250, patience=8,
                rampup_length=5, top_k=3)
     state, protos, _ = pretrain(g, split, cfg, _input(g))
-    state, nlog = ncd_train(state, protos, g, split, cfg, _input(g))
+    state, nlog = ncd_train(state, protos, split, cfg, _input(g))
 
     smoothed, best, best_epoch, wait = None, np.inf, -1, 0
     stop_epoch, stopped = None, False
@@ -344,7 +348,7 @@ def test_no_tracking_before_ramp_finishes():
     cfg = _cfg(seed=6, ncd_epochs=4,
                rampup_length=10, top_k=3)
     state, protos, _ = pretrain(g, split, cfg, _input(g))
-    state, nlog = ncd_train(state, protos, g, split, cfg, _input(g))
+    state, nlog = ncd_train(state, protos, split, cfg, _input(g))
     assert nlog.epochs_run == 4              # ran the full budget
     assert nlog.best_epoch == -1             # nothing was tracked yet
     assert not nlog.stopped_early
@@ -357,7 +361,7 @@ def test_best_snapshot_restored(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     cfg2 = _cfg(ncd_epochs=40, patience=3,
                 rampup_length=2, top_k=3)
-    state, nlog = ncd_train(state0, protos, g, split, cfg2, _input(g))
+    state, nlog = ncd_train(state0, protos, split, cfg2, _input(g))
     if nlog.best_epoch >= 0 and nlog.epochs_run - 1 != nlog.best_epoch:
         # restored parameters differ from the final snapshot
         assert not np.array_equal(state.encoder.weights[0].data,
@@ -366,7 +370,7 @@ def test_best_snapshot_restored(pretrained):
 
 def test_loss_rows_complete(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
-    state, nlog = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=6), _input(g))
+    state, nlog = ncd_train(state0, protos, split, _cfg(ncd_epochs=6), _input(g))
     assert len(nlog.rows) == nlog.epochs_run
     for row in nlog.rows:
         for key in ("epoch", "pseudo", "self", "perturb", "replay", "distill",
@@ -380,7 +384,7 @@ def test_divergence_raises_with_report(pretrained):
     g, split, cfg, state0, protos, _ = pretrained
     bad = _cfg(lam=float("inf"), rampup_length=5, top_k=3)
     with pytest.raises(TrainingDiverged) as err:
-        ncd_train(state0, protos, g, split, bad, _input(g))
+        ncd_train(state0, protos, split, bad, _input(g))
     assert err.value.report["epoch"] == 0
 
 
@@ -389,7 +393,51 @@ def test_prototype_count_mismatch_rejected(pretrained):
     short = copy.deepcopy(protos)
     short.mean = short.mean[:1]
     with pytest.raises(ValueError):
-        ncd_train(state0, short, g, split, _cfg(), _input(g))
+        ncd_train(state0, short, split, _cfg(), _input(g))
+    # the right count of prototypes, but one of a class that is not old
+    stray = copy.deepcopy(protos)
+    stray.class_ids = np.array([split.old_classes[0], 7], dtype=np.int64)
+    assert 7 not in split.old_classes + split.new_classes
+    with pytest.raises(ValueError, match=r"classes \[0, 7\] for old classes \[0, 1\]"):
+        ncd_train(state0, stray, split, _cfg(), _input(g))
+
+
+def test_empty_phase_2_pool_rejected(pretrained):
+    g, split, cfg, state0, protos, _ = pretrained
+    with pytest.raises(ValueError, match="p2_train is empty"):
+        ncd_train(state0, protos, replace(split, p2_train=[]), _cfg(), _input(g))
+
+
+def _reachable_types(tp, seen):
+    """tp, the types its unions and generics name, and those of every field of
+    every dataclass among them; seen collects them. Returns the field names."""
+    names = []
+    for arg in typing.get_args(tp):
+        names += _reachable_types(arg, seen)
+    if tp in seen:
+        return names
+    seen.add(tp)
+    if is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        for f in fields(tp):
+            names.append(f.name)
+            names += _reachable_types(hints[f.name], seen)
+    return names
+
+
+def test_phase_two_takes_no_label():
+    # phase 2 clusters unlabelled nodes, so nothing ncd_train is handed can
+    # hold a label: no Graph, and no field named labels, at any depth
+    params = list(inspect.signature(ncd_train).parameters)
+    assert params == ["state", "protos", "split", "cfg", "inp"]
+    hints = typing.get_type_hints(ncd_train)
+    types = [hints[p] for p in params]
+    assert types == [ModelState, Prototypes, ClassSplit, TrainConfig, EncoderInput]
+    seen = set()
+    names = [n for tp in types for n in _reachable_types(tp, seen)]
+    assert Graph not in seen and "labels" not in names
+    # the walk reaches the nested model and input types
+    assert {HeadParams, EncoderParams, SparseMatrix} <= seen
 
 
 # -------------------------------------------------------------- determinism
@@ -398,8 +446,8 @@ def test_ncd_train_deterministic(pretrained):
     # two sessions from one pretrained state agree, and neither touches it
     g, split, cfg, state0, protos, _ = pretrained
     before = _params_snapshot(state0)
-    a, loga = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=8), _input(g))
-    b, logb = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=8), _input(g))
+    a, loga = ncd_train(state0, protos, split, _cfg(ncd_epochs=8), _input(g))
+    b, logb = ncd_train(state0, protos, split, _cfg(ncd_epochs=8), _input(g))
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and np.array_equal(ta.data, tb.data)
     assert loga.rows == logb.rows
@@ -416,7 +464,7 @@ def test_ncd_train_deterministic(pretrained):
 
 def test_evaluate_joint_phase_two_matrix(pretrained):
     g, split, _, state0, protos, _ = pretrained
-    state, _ = ncd_train(state0, protos, g, split, _cfg(ncd_epochs=10), _input(g))
+    state, _ = ncd_train(state0, protos, split, _cfg(ncd_epochs=10), _input(g))
     rep = evaluate_joint(state, g, split, _z(state, g), phase1_old_acc=0.9)
     assert rep.perf.shape == (2, 2)
     assert rep.perf[0, 0] == 0.9 and np.isnan(rep.perf[0, 1])
@@ -452,7 +500,7 @@ def test_losses_propagate_only_the_rows_they_read(monkeypatch, backbone):
     state, protos, _ = pretrain(g, split, cfg, inp)
     pre = [rows for rows, on_input in seen if not on_input]
     seen.clear()
-    ncd_train(state, protos, g, split, cfg, inp)
+    ncd_train(state, protos, split, cfg, inp)
     ncd = [rows for rows, on_input in seen if not on_input]
 
     n1, nv, n2 = len(split.p1_train), len(split.p1_val), len(split.p2_train)
@@ -470,7 +518,7 @@ def test_shared_values_hold_no_hidden_state():
     cfg = _cfg(pretrain_epochs=2, ncd_epochs=2)
     inp = _input(g)
     state, protos, _ = pretrain(g, split, cfg, inp)
-    ncd_train(state, protos, g, split, cfg, inp)
+    ncd_train(state, protos, split, cfg, inp)
     assert set(vars(inp.adj)) == {"mat"}
     # a model state is the model: no optimizer state, anchor or phase field
     assert [f.name for f in fields(ModelState)] == ["encoder", "old_head", "novel_head",
