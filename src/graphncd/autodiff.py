@@ -336,6 +336,8 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 def mean(a: Tensor) -> Tensor:
     _check_2d(a)
     n = a.data.size
+    if n == 0:
+        raise ValueError(f"mean of an empty {a.shape} tensor")
     shape = a.shape
 
     def vjp(g):
@@ -361,6 +363,8 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mse shape mismatch: {a.shape} vs {b.shape}")
     diff = a.data - b.data
     n = diff.size
+    if n == 0:
+        raise ValueError(f"mse of empty {a.shape} tensors")
 
     def vjp(g):
         d = (2.0 / n) * diff * g[0, 0]
@@ -389,7 +393,9 @@ def nll_rows(logp: Tensor, labels) -> Tensor:
     n, c = logp.shape
     if y.size != n:
         raise ValueError(f"nll_rows: {n} rows but {y.size} labels")
-    if y.size and (y.min() < 0 or y.max() >= c):
+    if n == 0:
+        raise ValueError("nll_rows: no rows")
+    if y.min() < 0 or y.max() >= c:
         raise ValueError(f"nll_rows: label out of range for {c} columns")
     rows = np.arange(n)
 

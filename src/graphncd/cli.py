@@ -240,8 +240,7 @@ def cmd_gen_data(rc: RunConfig, force: bool) -> int:
 
 def cmd_pretrain(st: _Stage) -> int:
     state, protos, plog = pretrain(st.g, st.split, st.rc, st.inp)
-    rep = evaluate_joint(state, st.g, st.split, encode(freeze_encoder(state.encoder), st.inp),
-                         st.rc.novel_alignment)
+    rep = evaluate_joint(state, st.g, st.split, encode(freeze_encoder(state.encoder), st.inp))
     p1hash = phase1_hash(st.rc, st.dataset_hash, st.split_hash)
 
     meta = {"config_hash": st.config_hash, "phase1_hash": p1hash, "seed": st.rc.seed,
@@ -324,7 +323,7 @@ def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
     state, protos, m11 = _load_phase1(pretrain_dir, st)
     state, nlog = ncd_train(state, protos, st.split, st.rc, st.inp)
     rep = evaluate_joint(state, st.g, st.split, encode(freeze_encoder(state.encoder), st.inp),
-                         st.rc.novel_alignment, m11)
+                         phase1_old_acc=m11)
 
     meta = {"config_hash": st.config_hash, "seed": st.rc.seed, "phase1_old_acc": m11,
             "best_epoch": nlog.best_epoch, "epochs_run": nlog.epochs_run,
@@ -363,7 +362,7 @@ def cmd_eval(st: _Stage, checkpoint: str) -> int:
     # one full forward, on constants, feeds both the metrics and nodes.csv
     z = encode(freeze_encoder(state.encoder), st.inp)
     # a phase-2 checkpoint without its phase-1 accuracy gets no stage matrix
-    rep = evaluate_joint(state, g, split, z, rc.novel_alignment, m11)
+    rep = evaluate_joint(state, g, split, z, phase1_old_acc=m11)
     st.write_metrics(rep)
 
     _write_csv(st.path("nodes.csv"), ["id", "label", *(f"z{i}" for i in range(z.shape[1]))],

@@ -140,19 +140,13 @@ def _joint_argmax(state, z: Tensor) -> np.ndarray:
     return np.argmax(head_forward(head, z).data, axis=1)
 
 
-def _align_novel_slots(pred_idx: np.ndarray, g: Graph, split: ClassSplit,
-                       mode: str) -> dict[int, int]:
-    """Map novel slot -> new class id.
-
-    positional: slot j is new_classes[j]. hungarian: best match between
+def _align_novel_slots(pred_idx: np.ndarray, g: Graph,
+                       split: ClassSplit) -> dict[int, int]:
+    """Map novel slot -> new class id: the Hungarian best match between
     slots and true new classes on the new-class test contingency, computed
     after prediction so it never feeds back into the model."""
     n_old = len(split.old_classes)
     n_new = len(split.new_classes)
-    if mode == "positional":
-        return {s: split.new_classes[s] for s in range(n_new)}
-    if mode != "hungarian":
-        raise ValueError(f"unknown novel alignment {mode!r}")
     cont = np.zeros((n_new, n_new))
     col = {c: i for i, c in enumerate(split.new_classes)}
     for node in split.p2_test:
@@ -163,15 +157,14 @@ def _align_novel_slots(pred_idx: np.ndarray, g: Graph, split: ClassSplit,
     return {s: split.new_classes[perm[s]] for s in range(n_new)}
 
 
-def evaluate_joint(state, g: Graph, split: ClassSplit, z: Tensor,
-                   novel_alignment: str = "hungarian",
+def evaluate_joint(state, g: Graph, split: ClassSplit, z: Tensor, *,
                    phase1_old_acc: float | None = None) -> MetricsReport:
     """Task-agnostic accuracy over old, new, and pooled test nodes, plus the
     stage performance matrix and AA/AF.
 
     One argmax over the full joint logit row decides each node; a new-class
     node predicted as any old class counts as wrong. Predicted old slots map
-    to old class ids by position; novel slots map per novel_alignment. ``z``
+    to old class ids by position; novel slots by Hungarian matching. ``z``
     is the encoder's full forward on g. A phase-2 report needs
     ``phase1_old_acc`` for its stage matrix; without it, perf, aa and af
     are None."""
@@ -180,7 +173,7 @@ def evaluate_joint(state, g: Graph, split: ClassSplit, z: Tensor,
     slot_map = {i: c for i, c in enumerate(split.old_classes)}
     if state.joint_head is not None:
         slot_map.update({n_old + s: c for s, c in
-                         _align_novel_slots(pred_idx, g, split, novel_alignment).items()})
+                         _align_novel_slots(pred_idx, g, split).items()})
     pred_class = np.array([slot_map[int(i)] for i in pred_idx], dtype=np.int64)
 
     def acc(nodes: list[int]) -> float:

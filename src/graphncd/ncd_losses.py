@@ -253,16 +253,13 @@ def perturb_consistency_loss(logits_clean: Tensor, logits_pert: Tensor) -> Tenso
     return ad.mse(ad.softmax_rows(logits_clean), ad.softmax_rows(logits_pert))
 
 
-def batch_sigma(z, mode: str = "empirical") -> np.ndarray:
+def batch_sigma(z) -> np.ndarray:
     """Per-dimension noise scale: batch std of the representations.
 
-    Dimensions with zero spread fall back to 1.0. mode="unit" skips the
-    statistics and returns all ones."""
+    Dimensions with zero spread fall back to 1.0; ValueError for no rows."""
     arr = _as_array(z)
-    if mode == "unit":
-        return np.ones(arr.shape[1])
-    if mode != "empirical":
-        raise ValueError(f"unknown sigma mode {mode!r}")
+    if arr.shape[0] == 0:
+        raise ValueError(f"batch_sigma of no rows, shape {arr.shape}")
     std = arr.std(axis=0)
     return np.where(std > 0.0, std, 1.0)
 

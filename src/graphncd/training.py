@@ -82,11 +82,8 @@ class TrainConfig(LossWeights):
     use_perturb: bool = True
     use_replay: bool = True
     use_distill: bool = True
-    sigma_mode: str = "empirical"
-    eq8_head: str = "novel"
     init_scale: float = 0.01
     per_class_replay: int = 32
-    novel_alignment: str = "hungarian"
     normalize_features: bool = False
 
     def validate(self) -> None:
@@ -96,13 +93,6 @@ class TrainConfig(LossWeights):
             raise ValueError(f"hidden must be one of {ALLOWED_HIDDEN}, got {self.hidden}")
         if not 2 <= self.layers <= MAX_LAYERS:
             raise ValueError(f"layers must be in [2, {MAX_LAYERS}], got {self.layers}")
-        if self.eq8_head not in ("novel", "joint"):
-            raise ValueError(f"eq8_head must be novel or joint, got {self.eq8_head!r}")
-        if self.sigma_mode not in ("empirical", "unit"):
-            raise ValueError(f"sigma_mode must be empirical or unit, got {self.sigma_mode!r}")
-        if self.novel_alignment not in ("hungarian", "positional"):
-            raise ValueError(
-                f"novel_alignment must be hungarian or positional, got {self.novel_alignment!r}")
         if self.top_k < 1 or self.top_k > self.hidden:
             raise ValueError(f"top_k must be in [1, hidden={self.hidden}], got {self.top_k}")
         # chained comparisons hold for ints of any size and fail for NaN
@@ -260,7 +250,6 @@ def ncd_train(state: ModelState, protos: Prototypes, split: ClassSplit,
     # sample_prototype_batch returns every epoch
     old_index = {c: i for i, c in enumerate(split.old_classes)}
     idx_r = np.repeat([old_index[c] for c in protos.class_ids], cfg.per_class_replay)
-    joint_for_perturb = cfg.use_perturb and cfg.eq8_head == "joint"
 
     named = named_parameters(state)
     zero = ad.constant([[0.0]])
@@ -276,8 +265,6 @@ def ncd_train(state: ModelState, protos: Prototypes, split: ClassSplit,
     for epoch in range(cfg.ncd_epochs):
         z_u = encode(state.encoder, u_in)
         u_logits = head_forward(state.novel_head, z_u)
-        joint_u = (head_forward(state.joint_head, z_u)
-                   if cfg.use_self or joint_for_perturb else None)
         terms = dict.fromkeys(LOSS_TERMS, zero)
 
         if cfg.use_pseudo:
@@ -285,15 +272,13 @@ def ncd_train(state: ModelState, protos: Prototypes, split: ClassSplit,
             pair_targets = topk_pseudo_pairs(z_u.data, cfg.top_k)
             terms["pseudo"] = pairwise_bce(sim, pair_targets)
         if cfg.use_self:
-            terms["self"] = self_training_loss(joint_u,
+            terms["self"] = self_training_loss(head_forward(state.joint_head, z_u),
                                                assign_pseudo_labels(u_logits.data, n_old))
         if cfg.use_perturb:
-            sigma = batch_sigma(z_u.data, cfg.sigma_mode)
-            z_pert = perturb_representations(z_u, cfg.eta, sigma,
+            z_pert = perturb_representations(z_u, cfg.eta, batch_sigma(z_u.data),
                                              derive_seed(cfg.seed, _SEED_PERTURB, epoch))
-            head, clean = ((state.joint_head, joint_u) if joint_for_perturb
-                           else (state.novel_head, u_logits))
-            terms["perturb"] = perturb_consistency_loss(clean, head_forward(head, z_pert))
+            terms["perturb"] = perturb_consistency_loss(
+                u_logits, head_forward(state.novel_head, z_pert))
         if cfg.use_replay:
             feats_r, _ = sample_prototype_batch(
                 protos, cfg.per_class_replay, derive_seed(cfg.seed, _SEED_REPLAY, epoch))
@@ -340,10 +325,10 @@ def run_depth_sweep(g: Graph, split: ClassSplit, cfg: TrainConfig, inp: EncoderI
         c = replace(cfg, layers=int(nl))
         state, protos, _ = pretrain(g, split, c, inp)
         z = encode(freeze_encoder(state.encoder), inp)
-        m11 = evaluate_joint(state, g, split, z, c.novel_alignment).old_acc
+        m11 = evaluate_joint(state, g, split, z).old_acc
         state, _ = ncd_train(state, protos, split, c, inp)
         z = encode(freeze_encoder(state.encoder), inp)
-        rep = evaluate_joint(state, g, split, z, c.novel_alignment, m11)
+        rep = evaluate_joint(state, g, split, z, phase1_old_acc=m11)
         out.append({"layers": int(nl), "old_acc": rep.old_acc, "new_acc": rep.new_acc,
                     "all_acc": rep.all_acc, "aa": rep.aa, "af": rep.af})
     return out

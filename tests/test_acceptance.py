@@ -188,7 +188,7 @@ def _composed_scenarios(seed):
                                   pseudo)
     out["loss_self"] = (f_self, enc_params + head_parameters(joint))
 
-    sigma = batch_sigma(z0, "empirical")
+    sigma = batch_sigma(z0)
 
     def f_perturb():
         z = encode(enc, inp)

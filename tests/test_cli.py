@@ -1131,7 +1131,6 @@ def test_run_with_hungarian_alignment_never_imports_scipy_optimize(tmp_path):
                             "old_classes = 0,1,2\nnew_classes = 3,4")
                    .replace("pretrain_epochs = 12\nncd_epochs = 20",
                             "pretrain_epochs = 5\nncd_epochs = 5"), encoding="utf-8")
-    assert load_config(str(cfg)).novel_alignment == "hungarian"
     code = ("import sys\n"
             "from graphncd.cli import main\n"
             f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"

@@ -9,6 +9,7 @@ import pytest
 import numpy as np
 
 import graphncd.autodiff as ad
+from graphncd.cli import main
 from graphncd.config import (_PHASE1_KEYS, ConfigError, RunConfig, config_hash,
                              config_payload, load_config, parse_config_text,
                              phase1_hash)
@@ -77,11 +78,20 @@ def test_list_tolerates_spaces_and_trailing_comma():
     assert cfg.sweep_layers == [2, 4, 8]
 
 
-def test_unknown_key_reports_line_number():
+def test_unknown_key_reports_line_number(tmp_path, capsys):
     with pytest.raises(ConfigError, match="line 3"):
         parse_config_text("hidden = 16\n\nlerning_rate = 0.1\n")
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config_text(json.dumps({"lerning_rate": 0.1}))
+    # in either form an unknown key is exit 2 from the CLI, named in the error
+    path = tmp_path / "keys.cfg"
+    for key in ("eq8_head", "sigma_mode", "novel_alignment"):
+        for text, needle in ((f"hidden = 16\n{key} = novel\n", f"line 2: unknown key '{key}'"),
+                             (json.dumps({key: "novel"}), f"unknown config key '{key}'")):
+            path.write_text(text, encoding="utf-8")
+            assert main(["pretrain", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+            assert needle in capsys.readouterr().err
 
 
 def test_bad_value_names_the_key():
@@ -126,7 +136,6 @@ def test_load_config_round_trip(tmp_path):
     ("old_classes = 0,1,2\nnew_classes = 2,3", "overlap"),
     ("new_classes =", "non-empty"),
     ("hidden = 20", "hidden"),          # model validation surfaces here
-    ("eq8_head = both", "eq8_head"),
     ("layers = 1", "layers"),
     ("top_k = 40", "top_k"),
     ("lr = 0", "lr"),
@@ -163,13 +172,12 @@ def test_validation_errors(snippet, needle):
 
 def test_train_config_wiring():
     cfg = parse_config_text("alpha1 = 0.07\neta = 0.5\ntop_k = 3\n"
-                            "use_replay = off\nsigma_mode = unit")
+                            "use_replay = off")
     assert isinstance(cfg, TrainConfig)
     assert cfg.alpha1 == 0.07
     assert cfg.eta == 0.5
     assert cfg.top_k == 3
     assert cfg.use_replay is False and cfg.use_self is True
-    assert cfg.sigma_mode == "unit"
 
 
 def test_default_train_config_round_trips():
@@ -180,7 +188,7 @@ def test_default_train_config_round_trips():
 
 def test_every_training_knob_is_a_run_key_with_its_default():
     run_defaults = config_payload(RunConfig())
-    assert len(run_defaults) == 46
+    assert len(run_defaults) == 43
     for source in (TrainConfig(), LossWeights()):
         for f in fields(source):
             assert run_defaults[f.name] == getattr(source, f.name), f.name
@@ -194,9 +202,10 @@ def test_run_config_pickles():
 # --------------------------------------------------------------------- hashing
 
 def test_default_hashes_are_pinned():
-    # changing either value makes every existing run directory look stale
+    # a new phase1_hash makes every existing pretrain directory look stale;
+    # config_hash only labels a run's artifacts
     assert config_hash(RunConfig(), "d", "s") == \
-        "a6af2d33bf6dbeaa7a369c3c955ab79fe920fdf2c9f37a4eea0afc9b238451be"
+        "e3638719a451b3ce68a4db74c9929a63fe848301c78bd29a5ac2e1e8d0f67881"
     assert phase1_hash(RunConfig(), "d", "s") == \
         "40fb99fab538ffe5fae399f4f0d0420d0f6e3b1a7b14afe72c67e615fec20973"
 
@@ -249,9 +258,8 @@ PHASE2_ALTERNATIVES = {
     "ncd_epochs": "7", "patience": "3", "alpha1": "0.5", "alpha2": "1.5",
     "rampup_length": "4", "eta": "0.7", "lam": "2.5", "omega_fd": "3.0",
     "top_k": "2", "use_pseudo": "off", "use_self": "off", "use_perturb": "off",
-    "use_replay": "off", "use_distill": "off", "sigma_mode": "unit",
-    "eq8_head": "joint", "init_scale": "0.3", "per_class_replay": "5",
-    "novel_alignment": "positional",
+    "use_replay": "off", "use_distill": "off", "init_scale": "0.3",
+    "per_class_replay": "5",
 }
 
 PHASE1_BASE = "hidden = 16\npretrain_epochs = 6\n"
@@ -266,7 +274,7 @@ def _phase2_knobs():
 
 def test_phase2_alternatives_name_exactly_the_knobs_outside_the_phase1_hash():
     knobs = _phase2_knobs()
-    assert len(knobs) == 19
+    assert len(knobs) == 16
     assert set(PHASE2_ALTERNATIVES) == set(knobs)
 
 

@@ -175,18 +175,21 @@ def test_evaluate_joint_hand_case():
     g = build_graph(4, np.zeros((0, 2)), np.eye(4), [0, 0, 2, 3])
     split = ClassSplit(old_classes=[0, 1], new_classes=[2, 3],
                        p1_test=[0, 1], p2_test=[2, 3], all_test=[0, 1, 2, 3])
-    for mode in ("positional", "hungarian"):
-        rep = evaluate_joint(state, g, split, _forward(state, g), novel_alignment=mode)
-        assert rep.old_acc == 0.5
-        assert rep.new_acc == 0.5
-        assert rep.all_acc == 0.5
-        assert rep.phase == 2
+    rep = evaluate_joint(state, g, split, _forward(state, g))
+    assert rep.old_acc == 0.5
+    assert rep.new_acc == 0.5
+    assert rep.all_acc == 0.5
+    assert rep.phase == 2
     assert rep.class_order == [0, 1, 2, 3]
     # phase 2 without the phase-1 accuracy: no stage matrix
     assert rep.perf is None and rep.aa is None and rep.af is None
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.aa = 0.5
     full = evaluate_joint(state, g, split, _forward(state, g), phase1_old_acc=0.75)
+    # the stage accuracy is keyword-only: a fifth positional argument (once
+    # the alignment mode) must not become it
+    with pytest.raises(TypeError):
+        evaluate_joint(state, g, split, _forward(state, g), 0.75)
     assert full.perf[0, 0] == 0.75 and np.isnan(full.perf[0, 1])
     assert full.perf[1].tolist() == [0.5, 0.5]
     assert full.aa == 0.5 and full.af == -0.25
@@ -222,13 +225,9 @@ def test_hungarian_alignment_repairs_swapped_clusters():
     split = ClassSplit(old_classes=[0, 1], new_classes=[2, 3],
                        p1_test=[0], p2_test=[1, 2, 3, 4],
                        all_test=[0, 1, 2, 3, 4])
-    swapped = evaluate_joint(state, g, split, _forward(state, g), novel_alignment="positional")
-    assert swapped.new_acc == 0.0
-    fixed = evaluate_joint(state, g, split, _forward(state, g), novel_alignment="hungarian")
+    fixed = evaluate_joint(state, g, split, _forward(state, g))
     assert fixed.new_acc == 1.0
-    assert fixed.old_acc == swapped.old_acc == 1.0
-    with pytest.raises(ValueError, match="unknown novel alignment 'nearest'"):
-        evaluate_joint(state, g, split, _forward(state, g), novel_alignment="nearest")
+    assert fixed.old_acc == 1.0
 
 
 def test_evaluate_joint_phase_one_uses_old_head():

@@ -144,6 +144,25 @@ def test_pairwise_bce_shape_checks():
         pairwise_bce(pairwise_similarity(u), topk_pseudo_pairs(u.data, 1))
 
 
+_EMPTY = np.zeros((0, 3))
+_NO_ROWS = {
+    "self_training": lambda: self_training_loss(parameter(_EMPTY), []),
+    "replay": lambda: replay_loss(parameter(_EMPTY), []),
+    "distill": lambda: distill_loss(constant(_EMPTY), parameter(_EMPTY)),
+    "perturb_consistency":
+        lambda: perturb_consistency_loss(parameter(_EMPTY), parameter(_EMPTY)),
+    "batch_sigma": lambda: batch_sigma(_EMPTY),
+}
+
+
+# every mean over no rows is undefined: a ValueError, never numpy's NaN
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(_NO_ROWS))
+def test_losses_of_no_rows_raise(name):
+    with pytest.raises(ValueError):
+        _NO_ROWS[name]()
+
+
 def test_pairwise_bce_gradient():
     rng = np.random.default_rng(5)
     u = parameter(rng.standard_normal((5, 3)))
@@ -479,12 +498,9 @@ def test_perturb_consistency_matches_formula():
 def test_batch_sigma_modes():
     rng = np.random.default_rng(11)
     z = rng.standard_normal((50, 3)) * np.array([1.0, 3.0, 0.0])
-    emp = batch_sigma(z, "empirical")
+    emp = batch_sigma(z)
     assert np.allclose(emp[:2], z[:, :2].std(axis=0), atol=1e-12)
     assert emp[2] == 1.0                     # degenerate dimension falls back
-    assert np.array_equal(batch_sigma(z, "unit"), np.ones(3))
-    with pytest.raises(ValueError):
-        batch_sigma(z, "mad")
 
 
 # ------------------------------------------------------------------ prototypes

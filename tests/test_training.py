@@ -243,13 +243,6 @@ def test_perturb_novel_head_consistency_path(pretrained):
                           state0.old_head.weight.data)
 
 
-def test_perturb_joint_head_variant_runs(pretrained):
-    g, split, cfg, state0, protos, _ = pretrained
-    state, nlog = ncd_train(state0, protos, split,
-                            _cfg(ncd_epochs=4, eq8_head="joint"), _input(g))
-    assert nlog.epochs_run == 4
-
-
 def test_replay_indices_follow_the_sampled_labels_for_permuted_prototypes(
         pretrained, monkeypatch):
     g, split, _, state, protos, _ = pretrained
