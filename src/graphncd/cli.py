@@ -139,19 +139,6 @@ def _pick(columns: tuple[str, ...], rows: list[dict]) -> list[list]:
     return [[row[c] for c in columns] for row in rows]
 
 
-def _reference_extras(rc: RunConfig, rep: MetricsReport) -> dict:
-    refs = (rc.reference_old, rc.reference_new, rc.reference_all)
-    if any(v != v for v in refs):  # any NaN: comparison not configured
-        return {}
-    return {"reference_comparison": {
-        "reference_only": True,
-        "reference_old": refs[0], "reference_new": refs[1], "reference_all": refs[2],
-        "delta_old": rep.old_acc - refs[0],
-        "delta_new": rep.new_acc - refs[1],
-        "delta_all": rep.all_acc - refs[2],
-    }}
-
-
 @dataclass
 class _Stage:
     """One stage's output directory plus the invocation's resolved inputs.
@@ -171,13 +158,10 @@ class _Stage:
         self.artifacts.append(name)
         return os.path.join(self.rc.out, name)
 
-    def write_metrics(self, rep: MetricsReport, **extras) -> None:
-        """metrics.json: the report, then what describes the run (its seed,
-        config hash and reference comparison), the stage's extras and a
-        timestamp; then the report's CSVs."""
-        _write_json(self.path("metrics.json"), {
-            **rep.to_dict(), "seed": self.rc.seed, "config_hash": self.config_hash,
-            **_reference_extras(self.rc, rep), **extras, "timestamp": _timestamp()})
+    def write_metrics(self, rep: MetricsReport) -> None:
+        """metrics.json: the report and a timestamp, the run's identity being
+        the manifest's; then the report's CSVs."""
+        _write_json(self.path("metrics.json"), {**rep.to_dict(), "timestamp": _timestamp()})
         _write_csv(self.path("confusion.csv"), ["true\\pred", *rep.class_order],
                    [[c, *row] for c, row in zip(rep.class_order, rep.confusion)])
         if rep.perf is not None:  # lower-triangular: the cells above stay empty
@@ -330,9 +314,8 @@ def cmd_ncd(st: _Stage, pretrain_dir: str) -> int:
             "step": nlog.epochs_run}
     save_state(st.path("checkpoint_ncd_best.bin"), state, meta)
     save_state(st.path("checkpoint_ncd_final.bin"), state, meta, nlog.final_snapshot)
-    st.split.save(st.path("split.json"))
     _write_csv(st.path("losses.csv"), LOSS_COLUMNS, _pick(LOSS_COLUMNS, nlog.rows))
-    st.write_metrics(rep, **{f"use_{t}": getattr(st.rc, f"use_{t}") for t in LOSS_TERMS})
+    st.write_metrics(rep)
     st.write_manifest("ncd", phase=2, pretrain_dir=pretrain_dir,
                       epochs_run=nlog.epochs_run, best_epoch=nlog.best_epoch,
                       stopped_early=nlog.stopped_early, aa=rep.aa, af=rep.af,

@@ -41,10 +41,6 @@ class RunConfig(TrainConfig):
     out: str = "runs/out"
     pretrain_dir: str = ""               # ncd's phase-1 input unless --pretrain-dir
     sweep_layers: list[int] = field(default_factory=lambda: [2, 4, 8])
-    # optional published reference numbers for an informational comparison
-    reference_old: float = float("nan")
-    reference_new: float = float("nan")
-    reference_all: float = float("nan")
 
     def validate(self) -> None:
         """TrainConfig's rules plus the rules for the keys it leaves open, all as
@@ -70,6 +66,8 @@ class RunConfig(TrainConfig):
                 raise ConfigError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
         if self.sbm_feat_dim < 1:
             raise ConfigError(f"sbm_feat_dim must be at least 1, got {self.sbm_feat_dim}")
+        if not math.isfinite(self.sbm_feat_shift):
+            raise ConfigError(f"sbm_feat_shift must be finite, got {self.sbm_feat_shift}")
         # the loss schedule and weights are checked here, not in TrainConfig.validate:
         # library callers may drive training into TrainingDiverged on purpose
         if not self.rampup_length >= 1:
@@ -78,9 +76,6 @@ class RunConfig(TrainConfig):
             v = getattr(self, key)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{key} must be finite and non-negative, got {v}")
-        for key in ("reference_old", "reference_new", "reference_all"):
-            if math.isinf(getattr(self, key)):  # NaN leaves the reference unset
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if not (self.sweep_layers and all(2 <= n <= MAX_LAYERS for n in self.sweep_layers)):
             raise ConfigError(f"sweep_layers needs one or more depths in [2, {MAX_LAYERS}], "
                               f"got {self.sweep_layers}")
@@ -180,9 +175,9 @@ def _digest(payload: dict) -> str:
 
 
 def config_payload(cfg: RunConfig) -> dict:
-    """Every key as a JSON-ready value; the unset NaN reference slots become null."""
-    return {k: None if isinstance(v, float) and v != v else v
-            for k, v in asdict(cfg).items()}
+    """Every key as a JSON-ready value: validation leaves no float key NaN or
+    infinite."""
+    return asdict(cfg)
 
 
 def config_hash(cfg: RunConfig, dataset_hash: str, split_hash: str) -> str:

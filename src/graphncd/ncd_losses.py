@@ -25,6 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .graph import fits_int64
 
 
 @dataclass
@@ -60,6 +61,14 @@ class Prototypes:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Prototypes":
+        """ValueError unless class ids and counts are lists of 64-bit integers
+        and every count is at least 1."""
+        for key in ("class_ids", "counts"):
+            if not (isinstance(d[key], list)
+                    and all(type(x) is int and fits_int64(x) for x in d[key])):
+                raise ValueError(f"{key} must be a list of 64-bit integers")
+        if not all(c >= 1 for c in d["counts"]):
+            raise ValueError(f"counts must be at least 1, got {d['counts']}")
         return cls(class_ids=np.asarray(d["class_ids"], dtype=np.int64),
                    mean=np.asarray(d["mean"], dtype=np.float64),
                    var=np.asarray(d["var"], dtype=np.float64),

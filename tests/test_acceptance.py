@@ -570,15 +570,14 @@ def test_informational_citation_comparison(tmp_path):
         f"edges = {paths['edges']}\nfeatures = {paths['features']}\n"
         f"labels = {paths['labels']}\n"
         "old_classes = 0,1,2,3\nnew_classes = 4,5,6\n"
-        "normalize_features = yes\nseed = 0\n"
-        f"reference_old = {CITATION_REFERENCE['old'] / 100}\n"
-        f"reference_new = {CITATION_REFERENCE['new'] / 100}\n"
-        f"reference_all = {CITATION_REFERENCE['all'] / 100}\n",
+        "normalize_features = yes\nseed = 0\n",
         encoding="utf-8")
     out = tmp_path / "citation"
     rc = main(["run", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     m = _read_json(os.path.join(str(out), "ncd", "metrics.json"))
+    deltas = " ".join(f"{k} {m[f'{k}_acc'] - v / 100:+.4f}"
+                      for k, v in CITATION_REFERENCE.items())
     print(f"[ACCEPTANCE] citation-comparison: INFO (old {m['old_acc']:.4f} "
           f"new {m['new_acc']:.4f} all {m['all_acc']:.4f} vs reference "
-          f"{CITATION_REFERENCE}; informational only, never gates)")
+          f"{CITATION_REFERENCE}, deltas {deltas}; informational only, never gates)")

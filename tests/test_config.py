@@ -1,8 +1,9 @@
 """Config parsing, validation, and content hashing."""
 import json
-import math
 import pickle
+import re
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
@@ -85,7 +86,7 @@ def test_unknown_key_reports_line_number(tmp_path, capsys):
         parse_config_text(json.dumps({"lerning_rate": 0.1}))
     # in either form an unknown key is exit 2 from the CLI, named in the error
     path = tmp_path / "keys.cfg"
-    for key in ("eq8_head", "sigma_mode", "novel_alignment"):
+    for key in ("eq8_head", "sigma_mode", "novel_alignment", "reference_old"):
         for text, needle in ((f"hidden = 16\n{key} = novel\n", f"line 2: unknown key '{key}'"),
                              (json.dumps({key: "novel"}), f"unknown config key '{key}'")):
             path.write_text(text, encoding="utf-8")
@@ -161,6 +162,8 @@ def test_load_config_round_trip(tmp_path):
     ("sbm_p_in = 2", "sbm_p_in"),
     ("sbm_p_out = nan", "sbm_p_out"),
     ("sbm_feat_dim = 0", "sbm_feat_dim"),
+    ("sbm_feat_shift = nan", "sbm_feat_shift"),
+    ("sbm_feat_shift = inf", "sbm_feat_shift"),
     ("pretrain_epochs = 99999999999999999999999", "pretrain_epochs"),
     ('{"per_class_replay": -9223372036854775809}', "per_class_replay"),
     ('{"seed": 1e20}', "seed"),
@@ -188,14 +191,23 @@ def test_default_train_config_round_trips():
 
 def test_every_training_knob_is_a_run_key_with_its_default():
     run_defaults = config_payload(RunConfig())
-    assert len(run_defaults) == 43
+    assert len(run_defaults) == 40
     for source in (TrainConfig(), LossWeights()):
         for f in fields(source):
             assert run_defaults[f.name] == getattr(source, f.name), f.name
 
 
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Config keys\n", 1)[1].strip().split("\n\n")[0]
+    rows = [line.split(" | ", 1)[1] for line in table.splitlines()[2:]]
+    # a key is a backticked name outside parentheses, which hold defaults and notes
+    keys = [k for row in rows for k in re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", row))]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+
+
 def test_run_config_pickles():
-    cfg = RunConfig(hidden=16, sbm_blocks=[10, 20], reference_old=0.5)
+    cfg = RunConfig(hidden=16, sbm_blocks=[10, 20], sbm_feat_shift=0.5)
     assert config_payload(pickle.loads(pickle.dumps(cfg))) == config_payload(cfg)
 
 
@@ -205,7 +217,7 @@ def test_default_hashes_are_pinned():
     # a new phase1_hash makes every existing pretrain directory look stale;
     # config_hash only labels a run's artifacts
     assert config_hash(RunConfig(), "d", "s") == \
-        "e3638719a451b3ce68a4db74c9929a63fe848301c78bd29a5ac2e1e8d0f67881"
+        "64a8e794e2b3ff29a60487ffd87f9acc9350dd58f831f8f28aa2643fb22c7d7b"
     assert phase1_hash(RunConfig(), "d", "s") == \
         "40fb99fab538ffe5fae399f4f0d0420d0f6e3b1a7b14afe72c67e615fec20973"
 
@@ -222,14 +234,6 @@ def test_config_hash_sensitive_to_science_keys():
     assert config_hash(RunConfig(eta=0.3), "d", "s") != base
     assert config_hash(RunConfig(), "other", "s") != base
     assert config_hash(RunConfig(), "d", "other") != base
-
-
-def test_config_hash_handles_nan_reference_slots():
-    assert math.isnan(RunConfig().reference_old)
-    a = config_hash(RunConfig(), "d", "s")
-    b = config_hash(RunConfig(), "d", "s")
-    assert a == b and len(a) == 64
-    assert config_hash(RunConfig(reference_old=60.67), "d", "s") != a
 
 
 def test_phase1_hash_ignores_phase2_knobs():

@@ -1,6 +1,8 @@
 """tools/same_artifacts.py: the determinism gate's comparison of two run directories."""
 import importlib.util
+import json
 import shutil
+import struct
 from pathlib import Path
 
 import pytest
@@ -49,7 +51,7 @@ def test_identical_runs_exit_0(runs, capsys):
 def test_runs_differing_by_seed_exit_1_and_name_files(runs, capsys):
     assert same_artifacts.main([str(runs["a"]), str(runs["c"])]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "pretrain/checkpoint_pretrain.bin" in lines
+    assert "pretrain/checkpoint_pretrain.bin (tensors differ)" in lines
     assert "eval/nodes.csv" in lines
     assert lines[-1] == f"{len(lines) - 1} differing files"
 
@@ -69,6 +71,26 @@ def test_timestamp_and_manifests_are_ignored_but_missing_files_are_not(runs, tmp
     assert same_artifacts.main([str(runs["a"]), str(copy)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == [f"ncd/ (missing {copy / 'ncd'})", "eval/nodes.csv"]
+
+
+def test_a_checkpoint_whose_tensors_are_equal_names_the_meta_keys_that_differ(
+        runs, tmp_path, capsys):
+    copy = tmp_path / "copy"
+    shutil.copytree(runs["a"], copy)
+    ckpt = copy / "ncd" / "checkpoint_ncd_best.bin"
+    raw = ckpt.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8:8 + hlen])
+    header["meta"]["config_hash"] = "0" * 64
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    ckpt.write_bytes(struct.pack("<Q", len(text)) + text + raw[8 + hlen:])
+    # a file that is no checkpoint container is named alone
+    (copy / "pretrain" / "checkpoint_pretrain.bin").write_bytes(b"\x00" * 3)
+    assert same_artifacts.main([str(runs["a"]), str(copy)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pretrain/checkpoint_pretrain.bin",
+        "ncd/checkpoint_ncd_best.bin (tensors equal; meta differs: config_hash)",
+        "2 differing files"]
 
 
 # ------------------------------------------------- --trees: building the runs

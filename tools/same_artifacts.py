@@ -9,6 +9,9 @@ Each stage directory (pretrain, ncd, eval) is hashed with the gate's own
 rule, ``perfbench/run.py``'s ``_digests``: CSVs, checkpoints and
 ``metrics.json`` without its timestamp line. Prints every file that differs
 or exists on one side only, then ``identical`` or the count of such files.
+A checkpoint that differs is followed by ``(tensors differ)`` or by
+``(tensors equal; meta differs: KEY[, KEY...])``, unless either side does not
+parse as graphncd's checkpoint container.
 
 With ``--trees``, every workload of the comma list, as
 ``perfbench/workloads.py`` declares it, is run at every seed of the comma
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -47,8 +52,42 @@ _DATA_FILES = (("edges", "edges.txt"), ("features", "features.txt"),
                ("labels", "labels.txt"), ("split_file", "split.json"))
 
 
+def _checkpoint_parts(path: Path):
+    """(meta, the rest of the header, the tensor bytes) of a ``.bin`` file in
+    graphncd's checkpoint container: an 8-byte little-endian header length,
+    the JSON header, then the tensors; None for any other file."""
+    if path.suffix != ".bin" or not path.is_file():
+        return None
+    raw = path.read_bytes()
+    if len(raw) < 8:
+        return None
+    (hlen,) = struct.unpack("<Q", raw[:8])
+    try:
+        header = json.loads(raw[8:8 + hlen])
+    except (ValueError, RecursionError):
+        return None
+    if len(raw) < 8 + hlen or not (isinstance(header, dict)
+                                   and isinstance(header.get("meta"), dict)):
+        return None
+    meta = header.pop("meta")
+    return meta, header, raw[8 + hlen:]
+
+
+def _why(a: Path, b: Path) -> str:
+    """Where two differing checkpoints differ, or "" when either is not one."""
+    parts = [_checkpoint_parts(p) for p in (a, b)]
+    if None in parts:
+        return ""
+    (meta_a, *tensors_a), (meta_b, *tensors_b) = parts
+    if tensors_a != tensors_b:
+        return " (tensors differ)"
+    keys = sorted(k for k in meta_a.keys() | meta_b.keys() if meta_a.get(k) != meta_b.get(k))
+    return f" (tensors equal; meta differs: {', '.join(keys)})" if keys else ""
+
+
 def differences(a: Path, b: Path) -> list[str]:
-    """``stage/file`` for every compared file whose digests differ."""
+    """``stage/file`` for every compared file whose digests differ, with
+    ``_why`` for a checkpoint."""
     out = []
     for stage in _bench.STAGES:
         sides = [d / stage for d in (a, b)]
@@ -57,8 +96,8 @@ def differences(a: Path, b: Path) -> list[str]:
             out += [f"{stage}/ (missing {m})" for m in missing]
             continue
         da, db = (_bench._digests(d) for d in sides)
-        out += [f"{stage}/{name}" for name in sorted(da.keys() | db.keys())
-                if da.get(name) != db.get(name)]
+        out += [f"{stage}/{name}{_why(*(d / name for d in sides))}"
+                for name in sorted(da.keys() | db.keys()) if da.get(name) != db.get(name)]
     return out
 
 
