@@ -18,6 +18,9 @@ with b1, b2 following a sigmoid-shaped warmup ramp from zero.
 """
 from __future__ import annotations
 
+import concurrent.futures as cf
+import os
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -61,12 +64,14 @@ class Prototypes:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Prototypes":
-        """ValueError unless class ids and counts are lists of 64-bit integers
-        and every count is at least 1."""
+        """ValueError unless class ids and counts are lists of 64-bit integers,
+        one count per class id, and every count is at least 1."""
         for key in ("class_ids", "counts"):
             if not (isinstance(d[key], list)
                     and all(type(x) is int and fits_int64(x) for x in d[key])):
                 raise ValueError(f"{key} must be a list of 64-bit integers")
+        if len(d["counts"]) != len(d["class_ids"]):
+            raise ValueError(f"{len(d['counts'])} counts for {len(d['class_ids'])} classes")
         if not all(c >= 1 for c in d["counts"]):
             raise ValueError(f"counts must be at least 1, got {d['counts']}")
         return cls(class_ids=np.asarray(d["class_ids"], dtype=np.int64),
@@ -81,10 +86,84 @@ def _as_array(z) -> np.ndarray:
 
 # rows per block of the n x n pair ops, so their temporaries are O(block * n)
 PAIR_BLOCK = 64
+# the pair ops split their row blocks over threads only when every part gets
+# at least this many: similarity, BCE and gradient in two parts took 2.08,
+# 1.31, 1.17, 0.92, 0.78 and 0.65 of one part's time at 2, 4, 5, 6, 8 and 15
+# blocks (2-core x86 machine, one BLAS thread)
+MIN_PART_BLOCKS = 3
+_pool: cf.ThreadPoolExecutor | None = None  # made on the first split
+_pool_lock = threading.Lock()
 
 
 def _row_blocks(n: int):
     return (slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _in_row_block_parts(n: int, start_part, fold) -> None:
+    """Run the row blocks of n through ``step = start_part()``, one step per
+    block, and ``fold(step(r))`` on the calling thread in block order.
+
+    The blocks are cut into contiguous parts, one per usable CPU, as long as
+    each part gets MIN_PART_BLOCKS; each part calls ``start_part`` once for
+    its own scratch. The calling thread runs part 0 and folds as it goes,
+    the shared pool runs the rest, and their results are folded after, so
+    the fold order, and with it every output bit, is that of one part. Steps
+    may call only numpy and this module's array helpers: no Tensor is built
+    off the calling thread. Every part has ended before this returns, or
+    raises the error of the first part, in block order, that failed."""
+    global _pool
+    blocks = list(_row_blocks(n))
+    most = len(blocks) // MIN_PART_BLOCKS
+    # the CPU query is a system call that took ~13 us inside a desk epoch
+    # (2-core x86 VM), so it is skipped where the blocks are too few to split
+    parts = min(_usable_cpus(), most) if most > 1 else 1
+    if parts < 2:
+        step = start_part()
+        for r in blocks:
+            fold(step(r))
+        return
+    chunks = [blocks[len(blocks) * i // parts:len(blocks) * (i + 1) // parts]
+              for i in range(parts)]
+
+    def run(chunk):
+        step = start_part()
+        return [step(r) for r in chunk]
+
+    with _pool_lock:
+        if _pool is None:
+            _pool = cf.ThreadPoolExecutor(max_workers=_usable_cpus() - 1,
+                                          thread_name_prefix="graphncd-pairs")
+        pool = _pool
+    pending = []
+    try:
+        for chunk in chunks[1:]:
+            pending.append(pool.submit(run, chunk))
+        step = start_part()
+        for r in chunks[0]:
+            fold(step(r))
+    finally:
+        cf.wait(pending)
+    for f in pending:
+        for out in f.result():
+            fold(out)
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+# a forked child has none of the pool's threads (and may have forked while one
+# held the lock), so it starts a pool of its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class _Similarity(Tensor):
@@ -101,14 +180,19 @@ def _similarity_vjp(g):
 def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     """s_ij = logistic(u_i . u_j) over all ordered pairs, shape (n, n).
 
-    One op, forward row block by row block. It has no vjp of its own:
+    One op, forward row block by row block, the blocks split over threads
+    as _in_row_block_parts does; each block writes its own rows of s, so
+    the bytes do not depend on the split. It has no vjp of its own:
     pairwise_bce differentiates straight to the logits, and any other route
     to a gradient-carrying similarity raises TypeError in backward."""
     u = novel_logits.data
     n = u.shape[0]
     s = np.empty((n, n))
-    for r in _row_blocks(n):
+
+    def step(r):
         ad._stable_sigmoid(np.matmul(u[r], u.T, out=s[r]), out=s[r])
+
+    _in_row_block_parts(n, lambda: step, lambda _: None)
     out = ad._make(s, (novel_logits,), _similarity_vjp)
     # marked after _make, so a wrapper that swaps out._vjp keeps the mark
     out.__class__ = _Similarity
@@ -175,6 +259,11 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     t U + t^T U. The loss's one parent is then U, so no n x n array is left
     on the tape. A constant s gives a constant loss; a gradient-carrying s
     that pairwise_similarity did not return raises TypeError.
+
+    The blocks may run in parts on threads (_in_row_block_parts), each part
+    with its own scratch. Each block's log-sum, t U and t^T U are added to
+    the loss and the gradient on the calling thread in block order, so both
+    are bitwise those of one thread.
     """
     n, m = s.shape
     if n != m or not n:  # a mean over no pairs is undefined
@@ -196,28 +285,41 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
         u = parents[0].data
         grad_u = np.zeros_like(u)
     total = 0.0
-    # one row block of scratch per call: y as float, then y - 1; clip(s); t; masks
-    shape = (min(PAIR_BLOCK, n), n)
-    yf, sf, tf = np.empty(shape), np.empty(shape), np.empty(shape)
-    keepf, hif = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    for r in _row_blocks(n):
-        sb = sd[r]
-        k = sb.shape[0]
-        yb, sc = yf[:k], sf[:k]
-        np.copyto(yb, y[r])
-        if parents:
-            t = np.subtract(yb, sb, out=tf[:k])
-            keep = _unsaturated(sb, keepf[:k], hif[:k])
-            if not keep.all():
-                t[~keep] = 0.0
-        # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
-        yb -= 1.0
-        np.clip(sb, _S_LO, _S_HI, out=sc)
-        sc += yb
-        total += np.log(np.abs(sc, out=sc), out=sc).sum()
-        if parents:
-            grad_u[r] += t @ u
-            grad_u += t.T @ u[r]
+
+    def start_part():
+        # one row block of scratch per part: y as float, then y - 1; clip(s); t; masks
+        shape = (min(PAIR_BLOCK, n), n)
+        yf, sf, tf = np.empty(shape), np.empty(shape), np.empty(shape)
+        keepf, hif = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+
+        def step(r):
+            sb = sd[r]
+            k = sb.shape[0]
+            yb, sc = yf[:k], sf[:k]
+            np.copyto(yb, y[r])
+            if parents:
+                t = np.subtract(yb, sb, out=tf[:k])
+                keep = _unsaturated(sb, keepf[:k], hif[:k])
+                if not keep.all():
+                    t[~keep] = 0.0
+            # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
+            yb -= 1.0
+            np.clip(sb, _S_LO, _S_HI, out=sc)
+            sc += yb
+            logsum = np.log(np.abs(sc, out=sc), out=sc).sum()
+            return (r, logsum, t @ u, t.T @ u[r]) if parents else (r, logsum)
+
+        return step
+
+    def fold(block):
+        nonlocal total, grad_u
+        r, logsum, *grads = block
+        total += logsum
+        if grads:
+            grad_u[r] += grads[0]
+            grad_u += grads[1]
+
+    _in_row_block_parts(n, start_part, fold)
     loss = np.array([[total * scale]])
     return ad._make(loss, parents, lambda g: [grad_u * (g[0, 0] * scale)])
 

@@ -318,6 +318,8 @@ def _set_first(rows, v):
                  id="prototypes.json-fractional_ids"),
     pytest.param("prototypes.json", _json(lambda p: {**p, "counts": [-5, 0]}),
                  id="prototypes.json-counts_below_1"),
+    pytest.param("prototypes.json", _json(lambda p: {**p, "counts": [60]}),
+                 id="prototypes.json-one_count_per_class"),
 ])
 def test_ncd_rejects_malformed_phase1_artifacts(pipeline, tmp_path, capsys, name, rewrite):
     cfg, pre, _ = pipeline

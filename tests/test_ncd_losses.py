@@ -1,4 +1,10 @@
 """Loss terms against naive loop oracles plus closed-form hand cases."""
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -192,7 +198,9 @@ def _mixed_logits(rng, n):
     return rng.standard_normal((n, 3)) * scale
 
 
-BLOCK_EDGES = (1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 3)
+# nine row blocks: on two or more usable CPUs the pair ops split them
+SPLIT_N = 8 * PAIR_BLOCK + 3
+BLOCK_EDGES = (1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 3, SPLIT_N)
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
@@ -308,7 +316,7 @@ def test_fused_bce_gradient_matches_the_general_route(n):
     assert np.abs(got - want).max() < ORACLE_TOL
 
 
-@pytest.mark.parametrize("n", (1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 3))
+@pytest.mark.parametrize("n", (1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 3, SPLIT_N))
 def test_bce_bool_targets_are_bitwise_the_float_ones(n):
     rng = np.random.default_rng(600 + n)
     logits = _mixed_logits(rng, n)
@@ -368,6 +376,141 @@ def test_fused_route_survives_a_wrapper_that_swaps_the_vjp(monkeypatch):
     u = parameter(rng.standard_normal((7, 3)))
     loss = pairwise_bce(pairwise_similarity(u), np.eye(7))
     assert loss._parents == (u,)
+
+
+# ------------------------------------------- row blocks split over threads
+
+def _split_into(monkeypatch, parts):
+    """Let the pair ops see ``parts`` usable CPUs, on a pool of their own."""
+    monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(ncd_losses, "_pool", None)
+
+
+def _block_rows(out):
+    """The first row of the row block ``out`` views in its similarity matrix."""
+    return (out.ctypes.data - out.base.ctypes.data) // out.strides[0]
+
+
+@pytest.mark.parametrize("parts", (1, 2, 3, 9))
+def test_pair_ops_are_bitwise_the_same_in_any_number_of_parts(monkeypatch, parts):
+    rng = np.random.default_rng(700)
+    logits = _mixed_logits(rng, SPLIT_N)             # saturated rows included
+    logits[5, 1] = np.nan
+    y = topk_pseudo_pairs(rng.integers(0, 3, size=(SPLIT_N, 6)).astype(float), 2)
+
+    def chain(target):
+        u = parameter(logits.copy())
+        s = pairwise_similarity(u)
+        loss = pairwise_bce(s, target)
+        return s.data, loss.data, backward(loss, [u])[0]
+
+    want = [chain(target) for target in (y, y.astype(np.float64))]
+    _split_into(monkeypatch, parts)
+    monkeypatch.setattr(ncd_losses, "MIN_PART_BLOCKS", 1)
+    rows = []
+    sigmoid = ad._stable_sigmoid
+
+    def spy(x, out):
+        rows.append((threading.get_ident(), _block_rows(out)))
+        return sigmoid(x, out)
+
+    monkeypatch.setattr(ad, "_stable_sigmoid", spy)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                      # threads trade the lock often
+    try:
+        got = [chain(target) for target in (y, y.astype(np.float64))]
+    finally:
+        sys.setswitchinterval(switch)
+    for run, before in zip(got, want):
+        for a, b in zip(run, before):
+            assert a.tobytes() == b.tobytes()
+    # each run's similarity: the calling thread ran part 0, its first 9 // parts blocks
+    blocks = list(range(0, SPLIT_N, PAIR_BLOCK))
+    assert sorted(r for _, r in rows) == sorted(2 * blocks)
+    mine = sorted(r for t, r in rows if t == threading.get_ident())
+    assert mine == sorted(2 * blocks[:len(blocks) // parts])
+    assert np.isnan(want[0][0]).any() and np.isnan(want[0][1]).all()
+
+
+def test_a_failing_part_reaches_the_caller_once_every_part_has_ended(monkeypatch):
+    _split_into(monkeypatch, 3)
+    err = RuntimeError("part 1 fails")
+    ended = []
+    sigmoid = ad._stable_sigmoid
+
+    def flaky(x, out):
+        first = _block_rows(out)
+        if first == 3 * PAIR_BLOCK:                  # part 1's first block
+            raise err
+        if first >= 6 * PAIR_BLOCK:                  # part 2 outlasts part 1
+            time.sleep(0.02)
+        sigmoid(x, out)
+        ended.append(first)
+
+    monkeypatch.setattr(ad, "_stable_sigmoid", flaky)
+    u = constant(np.random.default_rng(701).standard_normal((SPLIT_N, 3)))
+    with pytest.raises(RuntimeError) as caught:
+        pairwise_similarity(u)
+    assert caught.value is err
+    # parts 0 and 2 ran to their ends before the error was raised
+    assert sorted(ended) == [r * PAIR_BLOCK for r in (0, 1, 2, 6, 7, 8)]
+
+
+def test_only_the_calling_thread_builds_tensors(monkeypatch):
+    _split_into(monkeypatch, 2)
+    builders = set()
+    make = ad._make
+
+    def spy(data, parents, vjp):
+        builders.add(threading.get_ident())
+        return make(data, parents, vjp)
+
+    monkeypatch.setattr(ad, "_make", spy)
+    rng = np.random.default_rng(702)
+    u = parameter(_mixed_logits(rng, SPLIT_N))
+    loss = pairwise_bce(pairwise_similarity(u), topk_pseudo_pairs(u.data, 2))
+    backward(loss, [u])
+    assert ncd_losses._pool is not None              # the ops did split
+    assert builders == {threading.get_ident()}
+
+
+def test_one_usable_cpu_or_too_few_blocks_start_no_thread(monkeypatch):
+    u = constant(np.random.default_rng(703).standard_normal((SPLIT_N, 3)))
+    _split_into(monkeypatch, 1)
+    pairwise_similarity(u)
+    assert ncd_losses._pool is None
+    _split_into(monkeypatch, 4)                      # 2 blocks, fewer than 2 parts' worth
+    pairwise_bce(pairwise_similarity(constant(u.data[:2 * PAIR_BLOCK])),
+                 np.eye(2 * PAIR_BLOCK))
+    assert ncd_losses._pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")   # fork of a threaded process
+def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
+    _split_into(monkeypatch, 2)
+    u = constant(np.random.default_rng(704).standard_normal((SPLIT_N, 3)))
+    want = pairwise_similarity(u).data
+    assert ncd_losses._pool is not None
+    pid = os.fork()
+    if pid == 0:                                     # the child: exit 0 if it agrees
+        ok = False
+        try:
+            ok = (ncd_losses._pool is None
+                  and pairwise_similarity(u).data.tobytes() == want.tobytes())
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 30.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in pairwise_similarity")
+        time.sleep(0.01)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 
 
 def _broadcast_topk_pairs(z, k):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
+import graphncd.ncd_losses as ncd_losses
 import graphncd.training as training
 from graphncd.autodiff import SparseMatrix
 from graphncd.graph import (ClassSplit, Graph, mean_adjacency, operator_for, sbm_generate,
@@ -453,6 +454,25 @@ def test_ncd_train_deterministic(pretrained):
     # the returned model shares no tensor with its input
     ids = {id(t) for _, t in named_parameters(state0)}
     assert ids.isdisjoint(id(t) for _, t in named_parameters(a))
+
+
+def test_ncd_train_is_bitwise_the_same_in_one_part_and_two(monkeypatch):
+    # 600 phase-2 rows are ten row blocks, enough for the pair ops to split
+    g = sbm_generate([15, 15, 500, 500], 0.03, 0.002, 6, 2.5, seed=derive_seed(1, SEED_SBM))
+    split = split_classes(g, [0, 1], [2, 3], seed=derive_seed(1, SEED_SPLIT))
+    assert len(split.p2_train) >= 600
+    cfg = _cfg(pretrain_epochs=3, ncd_epochs=4)
+    state, protos, _ = pretrain(g, split, cfg, _input(g))
+    runs = []
+    for parts in (1, 2):
+        monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: parts)
+        monkeypatch.setattr(ncd_losses, "_pool", None)
+        runs.append(ncd_train(state, protos, split, cfg, _input(g)))
+        assert (ncd_losses._pool is not None) == (parts == 2)
+    (a, loga), (b, logb) = runs
+    for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
+        assert na == nb and ta.data.tobytes() == tb.data.tobytes()
+    assert loga.rows == logb.rows and len(loga.rows) == cfg.ncd_epochs
 
 
 def test_evaluate_joint_phase_two_matrix(pretrained):

@@ -17,7 +17,12 @@ whose change median is worse than the parent's and, for each, its relative
 change next to its ``bound`` from BENCHMARK.json, labelled ``regression``
 when the change exceeds the bound, else ``unresolved`` when the parent's
 quartile spread, relative to its median, is wider than the bound, else
-``within bound``. Exits 1 if any run failed, else 0.
+``within bound``. Each pair's line also gives ``cpus_usable`` from each
+run's ``{"env": ...}`` line (``?`` where a run printed none) and flags the
+pair when its two sides saw different counts: graphncd's pair ops split
+their row blocks over the usable CPUs, so such a pair compares unlike
+machines; the block ends with the number of flagged pairs. Exits 1 if any
+run failed, else 0.
 """
 from __future__ import annotations
 
@@ -103,11 +108,33 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict | No
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=str(tree), capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    result = read_run(proc.stdout) if proc.returncode == 0 else None
+    if result is None:
         sys.stderr.write(proc.stderr)
+    return result
+
+
+def read_run(stdout: str) -> dict | None:
+    """The result object on the last line of one benchmark run's output,
+    with the run's ``{"env": ...}`` object under ``"env"`` when it printed
+    one; None for no output."""
+    lines = stdout.strip().splitlines()
+    if not lines:
         return None
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    for line in lines[:-1]:
+        if line.startswith('{"env"'):
+            result["env"] = json.loads(line)["env"]
+    return result
+
+
+def cpus_note(results: dict[str, dict]) -> tuple[str, bool]:
+    """Each side's ``cpus_usable`` as a pair line's note, and whether the
+    two sides saw different counts."""
+    cpus = {side: r.get("env", {}).get("cpus_usable", "?") for side, r in results.items()}
+    differ = cpus["parent"] != cpus["change"]
+    note = f"cpus_usable parent {cpus['parent']}, change {cpus['change']}"
+    return note + (" (DIFFERENT: not comparable)" if differ else ""), differ
 
 
 def seed_list(text: str) -> list[int]:
@@ -120,12 +147,13 @@ def seed_list(text: str) -> list[int]:
 
 
 def pairs(args: argparse.Namespace, workload: str, seed: int,
-          metrics: list[dict]) -> tuple[dict[str, dict[str, list[float]]], int]:
+          metrics: list[dict]) -> tuple[dict[str, dict[str, list[float]]], int, int]:
     """Run ``args.pairs`` alternated pairs of one workload at one seed;
-    returns the values per metric and side, and the number of pairs dropped."""
+    returns the values per metric and side, the number of pairs dropped and
+    the number whose sides saw different ``cpus_usable``."""
     values: dict[str, dict[str, list[float]]] = {
         m["name"]: {"parent": [], "change": []} for m in metrics}
-    failed = 0
+    failed = unlike = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         results = {side: run_bench(getattr(args, side), workload, seed,
@@ -137,10 +165,12 @@ def pairs(args: argparse.Namespace, workload: str, seed: int,
         for name, sides in values.items():
             for side, r in results.items():
                 sides[side].append(r["metrics"][name]["value"])
+        note, differ = cpus_note(results)
+        unlike += differ
         print(f"{workload} seed {seed} pair {i} ({order[0]} first): " + ", ".join(
             f"{name} {sides['parent'][-1]:.4g} -> {sides['change'][-1]:.4g}"
-            for name, sides in values.items()), flush=True)
-    return values, failed
+            for name, sides in values.items()) + f"; {note}", flush=True)
+    return values, failed, unlike
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -160,12 +190,14 @@ def main(argv: list[str] | None = None) -> int:
     any_failed = False
     for seed in args.seed:
         for workload in workloads:
-            values, failed = pairs(args, workload, seed, metrics)
+            values, failed, unlike = pairs(args, workload, seed, metrics)
             any_failed = any_failed or failed > 0
             if failed == args.pairs:
                 print(f"{workload} seed {seed}: no pair completed")
                 continue
             print("\n".join(verdict(workload, seed, metrics, values)), flush=True)
+            print(f"{workload}: pairs whose sides saw different cpus_usable: {unlike}",
+                  flush=True)
     return 1 if any_failed else 0
 
 
