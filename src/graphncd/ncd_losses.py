@@ -18,10 +18,8 @@ with b1, b2 following a sigmoid-shaped warmup ramp from zero.
 """
 from __future__ import annotations
 
-import concurrent.futures as cf
-import os
-import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -91,19 +89,10 @@ PAIR_BLOCK = 64
 # 1.31, 1.17, 0.92, 0.78 and 0.65 of one part's time at 2, 4, 5, 6, 8 and 15
 # blocks (2-core x86 machine, one BLAS thread)
 MIN_PART_BLOCKS = 3
-_pool: cf.ThreadPoolExecutor | None = None  # made on the first split
-_pool_lock = threading.Lock()
 
 
 def _row_blocks(n: int):
     return (slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _in_row_block_parts(n: int, start_part, fold) -> None:
@@ -113,21 +102,25 @@ def _in_row_block_parts(n: int, start_part, fold) -> None:
     The blocks are cut into contiguous parts, one per usable CPU, as long as
     each part gets MIN_PART_BLOCKS; each part calls ``start_part`` once for
     its own scratch. The calling thread runs part 0 and folds as it goes,
-    the shared pool runs the rest, and their results are folded after, so
-    the fold order, and with it every output bit, is that of one part. Steps
-    may call only numpy and this module's array helpers: no Tensor is built
-    off the calling thread. Every part has ended before this returns, or
-    raises the error of the first part, in block order, that failed."""
-    global _pool
+    autodiff's shared pool runs the rest (``ad._run_parts``), and their
+    results are folded after, so the fold order, and with it every output
+    bit, is that of one part. Steps may call only numpy and this module's
+    array helpers: no Tensor is built off the calling thread. Every part has
+    ended before this returns, or raises the error of the first part, in
+    block order, that failed."""
     blocks = list(_row_blocks(n))
     most = len(blocks) // MIN_PART_BLOCKS
     # the CPU query is a system call that took ~13 us inside a desk epoch
     # (2-core x86 VM), so it is skipped where the blocks are too few to split
-    parts = min(_usable_cpus(), most) if most > 1 else 1
-    if parts < 2:
+    parts = min(ad._usable_cpus(), most) if most > 1 else 1
+
+    def fold_all(chunk):
         step = start_part()
-        for r in blocks:
+        for r in chunk:
             fold(step(r))
+
+    if parts < 2:
+        fold_all(blocks)
         return
     chunks = [blocks[len(blocks) * i // parts:len(blocks) * (i + 1) // parts]
               for i in range(parts)]
@@ -136,34 +129,11 @@ def _in_row_block_parts(n: int, start_part, fold) -> None:
         step = start_part()
         return [step(r) for r in chunk]
 
-    with _pool_lock:
-        if _pool is None:
-            _pool = cf.ThreadPoolExecutor(max_workers=_usable_cpus() - 1,
-                                          thread_name_prefix="graphncd-pairs")
-        pool = _pool
-    pending = []
-    try:
-        for chunk in chunks[1:]:
-            pending.append(pool.submit(run, chunk))
-        step = start_part()
-        for r in chunks[0]:
-            fold(step(r))
-    finally:
-        cf.wait(pending)
-    for f in pending:
-        for out in f.result():
+    _, *rest = ad._run_parts([partial(fold_all, chunks[0])]
+                             + [partial(run, c) for c in chunks[1:]])
+    for outs in rest:
+        for out in outs:
             fold(out)
-
-
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-# a forked child has none of the pool's threads (and may have forked while one
-# held the lock), so it starts a pool of its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class _Similarity(Tensor):

@@ -1,4 +1,7 @@
 """Finite-difference checks and graph semantics for the autodiff core."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,7 +9,8 @@ import scipy.sparse as sp
 import graphncd.autodiff as ad
 from graphncd.autodiff import (SparseMatrix, Tensor, backward, constant,
                                grad_check, parameter)
-from graphncd.graph import build_graph, mean_adjacency, normalize_adjacency, sbm_generate
+from graphncd.graph import (build_graph, mean_adjacency, normalize_adjacency, sbm_generate,
+                            split_classes)
 from graphncd.optim import adam_init, adam_step
 
 TOL = 1e-4
@@ -309,6 +313,105 @@ def test_spmm_matches_dense():
     x = np.random.default_rng(19).standard_normal((g.num_nodes, 4))
     out = ad.spmm(adj, constant(x)).data
     assert np.allclose(out, adj.mat.toarray() @ x, atol=1e-12)
+
+
+# ------------------------------------------- spmm in column parts on threads
+
+def _split_spmm_into(monkeypatch, parts):
+    """Let spmm see ``parts`` usable CPUs, on a pool of its own, and split
+    every product with a non-zero."""
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(ad, "_pool", None)
+    monkeypatch.setattr(ad, "MIN_PART_WORK", 1)
+
+
+def _spmm_operators():
+    """An operator with empty rows, a restriction with duplicate rows and a
+    0-row restriction."""
+    rng = np.random.default_rng(40)
+    dense = rng.standard_normal((23, 19)) * (rng.random((23, 19)) < 0.3)
+    dense[[0, 7, 8, 22]] = 0.0
+    op = SparseMatrix(dense)
+    return [op, op.restrict([5, 5, 0, 12, 5, 22, 3]), op.restrict([])]
+
+
+@pytest.mark.parametrize("parts", (1, 2, 3, 9))
+def test_spmm_is_bitwise_the_same_in_any_number_of_parts(monkeypatch, parts):
+    rng = np.random.default_rng(41)
+    cases = [(op, rng.standard_normal((op.shape[1], w)), rng.standard_normal((op.shape[0], w)))
+             for op in _spmm_operators() for w in (1, 3, 16, 17, 33)]
+    _split_spmm_into(monkeypatch, parts)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                      # threads trade the lock often
+    try:
+        for op, xv, up in cases:
+            x = parameter(xv.copy())
+            out = ad.spmm(op, x)
+            (got,) = backward(ad.sum(ad.mul(out, constant(up))), [x])
+            assert out.data.tobytes() == np.asarray(op.mat @ xv).tobytes()
+            assert got.tobytes() == np.asarray(op.mat.T @ up).tobytes()
+            assert out.data.flags.c_contiguous and got.flags.c_contiguous
+    finally:
+        sys.setswitchinterval(switch)
+    assert (ad._pool is not None) == (parts > 1)
+
+
+@pytest.mark.parametrize("width, parts", [(1, 1), (3, 1), (4, 2), (5, 2), (6, 3), (9, 4)])
+def test_every_spmm_part_gets_the_floor(monkeypatch, width, parts):
+    # 70 non-zeros: a part needs 2 of the columns to reach a floor of 100
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(ad, "MIN_PART_WORK", 100)
+    cut = []
+    run_parts = ad._run_parts
+    monkeypatch.setattr(ad, "_run_parts", lambda ps: cut.append(len(ps)) or run_parts(ps))
+    op = SparseMatrix(np.ones((7, 10)))
+    x = np.random.default_rng(45).standard_normal((10, width))
+    assert ad.spmm(op, constant(x)).data.tobytes() == np.asarray(op.mat @ x).tobytes()
+    assert cut == ([parts] if parts > 1 else [])
+
+
+def test_spmm_grad_under_a_forced_split(monkeypatch):
+    _split_spmm_into(monkeypatch, 3)
+    adj = mean_adjacency(_toy_graph(seed=2))
+    rng = np.random.default_rng(42)
+    x = _p(rng, adj.shape[1], 5)
+    w = constant(rng.standard_normal((adj.shape[0], 5)))
+    assert grad_check(lambda: ad.sum(ad.mul(ad.spmm(adj, x), w)), [x]) < TOL
+    assert ad._pool is not None
+
+
+def test_small_spmm_starts_no_thread_and_queries_no_cpu(monkeypatch):
+    queries = []
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: queries.append(1) or 2)
+    monkeypatch.setattr(ad, "_pool", None)
+    builders = set()
+    make = ad._make
+
+    def spy(data, parents, vjp):
+        builders.add(threading.get_ident())
+        return make(data, parents, vjp)
+
+    monkeypatch.setattr(ad, "_make", spy)
+    desk = normalize_adjacency(sbm_generate([100] * 5, 0.15, 0.01, 8, 2.5, seed=0))
+    g = sbm_generate([150, 150, 150, 750, 750], 0.03, 0.002, 8, 2.5, seed=0)
+    full = normalize_adjacency(g)
+    phase2 = full.restrict(split_classes(g, [0, 1, 2], [3, 4], seed=0).p2_train)
+    assert phase2.shape == (900, 1950) and 20_000 < phase2.mat.nnz < 26_000
+    rng = np.random.default_rng(44)
+
+    def product(op):
+        x = parameter(rng.standard_normal((op.shape[1], 32)))
+        up = constant(rng.standard_normal((op.shape[0], 32)))
+        backward(ad.sum(ad.mul(ad.spmm(op, x), up)), [x])
+
+    for op in (desk, phase2, full):
+        product(op)
+    assert ad._pool is None and not queries
+    # a split product's parts build no Tensor either
+    monkeypatch.setattr(ad, "MIN_PART_WORK", 1)
+    product(phase2)
+    assert ad._pool is not None and queries
+    assert builders == {threading.get_ident()}
 
 
 # --------------------------------------------------------- graph semantics

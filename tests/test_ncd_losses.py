@@ -382,8 +382,8 @@ def test_fused_route_survives_a_wrapper_that_swaps_the_vjp(monkeypatch):
 
 def _split_into(monkeypatch, parts):
     """Let the pair ops see ``parts`` usable CPUs, on a pool of their own."""
-    monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: parts)
-    monkeypatch.setattr(ncd_losses, "_pool", None)
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(ad, "_pool", None)
 
 
 def _block_rows(out):
@@ -470,7 +470,7 @@ def test_only_the_calling_thread_builds_tensors(monkeypatch):
     u = parameter(_mixed_logits(rng, SPLIT_N))
     loss = pairwise_bce(pairwise_similarity(u), topk_pseudo_pairs(u.data, 2))
     backward(loss, [u])
-    assert ncd_losses._pool is not None              # the ops did split
+    assert ad._pool is not None                      # the ops did split
     assert builders == {threading.get_ident()}
 
 
@@ -478,25 +478,31 @@ def test_one_usable_cpu_or_too_few_blocks_start_no_thread(monkeypatch):
     u = constant(np.random.default_rng(703).standard_normal((SPLIT_N, 3)))
     _split_into(monkeypatch, 1)
     pairwise_similarity(u)
-    assert ncd_losses._pool is None
+    assert ad._pool is None
     _split_into(monkeypatch, 4)                      # 2 blocks, fewer than 2 parts' worth
     pairwise_bce(pairwise_similarity(constant(u.data[:2 * PAIR_BLOCK])),
                  np.eye(2 * PAIR_BLOCK))
-    assert ncd_losses._pool is None
+    assert ad._pool is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")   # fork of a threaded process
 def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
     _split_into(monkeypatch, 2)
-    u = constant(np.random.default_rng(704).standard_normal((SPLIT_N, 3)))
+    monkeypatch.setattr(ad, "MIN_PART_WORK", 1)      # spmm splits too
+    rng = np.random.default_rng(704)
+    u = constant(rng.standard_normal((SPLIT_N, 3)))
+    op = ad.SparseMatrix(rng.standard_normal((40, SPLIT_N)) * (rng.random((40, SPLIT_N)) < 0.1))
     want = pairwise_similarity(u).data
-    assert ncd_losses._pool is not None
+    want_spmm = ad.spmm(op, u).data
+    assert ad._pool is not None
     pid = os.fork()
     if pid == 0:                                     # the child: exit 0 if it agrees
         ok = False
         try:
-            ok = (ncd_losses._pool is None
+            ok = (ad._pool is None
+                  and ad.spmm(op, u).data.tobytes() == want_spmm.tobytes()
+                  and ad._pool is not None
                   and pairwise_similarity(u).data.tobytes() == want.tobytes())
         finally:
             os._exit(0 if ok else 1)
@@ -508,7 +514,7 @@ def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child hung in pairwise_similarity")
+            pytest.fail("the forked child hung in spmm or pairwise_similarity")
         time.sleep(0.01)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
-import graphncd.ncd_losses as ncd_losses
 import graphncd.training as training
 from graphncd.autodiff import SparseMatrix
 from graphncd.graph import (ClassSplit, Graph, mean_adjacency, operator_for, sbm_generate,
@@ -465,14 +464,32 @@ def test_ncd_train_is_bitwise_the_same_in_one_part_and_two(monkeypatch):
     state, protos, _ = pretrain(g, split, cfg, _input(g))
     runs = []
     for parts in (1, 2):
-        monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: parts)
-        monkeypatch.setattr(ncd_losses, "_pool", None)
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: parts)
+        monkeypatch.setattr(ad, "_pool", None)
         runs.append(ncd_train(state, protos, split, cfg, _input(g)))
-        assert (ncd_losses._pool is not None) == (parts == 2)
+        assert (ad._pool is not None) == (parts == 2)
     (a, loga), (b, logb) = runs
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes()
     assert loga.rows == logb.rows and len(loga.rows) == cfg.ncd_epochs
+
+
+def test_pretrain_is_bitwise_the_same_in_one_part_and_two(monkeypatch):
+    g, split = _data(seed=3)
+    cfg = _cfg(backbone="sage", pretrain_epochs=6)
+    monkeypatch.setattr(ad, "MIN_PART_WORK", 1)      # every spmm with a non-zero splits
+    runs = []
+    for parts in (1, 2):
+        monkeypatch.setattr(ad, "_usable_cpus", lambda: parts)
+        monkeypatch.setattr(ad, "_pool", None)
+        runs.append(pretrain(g, split, cfg, _input(g, "sage")))
+        assert (ad._pool is not None) == (parts == 2)
+    (a, pa, loga), (b, pb, logb) = runs
+    for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
+        assert na == nb and ta.data.tobytes() == tb.data.tobytes()
+    assert loga.rows == logb.rows and len(loga.rows) == cfg.pretrain_epochs
+    for field in ("class_ids", "mean", "var", "counts"):
+        assert getattr(pa, field).tobytes() == getattr(pb, field).tobytes()
 
 
 def test_evaluate_joint_phase_two_matrix(pretrained):
