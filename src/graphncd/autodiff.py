@@ -135,17 +135,19 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
 class SparseMatrix:
     """Immutable CSR operator used by spmm. Not differentiated through.
 
-    spmm's backward multiplies by the transpose ``mat.T``, a CSC view of the
-    same arrays, so no operator holds a copy. For a bitwise-symmetric matrix
-    that product is bitwise the product with ``mat`` itself. Both products
-    may run in column parts of the dense operand on threads (see the module
-    docstring), with the same output bytes as one part.
+    spmm's backward multiplies by the transpose ``mat_t``, a CSC view of the
+    same arrays kept from construction, so no operator holds a copy and no
+    backward builds one. For a bitwise-symmetric matrix that product is
+    bitwise the product with ``mat`` itself. Both products may run in column
+    parts of the dense operand on threads (see the module docstring), with
+    the same output bytes as one part.
     """
 
     def __init__(self, mat):
         csr = _sp.csr_matrix(mat, dtype=np.float64)
         csr.sort_indices()
         self.mat = csr
+        self.mat_t = csr.T
 
     def restrict(self, rows) -> SparseMatrix:
         """The operator ``A[rows]``: its rows at the given indices, in that
@@ -228,7 +230,7 @@ def spmm(m: SparseMatrix, x: Tensor) -> Tensor:
         raise ValueError(f"spmm shape mismatch: {m.shape} @ {x.shape}")
 
     def vjp(g):
-        return [_sparse_product(m.mat.T, g)]
+        return [_sparse_product(m.mat_t, g)]
 
     return _make(_sparse_product(m.mat, x.data), (x,), vjp)
 
@@ -396,6 +398,12 @@ def gather_rows(a: Tensor, idx) -> Tensor:
     shape = a.shape
 
     def vjp(g):
+        if np.all(ii[1:] > ii[:-1]):
+            # one row of g per output row: 0.0 + g, -0.0 made +0.0 as
+            # np.add.at makes it, where plain assignment would keep it
+            out = np.zeros(shape)
+            out[ii] += g
+            return [out]
         # ones at (ii[k], k): row r sums g[k] over ii[k] == r in k order,
         # exactly what np.add.at does, without its per-element loop
         m = ii.size

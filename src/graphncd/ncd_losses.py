@@ -63,18 +63,28 @@ class Prototypes:
     @classmethod
     def from_dict(cls, d: dict) -> "Prototypes":
         """ValueError unless class ids and counts are lists of 64-bit integers,
-        one count per class id, and every count is at least 1."""
+        one count per class id, every count is at least 1, and mean and var
+        are lists of lists of JSON numbers, not booleans, that fit a float."""
         for key in ("class_ids", "counts"):
             if not (isinstance(d[key], list)
                     and all(type(x) is int and fits_int64(x) for x in d[key])):
                 raise ValueError(f"{key} must be a list of 64-bit integers")
+        values = {}
+        for key in ("mean", "var"):
+            if not (isinstance(d[key], list) and all(
+                    isinstance(r, list) and all(type(x) in (int, float) for x in r)
+                    for r in d[key])):
+                raise ValueError(f"{key} must be a list of lists of numbers")
+            try:
+                values[key] = np.array([[float(x) for x in r] for r in d[key]])
+            except OverflowError as exc:  # an integer past the float range
+                raise ValueError(f"{key} holds a number no float holds") from exc
         if len(d["counts"]) != len(d["class_ids"]):
             raise ValueError(f"{len(d['counts'])} counts for {len(d['class_ids'])} classes")
         if not all(c >= 1 for c in d["counts"]):
             raise ValueError(f"counts must be at least 1, got {d['counts']}")
         return cls(class_ids=np.asarray(d["class_ids"], dtype=np.int64),
-                   mean=np.asarray(d["mean"], dtype=np.float64),
-                   var=np.asarray(d["var"], dtype=np.float64),
+                   mean=values["mean"], var=values["var"],
                    counts=np.asarray(d["counts"], dtype=np.int64))
 
 

@@ -493,7 +493,8 @@ def test_gather_rows_vjp_is_bitwise_add_at():
     w[[1, 4]] = -0.0
     w[6, 2] = -0.0
     for idx in ([0, 2, 2, 4, 4, 4, 7, 0, 2], [5, 5, 5, 5, 5, 5, 5, 5, 5],
-                [3, 1, 0, 8, 6, 2, 4, 7, 5], []):
+                [3, 1, 0, 8, 6, 2, 4, 7, 5], [0, 1, 4, 6, 8], []):
+        # [0, 1, 4, 6, 8]: strictly increasing, with -0.0 rows in g
         idx = np.array(idx, dtype=np.int64)
         x = parameter(rng.standard_normal((9, 3)))
         g = w[:idx.size]
@@ -603,6 +604,9 @@ def test_spmm_vjp_reads_the_transpose_of_the_one_stored_matrix():
         x = parameter(np.zeros((g.num_nodes, 3)))
         (got,) = backward(ad.sum(ad.mul(ad.spmm(op, x), constant(up))), [x])
         assert np.allclose(got, op.mat.toarray().T @ up, atol=1e-12)
-        # the operator holds its matrix once: no stored transpose or copy
-        assert [k for k, v in vars(op).items() if sp.issparse(v)] == ["mat"]
+        # the operator holds its matrix once: the kept transpose is a view
+        # of the same arrays, not a copy
+        assert [k for k, v in vars(op).items() if sp.issparse(v)] == ["mat", "mat_t"]
+        assert all(np.shares_memory(getattr(op.mat_t, a), getattr(op.mat, a))
+                   for a in ("data", "indices", "indptr"))
 

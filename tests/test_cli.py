@@ -313,6 +313,12 @@ def _set_first(rows, v):
                  id="prototypes.json-negative_var"),
     pytest.param("prototypes.json", _json(lambda p: {**p, "var": _set_first(p["var"], INF)}),
                  id="prototypes.json-infinite_var"),
+    # an integer past the float range used to end in OverflowError, exit 1,
+    # and a boolean was read as 1.0
+    pytest.param("prototypes.json", _json(lambda p: {**p, "mean": _set_first(p["mean"], 10 ** 400)}),
+                 id="prototypes.json-huge_integer_mean"),
+    pytest.param("prototypes.json", _json(lambda p: {**p, "mean": _set_first(p["mean"], True)}),
+                 id="prototypes.json-boolean_mean"),
     # ids and counts that int64 would truncate or that count no node
     pytest.param("prototypes.json", _json(lambda p: {**p, "class_ids": [0.5, 1.9]}),
                  id="prototypes.json-fractional_ids"),
@@ -331,7 +337,8 @@ def test_ncd_rejects_malformed_phase1_artifacts(pipeline, tmp_path, capsys, name
         fh.write(text)
     assert main(["ncd", "--config", cfg, "--out", str(tmp_path / "n"),
                  "--pretrain-dir", bad]) == 3
-    assert "rerun pretrain" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "rerun pretrain" in err and name in err
 
 
 def test_ncd_needs_a_pretrain_dir(pipeline, tmp_path, capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
+from graphncd.cli import resolve_dataset, resolve_split
+from graphncd.config import RunConfig
 from graphncd.graph import (Graph, build_graph, input_features, mean_adjacency,
                             normalize_adjacency, operator_for, sbm_generate,
                             split_classes)
@@ -389,12 +391,105 @@ def test_restricted_operator_is_built_once_per_row_set():
         up = np.arange(6.0).reshape(3, 2)
         (gx,) = ad.backward(ad.sum(ad.mul(ad.spmm(op, x), ad.constant(up))), [x])
         assert np.allclose(gx, op.mat.toarray().T @ up, atol=1e-12)
-        # at(rows) keeps the rows and the operator restrict builds for them
+        # at(rows) starts its chain at the rows, on the operator restrict
+        # builds for them, over the columns the layer below computes
         inp = EncoderInput.build(backbone, adj, ad.constant(g.features)).at(np.array([4, 1, 7]))
-        assert inp.rows.tolist() == [4, 1, 7]
-        assert np.array_equal(inp.adj_rows.mat.toarray(), op.mat.toarray())
+        top, below = inp.levels[:2]
+        assert top.rows.tolist() == [4, 1, 7]
+        assert np.array_equal(top.adj.mat.toarray(), op.mat.toarray()[:, below.rows])
         for bad in ([-1], [10], [0, 10]):
             with pytest.raises(IndexError, match="out of range"):
                 adj.restrict(bad)
             with pytest.raises(IndexError, match="out of range"):
                 inp.at(bad)
+
+
+# ------------------------------------------- the receptive-field chain
+
+def _ring(n=24, d=3):
+    """A ring of n nodes, whose receptive fields grow two nodes a layer, and
+    a separate triangle, whose field stops growing at once."""
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+    return build_graph(n + 3, np.array(pairs), np.random.default_rng(0).standard_normal(
+        (n + 3, d)), np.zeros(n + 3, dtype=np.int64))
+
+
+# row sets of _ring(); "under" ones keep the field under the share 5 layers
+# down, "over" ones pass it 1 or 3 layers down, "closed" stops growing
+_CHAIN_ROWS = {"under_sorted": ([5, 6], "under"), "under_repeated": ([7, 3, 7], "under"),
+               "over_at_once": (list(range(0, 24, 3)), "over"),
+               "over_deeper": ([2, 11, 20], "over"), "closed": ([25], "closed"),
+               "empty": ([], "closed")}
+
+
+def _column_restricted(inp):
+    """How many levels, from the last layer's down, read fewer than every node."""
+    return sum(lv.adj.shape[1] < inp.adj.shape[1] for lv in inp.levels)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("layers", [2, 3, 5])
+@pytest.mark.parametrize("kind", list(_CHAIN_ROWS))
+def test_chain_rows_and_gradients_are_the_full_forward(backbone, layers, kind):
+    g = _ring()
+    n = g.num_nodes
+    inp = EncoderInput.build(backbone, operator_for(backbone, g), ad.constant(g.features))
+    enc = init_encoder(backbone, [3] + [4] * layers, seed=layers)
+    params = encoder_parameters(enc)
+    rows, field = _CHAIN_ROWS[kind]
+    rows = np.array(rows, dtype=np.int64)
+    view = inp.at(rows)
+
+    # each level's operator reads the rows of the level below, and every
+    # node at the bottom one
+    for lv, below in zip(view.levels, view.levels[1:] + (None,)):
+        cols = np.arange(n) if below is None else below.rows
+        assert np.array_equal(lv.adj.mat.toarray(), inp.adj.mat.toarray()[lv.rows][:, cols])
+        assert np.array_equal(cols[lv.own], lv.rows)
+    if field == "under":
+        assert _column_restricted(view) >= 5
+    elif field == "over":
+        assert _column_restricted(view) == (0 if kind == "over_at_once" else 2)
+    else:  # the walk ends at the level whose field is its own rows
+        bottom = view.levels[-1]
+        assert set(bottom.adj.mat.indices) <= set(bottom.rows)
+
+    weights = ad.constant(np.random.default_rng(2).standard_normal((len(rows), 4)))
+    full = ad.gather_rows(encode(enc, inp), rows)
+    full_grads = ad.backward(ad.sum(ad.mul(full, weights)), params)
+    part = encode(enc, view)
+    part_grads = ad.backward(ad.sum(ad.mul(part, weights)), params)
+    assert part.shape == full.shape == (len(rows), 4)
+    assert np.allclose(part.data, full.data, rtol=0.0, atol=1e-12)
+    for a, b in zip(part_grads, full_grads, strict=True):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+    if backbone == "gcn" and np.all(rows[1:] > rows[:-1]):
+        # sorted unique rows: each row of every product sums the same terms
+        # in the same order
+        assert np.array_equal(part.data, full.data)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_deeper_chain_gradients_pass_grad_check(backbone):
+    g = _ring()
+    inp = EncoderInput.build(backbone, operator_for(backbone, g), ad.constant(g.features))
+    view = inp.at([9, 4, 9])
+    assert _column_restricted(view) >= 2    # both layers below the last restricted
+    enc = init_encoder(backbone, [3, 4, 4, 2], seed=2)
+
+    def loss():
+        z = encode(enc, view)
+        return ad.sum(ad.mul(z, z))
+
+    assert ad.grad_check(loss, encoder_parameters(enc)) < 1e-4
+
+
+def test_desk_row_sets_restrict_no_columns():
+    rc = RunConfig(seed=0)          # the stock 5x100 SBM
+    g, _ = resolve_dataset(rc)
+    split, _ = resolve_split(rc, g)
+    inp = EncoderInput.build("gcn", operator_for("gcn", g), ad.constant(g.features))
+    for rows in (split.p1_train, split.p1_val, split.p2_train):
+        view = inp.at(rows)
+        # the last layer's operator A[rows] alone, with every column
+        assert len(view.levels) == 1 and _column_restricted(view) == 0

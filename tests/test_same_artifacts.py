@@ -5,8 +5,10 @@ import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from graphncd.checkpoint import save_checkpoint
 from graphncd.cli import main
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_artifacts.py"
@@ -51,7 +53,8 @@ def test_identical_runs_exit_0(runs, capsys):
 def test_runs_differing_by_seed_exit_1_and_name_files(runs, capsys):
     assert same_artifacts.main([str(runs["a"]), str(runs["c"])]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "pretrain/checkpoint_pretrain.bin (tensors differ)" in lines
+    assert any(line.startswith("pretrain/checkpoint_pretrain.bin (tensors differ: max rel ")
+               for line in lines)
     assert "eval/nodes.csv" in lines
     assert lines[-1] == f"{len(lines) - 1} differing files"
 
@@ -91,6 +94,30 @@ def test_a_checkpoint_whose_tensors_are_equal_names_the_meta_keys_that_differ(
         "pretrain/checkpoint_pretrain.bin",
         "ncd/checkpoint_ncd_best.bin (tensors equal; meta differs: config_hash)",
         "2 differing files"]
+
+
+def test_differing_tensors_name_the_largest_relative_move(tmp_path):
+    def why(a, b):
+        for name, tensors in (("a.bin", a), ("b.bin", b)):
+            save_checkpoint(str(tmp_path / name), list(tensors.items()), {"k": 1})
+        return same_artifacts._why(tmp_path / "a.bin", tmp_path / "b.bin")
+
+    ulp = np.spacing(2.0)
+    base = {"encoder.w0": np.array([[1.0, 3.0]]), "encoder.w1": np.array([[4.0, -2.0]]),
+            "head.b": np.array([[0.5]])}
+    # a last-bit move is relative to the tensor's largest value: 4.4e-16 / 4
+    w1 = {**base, "encoder.w1": np.array([[4.0, -2.0 + ulp]])}
+    assert why(base, w1) == " (tensors differ: max rel 1e-16 in encoder.w1)"
+    both = {**w1, "head.b": np.array([[0.25]])}
+    assert why(base, both) == " (tensors differ: max rel 5e-01 in head.b)"
+    nan = {**both, "encoder.w0": np.array([[np.nan, 3.0]])}
+    assert why(base, nan) == " (tensors differ: max rel nan in encoder.w0)"
+    signed = {**base, "head.b": np.array([[0.0]])}
+    assert why({**base, "head.b": np.array([[-0.0]])}, signed) == \
+        " (tensors differ: max rel 0e+00 in head.b)"
+    # tensor lists that differ in shape have no element-wise move
+    assert why(base, {**base, "head.b": np.array([[0.5, 0.5]])}) == " (tensors differ)"
+    assert why(base, base) == ""
 
 
 # ------------------------------------------------- --trees: building the runs

@@ -549,7 +549,7 @@ def test_shared_values_hold_no_hidden_state():
     inp = _input(g)
     state, protos, _ = pretrain(g, split, cfg, inp)
     ncd_train(state, protos, split, cfg, inp)
-    assert set(vars(inp.adj)) == {"mat"}
+    assert set(vars(inp.adj)) == {"mat", "mat_t"}   # both set when it is built
     # a model state is the model: no optimizer state, anchor or phase field
     assert [f.name for f in fields(ModelState)] == ["encoder", "old_head", "novel_head",
                                                    "joint_head"]

@@ -9,9 +9,14 @@ Each stage directory (pretrain, ncd, eval) is hashed with the gate's own
 rule, ``perfbench/run.py``'s ``_digests``: CSVs, checkpoints and
 ``metrics.json`` without its timestamp line. Prints every file that differs
 or exists on one side only, then ``identical`` or the count of such files.
-A checkpoint that differs is followed by ``(tensors differ)`` or by
-``(tensors equal; meta differs: KEY[, KEY...])``, unless either side does not
-parse as graphncd's checkpoint container.
+A checkpoint that differs is followed by ``(tensors differ: max rel R in
+NAME)``, the largest relative difference of any tensor and the tensor it is
+in, or by ``(tensors equal; meta differs: KEY[, KEY...])``, unless either
+side does not parse as graphncd's checkpoint container. A tensor's relative
+difference is its largest ``|a - b|`` over its largest ``|value|`` on either
+side, so a float reorder reads near 1e-16 and a real change far above it.
+Two checkpoints whose tensor lists differ in names or shapes read
+``(tensors differ)``.
 
 With ``--trees``, every workload of the comma list, as
 ``perfbench/workloads.py`` declares it, is run at every seed of the comma
@@ -27,12 +32,15 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import os
 import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 _TOOLS = Path(__file__).resolve().parent
 
@@ -73,14 +81,44 @@ def _checkpoint_parts(path: Path):
     return meta, header, raw[8 + hlen:]
 
 
+def _largest_move(header: dict, blob_a: bytes, blob_b: bytes) -> str:
+    """``: max rel R in NAME`` for the tensor of ``header`` whose relative
+    difference between the two payloads is largest, or "" when the payloads
+    do not hold the tensors the header lists."""
+    entries = header.get("tensors")
+    if not (isinstance(entries, list) and all(
+            isinstance(e, dict) and type(e.get("rows")) is int
+            and type(e.get("cols")) is int for e in entries)):
+        return ""
+    sizes = [e["rows"] * e["cols"] for e in entries]
+    if not len(blob_a) == len(blob_b) == 8 * sum(sizes):
+        return ""
+    flat_a, flat_b = (np.frombuffer(blob, dtype="<f8") for blob in (blob_a, blob_b))
+    moves, at = [], 0
+    for entry, size in zip(entries, sizes):
+        a, b = flat_a[at:at + size], flat_b[at:at + size]
+        at += size
+        if a.tobytes() != b.tobytes():
+            with np.errstate(invalid="ignore"):
+                scale = max(np.abs(a).max(), np.abs(b).max())
+                # all zeros that differ only in sign have moved by nothing
+                rel = float(np.abs(a - b).max() / scale) if scale else 0.0
+            moves.append((rel, entry.get("name")))
+    if not moves:
+        return ""
+    rel, name = max(moves, key=lambda m: math.inf if math.isnan(m[0]) else m[0])
+    return f": max rel {rel:.0e} in {name}"
+
+
 def _why(a: Path, b: Path) -> str:
     """Where two differing checkpoints differ, or "" when either is not one."""
     parts = [_checkpoint_parts(p) for p in (a, b)]
     if None in parts:
         return ""
-    (meta_a, *tensors_a), (meta_b, *tensors_b) = parts
-    if tensors_a != tensors_b:
-        return " (tensors differ)"
+    (meta_a, header_a, blob_a), (meta_b, header_b, blob_b) = parts
+    if (header_a, blob_a) != (header_b, blob_b):
+        moved = _largest_move(header_a, blob_a, blob_b) if header_a == header_b else ""
+        return f" (tensors differ{moved})"
     keys = sorted(k for k in meta_a.keys() | meta_b.keys() if meta_a.get(k) != meta_b.get(k))
     return f" (tensors equal; meta differs: {', '.join(keys)})" if keys else ""
 
