@@ -200,6 +200,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(ad @ bd, (a, b), vjp)
 
 
+def affine(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``h @ w + b`` for a (1, d) bias row, as one node: bitwise
+    ``add(matmul(h, w), b)`` in value and in every gradient."""
+    _check_2d(h, w, b)
+    if h.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ValueError(f"affine shape mismatch: {h.shape} @ {w.shape} + {b.shape}")
+    hd, wd, bsh = h.data, w.data, b.shape
+    grad_h, grad_w = h.requires_grad, w.requires_grad
+
+    def vjp(g):
+        # a constant operand's gradient would be discarded: skip the product
+        return [g @ wd.T if grad_h else None, hd.T @ g if grad_w else None,
+                _unbroadcast(g, bsh)]
+
+    out = hd @ wd
+    out += b.data
+    return _make(out, (h, w, b), vjp)
+
+
 def _sparse_product(mat, x: np.ndarray) -> np.ndarray:
     """``mat @ x`` in contiguous column parts of x, one per usable CPU, once
     every part gets MIN_PART_WORK non-zeros x columns. Each part writes its

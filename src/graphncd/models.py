@@ -12,8 +12,8 @@ The input is a constant of the run, and so is its propagation ``A·x``: the
 gcn layer 0 is therefore ``(A·x)·W`` rather than ``A·(x·W)``, the same
 product in another float order; deeper gcn layers stay ``A·(h·W)``.
 
-A loss that reads only some rows encodes on ``inp.at(rows)``, and each layer
-computes only its receptive field, the rows the layers above it read
+A loss that reads only some rows encodes on ``inp.at(rows, depth)``, and each
+layer computes only its receptive field, the rows the layers above it read
 (GraphSAGE's minibatch forward, Hamilton et al. 2017, Alg. 2, without
 sampling). The last layer computes ``rows`` on ``A[rows]``; each layer below
 it computes, sorted, the columns the layer above reads through its operator
@@ -126,18 +126,19 @@ FIELD_SHARE = 2 / 3
 class Level(NamedTuple):
     """One layer of a row-restricted forward: the ``rows`` it computes, its
     operator ``adj``, ``A[rows]`` over the rows of the layer below (every
-    node at the bottom level), and ``own``, where ``rows`` sit among those."""
+    node at the bottom level; none at layer 0, which reads ``A·x``), and
+    ``own``, where ``rows`` sit among those."""
 
     rows: np.ndarray
-    adj: SparseMatrix
+    adj: SparseMatrix | None
     own: np.ndarray
 
 
 @dataclass(frozen=True)
 class EncoderInput:
     """What ``encode`` reads of the graph: the ``backbone`` whose operator
-    ``adj`` is, the input ``x`` and ``ax = A·x``; after ``at(rows)``, also
-    the ``levels`` of the restricted forward, the last layer's first.
+    ``adj`` is, the input ``x`` and ``ax = A·x``; after ``at(rows, depth)``,
+    also the ``levels`` of the restricted forward, the last layer's first.
     ``encode`` rejects an encoder of another backbone. ``x`` is never written
     in place, or ``ax`` would go stale: a caller that moves ``x`` builds a
     new input. A gradient-carrying ``x`` still differentiates through
@@ -153,35 +154,41 @@ class EncoderInput:
     def build(cls, backbone: str, adj: SparseMatrix, x: Tensor) -> EncoderInput:
         return cls(backbone, adj, x, ad.spmm(adj, x))
 
-    def at(self, rows) -> EncoderInput:
-        """The same input, with the last layer computing only ``rows``, in
-        that order, and each layer below only the rows the one above reads,
-        down to the first whose rows exceed FIELD_SHARE of the nodes, or
-        stop growing: that layer and those below compute every node.
-        IndexError for a row out of range."""
+    def at(self, rows, depth: int) -> EncoderInput:
+        """The same input for a ``depth``-layer encoder, with the last layer
+        computing only ``rows``, in that order, and each layer below only
+        the rows the one above reads, down to the first whose rows exceed
+        FIELD_SHARE of the nodes, or stop growing: that layer and those
+        below compute every node. IndexError for a row out of range."""
         cur = np.asarray(rows, dtype=np.int64).reshape(-1)
+        nodes = self.adj.shape[1]
+        if cur.size and (cur.min() < 0 or cur.max() >= nodes):
+            raise IndexError(f"at: row index out of range for {nodes} rows")
         levels: list[Level] = []
-        while True:
+        for _ in range(depth - 1):
             op = self.adj.restrict(cur)
             # the columns A[cur] reads, plus cur itself: sage's own term reads
             # it and gcn's self-loops already hold it, and so the field only
             # grows, until it passes the share or, past the first level,
             # where cur is sorted and unique, adds no row
-            read = np.zeros(self.adj.shape[1], dtype=bool)
+            read = np.zeros(nodes, dtype=bool)
             read[op.mat.indices] = read[cur] = True
             below = np.flatnonzero(read)
-            if below.size > FIELD_SHARE * self.adj.shape[1] or (
-                    levels and below.size == cur.size):
+            if below.size > FIELD_SHARE * nodes or (levels and below.size == cur.size):
                 levels.append(Level(cur, op, cur))
                 return replace(self, levels=tuple(levels))
             levels.append(Level(cur, SparseMatrix(op.mat[:, below]),
                                 np.searchsorted(below, cur)))
             cur = below
+        # layer 0 reads A·x, built with the input, at its rows: no operator
+        return replace(self, levels=(*levels, Level(cur, None, cur)))
 
 
 def encode(enc: EncoderParams, inp: EncoderInput) -> Tensor:
-    """Forward pass to representations, shape (N, repr_dim); on ``inp.at(rows)``,
-    only those rows of it, in that order, shape (len(rows), repr_dim)."""
+    """Forward pass to representations, shape (N, repr_dim); on
+    ``inp.at(rows, depth)``, only those rows of it, in that order, shape
+    (len(rows), repr_dim). ValueError where ``at`` restricted the input
+    for fewer layers and a layer above layer 0 would read layer 0's level."""
     if inp.backbone != enc.backbone:
         raise ValueError(f"a {enc.backbone} encoder cannot read a {inp.backbone} input")
     if inp.x.shape[1] != enc.dims[0]:
@@ -192,16 +199,18 @@ def encode(enc: EncoderParams, inp: EncoderInput) -> Tensor:
         # layer i computes the rows of level last - i, or every node below them
         lv = levels[last - i] if last - i < len(levels) else None
         op = inp.adj if lv is None else lv.adj
+        if op is None and i:
+            raise ValueError(f"an input restricted for {len(levels)} layers cannot "
+                             f"feed a {enc.num_layers}-layer encoder")
         ax = None
         if i == 0:  # layer 0 reads A·x, built with the input, at its rows
             ax = inp.ax if lv is None else ad.gather_rows(inp.ax, lv.rows)
         if enc.backbone == "gcn":  # (A·x)·W at layer 0, A·(h·W) deeper
-            h = ad.spmm(op, ad.matmul(h, w)) if ax is None else ad.matmul(ax, w)
+            h = ad.add(ad.spmm(op, ad.matmul(h, w)), b) if ax is None else ad.affine(ax, w, b)
         else:  # sage: concat self with mean of neighbors, then linear
             # layer 0 reads every node of x; a deeper layer the rows below it
             own = h if lv is None else ad.gather_rows(h, lv.rows if i == 0 else lv.own)
-            h = ad.matmul(ad.concat_rows(own, ad.spmm(op, h) if ax is None else ax), w)
-        h = ad.add(h, b)
+            h = ad.affine(ad.concat_rows(own, ad.spmm(op, h) if ax is None else ax), w, b)
         if i != last:
             h = ad.relu(h)
     return h
@@ -223,7 +232,7 @@ def head_forward(head: HeadParams, z: Tensor) -> Tensor:
     if z.shape[1] != head.weight.shape[0]:
         raise ValueError(
             f"head expects {head.weight.shape[0]}-dim representations, got {z.shape[1]}")
-    return ad.add(ad.matmul(z, head.weight), head.bias)
+    return ad.affine(z, head.weight, head.bias)
 
 
 def extend_head(old: HeadParams, num_new: int, init_scale: float = 0.01,

@@ -184,20 +184,43 @@ def topk_groups(z, k: int) -> np.ndarray:
     dimension index set. Ranking ties break toward the lower dimension index.
 
     Ids run from 1 to the number of groups, in the narrowest unsigned dtype
-    that holds the row count, so comparing them is cheap."""
+    that holds the row count, so comparing them is cheap.
+
+    A row takes its top k by k argmax passes, each masking its pick with
+    -inf, and argmax returns the first maximum. A row holding nan or +-inf,
+    where argmax and the masks would part from the ranking, takes the
+    stable argsort of its negation instead."""
     arr = _as_array(z)
-    if not 1 <= k <= arr.shape[1]:
-        raise ValueError(f"top_k must be in [1, {arr.shape[1]}], got {k}")
-    key = np.sort(np.argsort(-arr, axis=1, kind="stable")[:, :k], axis=1)
-    # rows with the same index set share a group id: sort the rows, then a
-    # new id starts wherever a row differs from the one before it
-    order = np.lexsort(key.T[::-1])
-    rows = key[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    gid = np.empty(len(rows), dtype=np.min_scalar_type(len(rows)))
-    gid[order] = np.cumsum(new)
-    return gid
+    n, d = arr.shape
+    if not 1 <= k <= d:
+        raise ValueError(f"top_k must be in [1, {d}], got {k}")
+    # a row sum is not finite where a value is not, or where it overflows,
+    # which the argsort route also serves
+    with np.errstate(over="ignore", invalid="ignore"):
+        fin = np.isfinite(arr.sum(axis=1))
+    left = np.where(fin[:, None], arr, 0.0)  # a copy, so the picks can be masked
+    top = np.zeros((n, d), dtype=bool)
+    base = np.arange(0, n * d, d)
+    for _ in range(k):
+        at = left.argmax(axis=1)
+        at += base
+        top.reshape(-1)[at] = True
+        left.reshape(-1)[at] = -np.inf
+    odd = np.flatnonzero(~fin)
+    top[odd] = False
+    top[odd[:, None], np.argsort(-arr[odd], axis=1, kind="stable")[:, :k]] = True
+    # rows with the same index set share a group id: unique's label of the
+    # set's bits, one uint64 per row where they fit (it sorts fastest)
+    packed = np.packbits(top, axis=1)
+    width = packed.shape[1]
+    if width <= 8:
+        keys = np.zeros((n, 8), dtype=np.uint8)
+        keys[:, :width] = packed
+        keys = keys.view(np.uint64)
+    else:
+        keys = packed.view(f"V{width}")
+    _, inverse = np.unique(keys.reshape(-1), return_inverse=True)
+    return (inverse + 1).astype(np.min_scalar_type(n))
 
 
 def topk_pseudo_pairs(z, k: int) -> np.ndarray:
@@ -264,6 +287,10 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     if parents:
         u = parents[0].data
         grad_u = np.zeros_like(u)
+        # |u_i . u_j| < 25 when every squared row norm is, and the logistic
+        # of that lies inside the clamp, so no pair can saturate; a nan or
+        # inf norm fails the test and keeps the scan
+        scan = not np.einsum("ij,ij->i", u, u).max(initial=0.0) < 25.0
     total = 0.0
 
     def start_part():
@@ -279,9 +306,10 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
             np.copyto(yb, y[r])
             if parents:
                 t = np.subtract(yb, sb, out=tf[:k])
-                keep = _unsaturated(sb, keepf[:k], hif[:k])
-                if not keep.all():
-                    t[~keep] = 0.0
+                if scan:
+                    keep = _unsaturated(sb, keepf[:k], hif[:k])
+                    if not keep.all():
+                        t[~keep] = 0.0
             # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
             yb -= 1.0
             np.clip(sb, _S_LO, _S_HI, out=sc)
@@ -435,12 +463,22 @@ def scheduled_total(terms: Mapping[str, Tensor], w: LossWeights,
 
     Returns (total, report); the report carries every term's value plus the
     epoch's effective beta weights and the total, in the order the loss CSV
-    expects."""
+    expects.
+
+    One node, whose value and gradients are bitwise those of the chain
+    ``add``/``mul_scalar`` would build: the novel part, then the old-task
+    part times lam. Its parents are the terms in LOSS_TERMS order."""
     b1, b2 = loss_betas(w, epoch)
-    novel = ad.add(ad.add(terms["pseudo"], ad.mul_scalar(terms["self"], b1)),
-                   ad.mul_scalar(terms["perturb"], b2))
-    base = ad.add(terms["replay"], ad.mul_scalar(terms["distill"], w.omega_fd))
-    total = ad.add(novel, ad.mul_scalar(base, w.lam))
+    lam, omega = float(w.lam), float(w.omega_fd)
+    parents = tuple(terms[k] for k in LOSS_TERMS)
+    pseudo, self_, perturb, replay, distill = (t.data for t in parents)
+    data = ((pseudo + self_ * b1) + perturb * b2) + (replay + distill * omega) * lam
+
+    def vjp(g):
+        g_old = g * lam
+        return [g, g * b1, g * b2, g_old, g_old * omega]
+
+    total = ad._make(data, parents, vjp)
     report = {k: terms[k].item() for k in LOSS_TERMS}
     report.update(beta1=b1, beta2=b2, total=total.item())
     return total, report

@@ -183,7 +183,7 @@ def pretrain(g: Graph, split: ClassSplit, cfg: TrainConfig,
     va = np.asarray(split.p1_val, dtype=np.int64)
     y_tr = np.array([old_index[int(c)] for c in g.labels[tr]], dtype=np.int64)
     y_va = np.array([old_index[int(c)] for c in g.labels[va]], dtype=np.int64)
-    tr_in, va_in = inp.at(tr), inp.at(va)
+    tr_in, va_in = inp.at(tr, enc.num_layers), inp.at(va, enc.num_layers)
 
     named = named_parameters(state)
     rows: list[dict] = []
@@ -244,7 +244,8 @@ def ncd_train(state: ModelState, protos: Prototypes, split: ClassSplit,
               + head_parameters(state.joint_head))
     adam = adam_init(params, cfg.lr, cfg.weight_decay)
 
-    u_in = inp.at(split.p2_train)  # the live and the frozen encoder share it
+    # the live and the frozen encoder share it
+    u_in = inp.at(split.p2_train, state.encoder.num_layers)
     zf_u = encode(anchor, u_in)  # constant all phase
     # joint-head columns of the replayed labels, in the class-major layout
     # sample_prototype_batch returns every epoch

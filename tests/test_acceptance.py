@@ -157,6 +157,9 @@ def _primitive_scenarios(seed):
     lbl = rng.integers(0, 4, 5)
     out["nll_rows"] = (
         lambda: ad.nll_rows(ad.log_softmax_rows(nl), lbl), [nl])
+    ah, aw, ab = p(4, 3), p(3, 5), p(1, 5)
+    red45b = _reducer((4, 5), rng)
+    out["affine"] = (lambda: red45b(ad.affine(ah, aw, ab)), [ah, aw, ab])
     return out
 
 

@@ -48,6 +48,10 @@ def test_add_rejects_incompatible_shapes():
         (ValueError, "sub shape mismatch", lambda: ad.sub(a, b)),
         (ValueError, "mul shape mismatch", lambda: ad.mul(a, b)),
         (ValueError, "matmul shape mismatch", lambda: ad.matmul(a, a)),
+        (ValueError, "affine shape mismatch", lambda: ad.affine(a, a, row)),
+        # the bias is one row as wide as the product
+        (ValueError, "affine shape mismatch", lambda: ad.affine(a, b, row)),
+        (ValueError, "affine shape mismatch", lambda: ad.affine(a, b, a)),
         (ValueError, "spmm shape mismatch",
          lambda: ad.spmm(SparseMatrix(np.eye(2)), b)),
         (ValueError, "concat_rows needs equal row counts", lambda: ad.concat_rows(a, b)),
@@ -88,6 +92,33 @@ def test_matmul_vjp_skips_constant_operands():
     w = parameter(b)
     (gw,) = backward(ad.sum(ad.matmul(constant(a), w)), [w])
     assert np.array_equal(gw, a.T @ np.ones((3, 2)))
+
+
+def test_affine_grad_with_a_broadcast_bias():
+    rng = np.random.default_rng(4)
+    h, w, b = _p(rng, 5, 4), _p(rng, 4, 3), _p(rng, 1, 3)
+    weights = constant(rng.uniform(0.5, 1.5, (5, 3)))
+    assert grad_check(lambda: ad.sum(ad.mul(ad.affine(h, w, b), weights)), [h, w, b]) < TOL
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_affine_is_bitwise_add_of_matmul(rows):
+    rng = np.random.default_rng(5 + rows)
+    h, w, b = rng.standard_normal((rows, 4)), rng.standard_normal((4, 3)), \
+        rng.standard_normal((1, 3))
+    g = rng.standard_normal((rows, 3))
+    g[0, 0] = -0.0      # a one-row bias gradient is g itself, sign of zero kept
+    for flags in ((True, True, True), (False, True, True), (True, False, True),
+                  (True, True, False), (False, False, True)):
+        one = ad.affine(*(Tensor(v, f) for v, f in zip((h, w, b), flags)))
+        mm = ad.matmul(Tensor(h, flags[0]), Tensor(w, flags[1]))
+        two = ad.add(mm, Tensor(b, flags[2]))
+        assert one.data.tobytes() == two.data.tobytes()
+        g_mm, g_b = two._vjp(g)
+        # a constant operand's product is skipped, as matmul skips it
+        want = [*(mm._vjp(g_mm) if mm.requires_grad else (None, None)), g_b]
+        for got, ref in zip(one._vjp(g), want, strict=True):
+            assert got is ref is None or got.tobytes() == ref.tobytes()
 
 
 def test_add_broadcast_bias_grad():

@@ -419,3 +419,94 @@ def test_cli_returns_a_documented_exit_code(cli_inputs, monkeypatch, argv, text)
             assert exc.code in (0, 2)
         else:
             assert code in (0, 1, 2, 3, 4)
+
+
+# ------------------------------------------- the phase-1 JSON files ncd reads
+
+def _paths(obj, path=()):
+    """Every path into a parsed JSON value, the root's first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+# what a mutation puts in: any JSON value, integers past the float range, nan
+# and the infinities (written as JSON's NaN and Infinity literals), booleans
+phase1_values = (json_values | st.integers(2 ** 1024, 2 ** 1100)
+                 | st.integers(-2 ** 1100, -2 ** 1024)
+                 | st.sampled_from([float("nan"), float("inf"), -float("inf"), True, False]))
+NOT_UTF8 = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def mutated_json(draw, obj):
+    """The bytes of obj, a parsed JSON value, after one to three mutations,
+    each at a drawn path into it: the value there dropped, replaced, or
+    nested in a list or an object; now and then with bytes that are not
+    UTF-8 put in."""
+    obj = json.loads(json.dumps(obj))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        how = draw(st.sampled_from(["drop", "replace", "nest"]))
+        if how == "nest":
+            new = draw(st.sampled_from([lambda v: [v], lambda v: {"k": v}]))(_at(obj, path))
+        else:
+            new = draw(phase1_values)
+        if not path:  # the root: no parent to drop it from
+            obj = new
+        elif how == "drop":
+            del _at(obj, path[:-1])[path[-1]]
+        else:
+            _at(obj, path[:-1])[path[-1]] = new
+    raw = json.dumps(obj).encode("utf-8")
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from(NOT_UTF8)) + raw[at:]
+    return raw
+
+
+PHASE1_JSON = ("prototypes.json", "manifest.json")
+
+
+@pytest.fixture(scope="module")
+def phase1(tmp_path_factory):
+    """A finished pretrain, the stage an ncd of the same config reads it in,
+    and the bytes of its two JSON files."""
+    home = tmp_path_factory.mktemp("phase1")
+    (home / "run.cfg").write_text(json.dumps(TINY), encoding="utf-8")
+    pre = home / "pre"
+    assert cli.main(["pretrain", "--config", str(home / "run.cfg"), "--out", str(pre)]) == 0
+    rc = cli.load_config(str(home / "run.cfg"))
+    g, dataset_hash = cli.resolve_dataset(rc)
+    split, split_hash = cli.resolve_split(rc, g)
+    # _load_phase1 reads no encoder input
+    stage = cli._Stage(rc, g, split, None, dataset_hash, split_hash,
+                       cli.config_hash(rc, dataset_hash, split_hash))
+    cli._load_phase1(str(pre), stage)       # the files as pretrain wrote them load
+    return pre, stage, {name: (pre / name).read_bytes() for name in PHASE1_JSON}
+
+
+@FUZZ
+@given(names=st.sampled_from([PHASE1_JSON[:1], PHASE1_JSON[1:], PHASE1_JSON]),
+       data=st.data())
+def test_load_phase1_raises_only_stale_artifacts(phase1, names, data):
+    pre, stage, valid = phase1
+    try:
+        for name in names:
+            (pre / name).write_bytes(data.draw(mutated_json(json.loads(valid[name])),
+                                               label=name))
+        try:
+            cli._load_phase1(str(pre), stage)
+        except (cli.StaleArtifacts, CheckpointError):
+            pass
+    finally:
+        for name in names:
+            (pre / name).write_bytes(valid[name])

@@ -218,7 +218,7 @@ def test_frozen_and_live_encoders_share_the_input_product(monkeypatch):
     frozen = freeze_encoder(enc)
     inp = EncoderInput.build("sage", mean_adjacency(g), ad.constant(g.features))
     operands = _record_spmm(monkeypatch)
-    for view in (inp, inp.at([5, 0, 5])):
+    for view in (inp, inp.at([5, 0, 5], enc.num_layers)):
         zf = encode(frozen, view).data
         assert np.array_equal(encode(enc, view).data, zf)
     # after the input is built, only layer 1 propagates: once per forward
@@ -234,7 +234,7 @@ def test_encoder_gradients_through_the_input_product(backbone):
         inp = EncoderInput.build(backbone, adj, ad.constant(g.features))
 
         def loss():
-            z = encode(enc, inp if rows is None else inp.at(rows))
+            z = encode(enc, inp if rows is None else inp.at(rows, enc.num_layers))
             return ad.sum(ad.mul(z, z))
 
         assert ad.grad_check(loss, encoder_parameters(enc)) < 1e-4
@@ -244,7 +244,7 @@ def test_encoder_gradients_through_the_input_product(backbone):
 
         def loss():
             inp = EncoderInput.build(backbone, adj, x)
-            z = encode(enc, inp if rows is None else inp.at(rows))
+            z = encode(enc, inp if rows is None else inp.at(rows, enc.num_layers))
             return ad.sum(ad.mul(z, z))
 
         assert ad.grad_check(loss, [x] + encoder_parameters(enc)) < 1e-4
@@ -342,7 +342,7 @@ def test_restricted_encode_is_the_gathered_full_forward(backbone, layers, kind):
 
     full = ad.gather_rows(encode(enc, inp), rows)
     full_grads = ad.backward(ad.sum(ad.mul(full, weights)), params)
-    part = encode(enc, inp.at(rows))
+    part = encode(enc, inp.at(rows, layers))
     part_grads = ad.backward(ad.sum(ad.mul(part, weights)), params)
 
     assert part.shape == full.shape == (len(rows), 4)
@@ -362,7 +362,7 @@ def test_restricted_encoder_gradients_pass_grad_check(backbone):
     enc = init_encoder(backbone, [3, 4, 4, 2], seed=1)
 
     def loss():
-        z = encode(enc, inp.at([6, 1, 6, 8]))
+        z = encode(enc, inp.at([6, 1, 6, 8], enc.num_layers))
         return ad.sum(ad.mul(z, z))
 
     assert ad.grad_check(loss, encoder_parameters(enc)) < 1e-4
@@ -376,7 +376,7 @@ def test_one_layer_restricted_encode_reads_the_input_rows():
         inp = EncoderInput.build(backbone, operator_for(backbone, g), x)
         enc = init_encoder(backbone, [3, 2], seed=4)   # layer 0 is the last
         want = encode(enc, inp).data[rows]
-        assert np.allclose(encode(enc, inp.at(rows)).data, want, rtol=0.0, atol=1e-12)
+        assert np.allclose(encode(enc, inp.at(rows, 1)).data, want, rtol=0.0, atol=1e-12)
 
 
 def test_restricted_operator_is_built_once_per_row_set():
@@ -393,15 +393,16 @@ def test_restricted_operator_is_built_once_per_row_set():
         assert np.allclose(gx, op.mat.toarray().T @ up, atol=1e-12)
         # at(rows) starts its chain at the rows, on the operator restrict
         # builds for them, over the columns the layer below computes
-        inp = EncoderInput.build(backbone, adj, ad.constant(g.features)).at(np.array([4, 1, 7]))
+        inp = EncoderInput.build(backbone, adj, ad.constant(g.features)).at(np.array([4, 1, 7]), 2)
         top, below = inp.levels[:2]
         assert top.rows.tolist() == [4, 1, 7]
         assert np.array_equal(top.adj.mat.toarray(), op.mat.toarray()[:, below.rows])
         for bad in ([-1], [10], [0, 10]):
             with pytest.raises(IndexError, match="out of range"):
                 adj.restrict(bad)
-            with pytest.raises(IndexError, match="out of range"):
-                inp.at(bad)
+            for depth in (1, 2):
+                with pytest.raises(IndexError, match="out of range"):
+                    inp.at(bad, depth)
 
 
 # ------------------------------------------- the receptive-field chain
@@ -424,7 +425,8 @@ _CHAIN_ROWS = {"under_sorted": ([5, 6], "under"), "under_repeated": ([7, 3, 7], 
 
 def _column_restricted(inp):
     """How many levels, from the last layer's down, read fewer than every node."""
-    return sum(lv.adj.shape[1] < inp.adj.shape[1] for lv in inp.levels)
+    return sum(lv.adj is not None and lv.adj.shape[1] < inp.adj.shape[1]
+               for lv in inp.levels)
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
@@ -438,21 +440,29 @@ def test_chain_rows_and_gradients_are_the_full_forward(backbone, layers, kind):
     params = encoder_parameters(enc)
     rows, field = _CHAIN_ROWS[kind]
     rows = np.array(rows, dtype=np.int64)
-    view = inp.at(rows)
+    view = inp.at(rows, layers)
 
     # each level's operator reads the rows of the level below, and every
-    # node at the bottom one
+    # node at the bottom one; layer 0's level, reached only when the walk
+    # runs the whole depth, reads the input at its rows and has no operator
+    assert len(view.levels) <= layers
     for lv, below in zip(view.levels, view.levels[1:] + (None,)):
         cols = np.arange(n) if below is None else below.rows
-        assert np.array_equal(lv.adj.mat.toarray(), inp.adj.mat.toarray()[lv.rows][:, cols])
+        if lv.adj is None:
+            assert below is None and len(view.levels) == layers
+        else:
+            assert np.array_equal(lv.adj.mat.toarray(),
+                                  inp.adj.mat.toarray()[lv.rows][:, cols])
         assert np.array_equal(cols[lv.own], lv.rows)
     if field == "under":
-        assert _column_restricted(view) >= 5
+        assert _column_restricted(view) == layers - 1
     elif field == "over":
-        assert _column_restricted(view) == (0 if kind == "over_at_once" else 2)
+        assert _column_restricted(view) == (0 if kind == "over_at_once"
+                                            else min(2, layers - 1))
     else:  # the walk ends at the level whose field is its own rows
+        assert len(view.levels) == 2
         bottom = view.levels[-1]
-        assert set(bottom.adj.mat.indices) <= set(bottom.rows)
+        assert layers == 2 or set(bottom.adj.mat.indices) <= set(bottom.rows)
 
     weights = ad.constant(np.random.default_rng(2).standard_normal((len(rows), 4)))
     full = ad.gather_rows(encode(enc, inp), rows)
@@ -473,7 +483,7 @@ def test_chain_rows_and_gradients_are_the_full_forward(backbone, layers, kind):
 def test_deeper_chain_gradients_pass_grad_check(backbone):
     g = _ring()
     inp = EncoderInput.build(backbone, operator_for(backbone, g), ad.constant(g.features))
-    view = inp.at([9, 4, 9])
+    view = inp.at([9, 4, 9], 3)
     assert _column_restricted(view) >= 2    # both layers below the last restricted
     enc = init_encoder(backbone, [3, 4, 4, 2], seed=2)
 
@@ -490,6 +500,36 @@ def test_desk_row_sets_restrict_no_columns():
     split, _ = resolve_split(rc, g)
     inp = EncoderInput.build("gcn", operator_for("gcn", g), ad.constant(g.features))
     for rows in (split.p1_train, split.p1_val, split.p2_train):
-        view = inp.at(rows)
+        view = inp.at(rows, 2)
         # the last layer's operator A[rows] alone, with every column
         assert len(view.levels) == 1 and _column_restricted(view) == 0
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_at_builds_one_level_per_layer_and_no_operator_for_layer_0(
+        monkeypatch, backbone, depth):
+    # a path, whose field from one end grows one node a layer and stays
+    # under the share: the walk runs the whole depth and stops there
+    n = 40
+    g = build_graph(n, np.array([(i, i + 1) for i in range(n - 1)]),
+                    np.random.default_rng(5).standard_normal((n, 3)), np.zeros(n, dtype=np.int64))
+    inp = EncoderInput.build(backbone, operator_for(backbone, g), ad.constant(g.features))
+    restricts = []
+    restrict = ad.SparseMatrix.restrict
+    monkeypatch.setattr(ad.SparseMatrix, "restrict",
+                        lambda self, rows: restricts.append(rows) or restrict(self, rows))
+    view = inp.at([0], depth)
+    # one sliced operator per layer above layer 0, and none for layer 0
+    assert len(view.levels) == depth and len(restricts) == depth - 1
+    assert view.levels[-1].adj is None
+    assert view.levels[-1].rows.tolist() == list(range(depth))
+    assert _column_restricted(view) == depth - 1
+    monkeypatch.undo()
+    for layers in range(1, depth + 1):
+        enc = init_encoder(backbone, [3] + [4] * layers, seed=layers)
+        want = encode(enc, inp).data[[0]]
+        assert np.allclose(encode(enc, view).data, want, rtol=0.0, atol=1e-12)
+    # a deeper encoder would read layer 0's level through an operator
+    with pytest.raises(ValueError, match=f"restricted for {depth} layers"):
+        encode(init_encoder(backbone, [3] + [4] * (depth + 1)), view)

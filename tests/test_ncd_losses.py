@@ -295,6 +295,43 @@ def test_bce_gradient_is_zero_exactly_on_saturated_pairs():
     assert _unsaturated(edge.reshape(3, 3)).ravel().tolist() == want
 
 
+def _count_saturation_scans(monkeypatch):
+    calls = []
+    scan = ncd_losses._unsaturated
+    monkeypatch.setattr(ncd_losses, "_unsaturated",
+                        lambda *args: calls.append(1) or scan(*args))
+    return calls
+
+
+def test_saturation_scan_runs_only_where_a_pair_can_saturate(monkeypatch):
+    # three row blocks, on one thread: every squared row norm under 25 bounds
+    # |u_i . u_j| under 25, whose logistic lies inside the clamp
+    n = 2 * PAIR_BLOCK + 3
+    rng = np.random.default_rng(31)
+    y = topk_pseudo_pairs(rng.integers(0, 3, size=(n, 6)).astype(float), 2)
+    bounded = rng.standard_normal((n, 3)) * 0.5
+    bounded[7] = [np.nextafter(5.0, 0.0), 0.0, 0.0]     # just under the bound
+    at_bound = bounded.copy()
+    at_bound[7, 0] = 5.0
+    nan_row = bounded.copy()
+    nan_row[9, 1] = np.nan
+    calls = _count_saturation_scans(monkeypatch)
+    for logits, scans in ((bounded, 0), (at_bound, 3), (_mixed_logits(rng, n), 3),
+                          (nan_row, 3)):
+        calls.clear()
+        u = parameter(logits)
+        (got,) = backward(pairwise_bce(pairwise_similarity(u), y), [u])
+        assert len(calls) == scans
+        if scans == 0:
+            u_chain = parameter(logits.copy())
+            (want,) = backward(_chain_bce(_chain_similarity(u_chain), y), [u_chain])
+            assert np.abs(got - want).max() < ORACLE_TOL
+    # a constant similarity has no gradient to mask
+    calls.clear()
+    pairwise_bce(constant(pairwise_similarity(parameter(_mixed_logits(rng, n))).data), y)
+    assert calls == []
+
+
 # ---------------------------------------- the fused route to the novel logits
 
 @pytest.mark.parametrize("n", BLOCK_EDGES)
@@ -547,6 +584,32 @@ def test_topk_pairs_stay_exact_past_255_groups(n):
     got = topk_pseudo_pairs(z, 10)
     assert got.dtype == bool
     assert np.array_equal(got, _broadcast_topk_pairs(z, 10))
+
+
+@pytest.mark.parametrize("d", (8, 128))
+def test_topk_groups_match_the_stable_argsort_oracle_on_special_values(d):
+    # ties, -0.0 against 0.0, nan and +-inf, at every depth up to k = d; a
+    # row's set takes the stable argsort of its negation, as the oracle does
+    n = 60
+    rng = np.random.default_rng(d)
+    z = rng.integers(-1, 2, size=(n, d)).astype(float)
+    z[::3] = rng.standard_normal((len(z[::3]), d))
+    z[1] = 0.0
+    z[1, ::2] = -0.0
+    z[2, d // 2] = -0.0
+    z[4, 3] = np.nan
+    z[5, :] = np.nan
+    z[7, 0], z[7, -1] = np.inf, -np.inf
+    z[8, 2] = -np.inf
+    z[10, 1:3] = np.inf
+    z[11] = z[13] = rng.integers(-1, 2, size=d)            # equal rows
+    z[12, :4] = [1e308, 1e308, -1e308, 1.0]               # a row sum overflows
+    for k in sorted({1, 2, 5, d - 1, d}):
+        gid = topk_groups(z, k)
+        assert gid.dtype == np.uint8
+        assert sorted(set(gid.tolist())) == list(range(1, gid.max() + 1))
+        assert np.array_equal(topk_pseudo_pairs(z, k), _broadcast_topk_pairs(z, k))
+        assert gid[11] == gid[13]
 
 
 def test_topk_groups_stay_exact_past_65535_rows():
@@ -828,6 +891,41 @@ def test_total_loss_matches_hand_composition_on_random_inputs():
         assert abs(total - want) < ORACLE_TOL
         for k in comps:
             assert report[k] == comps[k]
+
+
+def _chain_total(terms, w, epoch):
+    """scheduled_total's total as the add/mul_scalar chain it replaces."""
+    b1, b2 = loss_betas(w, epoch)
+    novel = ad.add(ad.add(terms["pseudo"], ad.mul_scalar(terms["self"], b1)),
+                   ad.mul_scalar(terms["perturb"], b2))
+    base = ad.add(terms["replay"], ad.mul_scalar(terms["distill"], w.omega_fd))
+    return ad.add(novel, ad.mul_scalar(base, w.lam))
+
+
+def test_scheduled_total_is_one_node_bitwise_the_primitive_chain():
+    rng = np.random.default_rng(21)
+    names = ("pseudo", "self", "perturb", "replay", "distill")
+    zero = constant([[0.0]])
+    for trial in range(40):
+        w = LossWeights(alpha1=rng.uniform(0, 1), alpha2=rng.uniform(0, 5),
+                        rampup_length=int(rng.integers(1, 50)),
+                        lam=rng.uniform(0, 2), omega_fd=rng.uniform(0, 20))
+        epoch = int(rng.integers(0, 60))
+        # a disabled term is the constant zero, as ncd_train passes it
+        on = rng.random(5) < 0.7
+        values = rng.uniform(0, 3, 5) * 10.0 ** rng.integers(-8, 3, 5)
+        terms = {k: parameter([[v]]) if o else zero for k, v, o in zip(names, values, on)}
+        total, report = scheduled_total(terms, w, epoch)
+        chain = _chain_total(terms, w, epoch)
+        assert total._parents == tuple(terms[k] for k in names)
+        assert total.data.tobytes() == chain.data.tobytes()
+        assert report["total"] == chain.item()
+        # under an upstream gradient other than 1 too
+        live = [terms[k] for k, o in zip(names, on) if o]
+        c = rng.uniform(-3, 3)
+        for top, ref in ((total, chain), (ad.mul_scalar(total, c), ad.mul_scalar(chain, c))):
+            for got, want in zip(backward(top, live), backward(ref, live), strict=True):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_scheduled_total_gradient_is_each_terms_weight():

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,12 +128,14 @@ class FakeRunner:
     """Stands in for ``run_cli``: records each call and writes a run whose
     files hold the tree's name where ``differ`` says they should."""
 
-    def __init__(self, differ=(), fail=None):
+    def __init__(self, differ=(), fail=None, pinned_differ=()):
         self.calls, self.differ, self.fail = [], set(differ), fail
+        self.pinned_differ, self.cpus = set(pinned_differ), []
 
-    def __call__(self, tree, argv, cwd):
+    def __call__(self, tree, argv, cwd, cpus=None):
         config = Path(argv[argv.index("--config") + 1]).read_text()
         self.calls.append((tree.name, argv[0], config))
+        self.cpus.append(cpus)
         if argv[0] == self.fail:
             raise RuntimeError(f"{tree}: graphncd {argv[0]} exited 1: boom")
         out = Path(argv[argv.index("--out") + 1])
@@ -141,8 +145,12 @@ class FakeRunner:
         for stage in same_artifacts._bench.STAGES:
             (out / stage).mkdir(parents=True)
             for name in ("losses.csv", "metrics.json"):
-                differs = f"{stage}/{name}" in self.differ
-                (out / stage / name).write_text(tree.name if differs else "same")
+                key = f"{stage}/{name}"
+                text = tree.name if key in self.differ else "same"
+                # a pinned run differs from the unpinned one where pinned_differ says
+                if cpus is not None and key in self.pinned_differ:
+                    text = "pinned"
+                (out / stage / name).write_text(text)
 
 
 @pytest.fixture
@@ -213,6 +221,75 @@ def test_trees_report_each_differing_file_and_failed_run(trees, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "discover seed 0:" and out[1].startswith("run failed: ")
     assert out[2:] == ["desk seed 0:", "identical"]
+
+
+@pytest.mark.parametrize("cpus", ["0", "3", "x", "-1"])
+def test_a_cpu_count_the_tool_cannot_pin_exits_2_before_any_run(
+        trees, monkeypatch, capsys, cpus):
+    monkeypatch.setattr(same_artifacts, "_usable_cpus", lambda: [3, 5])
+    runner = FakeRunner()
+    for argv in (["--trees", *trees, "--workload", "desk", "--seed", "0", "--cpus", cpus],
+                 ["a", "b", "--cpus", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            same_artifacts.main(argv, runner)
+        assert exc.value.code == 2 and runner.calls == []
+        assert "error:" in capsys.readouterr().err
+
+
+def test_pinned_runs_compare_the_change_with_its_own_unpinned_run(trees, monkeypatch,
+                                                                  capsys):
+    monkeypatch.setattr(same_artifacts, "_usable_cpus", lambda: [3, 5, 6])
+    runner = FakeRunner(differ={"ncd/losses.csv"})
+    argv = ["--trees", *trees, "--workload", "desk,discover", "--seed", "0", "--cpus", "2"]
+    assert same_artifacts.main(argv, runner) == 1     # the trees differ
+    assert capsys.readouterr().out.splitlines() == [
+        "desk seed 0:", "ncd/losses.csv", "1 differing files",
+        "change pinned to CPUs [3, 5]:", "identical",
+        "discover seed 0:", "ncd/losses.csv", "1 differing files",
+        "change pinned to CPUs [3, 5]:", "identical"]
+    # the change runs once more, pinned to the lowest two CPUs, and only it
+    steps = [(tree, cmd, cpus) for (tree, cmd, _), cpus in zip(runner.calls, runner.cpus)]
+    assert steps == [("parent", "run", None), ("change", "run", None),
+                     ("change", "run", [3, 5]),
+                     ("parent", "gen-data", None), ("parent", "run", None),
+                     ("change", "gen-data", None), ("change", "run", None),
+                     ("change", "gen-data", [3, 5]), ("change", "run", [3, 5])]
+    # a pinned run that differs from the unpinned one fails the gate alone
+    runner = FakeRunner(pinned_differ={"eval/metrics.json"})
+    argv = ["--trees", *trees, "--workload", "desk", "--seed", "0,1", "--cpus", "1"]
+    assert same_artifacts.main(argv, runner) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "desk seed 0:", "identical", "change pinned to CPUs [3]:", "eval/metrics.json",
+        "1 differing files",
+        "desk seed 1:", "identical", "change pinned to CPUs [3]:", "eval/metrics.json",
+        "1 differing files"]
+    runner = FakeRunner()
+    assert same_artifacts.main(argv, runner) == 0
+    assert runner.cpus == [None, None, [3]] * 2
+
+
+def test_the_pinned_child_sets_its_affinity_then_runs_the_cli(tmp_path, monkeypatch):
+    argv = ["run", "--config", "c.cfg", "--out", "r"]
+    assert same_artifacts.child_argv(argv) == [sys.executable, "-m", "graphncd.cli", *argv]
+    pinned = same_artifacts.child_argv(argv, [5, 3])
+    assert pinned[:2] == [sys.executable, "-c"] and pinned[3:] == argv
+    code = pinned[2]
+    compile(code, "<pinned>", "exec")
+    first = code.index("os.sched_setaffinity(0, [3, 5])")
+    assert first < code.index("runpy.run_module('graphncd.cli', run_name='__main__', "
+                              "alter_sys=True)")
+    # run_cli hands the child that argument list, with the tree's source
+    started = []
+
+    def fake_run(args, **kwargs):
+        started.append((args, kwargs["env"]["PYTHONPATH"], kwargs["cwd"]))
+        return subprocess.CompletedProcess(args, 0, "", "")
+
+    monkeypatch.setattr(same_artifacts.subprocess, "run", fake_run)
+    same_artifacts.run_cli(tmp_path, argv, tmp_path, cpus=[5, 3])
+    same_artifacts.run_cli(tmp_path, argv, tmp_path)
+    assert started == [(pinned, str(tmp_path / "src"), str(tmp_path)),
+                       (same_artifacts.child_argv(argv), str(tmp_path / "src"), str(tmp_path))]
 
 
 def test_run_cli_runs_the_tree_own_source(tmp_path):

@@ -227,7 +227,8 @@ def test_frozen_encoder_is_pretrain_encoder_bitwise(pretrained, monkeypatch):
                         lambda zf, z: anchors.append(zf.data.copy()) or distill(zf, z))
     state, _ = ncd_train(state0, protos, split, _cfg(ncd_epochs=5), _input(g))
     # the distillation target is the untouched pretrained encoder's forward
-    want = encode(freeze_encoder(state0.encoder), _input(g).at(split.p2_train)).data
+    u_in = _input(g).at(split.p2_train, state0.encoder.num_layers)
+    want = encode(freeze_encoder(state0.encoder), u_in).data
     assert len(anchors) == 5 and all(np.array_equal(zf, want) for zf in anchors)
     for ref, w in zip(pre_enc, state0.encoder.weights):
         assert np.array_equal(ref, w.data)
