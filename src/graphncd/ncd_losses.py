@@ -209,18 +209,20 @@ def topk_groups(z, k: int) -> np.ndarray:
     odd = np.flatnonzero(~fin)
     top[odd] = False
     top[odd[:, None], np.argsort(-arr[odd], axis=1, kind="stable")[:, :k]] = True
-    # rows with the same index set share a group id: unique's label of the
-    # set's bits, one uint64 per row where they fit (it sorts fastest)
-    packed = np.packbits(top, axis=1)
-    width = packed.shape[1]
-    if width <= 8:
-        keys = np.zeros((n, 8), dtype=np.uint8)
-        keys[:, :width] = packed
-        keys = keys.view(np.uint64)
-    else:
-        keys = packed.view(f"V{width}")
-    _, inverse = np.unique(keys.reshape(-1), return_inverse=True)
-    return (inverse + 1).astype(np.min_scalar_type(n))
+    # a row's set as 64-bit words, dimension 0 the top bit of the first and
+    # each word inverted, so the words sort as the sorted index tuples do
+    words = np.zeros((n, -(-d // 64) * 8), dtype=np.uint8)
+    words[:, :-(-d // 8)] = np.packbits(top, axis=1)
+    key = ~words.view(">u8").astype(np.uint64)
+    # rows with the same index set share a group id: sort the rows, then a
+    # new id starts wherever a row differs from the one before it
+    order = np.lexsort(key.T[::-1])
+    rows = key[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    gid = np.empty(len(rows), dtype=np.min_scalar_type(len(rows)))
+    gid[order] = np.cumsum(new)
+    return gid
 
 
 def topk_pseudo_pairs(z, k: int) -> np.ndarray:

@@ -562,6 +562,19 @@ def _broadcast_topk_pairs(z, k):
     return (key[:, None, :] == key[None, :, :]).all(axis=2).astype(np.float64)
 
 
+def _stable_argsort_ids(z, k):
+    """topk_groups as the per-row stable argsort and lexsort it replaces:
+    ids number the sorted index tuples in lexicographic order."""
+    key = np.sort(np.argsort(-z, axis=1, kind="stable")[:, :k], axis=1)
+    order = np.lexsort(key.T[::-1])
+    rows = key[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    gid = np.empty(len(rows), dtype=np.min_scalar_type(len(rows)))
+    gid[order] = np.cumsum(new)
+    return gid
+
+
 @pytest.mark.parametrize("n", (0, 1, 50, 900))
 def test_topk_group_ids_match_the_broadcast_comparison(n):
     # few distinct integer values, so ties and shared index sets are common
@@ -571,6 +584,7 @@ def test_topk_group_ids_match_the_broadcast_comparison(n):
         got = topk_pseudo_pairs(z, k)
         assert got.dtype == bool
         assert np.array_equal(got, _broadcast_topk_pairs(z, k))
+        assert np.array_equal(topk_groups(z, k), _stable_argsort_ids(z, k))
 
 
 @pytest.mark.parametrize("n", (255, 256, 300))
@@ -581,6 +595,7 @@ def test_topk_pairs_stay_exact_past_255_groups(n):
     gid = topk_groups(z, 10)
     assert gid.dtype == np.min_scalar_type(n)
     assert gid.max() > 250
+    assert np.array_equal(gid, _stable_argsort_ids(z, 10))
     got = topk_pseudo_pairs(z, 10)
     assert got.dtype == bool
     assert np.array_equal(got, _broadcast_topk_pairs(z, 10))
@@ -607,18 +622,19 @@ def test_topk_groups_match_the_stable_argsort_oracle_on_special_values(d):
     for k in sorted({1, 2, 5, d - 1, d}):
         gid = topk_groups(z, k)
         assert gid.dtype == np.uint8
-        assert sorted(set(gid.tolist())) == list(range(1, gid.max() + 1))
+        assert np.array_equal(gid, _stable_argsort_ids(z, k))
         assert np.array_equal(topk_pseudo_pairs(z, k), _broadcast_topk_pairs(z, k))
         assert gid[11] == gid[13]
 
 
 def test_topk_groups_stay_exact_past_65535_rows():
     # the n x n pair matrix would take 4.9 GB here, so the ids are checked
-    # against np.unique's labelling of the index sets instead
+    # against the oracle's and np.unique's labelling of the index sets instead
     n, d, k = 70_000, 24, 12
     z = np.random.default_rng(65536).standard_normal((n, d))
     gid = topk_groups(z, k)
     assert gid.dtype == np.uint32
+    assert np.array_equal(gid, _stable_argsort_ids(z, k))
     key = np.sort(np.argsort(-z, axis=1, kind="stable")[:, :k], axis=1)
     _, inverse = np.unique(key, axis=0, return_inverse=True)
     groups = int(inverse.max()) + 1

@@ -23,14 +23,14 @@ With ``--trees``, every workload of the comma list, as
 list by each tree's own ``src``: ``graphncd gen-data`` first for a workload
 that reads files, then ``graphncd run``, each in a subprocess with BLAS
 pinned to one thread, all in a temporary directory. The report above is
-printed for each workload and seed. With ``--cpus N`` as well, the CHANGE
+printed for each workload and seed. With ``--cpus 1`` as well, the CHANGE
 tree runs each workload and seed a second time in a child that first pins
-itself to the lowest N of the CPUs this tool may use
-(``os.sched_setaffinity`` on its own process), and a second report compares
-that run with the unpinned one: graphncd splits work over the CPUs it may
-use, and its output bytes must not depend on how many there are. An unknown
-workload, a bad seed list or a CPU count this tool cannot pin to exits 2
-before any run. Otherwise exits 1 if any run failed or any file differs,
+itself to the lowest of the CPUs this tool may use (``os.sched_setaffinity``
+on its own process), and a second report compares that run with the
+unpinned one: graphncd splits work over the CPUs it may use, and its output
+bytes must not depend on how many there are. An unknown workload, a bad
+seed list, or ``--cpus`` on a platform without CPU affinity exits 2 before
+any run. Otherwise exits 1 if any run failed or any file differs,
 else 0.
 """
 from __future__ import annotations
@@ -173,7 +173,7 @@ def child_argv(argv: list[str], cpus: list[int] | None = None) -> list[str]:
     to the CPUs ``cpus`` first when they are given."""
     if cpus is None:
         return [sys.executable, "-m", "graphncd.cli", *argv]
-    return [sys.executable, "-c", _PINNED.format(cpus=sorted(cpus)), *argv]
+    return [sys.executable, "-c", _PINNED.format(cpus=cpus), *argv]
 
 
 def run_cli(tree: Path, argv: list[str], cwd: Path, cpus: list[int] | None = None) -> None:
@@ -244,8 +244,8 @@ def main(argv: list[str] | None = None, runner=run_cli) -> int:
     ap.add_argument("--workload", type=lambda text: text.split(","),
                     help="with --trees: one workload or a comma list")
     ap.add_argument("--seed", type=seed_list, help="with --trees: one seed or a comma list")
-    ap.add_argument("--cpus", type=int, metavar="N",
-                    help="with --trees: also run the change pinned to N CPUs and "
+    ap.add_argument("--cpus", type=int, choices=[1],
+                    help="with --trees: also run the change pinned to one CPU and "
                          "compare that run with its unpinned one")
     args = ap.parse_args(argv)
     if args.trees is None:
@@ -262,10 +262,9 @@ def main(argv: list[str] | None = None, runner=run_cli) -> int:
             ap.error(f"{tree} has no src/graphncd")
     cpus = None
     if args.cpus is not None:
-        usable = _usable_cpus()
-        if not 1 <= args.cpus <= len(usable):
-            ap.error(f"--cpus must be in [1, {len(usable)}], the CPUs this tool may use")
-        cpus = usable[:args.cpus]
+        cpus = _usable_cpus()[:1]
+        if not cpus:
+            ap.error("--cpus needs CPU affinity, which this platform lacks")
     return compare_trees(*args.trees, args.workload, args.seed, runner, cpus)
 
 
