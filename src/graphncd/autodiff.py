@@ -10,10 +10,11 @@ Shapes are strict. Scalars are (1, 1), row vectors (1, d). The only
 broadcasting allowed in ``add``/``mul`` is a (1, d) or (1, 1) operand
 against an (n, d) one, which covers bias rows and scalar weights.
 
-The process keeps one thread pool, made on the first split, for kernels that
-cut their work into parts (:func:`_run_parts`). ``spmm``, forward and vjp,
-runs in contiguous column parts of its dense operand, one per usable CPU,
-once every part gets at least MIN_PART_WORK non-zeros x columns. A sparse
+Kernels that cut their work into parts all do it by one rule,
+:func:`_in_parts`: contiguous slices, one per usable CPU, once every slice
+gets the kernel's floor of work, on one thread pool per process, made on the
+first split. ``spmm``, forward and vjp, runs in column parts of its dense
+operand once every part gets MIN_PART_WORK non-zeros x columns. A sparse
 product computes each output column on its own, so the output bytes do not
 depend on the CPU count.
 """
@@ -65,6 +66,21 @@ def _run_parts(parts: Sequence[Callable[[], object]]) -> list:
     finally:
         cf.wait(pending)
     return [first] + [f.result() for f in pending]
+
+
+def _in_parts(count: int, floor: int, part: Callable[[slice], object]) -> list:
+    """Call ``part`` on contiguous slices of ``range(count)``, one per usable
+    CPU as long as each slice gets ``floor`` items; return the results in
+    slice order. The first slice runs on the calling thread, the others on
+    the shared pool (:func:`_run_parts`). With less than two floors' worth of
+    work, one call on ``slice(0, count)``."""
+    # the CPU query is a system call that took ~13 us inside a desk epoch
+    # (2-core x86 VM), so it is skipped where the work is too little to split
+    parts = min(_usable_cpus(), count // floor) if count >= 2 * floor else 1
+    if parts < 2:
+        return [part(slice(0, count))]
+    return _run_parts([partial(part, slice(count * i // parts, count * (i + 1) // parts))
+                       for i in range(parts)])
 
 
 def _drop_pool() -> None:
@@ -220,26 +236,13 @@ def affine(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _sparse_product(mat, x: np.ndarray) -> np.ndarray:
-    """``mat @ x`` in contiguous column parts of x, one per usable CPU, once
-    every part gets MIN_PART_WORK non-zeros x columns. Each part writes its
-    own columns of the output, each computed as in one product."""
-    nnz, width = mat.nnz, x.shape[1]
-    # less work than two parts' floors: one product and no CPU query, which
-    # is a system call
-    if nnz * width < 2 * MIN_PART_WORK:
-        return np.asarray(mat @ x)
-    # a part needs ceil(MIN_PART_WORK / nnz) columns
-    parts = min(_usable_cpus(), width // -(-MIN_PART_WORK // nnz))
-    if parts < 2:
-        return np.asarray(mat @ x)
-    out = np.empty((mat.shape[0], width))
-
-    def part(cols):
-        out[:, cols] = mat @ x[:, cols]
-
-    _run_parts([partial(part, slice(width * i // parts, width * (i + 1) // parts))
-                for i in range(parts)])
-    return out
+    """``mat @ x`` in contiguous column parts of x (:func:`_in_parts`), each
+    part getting ceil(MIN_PART_WORK / nnz) columns at least. Each column of
+    the output is computed as in one product."""
+    width = x.shape[1]
+    parts = _in_parts(width, -(-MIN_PART_WORK // max(mat.nnz, 1)),
+                      lambda cols: mat @ x[:, cols])
+    return np.asarray(parts[0]) if len(parts) == 1 else np.hstack(parts)
 
 
 def spmm(m: SparseMatrix, x: Tensor) -> Tensor:

@@ -19,7 +19,6 @@ with b1, b2 following a sigmoid-shaped warmup ramp from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping
 
 import numpy as np
@@ -105,45 +104,19 @@ def _row_blocks(n: int):
     return (slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK))
 
 
-def _in_row_block_parts(n: int, start_part, fold) -> None:
-    """Run the row blocks of n through ``step = start_part()``, one step per
-    block, and ``fold(step(r))`` on the calling thread in block order.
-
-    The blocks are cut into contiguous parts, one per usable CPU, as long as
-    each part gets MIN_PART_BLOCKS; each part calls ``start_part`` once for
-    its own scratch. The calling thread runs part 0 and folds as it goes,
-    autodiff's shared pool runs the rest (``ad._run_parts``), and their
-    results are folded after, so the fold order, and with it every output
-    bit, is that of one part. Steps may call only numpy and this module's
-    array helpers: no Tensor is built off the calling thread. Every part has
-    ended before this returns, or raises the error of the first part, in
-    block order, that failed."""
+def _in_row_blocks(n: int, start_part) -> list:
+    """The outputs, in block order, of ``step = start_part()`` on every row
+    block of n. The blocks run in contiguous parts as ``ad._in_parts`` cuts
+    them, MIN_PART_BLOCKS at least each, and each part calls ``start_part``
+    once for its own scratch. Steps may call only numpy and this module's
+    array helpers: no Tensor is built off the calling thread."""
     blocks = list(_row_blocks(n))
-    most = len(blocks) // MIN_PART_BLOCKS
-    # the CPU query is a system call that took ~13 us inside a desk epoch
-    # (2-core x86 VM), so it is skipped where the blocks are too few to split
-    parts = min(ad._usable_cpus(), most) if most > 1 else 1
 
-    def fold_all(chunk):
+    def run(part):
         step = start_part()
-        for r in chunk:
-            fold(step(r))
+        return [step(r) for r in blocks[part]]
 
-    if parts < 2:
-        fold_all(blocks)
-        return
-    chunks = [blocks[len(blocks) * i // parts:len(blocks) * (i + 1) // parts]
-              for i in range(parts)]
-
-    def run(chunk):
-        step = start_part()
-        return [step(r) for r in chunk]
-
-    _, *rest = ad._run_parts([partial(fold_all, chunks[0])]
-                             + [partial(run, c) for c in chunks[1:]])
-    for outs in rest:
-        for out in outs:
-            fold(out)
+    return [out for outs in ad._in_parts(len(blocks), MIN_PART_BLOCKS, run) for out in outs]
 
 
 class _Similarity(Tensor):
@@ -161,8 +134,8 @@ def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     """s_ij = logistic(u_i . u_j) over all ordered pairs, shape (n, n).
 
     One op, forward row block by row block, the blocks split over threads
-    as _in_row_block_parts does; each block writes its own rows of s, so
-    the bytes do not depend on the split. It has no vjp of its own:
+    as _in_row_blocks does; each block writes its own rows of s, so the
+    bytes do not depend on the split. It has no vjp of its own:
     pairwise_bce differentiates straight to the logits, and any other route
     to a gradient-carrying similarity raises TypeError in backward."""
     u = novel_logits.data
@@ -172,7 +145,7 @@ def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     def step(r):
         ad._stable_sigmoid(np.matmul(u[r], u.T, out=s[r]), out=s[r])
 
-    _in_row_block_parts(n, lambda: step, lambda _: None)
+    _in_row_blocks(n, lambda: step)
     out = ad._make(s, (novel_logits,), _similarity_vjp)
     # marked after _make, so a wrapper that swaps out._vjp keeps the mark
     out.__class__ = _Similarity
@@ -265,10 +238,10 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     on the tape. A constant s gives a constant loss; a gradient-carrying s
     that pairwise_similarity did not return raises TypeError.
 
-    The blocks may run in parts on threads (_in_row_block_parts), each part
-    with its own scratch. Each block's log-sum, t U and t^T U are added to
-    the loss and the gradient on the calling thread in block order, so both
-    are bitwise those of one thread.
+    The blocks may run in parts on threads (_in_row_blocks), each part with
+    its own scratch. Once every part has ended, each block's log-sum, t U and
+    t^T U are added to the loss and the gradient in block order, so both are
+    bitwise those of one thread.
     """
     n, m = s.shape
     if n != m or not n:  # a mean over no pairs is undefined
@@ -321,15 +294,11 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
 
         return step
 
-    def fold(block):
-        nonlocal total, grad_u
-        r, logsum, *grads = block
+    for r, logsum, *grads in _in_row_blocks(n, start_part):
         total += logsum
         if grads:
             grad_u[r] += grads[0]
             grad_u += grads[1]
-
-    _in_row_block_parts(n, start_part, fold)
     loss = np.array([[total * scale]])
     return ad._make(loss, parents, lambda g: [grad_u * (g[0, 0] * scale)])
 

@@ -1,6 +1,9 @@
 """Finite-difference checks and graph semantics for the autodiff core."""
+import ast
 import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,6 +347,85 @@ def test_spmm_matches_dense():
     x = np.random.default_rng(19).standard_normal((g.num_nodes, 4))
     out = ad.spmm(adj, constant(x)).data
     assert np.allclose(out, adj.mat.toarray() @ x, atol=1e-12)
+
+
+# ------------------------------------------------ one split rule: _in_parts
+
+@pytest.mark.parametrize("cpus", (1, 2, 3, 9))
+def test_in_parts_cuts_contiguous_slices_of_at_least_the_floor(monkeypatch, cpus):
+    queries, runs = [], []
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: queries.append(1) or cpus)
+    monkeypatch.setattr(ad, "_pool", None)
+    run_parts = ad._run_parts
+    monkeypatch.setattr(ad, "_run_parts", lambda ps: runs.append(len(ps)) or run_parts(ps))
+    me = threading.get_ident()
+    for count in (0, 1, 5, 6, 64, 65, 130):
+        for floor in (1, 3, 7):
+            del queries[:], runs[:]
+            calls = []
+
+            def part(cut):
+                calls.append((threading.get_ident(), cut))
+                return cut.start, cut.stop
+
+            got = ad._in_parts(count, floor, part)
+            cuts = sorted((cut for _, cut in calls), key=lambda cut: cut.start)
+            # contiguous slices that cover range(count) in order, results in slice order
+            assert cuts[0].start == 0 and cuts[-1].stop == count
+            assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
+            assert got == [(cut.start, cut.stop) for cut in cuts]
+            most = min(cpus, count // floor)
+            if count < 2 * floor or most < 2:
+                assert calls == [(me, slice(0, count))] and runs == []
+                assert len(queries) == (count >= 2 * floor)
+            else:
+                assert len(cuts) == most and runs == [most]
+                assert all(cut.stop - cut.start >= floor for cut in cuts)
+                assert [cut for t, cut in calls if t == me] == [cuts[0]]
+    assert (ad._pool is None) == (cpus == 1)
+
+
+def test_in_parts_raises_only_once_every_part_has_ended(monkeypatch):
+    monkeypatch.setattr(ad, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ad, "_pool", None)
+    errors = [RuntimeError(f"part {i} fails") for i in range(3)]
+    for failing in ({1, 2}, {0}):
+        ended = []
+
+        def part(cut):
+            i = cut.start // 3
+            if i != min(failing):
+                time.sleep(0.02)                     # the others outlast the first failure
+            if i in failing:
+                raise errors[i]
+            ended.append(i)
+
+        with pytest.raises(RuntimeError) as caught:
+            ad._in_parts(9, 3, part)
+        # the error of the first failing part, in slice order, once the others ended
+        assert caught.value is errors[min(failing)]
+        assert sorted(ended) == sorted({0, 1, 2} - failing)
+
+
+def test_only_in_parts_cuts_work_and_queries_the_cpus():
+    src = Path(ad.__file__).parent
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                where = getattr(node, "name", where)
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in ("_run_parts", "_usable_cpus") and isinstance(node.ctx, ast.Load):
+                users.add((path.stem, where, name))
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    # _run_parts sizes the pool by the CPU count; every other split goes through _in_parts
+    assert sorted(users) == [("autodiff", "_in_parts", "_run_parts"),
+                             ("autodiff", "_in_parts", "_usable_cpus"),
+                             ("autodiff", "_run_parts", "_usable_cpus")]
 
 
 # ------------------------------------------- spmm in column parts on threads

@@ -1,6 +1,7 @@
 """tools/same_artifacts.py: the determinism gate's comparison of two run directories."""
 import importlib.util
 import json
+import os
 import shutil
 import struct
 import subprocess
@@ -120,6 +121,21 @@ def test_differing_tensors_name_the_largest_relative_move(tmp_path):
     # tensor lists that differ in shape have no element-wise move
     assert why(base, {**base, "head.b": np.array([[0.5, 0.5]])}) == " (tensors differ)"
     assert why(base, base) == ""
+
+
+def test_the_script_reads_checkpoints_without_pythonpath(runs, tmp_path):
+    # run as a script, the tool finds graphncd's reader in its own tree's src
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def script(a, b):
+        return subprocess.run([sys.executable, str(_TOOL), str(runs[a]), str(runs[b])],
+                              cwd=str(tmp_path), env=env, capture_output=True, text=True)
+
+    same = script("a", "a")
+    assert (same.returncode, same.stdout) == (0, "identical\n"), same.stderr
+    moved = script("a", "c")
+    assert moved.returncode == 1, moved.stderr
+    assert "pretrain/checkpoint_pretrain.bin (tensors differ: max rel " in moved.stdout
 
 
 # ------------------------------------------------- --trees: building the runs

@@ -11,8 +11,9 @@ rule, ``perfbench/run.py``'s ``_digests``: CSVs, checkpoints and
 or exists on one side only, then ``identical`` or the count of such files.
 A checkpoint that differs is followed by ``(tensors differ: max rel R in
 NAME)``, the largest relative difference of any tensor and the tensor it is
-in, or by ``(tensors equal; meta differs: KEY[, KEY...])``, unless either
-side does not parse as graphncd's checkpoint container. A tensor's relative
+in, or by ``(tensors equal; meta differs: KEY[, KEY...])``, unless
+graphncd's checkpoint reader (``graphncd.checkpoint.load_checkpoint``, from
+this tool's own tree) refuses either side. A tensor's relative
 difference is its largest ``|a - b|`` over its largest ``|value|`` on either
 side, so a float reorder reads near 1e-16 and a real change far above it.
 Two checkpoints whose tensor lists differ in names or shapes read
@@ -37,10 +38,8 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import math
 import os
-import struct
 import subprocess
 import sys
 import tempfile
@@ -50,6 +49,9 @@ from pathlib import Path
 import numpy as np
 
 _TOOLS = Path(__file__).resolve().parent
+sys.path.insert(0, str(_TOOLS.parent / "src"))  # graphncd's checkpoint reader
+
+from graphncd.checkpoint import CheckpointError, load_checkpoint  # noqa: E402
 
 
 def _load(name: str, path: Path):
@@ -67,50 +69,30 @@ _DATA_FILES = (("edges", "edges.txt"), ("features", "features.txt"),
                ("labels", "labels.txt"), ("split_file", "split.json"))
 
 
-def _checkpoint_parts(path: Path):
-    """(meta, the rest of the header, the tensor bytes) of a ``.bin`` file in
-    graphncd's checkpoint container: an 8-byte little-endian header length,
-    the JSON header, then the tensors; None for any other file."""
+def _checkpoint(path: Path):
+    """(meta, {name: tensor}) of a ``.bin`` file that graphncd's checkpoint
+    reader accepts; None for any other file."""
     if path.suffix != ".bin" or not path.is_file():
         return None
-    raw = path.read_bytes()
-    if len(raw) < 8:
-        return None
-    (hlen,) = struct.unpack("<Q", raw[:8])
     try:
-        header = json.loads(raw[8:8 + hlen])
-    except (ValueError, RecursionError):
+        return load_checkpoint(str(path))
+    except CheckpointError:
         return None
-    if len(raw) < 8 + hlen or not (isinstance(header, dict)
-                                   and isinstance(header.get("meta"), dict)):
-        return None
-    meta = header.pop("meta")
-    return meta, header, raw[8 + hlen:]
 
 
-def _largest_move(header: dict, blob_a: bytes, blob_b: bytes) -> str:
-    """``: max rel R in NAME`` for the tensor of ``header`` whose relative
-    difference between the two payloads is largest, or "" when the payloads
-    do not hold the tensors the header lists."""
-    entries = header.get("tensors")
-    if not (isinstance(entries, list) and all(
-            isinstance(e, dict) and type(e.get("rows")) is int
-            and type(e.get("cols")) is int for e in entries)):
-        return ""
-    sizes = [e["rows"] * e["cols"] for e in entries]
-    if not len(blob_a) == len(blob_b) == 8 * sum(sizes):
-        return ""
-    flat_a, flat_b = (np.frombuffer(blob, dtype="<f8") for blob in (blob_a, blob_b))
-    moves, at = [], 0
-    for entry, size in zip(entries, sizes):
-        a, b = flat_a[at:at + size], flat_b[at:at + size]
-        at += size
-        if a.tobytes() != b.tobytes():
+def _largest_move(a: dict, b: dict) -> str:
+    """``: max rel R in NAME`` for the tensor whose relative difference
+    between ``a`` and ``b``, two checkpoints' tensors of the same names and
+    shapes, is largest; "" when no tensor differs."""
+    moves = []
+    for name, x in a.items():
+        y = b[name]
+        if x.tobytes() != y.tobytes():
             with np.errstate(invalid="ignore"):
-                scale = max(np.abs(a).max(), np.abs(b).max())
+                scale = max(np.abs(x).max(), np.abs(y).max())
                 # all zeros that differ only in sign have moved by nothing
-                rel = float(np.abs(a - b).max() / scale) if scale else 0.0
-            moves.append((rel, entry.get("name")))
+                rel = float(np.abs(x - y).max() / scale) if scale else 0.0
+            moves.append((rel, name))
     if not moves:
         return ""
     rel, name = max(moves, key=lambda m: math.inf if math.isnan(m[0]) else m[0])
@@ -119,12 +101,15 @@ def _largest_move(header: dict, blob_a: bytes, blob_b: bytes) -> str:
 
 def _why(a: Path, b: Path) -> str:
     """Where two differing checkpoints differ, or "" when either is not one."""
-    parts = [_checkpoint_parts(p) for p in (a, b)]
+    parts = [_checkpoint(p) for p in (a, b)]
     if None in parts:
         return ""
-    (meta_a, header_a, blob_a), (meta_b, header_b, blob_b) = parts
-    if (header_a, blob_a) != (header_b, blob_b):
-        moved = _largest_move(header_a, blob_a, blob_b) if header_a == header_b else ""
+    (meta_a, tensors_a), (meta_b, tensors_b) = parts
+    if [(k, t.shape) for k, t in tensors_a.items()] != [
+            (k, t.shape) for k, t in tensors_b.items()]:
+        return " (tensors differ)"
+    moved = _largest_move(tensors_a, tensors_b)
+    if moved:
         return f" (tensors differ{moved})"
     keys = sorted(k for k in meta_a.keys() | meta_b.keys() if meta_a.get(k) != meta_b.get(k))
     return f" (tensors equal; meta differs: {', '.join(keys)})" if keys else ""
