@@ -31,6 +31,8 @@ def save_checkpoint(path: str, tensors: list[tuple[str, np.ndarray]], meta: dict
     entries = []
     blobs = []
     for name, arr in tensors:
+        if any(e["name"] == name for e in entries):
+            raise ValueError(f"tensor {name!r} is given twice")
         a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
         if a.ndim != 2:
             raise ValueError(f"tensor {name!r} must be 2-D, got shape {a.shape}")
@@ -72,6 +74,8 @@ def load_checkpoint(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     offset = 8 + hlen
     for entry in header["tensors"]:
         rows, cols = entry["rows"], entry["cols"]
+        if entry["name"] in tensors:
+            raise CheckpointError(f"{path}: tensor {entry['name']!r} appears twice")
         nbytes = rows * cols * 8
         if offset + nbytes > len(raw):
             raise CheckpointError(f"{path}: truncated payload at {entry['name']!r}")

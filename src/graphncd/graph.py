@@ -1,7 +1,8 @@
 """Graph containers, text/JSON IO, adjacency preprocessing, splits, SBM data.
 
 File formats (each read by read_text and cut into lines by numbered_lines,
-where '#' starts a comment and blank lines are skipped):
+where '#' starts a comment and blank lines are skipped; the three tables hold
+ASCII tokens, each read as np.loadtxt reads it):
   edges     one "u v" pair per line, whitespace separated
   features  one row of floats per node, whitespace separated
   labels    one integer per node
@@ -40,11 +41,9 @@ def fits_int64(v: int) -> bool:
     return -2 ** 63 <= v < 2 ** 63
 
 
-def _int64(text: str) -> int:
-    v = int(text)
-    if not fits_int64(v):
-        raise ValueError(f"{text} does not fit a 64-bit integer")
-    return v
+def is_int64_list(v) -> bool:
+    """Whether ``v`` is a JSON list of 64-bit integers (no bools, no floats)."""
+    return isinstance(v, list) and all(type(x) is int and fits_int64(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,9 @@ def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
     """Non-empty, non-comment lines with their 1-based line numbers: '#'
     starts a comment, and lines break where ``str.splitlines`` breaks them.
 
-    Yielded one at a time, so the config reader and _parse_tokens keep no
-    (line, body) pair: tens of thousands of surviving tuples would set off
-    a full garbage collection."""
+    Yielded one at a time, so the config reader and _table's line walk keep
+    no (line, body) pair: tens of thousands of surviving tuples would set
+    off a full garbage collection."""
     for i, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if body:
@@ -133,50 +132,47 @@ def _table(path: str, dtype: type, width: int | None) -> np.ndarray:
     width) array of ``dtype`` (np.float64 or np.int64): ``width`` values per
     line, or as many as the first line holds when it is None.
 
-    np.loadtxt reads ASCII text cut where numbered_lines cuts it (the list
-    of lines, never the path, so read_text stays the one reader). Where the
-    text is not ASCII, or loadtxt refuses a token or reads another width,
-    _parse_tokens reads the text: it raises the error naming file and line,
-    or reads what Python's float or int takes and loadtxt does not (``1_0``,
-    non-ASCII digits). So _parse_tokens alone decides which files are
-    accepted and what they hold."""
+    The one token rule is np.loadtxt's on ASCII text, fed the lines of
+    read_text's text, never the path; a file that is not ASCII only in
+    comments is read as its data lines. Where that read fails, each data
+    line is read alone, and the first one that is not ASCII, that loadtxt
+    refuses or that holds another width is a GraphParseError naming file
+    and line."""
     text = read_text(path)
     if next(numbered_lines(text), None) is None:  # loadtxt warns on no data
         return np.zeros((0, width or 0), dtype)
     # numpy's int reader hands any character, past 255 too, to C's isdigit,
-    # which is undefined there and now and then crashes the process
-    if text.isascii():
+    # which is undefined there and now and then crashes the process; so text
+    # that is not ASCII goes to loadtxt as its data lines, if they all are
+    lines = text.splitlines() if text.isascii() else [b for _, b in numbered_lines(text)]
+    if text.isascii() or "".join(lines).isascii():
         try:
-            with warnings.catch_warnings():
-                # older numpy reads "5.0" as the int 5 with only this warning
-                warnings.simplefilter("error", DeprecationWarning)
-                arr = np.loadtxt(text.splitlines(), dtype=dtype, comments="#", ndmin=2)
+            arr = _loadtxt(lines, dtype)
             if width in (None, arr.shape[1]):
                 return arr
         except (ValueError, DeprecationWarning):
             pass
-    return _parse_tokens(path, text, dtype, width)
-
-
-def _parse_tokens(path: str, text: str, dtype: type, width: int | None) -> np.ndarray:
-    """_table's rule one token at a time, each read by Python's float, or
-    int within 64 bits, for a ``text`` with at least one line of data."""
-    parse = float if dtype is np.float64 else _int64
-    flat = []
-    add = flat.append  # per token: faster than extending by a map or a list
+    rows = []
     for lineno, body in numbered_lines(text):
-        toks = body.split()
-        if len(toks) != width:
-            if width is not None:
-                raise GraphParseError(
-                    f"{path}: line {lineno}: expected {width} values, got {len(toks)}")
-            width = len(toks)
         try:
-            for tok in toks:
-                add(parse(tok))
-        except ValueError as exc:
+            if not body.isascii():
+                raise ValueError(f"not ASCII: {body!r}")
+            row = _loadtxt([body], dtype)
+            width = width or row.shape[1]
+            if row.shape[1] != width:
+                raise ValueError(f"expected {width} values, got {row.shape[1]}")
+        except (ValueError, DeprecationWarning) as exc:
             raise GraphParseError(f"{path}: line {lineno}: {exc}") from exc
-    return np.array(flat, dtype).reshape(-1, width)
+        rows.append(row)
+    return np.concatenate(rows)
+
+
+def _loadtxt(lines: list[str], dtype: type) -> np.ndarray:
+    """np.loadtxt's (rows, width) read of ASCII ``lines``, '#' starting a comment."""
+    with warnings.catch_warnings():
+        # older numpy reads "5.0" as the int 5 with only this warning
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(lines, dtype=dtype, comments="#", ndmin=2)
 
 
 def load_graph(edges_path: str, features_path: str, labels_path: str) -> Graph:
@@ -305,9 +301,7 @@ class ClassSplit:
         if not isinstance(raw, dict):
             raise GraphParseError("a split must be a JSON object")
         for f in fields(cls):
-            ids = raw.get(f.name)
-            if not (isinstance(ids, list)
-                    and all(type(x) is int and fits_int64(x) for x in ids)):
+            if not is_int64_list(raw.get(f.name)):
                 raise GraphParseError(
                     f"split key {f.name!r} must be a list of 64-bit integers")
         return cls(**{f.name: raw[f.name] for f in fields(cls)})

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import fits_int64
+from .graph import is_int64_list
 
 
 @dataclass
@@ -65,8 +65,7 @@ class Prototypes:
         one count per class id, every count is at least 1, and mean and var
         are lists of lists of JSON numbers, not booleans, that fit a float."""
         for key in ("class_ids", "counts"):
-            if not (isinstance(d[key], list)
-                    and all(type(x) is int and fits_int64(x) for x in d[key])):
+            if not is_int64_list(d[key]):
                 raise ValueError(f"{key} must be a list of 64-bit integers")
         values = {}
         for key in ("mean", "var"):

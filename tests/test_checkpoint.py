@@ -136,6 +136,18 @@ def test_malformed_header_rejected(tmp_path, header):
         load_checkpoint(path)
 
 
+def test_a_repeated_tensor_name_is_refused(tmp_path):
+    path = tmp_path / "ckpt.bin"
+    with pytest.raises(ValueError, match="'a' is given twice"):
+        save_checkpoint(str(path), [("a", np.ones((1, 1))), ("a", np.zeros((1, 1)))], {})
+    assert not path.exists()
+    header = json.dumps({"format_version": FORMAT_VERSION, "meta": {},
+                         "tensors": [_entry(name="a"), _entry(name="a")]}).encode("utf-8")
+    path.write_bytes(struct.pack("<Q", len(header)) + header + bytes(16))
+    with pytest.raises(CheckpointError, match="tensor 'a' appears twice"):
+        load_checkpoint(str(path))
+
+
 def test_missing_file_raises_file_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(str(tmp_path / "nope.bin"))

@@ -472,6 +472,42 @@ def test_eval_dimension_mismatch(pipeline, tmp_path, capsys):
         assert needle in capsys.readouterr().err
 
 
+def test_eval_refuses_a_checkpoint_with_a_repeated_tensor(pipeline, tmp_path, capsys):
+    cfg, _, ncd = pipeline
+    meta, tensors = load_checkpoint(os.path.join(ncd, "checkpoint_ncd_best.bin"))
+    # a second copy of encoder.w1, of its shape, under a name of the same
+    # length, which the header then renames to encoder.w1
+    bad = str(tmp_path / "twice.bin")
+    save_checkpoint(bad, [*tensors.items(), ("encoder.w9", tensors["encoder.w1"])], meta)
+    with open(bad, "rb") as fh:
+        raw = fh.read()
+    with open(bad, "wb") as fh:
+        fh.write(raw.replace(b'"encoder.w9"', b'"encoder.w1"', 1))
+    assert main(["eval", "--config", cfg, "--out", str(tmp_path / "ev"),
+                 "--checkpoint", bad]) == 2
+    assert f"error: {bad}: tensor 'encoder.w1' appears twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,edit", [
+    # "u vw" -> "u v_w": the last edge line's endpoints both have two digits
+    ("edges.txt", lambda line: line[:-1] + "_" + line[-1]),
+    ("labels.txt", lambda line: "".join(chr(0x660 + int(c)) for c in line)),
+    ("features.txt", lambda line: line.replace(" ", "\xa0", 1)),
+], ids=["underscore", "arabic_indic_digits", "no_break_space"])
+def test_a_token_loadtxt_does_not_read_exits_2_naming_file_and_line(tmp_path, capsys,
+                                                                     name, edit):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", _write_cfg(tmp_path), "--out", str(data)]) == 0
+    path = data / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-1] = edit(lines[-1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    files = "".join(f"{key} = {data / key}.txt\n" for key in ("edges", "features", "labels"))
+    cfg = _write_cfg(tmp_path, name="files.cfg", extra="dataset = files\n" + files)
+    assert main(["pretrain", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {path}: line {len(lines)}: " in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint(pipeline, tmp_path):
     cfg, _, _ = pipeline
     assert main(["eval", "--config", cfg, "--out", str(tmp_path / "ev"),

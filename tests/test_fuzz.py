@@ -1,7 +1,8 @@
 """Property tests: on any input the parsers raise only their typed errors, the
-dataset hash is that of the parsed graph, whatever text spells it, the graph
-tables read by np.loadtxt are what the per-token loop reads, and the command
-line returns one of its documented exit codes.
+dataset hash is that of the parsed graph, whatever text spells it, a graph
+table is np.loadtxt's read of its data lines or the parse error naming the
+first line loadtxt refuses, and the command line returns one of its
+documented exit codes.
 
 Hypothesis runs derandomized and without its example database, so every run
 draws the same examples (conftest.py keeps its caches out of the tree).
@@ -22,8 +23,8 @@ from graphncd import cli
 from graphncd.checkpoint import FORMAT_VERSION, CheckpointError, load_checkpoint
 from graphncd.config import ConfigError, RunConfig, parse_config_text
 from graphncd.graph import (ClassSplit, GraphParseError, GraphValidationError,
-                            _parse_tokens, _table, build_graph, canonical_texts,
-                            load_graph, save_graph, validate_split)
+                            _table, build_graph, canonical_texts, load_graph,
+                            numbered_lines, save_graph, validate_split)
 from graphncd.training import load_state
 
 pytest.importorskip("hypothesis")
@@ -253,9 +254,9 @@ def test_dataset_hash_is_that_of_the_parsed_graph(tmp_path, graph, data):
     assert _files_hash(tmp_path, _canonical(data.draw(one_change(graph)))) != want
 
 
-# token forms on which np.loadtxt and Python's float or int might part:
-# AGREED both read alike in a table of that dtype, and loadtxt refuses every
-# REFUSED form in an int table (Python reads some of them)
+# token forms at the edge of the token rule: np.loadtxt reads every AGREED
+# form in a table of that dtype and refuses every REFUSED form in an int
+# table (Python's int reads some of them: 1_0 and the non-ASCII digits)
 INT_AGREED = ["+5", "-0", "00012", "0" * 25 + "7", "9223372036854775807",
               "-9223372036854775808"]
 AGREED = {np.int64: INT_AGREED,
@@ -273,7 +274,8 @@ def tables(draw, dtype):
     """(text, width) of a table with at least one line of data: rows of plain
     numbers, with up to two tokens of an odd form and now and then one row of
     another width, joined by drawn separators, with separators around the
-    row, trailing comments, and blank and comment lines in between."""
+    row, trailing comments (one not ASCII), and blank and comment lines in
+    between."""
     width = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(plain[dtype], min_size=width, max_size=width),
                          min_size=1, max_size=5))
@@ -284,7 +286,8 @@ def tables(draw, dtype):
         row = rows[draw(st.integers(0, len(rows) - 1))]
         row[:] = row[1:] or row + row
     lines = [draw(SEPARATORS | st.just("")) + draw(SEPARATORS).join(row)
-             + draw(st.sampled_from(["", " ", "# note", " # 1 2", "\xa0"])) for row in rows]
+             + draw(st.sampled_from(["", " ", "# note", " # 1 2", "\xa0", "# \u00e9"]))
+             for row in rows]
     return _interleave(draw, lines), width
 
 
@@ -297,16 +300,39 @@ def _outcome(read):
     return arr.dtype, arr.shape, arr.tobytes()
 
 
+def _first_refused(text, dtype, width):
+    """The number of the first data line that is not ASCII, that np.loadtxt
+    refuses on its own, or that loadtxt reads at another width than
+    ``width`` (the first line's when None); None when there is none."""
+    for lineno, body in numbered_lines(text):
+        if not body.isascii():
+            return lineno
+        try:
+            got = np.loadtxt([body], dtype=dtype, ndmin=2).shape[1]
+        except ValueError:
+            return lineno
+        width = width or got
+        if got != width:
+            return lineno
+    return None
+
+
 @FUZZ
 @given(dtype=st.sampled_from([np.float64, np.int64]), data=st.data())
-def test_table_reads_what_the_per_token_loop_reads(tmp_path, dtype, data):
+def test_table_is_what_loadtxt_reads_or_names_the_first_line_it_refuses(tmp_path, dtype,
+                                                                         data):
     text, drawn = data.draw(tables(dtype))
     width = data.draw(st.sampled_from([None, drawn, drawn % 3 + 1]))
     path = str(tmp_path / "table.txt")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    want = _outcome(lambda: _parse_tokens(path, text, dtype, width))
-    assert _outcome(lambda: _table(path, dtype, width)) == want
+    got = _outcome(lambda: _table(path, dtype, width))  # any other error fails
+    bad = _first_refused(text, dtype, width)
+    if bad is None:
+        want = np.loadtxt([body for _, body in numbered_lines(text)], dtype=dtype, ndmin=2)
+        assert got == (want.dtype, want.shape, want.tobytes())
+    else:
+        assert isinstance(got, str) and got.startswith(f"{path}: line {bad}: ")
 
 
 # A small dataset and schedule that validate and train in a blink. A drawn

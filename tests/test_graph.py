@@ -1,6 +1,7 @@
 """Graph IO, adjacency operators, splits, and the SBM generator."""
 import ast
 import hashlib
+import re
 import warnings
 from pathlib import Path
 
@@ -200,24 +201,55 @@ def test_only_the_reader_the_writer_and_the_checkpoint_loader_open_files():
         ("checkpoint", "load_checkpoint", False),
         ("graph", "read_text", True),
         ("graph", "write_atomic", False)]
-    # and no numpy reader opens a path behind read_text: loadtxt is fed the
-    # list of lines of the text read_text returned
+    # and no numpy reader opens a path behind read_text: loadtxt, at its one
+    # call site, is fed lines of the text read_text returned
     assert [call for _, reads in found for call in reads] == [
-        ("graph", "_table", "loadtxt", "text.splitlines()")]
+        ("graph", "_loadtxt", "loadtxt", "lines")]
 
 
-def test_text_that_is_not_ascii_never_reaches_loadtxt(tmp_path, monkeypatch):
-    # numpy's int reader hands such characters to C's isdigit, which can crash
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.loadtxt was given text that is not ASCII")
+@pytest.fixture
+def ascii_loadtxt(monkeypatch):
+    """np.loadtxt, failing the test when any line it is given is not ASCII:
+    numpy's int reader hands such characters to C's isdigit, which can crash."""
+    loadtxt = np.loadtxt
 
-    monkeypatch.setattr(graph.np, "loadtxt", refuse)
+    def ascii_only(lines, *args, **kwargs):
+        assert all(line.isascii() for line in lines), f"np.loadtxt was given {lines!r}"
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(graph.np, "loadtxt", ascii_only)
+
+
+def test_text_that_is_not_ascii_never_reaches_loadtxt(tmp_path, ascii_loadtxt):
     path = tmp_path / "e.txt"
     path.write_text("0\xa01\n1 \u0662\n", encoding="utf-8")
-    assert graph._table(str(path), np.int64, 2).tolist() == [[0, 1], [1, 2]]
-    path.write_text("0 1\n\U00097356\xa2 2\n", encoding="utf-8")
-    with pytest.raises(GraphParseError, match=r"e\.txt: line 2: invalid literal"):
+    with pytest.raises(GraphParseError, match=r"e\.txt: line 1: not ASCII"):
         graph._table(str(path), np.int64, 2)
+    path.write_text("0 1\n\U00097356\xa2 2\n", encoding="utf-8")
+    with pytest.raises(GraphParseError, match=r"e\.txt: line 2: not ASCII"):
+        graph._table(str(path), np.int64, 2)
+
+
+@pytest.mark.parametrize("name,text,dtype,width,lineno", [
+    ("e.txt", "0 1\n0 1_0\n", np.int64, 2, 2),
+    ("l.txt", "# labels\n0\n\u0661\u0662\n", np.int64, 1, 3),
+    ("f.txt", "1.0\xa02.0\n", np.float64, None, 1),
+])
+def test_a_token_loadtxt_does_not_read_is_a_parse_error(tmp_path, name, text, dtype,
+                                                         width, lineno):
+    # Python's int and float read each of these: 10, 12 and (1.0, 2.0)
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(GraphParseError, match=rf"^{re.escape(str(path))}: line {lineno}: "):
+        graph._table(str(path), dtype, width)
+
+
+def test_text_that_is_not_ascii_only_in_comments_loads(tmp_path, ascii_loadtxt):
+    path = tmp_path / "f.txt"
+    path.write_text("# caf\u00e9 \u0661\n1.5 2 # \xa0 \U00097356\n-0.25 1e3\n",
+                    encoding="utf-8")
+    got = graph._table(str(path), np.float64, None)
+    assert got.dtype == np.float64 and got.tolist() == [[1.5, 2.0], [-0.25, 1e3]]
 
 
 def _no_data_files(tmp_path, edges="0 1\n", features="1.0\n2.0\n", labels="0\n0\n"):

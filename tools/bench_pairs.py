@@ -22,7 +22,8 @@ run's ``{"env": ...}`` line (``?`` where a run printed none) and flags the
 pair when its two sides saw different counts: graphncd's pair ops and
 spmm split their work over the usable CPUs, so such a pair compares unlike
 machines; the block ends with the number of flagged pairs. Exits 1 if any
-run failed, else 0.
+run failed, else 0; a ``--pairs`` below 1 or a ``--seconds`` that is not
+finite and positive exits 2 before any run.
 """
 from __future__ import annotations
 
@@ -183,6 +184,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not 0 < args.seconds < math.inf:
+        ap.error(f"--seconds must be finite and positive, got {args.seconds}")
     workloads = args.workload.split(",")
     if not all(workloads):
         ap.error(f"empty workload name in {args.workload!r}")
