@@ -10,20 +10,20 @@ Shapes are strict. Scalars are (1, 1), row vectors (1, d). The only
 broadcasting allowed in ``add``/``mul`` is a (1, d) or (1, 1) operand
 against an (n, d) one, which covers bias rows and scalar weights.
 
-Kernels that cut their work into parts all do it by one rule,
+Kernels that cut their work into parts all do it through one function,
 :func:`_in_parts`: contiguous slices, one per usable CPU, once every slice
-gets the kernel's floor of work, on one thread pool per process, made on the
-first split. ``spmm``, forward and vjp, runs in column parts of its dense
-operand once every part gets MIN_PART_WORK non-zeros x columns. A sparse
-product computes each output column on its own, so the output bytes do not
-depend on the CPU count.
+gets the kernel's floor of work. It runs the first slice on the calling
+thread and the others on one thread pool per process, made on the first
+split, and returns once every part has ended. ``spmm``, forward and vjp,
+runs in column parts of its dense operand once every part gets
+MIN_PART_WORK non-zeros x columns. A sparse product computes each output
+column on its own, so the output bytes do not depend on the CPU count.
 """
 from __future__ import annotations
 
 import concurrent.futures as cf
 import os
 import threading
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,41 +46,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_parts(parts: Sequence[Callable[[], object]]) -> list:
-    """Call ``parts[0]()`` on the calling thread and the others on the shared
-    pool; return their results in order. Every part has ended before this
-    returns, or raises the error of the first part, in order, that failed.
-    Parts may call only numpy, scipy and array helpers: no Tensor is built
-    off the calling thread."""
+def _in_parts(count: int, floor: int, part: Callable[[slice], object]) -> list:
+    """Call ``part`` on contiguous slices of ``range(count)``, one per usable
+    CPU as long as each slice gets ``floor`` items; return the results in
+    slice order. With less than two floors' worth of work, one call on
+    ``slice(0, count)``. Otherwise slice 0 runs on the calling thread and the
+    others on one pool per process, made on the first split; every part has
+    ended before this returns, or raises the error of the first part, in
+    slice order, that failed. Parts may call only numpy, scipy and array
+    helpers: no Tensor is built off the calling thread."""
     global _pool
+    # the CPU query is a system call that took ~13 us inside a desk epoch
+    # (2-core x86 VM), so it is skipped where the work is too little to split
+    cpus = _usable_cpus() if count >= 2 * floor else 1
+    parts = min(cpus, count // floor)
+    if parts < 2:
+        return [part(slice(0, count))]
+    cuts = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
     with _pool_lock:
         if _pool is None:
-            _pool = cf.ThreadPoolExecutor(max_workers=_usable_cpus() - 1,
+            _pool = cf.ThreadPoolExecutor(max_workers=cpus - 1,
                                           thread_name_prefix="graphncd")
         pool = _pool
     pending = []
     try:
-        for part in parts[1:]:
-            pending.append(pool.submit(part))
-        first = parts[0]()
+        for cut in cuts[1:]:
+            pending.append(pool.submit(part, cut))
+        first = part(cuts[0])
     finally:
         cf.wait(pending)
     return [first] + [f.result() for f in pending]
-
-
-def _in_parts(count: int, floor: int, part: Callable[[slice], object]) -> list:
-    """Call ``part`` on contiguous slices of ``range(count)``, one per usable
-    CPU as long as each slice gets ``floor`` items; return the results in
-    slice order. The first slice runs on the calling thread, the others on
-    the shared pool (:func:`_run_parts`). With less than two floors' worth of
-    work, one call on ``slice(0, count)``."""
-    # the CPU query is a system call that took ~13 us inside a desk epoch
-    # (2-core x86 VM), so it is skipped where the work is too little to split
-    parts = min(_usable_cpus(), count // floor) if count >= 2 * floor else 1
-    if parts < 2:
-        return [part(slice(0, count))]
-    return _run_parts([partial(part, slice(count * i // parts, count * (i + 1) // parts))
-                       for i in range(parts)])
 
 
 def _drop_pool() -> None:

@@ -162,7 +162,9 @@ def _table(path: str, dtype: type, width: int | None) -> np.ndarray:
             if row.shape[1] != width:
                 raise ValueError(f"expected {width} values, got {row.shape[1]}")
         except (ValueError, DeprecationWarning) as exc:
-            raise GraphParseError(f"{path}: line {lineno}: {exc}") from exc
+            # loadtxt read this line alone, so the row it names is always 0
+            why = str(exc).replace(" at row 0, column ", " at column ")
+            raise GraphParseError(f"{path}: line {lineno}: {why}") from exc
         rows.append(row)
     return np.concatenate(rows)
 

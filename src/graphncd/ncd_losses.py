@@ -99,23 +99,16 @@ PAIR_BLOCK = 64
 MIN_PART_BLOCKS = 3
 
 
-def _row_blocks(n: int):
-    return (slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK))
-
-
-def _in_row_blocks(n: int, start_part) -> list:
-    """The outputs, in block order, of ``step = start_part()`` on every row
-    block of n. The blocks run in contiguous parts as ``ad._in_parts`` cuts
-    them, MIN_PART_BLOCKS at least each, and each part calls ``start_part``
-    once for its own scratch. Steps may call only numpy and this module's
-    array helpers: no Tensor is built off the calling thread."""
-    blocks = list(_row_blocks(n))
-
-    def run(part):
-        step = start_part()
-        return [step(r) for r in blocks[part]]
-
-    return [out for outs in ad._in_parts(len(blocks), MIN_PART_BLOCKS, run) for out in outs]
+def _in_row_blocks(n: int, run) -> list:
+    """The outputs, in block order, of ``run`` on the row blocks of n. The
+    blocks run in contiguous parts as ``ad._in_parts`` cuts them,
+    MIN_PART_BLOCKS at least each. ``run`` gets one part's list of row
+    slices, so it can allocate the part's scratch once, and returns one
+    output per block. It may call only numpy and this module's array
+    helpers: no Tensor is built off the calling thread."""
+    blocks = [slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK)]
+    parts = ad._in_parts(len(blocks), MIN_PART_BLOCKS, lambda part: run(blocks[part]))
+    return [out for outs in parts for out in outs]
 
 
 class _Similarity(Tensor):
@@ -132,19 +125,16 @@ def _similarity_vjp(g):
 def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     """s_ij = logistic(u_i . u_j) over all ordered pairs, shape (n, n).
 
-    One op, forward row block by row block, the blocks split over threads
-    as _in_row_blocks does; each block writes its own rows of s, so the
+    One op, forward row block by row block, the blocks run in parts as
+    _in_row_blocks cuts them; each block writes its own rows of s, so the
     bytes do not depend on the split. It has no vjp of its own:
     pairwise_bce differentiates straight to the logits, and any other route
     to a gradient-carrying similarity raises TypeError in backward."""
     u = novel_logits.data
     n = u.shape[0]
     s = np.empty((n, n))
-
-    def step(r):
-        ad._stable_sigmoid(np.matmul(u[r], u.T, out=s[r]), out=s[r])
-
-    _in_row_blocks(n, lambda: step)
+    _in_row_blocks(n, lambda blocks: [
+        ad._stable_sigmoid(np.matmul(u[r], u.T, out=s[r]), out=s[r]) for r in blocks])
     out = ad._make(s, (novel_logits,), _similarity_vjp)
     # marked after _make, so a wrapper that swaps out._vjp keeps the mark
     out.__class__ = _Similarity
@@ -237,10 +227,11 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     on the tape. A constant s gives a constant loss; a gradient-carrying s
     that pairwise_similarity did not return raises TypeError.
 
-    The blocks may run in parts on threads (_in_row_blocks), each part with
-    its own scratch. Once every part has ended, each block's log-sum, t U and
-    t^T U are added to the loss and the gradient in block order, so both are
-    bitwise those of one thread.
+    The blocks may run in parts on threads (_in_row_blocks): one function
+    per part allocates the part's scratch once and loops over its blocks.
+    Once every part has ended, each block's log-sum, t U and t^T U are added
+    to the loss and the gradient in block order, so both are bitwise those
+    of one thread.
     """
     n, m = s.shape
     if n != m or not n:  # a mean over no pairs is undefined
@@ -267,13 +258,13 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
         scan = not np.einsum("ij,ij->i", u, u).max(initial=0.0) < 25.0
     total = 0.0
 
-    def start_part():
+    def run(blocks):
         # one row block of scratch per part: y as float, then y - 1; clip(s); t; masks
         shape = (min(PAIR_BLOCK, n), n)
         yf, sf, tf = np.empty(shape), np.empty(shape), np.empty(shape)
         keepf, hif = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-
-        def step(r):
+        outs = []
+        for r in blocks:
             sb = sd[r]
             k = sb.shape[0]
             yb, sc = yf[:k], sf[:k]
@@ -289,11 +280,10 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
             np.clip(sb, _S_LO, _S_HI, out=sc)
             sc += yb
             logsum = np.log(np.abs(sc, out=sc), out=sc).sum()
-            return (r, logsum, t @ u, t.T @ u[r]) if parents else (r, logsum)
+            outs.append((r, logsum, t @ u, t.T @ u[r]) if parents else (r, logsum))
+        return outs
 
-        return step
-
-    for r, logsum, *grads in _in_row_blocks(n, start_part):
+    for r, logsum, *grads in _in_row_blocks(n, run):
         total += logsum
         if grads:
             grad_u[r] += grads[0]

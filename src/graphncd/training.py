@@ -269,9 +269,9 @@ def ncd_train(state: ModelState, protos: Prototypes, split: ClassSplit,
         terms = dict.fromkeys(LOSS_TERMS, zero)
 
         if cfg.use_pseudo:
-            sim = pairwise_similarity(u_logits)
-            pair_targets = topk_pseudo_pairs(z_u.data, cfg.top_k)
-            terms["pseudo"] = pairwise_bce(sim, pair_targets)
+            # passed straight in, so no epoch's n x n arrays outlive its loss
+            terms["pseudo"] = pairwise_bce(pairwise_similarity(u_logits),
+                                           topk_pseudo_pairs(z_u.data, cfg.top_k))
         if cfg.use_self:
             terms["self"] = self_training_loss(head_forward(state.joint_head, z_u),
                                                assign_pseudo_labels(u_logits.data, n_old))

@@ -353,19 +353,19 @@ def test_spmm_matches_dense():
 
 @pytest.mark.parametrize("cpus", (1, 2, 3, 9))
 def test_in_parts_cuts_contiguous_slices_of_at_least_the_floor(monkeypatch, cpus):
-    queries, runs = [], []
+    queries = []
     monkeypatch.setattr(ad, "_usable_cpus", lambda: queries.append(1) or cpus)
     monkeypatch.setattr(ad, "_pool", None)
-    run_parts = ad._run_parts
-    monkeypatch.setattr(ad, "_run_parts", lambda ps: runs.append(len(ps)) or run_parts(ps))
     me = threading.get_ident()
     for count in (0, 1, 5, 6, 64, 65, 130):
         for floor in (1, 3, 7):
-            del queries[:], runs[:]
-            calls = []
+            del queries[:]
+            calls, pooled = [], []
 
             def part(cut):
                 calls.append((threading.get_ident(), cut))
+                if threading.current_thread().name.startswith("graphncd"):
+                    pooled.append(cut)                 # a part the shared pool ran
                 return cut.start, cut.stop
 
             got = ad._in_parts(count, floor, part)
@@ -376,10 +376,12 @@ def test_in_parts_cuts_contiguous_slices_of_at_least_the_floor(monkeypatch, cpus
             assert got == [(cut.start, cut.stop) for cut in cuts]
             most = min(cpus, count // floor)
             if count < 2 * floor or most < 2:
-                assert calls == [(me, slice(0, count))] and runs == []
+                assert calls == [(me, slice(0, count))] and pooled == []
                 assert len(queries) == (count >= 2 * floor)
             else:
-                assert len(cuts) == most and runs == [most]
+                # one split: slice 0 on the calling thread, every other slice on the pool
+                assert len(cuts) == most
+                assert sorted(pooled, key=lambda cut: cut.start) == cuts[1:]
                 assert all(cut.stop - cut.start >= floor for cut in cuts)
                 assert [cut for t, cut in calls if t == me] == [cuts[0]]
     assert (ad._pool is None) == (cpus == 1)
@@ -416,16 +418,15 @@ def test_only_in_parts_cuts_work_and_queries_the_cpus():
                 where = getattr(node, "name", where)
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute) else None)
-            if name in ("_run_parts", "_usable_cpus") and isinstance(node.ctx, ast.Load):
+            if name in ("_pool", "_usable_cpus") and isinstance(node.ctx, ast.Load):
                 users.add((path.stem, where, name))
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    # _run_parts sizes the pool by the CPU count; every other split goes through _in_parts
-    assert sorted(users) == [("autodiff", "_in_parts", "_run_parts"),
-                             ("autodiff", "_in_parts", "_usable_cpus"),
-                             ("autodiff", "_run_parts", "_usable_cpus")]
+    # _in_parts alone sizes the split and the pool by the CPU count and runs the parts
+    assert sorted(users) == [("autodiff", "_in_parts", "_pool"),
+                             ("autodiff", "_in_parts", "_usable_cpus")]
 
 
 # ------------------------------------------- spmm in column parts on threads
@@ -475,8 +476,16 @@ def test_every_spmm_part_gets_the_floor(monkeypatch, width, parts):
     monkeypatch.setattr(ad, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(ad, "MIN_PART_WORK", 100)
     cut = []
-    run_parts = ad._run_parts
-    monkeypatch.setattr(ad, "_run_parts", lambda ps: cut.append(len(ps)) or run_parts(ps))
+    in_parts = ad._in_parts
+
+    def spy(count, floor, part):
+        cuts = []
+        out = in_parts(count, floor, lambda cols: cuts.append(cols) or part(cols))
+        if len(cuts) > 1:                            # the product was split
+            cut.append(len(cuts))
+        return out
+
+    monkeypatch.setattr(ad, "_in_parts", spy)
     op = SparseMatrix(np.ones((7, 10)))
     x = np.random.default_rng(45).standard_normal((10, width))
     assert ad.spmm(op, constant(x)).data.tobytes() == np.asarray(op.mat @ x).tobytes()

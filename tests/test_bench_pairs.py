@@ -142,18 +142,22 @@ def test_bad_seed_list_exits_2_before_running(seed, monkeypatch, capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--pairs", "0"), ("--pairs", "-3"),
     ("--seconds", "0"), ("--seconds", "-1"), ("--seconds", "nan"), ("--seconds", "inf"),
+    ("--workload", "desk,nosuch"),
 ])
 def test_a_pair_count_below_1_or_a_bad_duration_exits_2_before_running(
         flag, value, monkeypatch, capsys):
     def no_run(*args):
         raise AssertionError("no benchmark may run")
     monkeypatch.setattr(bench_pairs, "run_bench", no_run)
-    argv = {"--pairs": "1", "--seconds": "1", flag: value}
+    argv = {"--workload": "desk", "--pairs": "1", "--seconds": "1", flag: value}
     with pytest.raises(SystemExit) as e:
-        bench_pairs.main(["parent", "change", "--workload", "desk", "--seed", "0",
+        bench_pairs.main(["parent", "change", "--seed", "0",
                           *(x for kv in argv.items() for x in kv)])
     assert e.value.code == 2
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert flag in err
+    if flag == "--workload":
+        assert "unknown workload 'nosuch'" in err
 
 
 def test_every_seed_runs_every_workload(monkeypatch, capsys):

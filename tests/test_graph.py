@@ -240,8 +240,14 @@ def test_a_token_loadtxt_does_not_read_is_a_parse_error(tmp_path, name, text, dt
     # Python's int and float read each of these: 10, 12 and (1.0, 2.0)
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(GraphParseError, match=rf"^{re.escape(str(path))}: line {lineno}: "):
+    head = rf"^{re.escape(str(path))}: line {lineno}: "
+    with pytest.raises(GraphParseError, match=head) as caught:
         graph._table(str(path), dtype, width)
+    # the line is named, and loadtxt's row, always 0 for a line read alone, is not
+    why = str(caught.value)[len(str(path)):]
+    assert "row" not in why
+    if name == "e.txt":
+        assert "column 2" in why
 
 
 def test_text_that_is_not_ascii_only_in_comments_loads(tmp_path, ascii_loadtxt):

@@ -272,9 +272,9 @@ def test_bce_checks_targets_before_any_row_block(monkeypatch):
     n = 2 * PAIR_BLOCK + 3
     s = pairwise_similarity(parameter(np.random.default_rng(21).standard_normal((n, 3))))
     blocks = []
-    row_blocks = ncd_losses._row_blocks
-    monkeypatch.setattr(ncd_losses, "_row_blocks",
-                        lambda n: blocks.append(n) or row_blocks(n))
+    in_parts = ad._in_parts
+    monkeypatch.setattr(ad, "_in_parts", lambda count, floor, part:
+                        blocks.append(count) or in_parts(count, floor, part))
     y = np.eye(n)
     y[-1, 0] = 0.5                               # in the last row block
     with pytest.raises(ValueError, match="0 or 1"):
@@ -282,7 +282,7 @@ def test_bce_checks_targets_before_any_row_block(monkeypatch):
     assert blocks == []
     y[-1, 0] = 1.0
     pairwise_bce(s, y)
-    assert blocks == [n]
+    assert blocks == [3]                         # the row blocks of n, run once
 
 
 def test_bce_gradient_is_zero_exactly_on_saturated_pairs():

@@ -2,6 +2,7 @@
 import copy
 import inspect
 import typing
+import weakref
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -303,6 +304,30 @@ def test_pair_loss_runs_once_per_epoch_and_leaves_no_n_by_n_tape(pretrained,
     assert log.epochs_run == 4
     assert calls == dict.fromkeys(calls, 4) and len(calls) == 3
     assert squares == [0] * 4
+
+
+def test_no_epoch_holds_the_last_epochs_pair_arrays(pretrained, monkeypatch):
+    g, split, _, state, protos, _ = pretrained
+    cfg = _cfg(ncd_epochs=4)
+    epoch, refs = [0], []               # (epoch, weakref) of each n x n output
+
+    def watched(name, data):
+        orig = getattr(training, name)
+
+        def call(*args):
+            epoch[0] += name == "pairwise_similarity"  # called first in each epoch
+            # every earlier epoch's similarity and targets are freed by now
+            assert all(ref() is None for e, ref in refs if e < epoch[0])
+            out = orig(*args)
+            refs.append((epoch[0], weakref.ref(data(out))))
+            return out
+        monkeypatch.setattr(training, name, call)
+
+    # a Tensor has __slots__ and takes no weakref, so the similarity's array is watched
+    watched("pairwise_similarity", lambda s: s.data)
+    watched("topk_pseudo_pairs", lambda y: y)
+    _, log = ncd_train(state, protos, split, cfg, _input(g))
+    assert log.epochs_run == 4 and epoch == [4] and len(refs) == 8
 
 
 # -------------------------------------------------------------- early stopping

@@ -22,8 +22,9 @@ run's ``{"env": ...}`` line (``?`` where a run printed none) and flags the
 pair when its two sides saw different counts: graphncd's pair ops and
 spmm split their work over the usable CPUs, so such a pair compares unlike
 machines; the block ends with the number of flagged pairs. Exits 1 if any
-run failed, else 0; a ``--pairs`` below 1 or a ``--seconds`` that is not
-finite and positive exits 2 before any run.
+run failed, else 0; a ``--pairs`` below 1, a ``--seconds`` that is not
+finite and positive or a workload that BENCHMARK.json does not declare
+exits 2 before any run.
 """
 from __future__ import annotations
 
@@ -188,10 +189,13 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
     if not 0 < args.seconds < math.inf:
         ap.error(f"--seconds must be finite and positive, got {args.seconds}")
+    spec = json.loads(_SPEC.read_text())
+    known = [w["name"] for w in spec["workloads"]]
     workloads = args.workload.split(",")
-    if not all(workloads):
-        ap.error(f"empty workload name in {args.workload!r}")
-    metrics = json.loads(_SPEC.read_text())["end_to_end"]
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        ap.error(f"unknown workload {unknown[0]!r}; known: {', '.join(known)}")
+    metrics = spec["end_to_end"]
     any_failed = False
     for seed in args.seed:
         for workload in workloads:
