@@ -9,84 +9,13 @@ or through another loss that shares part of it, with the same result.
 Shapes are strict. Scalars are (1, 1), row vectors (1, d). The only
 broadcasting allowed in ``add``/``mul`` is a (1, d) or (1, 1) operand
 against an (n, d) one, which covers bias rows and scalar weights.
-
-Kernels that cut their work into parts all do it through one function,
-:func:`_in_parts`: contiguous slices, one per usable CPU, once every slice
-gets the kernel's floor of work. It runs the first slice on the calling
-thread and the others on one thread pool per process, made on the first
-split, and returns once every part has ended. ``spmm``, forward and vjp,
-runs in column parts of its dense operand once every part gets
-MIN_PART_WORK non-zeros x columns. A sparse product computes each output
-column on its own, so the output bytes do not depend on the CPU count.
 """
 from __future__ import annotations
 
-import concurrent.futures as cf
-import os
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as _sp
-
-# spmm splits only when every part gets at least this many non-zeros x
-# columns. On propagate (2-core x86 VM, one BLAS thread) splitting A[p1_val]
-# (66,687 non-zeros x 32 columns) in two cut a pretrain epoch from 9.21 to
-# 9.01 ms, though alone, after a 4 ms idle gap, it took 0.70 ms against 0.55
-# ms whole: the pool thread is slow to wake, so the floor is set in-run
-MIN_PART_WORK = 1 << 20
-_pool: cf.ThreadPoolExecutor | None = None  # made on the first split
-_pool_lock = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _in_parts(count: int, floor: int, part: Callable[[slice], object]) -> list:
-    """Call ``part`` on contiguous slices of ``range(count)``, one per usable
-    CPU as long as each slice gets ``floor`` items; return the results in
-    slice order. With less than two floors' worth of work, one call on
-    ``slice(0, count)``. Otherwise slice 0 runs on the calling thread and the
-    others on one pool per process, made on the first split; every part has
-    ended before this returns, or raises the error of the first part, in
-    slice order, that failed. Parts may call only numpy, scipy and array
-    helpers: no Tensor is built off the calling thread."""
-    global _pool
-    # the CPU query is a system call that took ~13 us inside a desk epoch
-    # (2-core x86 VM), so it is skipped where the work is too little to split
-    cpus = _usable_cpus() if count >= 2 * floor else 1
-    parts = min(cpus, count // floor)
-    if parts < 2:
-        return [part(slice(0, count))]
-    cuts = [slice(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
-    with _pool_lock:
-        if _pool is None:
-            _pool = cf.ThreadPoolExecutor(max_workers=cpus - 1,
-                                          thread_name_prefix="graphncd")
-        pool = _pool
-    pending = []
-    try:
-        for cut in cuts[1:]:
-            pending.append(pool.submit(part, cut))
-        first = part(cuts[0])
-    finally:
-        cf.wait(pending)
-    return [first] + [f.result() for f in pending]
-
-
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-# a forked child has none of the pool's threads (and may have forked while one
-# held the lock), so it starts a pool of its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class Tensor:
@@ -149,9 +78,7 @@ class SparseMatrix:
     spmm's backward multiplies by the transpose ``mat_t``, a CSC view of the
     same arrays kept from construction, so no operator holds a copy and no
     backward builds one. For a bitwise-symmetric matrix that product is
-    bitwise the product with ``mat`` itself. Both products may run in column
-    parts of the dense operand on threads (see the module docstring), with
-    the same output bytes as one part.
+    bitwise the product with ``mat`` itself.
     """
 
     def __init__(self, mat):
@@ -230,16 +157,6 @@ def affine(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (h, w, b), vjp)
 
 
-def _sparse_product(mat, x: np.ndarray) -> np.ndarray:
-    """``mat @ x`` in contiguous column parts of x (:func:`_in_parts`), each
-    part getting ceil(MIN_PART_WORK / nnz) columns at least. Each column of
-    the output is computed as in one product."""
-    width = x.shape[1]
-    parts = _in_parts(width, -(-MIN_PART_WORK // max(mat.nnz, 1)),
-                      lambda cols: mat @ x[:, cols])
-    return np.asarray(parts[0]) if len(parts) == 1 else np.hstack(parts)
-
-
 def spmm(m: SparseMatrix, x: Tensor) -> Tensor:
     """Sparse @ dense. Gradient flows into x only (m is a fixed operator)."""
     _check_2d(x)
@@ -247,9 +164,9 @@ def spmm(m: SparseMatrix, x: Tensor) -> Tensor:
         raise ValueError(f"spmm shape mismatch: {m.shape} @ {x.shape}")
 
     def vjp(g):
-        return [_sparse_product(m.mat_t, g)]
+        return [m.mat_t @ g]
 
-    return _make(_sparse_product(m.mat, x.data), (x,), vjp)
+    return _make(m.mat @ x.data, (x,), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:

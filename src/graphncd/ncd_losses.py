@@ -18,6 +18,9 @@ with b1, b2 following a sigmoid-shaped warmup ramp from zero.
 """
 from __future__ import annotations
 
+import concurrent.futures as cf
+import os
+import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -97,18 +100,62 @@ PAIR_BLOCK = 64
 # 1.31, 1.17, 0.92, 0.78 and 0.65 of one part's time at 2, 4, 5, 6, 8 and 15
 # blocks (2-core x86 machine, one BLAS thread)
 MIN_PART_BLOCKS = 3
+_pool: cf.ThreadPoolExecutor | None = None  # made on the first split
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _in_row_blocks(n: int, run) -> list:
-    """The outputs, in block order, of ``run`` on the row blocks of n. The
-    blocks run in contiguous parts as ``ad._in_parts`` cuts them,
-    MIN_PART_BLOCKS at least each. ``run`` gets one part's list of row
-    slices, so it can allocate the part's scratch once, and returns one
-    output per block. It may call only numpy and this module's array
+    """The outputs, in block order, of ``run`` on the row blocks of n.
+    ``run`` gets one part's list of row slices, so it can allocate the
+    part's scratch once, and returns one output per block. The blocks run
+    in contiguous parts, one per usable CPU as long as each part gets
+    MIN_PART_BLOCKS blocks; with less than two parts' worth, one call on
+    every block. Otherwise part 0 runs on the calling thread and the others
+    on one pool per process, made on the first split; every part has ended
+    before this returns, or raises the error of the first part, in block
+    order, that failed. ``run`` may call only numpy and this module's array
     helpers: no Tensor is built off the calling thread."""
+    global _pool
     blocks = [slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK)]
-    parts = ad._in_parts(len(blocks), MIN_PART_BLOCKS, lambda part: run(blocks[part]))
-    return [out for outs in parts for out in outs]
+    count = len(blocks)
+    # the CPU query is a system call that took ~13 us inside a desk epoch
+    # (2-core x86 VM), so it is skipped where the work is too little to split
+    cpus = _usable_cpus() if count >= 2 * MIN_PART_BLOCKS else 1
+    parts = min(cpus, count // MIN_PART_BLOCKS)
+    if parts < 2:
+        return run(blocks)
+    cuts = [blocks[count * i // parts:count * (i + 1) // parts] for i in range(parts)]
+    with _pool_lock:
+        if _pool is None:
+            _pool = cf.ThreadPoolExecutor(max_workers=cpus - 1,
+                                          thread_name_prefix="graphncd")
+        pool = _pool
+    pending = []
+    try:
+        for cut in cuts[1:]:
+            pending.append(pool.submit(run, cut))
+        first = run(cuts[0])
+    finally:
+        cf.wait(pending)
+    return first + [out for f in pending for out in f.result()]
+
+
+def _drop_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+# a forked child has none of the pool's threads (and may have forked while one
+# held the lock), so it starts a pool of its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 class _Similarity(Tensor):

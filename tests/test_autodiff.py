@@ -1,8 +1,8 @@
 """Finite-difference checks and graph semantics for the autodiff core."""
 import ast
-import sys
+import concurrent.futures as cf
+import os
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -349,65 +349,7 @@ def test_spmm_matches_dense():
     assert np.allclose(out, adj.mat.toarray() @ x, atol=1e-12)
 
 
-# ------------------------------------------------ one split rule: _in_parts
-
-@pytest.mark.parametrize("cpus", (1, 2, 3, 9))
-def test_in_parts_cuts_contiguous_slices_of_at_least_the_floor(monkeypatch, cpus):
-    queries = []
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: queries.append(1) or cpus)
-    monkeypatch.setattr(ad, "_pool", None)
-    me = threading.get_ident()
-    for count in (0, 1, 5, 6, 64, 65, 130):
-        for floor in (1, 3, 7):
-            del queries[:]
-            calls, pooled = [], []
-
-            def part(cut):
-                calls.append((threading.get_ident(), cut))
-                if threading.current_thread().name.startswith("graphncd"):
-                    pooled.append(cut)                 # a part the shared pool ran
-                return cut.start, cut.stop
-
-            got = ad._in_parts(count, floor, part)
-            cuts = sorted((cut for _, cut in calls), key=lambda cut: cut.start)
-            # contiguous slices that cover range(count) in order, results in slice order
-            assert cuts[0].start == 0 and cuts[-1].stop == count
-            assert all(a.stop == b.start for a, b in zip(cuts, cuts[1:]))
-            assert got == [(cut.start, cut.stop) for cut in cuts]
-            most = min(cpus, count // floor)
-            if count < 2 * floor or most < 2:
-                assert calls == [(me, slice(0, count))] and pooled == []
-                assert len(queries) == (count >= 2 * floor)
-            else:
-                # one split: slice 0 on the calling thread, every other slice on the pool
-                assert len(cuts) == most
-                assert sorted(pooled, key=lambda cut: cut.start) == cuts[1:]
-                assert all(cut.stop - cut.start >= floor for cut in cuts)
-                assert [cut for t, cut in calls if t == me] == [cuts[0]]
-    assert (ad._pool is None) == (cpus == 1)
-
-
-def test_in_parts_raises_only_once_every_part_has_ended(monkeypatch):
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(ad, "_pool", None)
-    errors = [RuntimeError(f"part {i} fails") for i in range(3)]
-    for failing in ({1, 2}, {0}):
-        ended = []
-
-        def part(cut):
-            i = cut.start // 3
-            if i != min(failing):
-                time.sleep(0.02)                     # the others outlast the first failure
-            if i in failing:
-                raise errors[i]
-            ended.append(i)
-
-        with pytest.raises(RuntimeError) as caught:
-            ad._in_parts(9, 3, part)
-        # the error of the first failing part, in slice order, once the others ended
-        assert caught.value is errors[min(failing)]
-        assert sorted(ended) == sorted({0, 1, 2} - failing)
-
+# ------------------------------------------------- one function splits work
 
 def test_only_in_parts_cuts_work_and_queries_the_cpus():
     src = Path(ad.__file__).parent
@@ -424,20 +366,20 @@ def test_only_in_parts_cuts_work_and_queries_the_cpus():
                 visit(child, where)
 
         visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    # _in_parts alone sizes the split and the pool by the CPU count and runs the parts
-    assert sorted(users) == [("autodiff", "_in_parts", "_pool"),
-                             ("autodiff", "_in_parts", "_usable_cpus")]
+    # _in_row_blocks alone sizes the split and the pool by the CPU count and runs the parts
+    assert sorted(users) == [("ncd_losses", "_in_row_blocks", "_pool"),
+                             ("ncd_losses", "_in_row_blocks", "_usable_cpus")]
+    # and the engine holds no thread machinery at all
+    imported = set()
+    for node in ast.walk(ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert imported.isdisjoint({"threading", "concurrent", "os"})
 
 
-# ------------------------------------------- spmm in column parts on threads
-
-def _split_spmm_into(monkeypatch, parts):
-    """Let spmm see ``parts`` usable CPUs, on a pool of its own, and split
-    every product with a non-zero."""
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: parts)
-    monkeypatch.setattr(ad, "_pool", None)
-    monkeypatch.setattr(ad, "MIN_PART_WORK", 1)
-
+# ------------------------------------------------------- spmm runs whole
 
 def _spmm_operators():
     """An operator with empty rows, a restriction with duplicate rows and a
@@ -449,63 +391,28 @@ def _spmm_operators():
     return [op, op.restrict([5, 5, 0, 12, 5, 22, 3]), op.restrict([])]
 
 
-@pytest.mark.parametrize("parts", (1, 2, 3, 9))
-def test_spmm_is_bitwise_the_same_in_any_number_of_parts(monkeypatch, parts):
+def test_spmm_is_bitwise_the_operator_product():
     rng = np.random.default_rng(41)
     cases = [(op, rng.standard_normal((op.shape[1], w)), rng.standard_normal((op.shape[0], w)))
              for op in _spmm_operators() for w in (1, 3, 16, 17, 33)]
-    _split_spmm_into(monkeypatch, parts)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)                      # threads trade the lock often
-    try:
-        for op, xv, up in cases:
-            x = parameter(xv.copy())
-            out = ad.spmm(op, x)
-            (got,) = backward(ad.sum(ad.mul(out, constant(up))), [x])
-            assert out.data.tobytes() == np.asarray(op.mat @ xv).tobytes()
-            assert got.tobytes() == np.asarray(op.mat.T @ up).tobytes()
-            assert out.data.flags.c_contiguous and got.flags.c_contiguous
-    finally:
-        sys.setswitchinterval(switch)
-    assert (ad._pool is not None) == (parts > 1)
+    for op, xv, up in cases:
+        x = parameter(xv.copy())
+        out = ad.spmm(op, x)
+        (got,) = backward(ad.sum(ad.mul(out, constant(up))), [x])
+        assert out.data.tobytes() == np.asarray(op.mat @ xv).tobytes()
+        assert got.tobytes() == np.asarray(op.mat.T @ up).tobytes()
+        assert out.data.flags.c_contiguous and got.flags.c_contiguous
 
 
-@pytest.mark.parametrize("width, parts", [(1, 1), (3, 1), (4, 2), (5, 2), (6, 3), (9, 4)])
-def test_every_spmm_part_gets_the_floor(monkeypatch, width, parts):
-    # 70 non-zeros: a part needs 2 of the columns to reach a floor of 100
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(ad, "MIN_PART_WORK", 100)
-    cut = []
-    in_parts = ad._in_parts
-
-    def spy(count, floor, part):
-        cuts = []
-        out = in_parts(count, floor, lambda cols: cuts.append(cols) or part(cols))
-        if len(cuts) > 1:                            # the product was split
-            cut.append(len(cuts))
-        return out
-
-    monkeypatch.setattr(ad, "_in_parts", spy)
-    op = SparseMatrix(np.ones((7, 10)))
-    x = np.random.default_rng(45).standard_normal((10, width))
-    assert ad.spmm(op, constant(x)).data.tobytes() == np.asarray(op.mat @ x).tobytes()
-    assert cut == ([parts] if parts > 1 else [])
-
-
-def test_spmm_grad_under_a_forced_split(monkeypatch):
-    _split_spmm_into(monkeypatch, 3)
-    adj = mean_adjacency(_toy_graph(seed=2))
-    rng = np.random.default_rng(42)
-    x = _p(rng, adj.shape[1], 5)
-    w = constant(rng.standard_normal((adj.shape[0], 5)))
-    assert grad_check(lambda: ad.sum(ad.mul(ad.spmm(adj, x), w)), [x]) < TOL
-    assert ad._pool is not None
-
-
-def test_small_spmm_starts_no_thread_and_queries_no_cpu(monkeypatch):
-    queries = []
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: queries.append(1) or 2)
-    monkeypatch.setattr(ad, "_pool", None)
+def test_spmm_starts_no_thread_and_queries_no_cpu_at_any_size(monkeypatch):
+    queries, submits = [], []
+    # two usable CPUs, whichever module would ask
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: queries.append(1) or {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: queries.append(1) or 2)
+    submit = cf.ThreadPoolExecutor.submit
+    monkeypatch.setattr(cf.ThreadPoolExecutor, "submit",
+                        lambda *args, **kw: submits.append(1) or submit(*args, **kw))
     builders = set()
     make = ad._make
 
@@ -520,19 +427,19 @@ def test_small_spmm_starts_no_thread_and_queries_no_cpu(monkeypatch):
     phase2 = full.restrict(split_classes(g, [0, 1, 2], [3, 4], seed=0).p2_train)
     assert phase2.shape == (900, 1950) and 20_000 < phase2.mat.nnz < 26_000
     rng = np.random.default_rng(44)
+    # the size of propagate's A[p1_train], which pretrain multiplies every epoch
+    big = SparseMatrix(sp.random(1_440, 2_600, density=0.0532, random_state=rng))
+    assert 190_000 < big.mat.nnz < 210_000
 
     def product(op):
         x = parameter(rng.standard_normal((op.shape[1], 32)))
         up = constant(rng.standard_normal((op.shape[0], 32)))
         backward(ad.sum(ad.mul(ad.spmm(op, x), up)), [x])
 
-    for op in (desk, phase2, full):
+    threads = threading.active_count()
+    for op in (desk, phase2, full, big):
         product(op)
-    assert ad._pool is None and not queries
-    # a split product's parts build no Tensor either
-    monkeypatch.setattr(ad, "MIN_PART_WORK", 1)
-    product(phase2)
-    assert ad._pool is not None and queries
+    assert not queries and not submits and threading.active_count() == threads
     assert builders == {threading.get_ident()}
 
 

@@ -1144,8 +1144,9 @@ def test_run_resolves_its_inputs_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_with_hungarian_alignment_never_imports_scipy_optimize(tmp_path):
-    # a fresh interpreter, since any test may have imported scipy.optimize here
+def test_small_run_imports_neither_scipy_optimize_nor_the_thread_pool(tmp_path):
+    # a fresh interpreter, since any test may have imported either module here;
+    # 150 nodes are at most three row blocks, so no kernel splits
     cfg = tmp_path / "sbm.cfg"
     cfg.write_text(BASE.replace("15,15,15,15", "30,30,30,30,30")
                    .replace("old_classes = 0,1\nnew_classes = 2,3",
@@ -1155,7 +1156,8 @@ def test_run_with_hungarian_alignment_never_imports_scipy_optimize(tmp_path):
     code = ("import sys\n"
             "from graphncd.cli import main\n"
             f"assert main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]) == 0\n"
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n")
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+            "assert 'concurrent.futures.thread' not in sys.modules, 'a thread pool was loaded'\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -272,9 +272,9 @@ def test_bce_checks_targets_before_any_row_block(monkeypatch):
     n = 2 * PAIR_BLOCK + 3
     s = pairwise_similarity(parameter(np.random.default_rng(21).standard_normal((n, 3))))
     blocks = []
-    in_parts = ad._in_parts
-    monkeypatch.setattr(ad, "_in_parts", lambda count, floor, part:
-                        blocks.append(count) or in_parts(count, floor, part))
+    in_row_blocks = ncd_losses._in_row_blocks
+    monkeypatch.setattr(ncd_losses, "_in_row_blocks", lambda n, run: in_row_blocks(
+        n, lambda part: blocks.extend(part) or run(part)))
     y = np.eye(n)
     y[-1, 0] = 0.5                               # in the last row block
     with pytest.raises(ValueError, match="0 or 1"):
@@ -282,7 +282,7 @@ def test_bce_checks_targets_before_any_row_block(monkeypatch):
     assert blocks == []
     y[-1, 0] = 1.0
     pairwise_bce(s, y)
-    assert blocks == [3]                         # the row blocks of n, run once
+    assert len(blocks) == 3                      # the row blocks of n, run once
 
 
 def test_bce_gradient_is_zero_exactly_on_saturated_pairs():
@@ -419,8 +419,74 @@ def test_fused_route_survives_a_wrapper_that_swaps_the_vjp(monkeypatch):
 
 def _split_into(monkeypatch, parts):
     """Let the pair ops see ``parts`` usable CPUs, on a pool of their own."""
-    monkeypatch.setattr(ad, "_usable_cpus", lambda: parts)
-    monkeypatch.setattr(ad, "_pool", None)
+    monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(ncd_losses, "_pool", None)
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3, 9))
+def test_row_blocks_run_in_contiguous_parts_of_at_least_the_floor(monkeypatch, cpus):
+    queries = []
+    monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: queries.append(1) or cpus)
+    monkeypatch.setattr(ncd_losses, "_pool", None)
+    me = threading.get_ident()
+    for count in (0, 1, 5, 6, 64, 65, 130):
+        n = max(count * PAIR_BLOCK - 5, 0)           # count blocks, the last one short
+        for floor in (1, 3, 7):
+            monkeypatch.setattr(ncd_losses, "MIN_PART_BLOCKS", floor)
+            del queries[:]
+            calls, pooled = [], []
+
+            def run(blocks):
+                calls.append((threading.get_ident(), blocks))
+                if threading.current_thread().name.startswith("graphncd"):
+                    pooled.append(blocks)              # a part the shared pool ran
+                return [(r.start, r.stop) for r in blocks]
+
+            got = ncd_losses._in_row_blocks(n, run)
+            parts = sorted((blocks for _, blocks in calls),
+                           key=lambda blocks: blocks[0].start if blocks else 0)
+            every = [r for blocks in parts for r in blocks]
+            # contiguous parts of whole blocks that cover range(n) in order,
+            # results in block order
+            assert len(every) == count
+            assert [i for r in every for i in range(n)[r]] == list(range(n))
+            assert all(len(range(n)[r]) == PAIR_BLOCK for r in every[:-1])
+            assert got == [(r.start, r.stop) for r in every]
+            most = min(cpus, count // floor)
+            if count < 2 * floor or most < 2:
+                assert calls == [(me, every)] and pooled == []
+                assert len(queries) == (count >= 2 * floor)
+            else:
+                # one split: part 0 on the calling thread, every other part on the pool
+                assert len(parts) == most
+                assert sorted(pooled, key=lambda blocks: blocks[0].start) == parts[1:]
+                assert all(len(blocks) >= floor for blocks in parts)
+                assert [blocks for t, blocks in calls if t == me] == [parts[0]]
+    assert (ncd_losses._pool is None) == (cpus == 1)
+
+
+def test_row_blocks_raise_only_once_every_part_has_ended(monkeypatch):
+    monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ncd_losses, "_pool", None)
+    monkeypatch.setattr(ncd_losses, "MIN_PART_BLOCKS", 3)
+    errors = [RuntimeError(f"part {i} fails") for i in range(3)]
+    for failing in ({1, 2}, {0}):
+        ended = []
+
+        def run(blocks):
+            i = blocks[0].start // (3 * PAIR_BLOCK)
+            if i != min(failing):
+                time.sleep(0.02)                     # the others outlast the first failure
+            if i in failing:
+                raise errors[i]
+            ended.append(i)
+            return blocks
+
+        with pytest.raises(RuntimeError) as caught:
+            ncd_losses._in_row_blocks(9 * PAIR_BLOCK, run)
+        # the error of the first failing part, in block order, once the others ended
+        assert caught.value is errors[min(failing)]
+        assert sorted(ended) == sorted({0, 1, 2} - failing)
 
 
 def _block_rows(out):
@@ -507,7 +573,7 @@ def test_only_the_calling_thread_builds_tensors(monkeypatch):
     u = parameter(_mixed_logits(rng, SPLIT_N))
     loss = pairwise_bce(pairwise_similarity(u), topk_pseudo_pairs(u.data, 2))
     backward(loss, [u])
-    assert ad._pool is not None                      # the ops did split
+    assert ncd_losses._pool is not None              # the ops did split
     assert builders == {threading.get_ident()}
 
 
@@ -515,32 +581,31 @@ def test_one_usable_cpu_or_too_few_blocks_start_no_thread(monkeypatch):
     u = constant(np.random.default_rng(703).standard_normal((SPLIT_N, 3)))
     _split_into(monkeypatch, 1)
     pairwise_similarity(u)
-    assert ad._pool is None
+    assert ncd_losses._pool is None
     _split_into(monkeypatch, 4)                      # 2 blocks, fewer than 2 parts' worth
     pairwise_bce(pairwise_similarity(constant(u.data[:2 * PAIR_BLOCK])),
                  np.eye(2 * PAIR_BLOCK))
-    assert ad._pool is None
+    assert ncd_losses._pool is None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")   # fork of a threaded process
 def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
     _split_into(monkeypatch, 2)
-    monkeypatch.setattr(ad, "MIN_PART_WORK", 1)      # spmm splits too
     rng = np.random.default_rng(704)
     u = constant(rng.standard_normal((SPLIT_N, 3)))
     op = ad.SparseMatrix(rng.standard_normal((40, SPLIT_N)) * (rng.random((40, SPLIT_N)) < 0.1))
     want = pairwise_similarity(u).data
     want_spmm = ad.spmm(op, u).data
-    assert ad._pool is not None
+    assert ncd_losses._pool is not None
     pid = os.fork()
     if pid == 0:                                     # the child: exit 0 if it agrees
         ok = False
         try:
-            ok = (ad._pool is None
+            ok = (ncd_losses._pool is None
                   and ad.spmm(op, u).data.tobytes() == want_spmm.tobytes()
-                  and ad._pool is not None
-                  and pairwise_similarity(u).data.tobytes() == want.tobytes())
+                  and pairwise_similarity(u).data.tobytes() == want.tobytes()
+                  and ncd_losses._pool is not None)
         finally:
             os._exit(0 if ok else 1)
     deadline = time.monotonic() + 30.0

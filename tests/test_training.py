@@ -1,6 +1,7 @@
 """Two-phase pipeline: routing, freezing, early stopping, determinism."""
 import copy
 import inspect
+import os
 import typing
 import weakref
 from dataclasses import fields, is_dataclass, replace
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
+import graphncd.ncd_losses as ncd_losses
 import graphncd.training as training
 from graphncd.autodiff import SparseMatrix
 from graphncd.graph import (ClassSplit, Graph, mean_adjacency, operator_for, sbm_generate,
@@ -490,26 +492,31 @@ def test_ncd_train_is_bitwise_the_same_in_one_part_and_two(monkeypatch):
     state, protos, _ = pretrain(g, split, cfg, _input(g))
     runs = []
     for parts in (1, 2):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: parts)
-        monkeypatch.setattr(ad, "_pool", None)
+        monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: parts)
+        monkeypatch.setattr(ncd_losses, "_pool", None)
         runs.append(ncd_train(state, protos, split, cfg, _input(g)))
-        assert (ad._pool is not None) == (parts == 2)
+        assert (ncd_losses._pool is not None) == (parts == 2)
     (a, loga), (b, logb) = runs
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes()
     assert loga.rows == logb.rows and len(loga.rows) == cfg.ncd_epochs
 
 
-def test_pretrain_is_bitwise_the_same_in_one_part_and_two(monkeypatch):
-    g, split = _data(seed=3)
-    cfg = _cfg(backbone="sage", pretrain_epochs=6)
-    monkeypatch.setattr(ad, "MIN_PART_WORK", 1)      # every spmm with a non-zero splits
+def test_sage_pretrain_on_two_cpus_starts_no_pool_and_queries_no_cpu(monkeypatch):
+    # A[p1_train] here is ~80k non-zeros x 32 columns: work enough that a
+    # column split over two CPUs would cut it
+    g = sbm_generate([300] * 4, 0.6, 0.05, 6, 2.5, seed=derive_seed(3, SEED_SBM))
+    split = split_classes(g, [0, 1], [2, 3], seed=derive_seed(3, SEED_SPLIT))
+    cfg = _cfg(backbone="sage", hidden=32, pretrain_epochs=6)
+    queries = []
+    monkeypatch.setattr(ncd_losses, "_pool", None)
     runs = []
-    for parts in (1, 2):
-        monkeypatch.setattr(ad, "_usable_cpus", lambda: parts)
-        monkeypatch.setattr(ad, "_pool", None)
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: queries.append(1) or set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: queries.append(1) or cpus)
         runs.append(pretrain(g, split, cfg, _input(g, "sage")))
-        assert (ad._pool is not None) == (parts == 2)
+    assert not queries and ncd_losses._pool is None
     (a, pa, loga), (b, pb, logb) = runs
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes()

@@ -19,9 +19,9 @@ when the change exceeds the bound, else ``unresolved`` when the parent's
 quartile spread, relative to its median, is wider than the bound, else
 ``within bound``. Each pair's line also gives ``cpus_usable`` from each
 run's ``{"env": ...}`` line (``?`` where a run printed none) and flags the
-pair when its two sides saw different counts: graphncd's pair ops and
-spmm split their work over the usable CPUs, so such a pair compares unlike
-machines; the block ends with the number of flagged pairs. Exits 1 if any
+pair when its two sides saw different counts: graphncd's pair ops split
+their work over the usable CPUs, so such a pair compares unlike machines;
+the block ends with the number of flagged pairs. Exits 1 if any
 run failed, else 0; a ``--pairs`` below 1, a ``--seconds`` that is not
 finite and positive or a workload that BENCHMARK.json does not declare
 exits 2 before any run.
