@@ -2,6 +2,7 @@
 import ast
 import concurrent.futures as cf
 import os
+import sys
 import threading
 from pathlib import Path
 
@@ -391,17 +392,28 @@ def _spmm_operators():
     return [op, op.restrict([5, 5, 0, 12, 5, 22, 3]), op.restrict([])]
 
 
-def test_spmm_is_bitwise_the_operator_product():
+@pytest.mark.parametrize("parts", (1, 2, 3, 9))
+def test_spmm_is_bitwise_the_same_in_any_number_of_parts(monkeypatch, parts):
+    # however many CPUs the machine offers, spmm is the operator product, whole
     rng = np.random.default_rng(41)
     cases = [(op, rng.standard_normal((op.shape[1], w)), rng.standard_normal((op.shape[0], w)))
              for op in _spmm_operators() for w in (1, 3, 16, 17, 33)]
-    for op, xv, up in cases:
-        x = parameter(xv.copy())
-        out = ad.spmm(op, x)
-        (got,) = backward(ad.sum(ad.mul(out, constant(up))), [x])
-        assert out.data.tobytes() == np.asarray(op.mat @ xv).tobytes()
-        assert got.tobytes() == np.asarray(op.mat.T @ up).tobytes()
-        assert out.data.flags.c_contiguous and got.flags.c_contiguous
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: parts)
+    threads = threading.active_count()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)                      # threads would trade the lock often
+    try:
+        for op, xv, up in cases:
+            x = parameter(xv.copy())
+            out = ad.spmm(op, x)
+            (got,) = backward(ad.sum(ad.mul(out, constant(up))), [x])
+            assert out.data.tobytes() == np.asarray(op.mat @ xv).tobytes()
+            assert got.tobytes() == np.asarray(op.mat.T @ up).tobytes()
+            assert out.data.flags.c_contiguous and got.flags.c_contiguous
+    finally:
+        sys.setswitchinterval(switch)
+    assert threading.active_count() == threads
 
 
 def test_spmm_starts_no_thread_and_queries_no_cpu_at_any_size(monkeypatch):
