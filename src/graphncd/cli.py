@@ -46,7 +46,8 @@ class DimensionMismatch(Exception):
     """Checkpoint backbone or geometry does not fit the config, dataset or split."""
 
 
-# typed failures that are not bad input (exit 2); anything else is a traceback
+# typed failures that are not bad input (exit 2); an out-of-memory error exits 1
+# too, and anything else is a traceback
 _EXIT_CODES = {StaleArtifacts: 3, DimensionMismatch: 4, TrainingDiverged: 1}
 
 PRETRAIN_COLUMNS = ("epoch", "loss", "val_acc")
@@ -293,8 +294,7 @@ def _load_phase1(pretrain_dir: str, st: _Stage):
         protos = Prototypes.from_dict(_phase1_json(proto_path))
         if not (protos.class_ids.tolist() == list(st.split.old_classes)
                 and protos.mean.shape == protos.var.shape == shape
-                and np.isfinite(protos.mean).all()
-                and ((0 <= protos.var) & (protos.var < np.inf)).all()):
+                and protos.are_finite()):
             raise ValueError(f"want {shape[0]} finite prototypes of width {shape[1]}, "
                              f"variances >= 0, for old classes {st.split.old_classes}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -442,6 +442,10 @@ def main(argv: list[str] | None = None) -> int:
             CheckpointError, *_EXIT_CODES) as exc:
         _say(f"error: {exc}", sys.stderr)
         return _EXIT_CODES.get(type(exc), 2)
+    except MemoryError as exc:  # numpy's subclass names the array it could not hold
+        detail = str(exc)
+        _say("error: out of memory" + (f": {detail}" if detail else ""), sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

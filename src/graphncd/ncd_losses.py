@@ -18,9 +18,6 @@ with b1, b2 following a sigmoid-shaped warmup ramp from zero.
 """
 from __future__ import annotations
 
-import concurrent.futures as cf
-import os
-import threading
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -52,6 +49,12 @@ class Prototypes:
     mean: np.ndarray           # (C, d)
     var: np.ndarray            # (C, d) biased per-dimension variance
     counts: np.ndarray         # (C,) int64
+
+    def are_finite(self) -> bool:
+        """Whether replay can sample these: every mean finite, every
+        variance in [0, inf)."""
+        return bool(np.isfinite(self.mean).all()
+                    and ((0 <= self.var) & (self.var < np.inf)).all())
 
     def to_dict(self) -> dict:
         # python float repr round-trips exactly, so JSON storage is lossless
@@ -95,67 +98,11 @@ def _as_array(z) -> np.ndarray:
 
 # rows per block of the n x n pair ops, so their temporaries are O(block * n)
 PAIR_BLOCK = 64
-# the pair ops split their row blocks over threads only when every part gets
-# at least this many: similarity, BCE and gradient in two parts took 2.08,
-# 1.31, 1.17, 0.92, 0.78 and 0.65 of one part's time at 2, 4, 5, 6, 8 and 15
-# blocks (2-core x86 machine, one BLAS thread)
-MIN_PART_BLOCKS = 3
-_pool: cf.ThreadPoolExecutor | None = None  # made on the first split
-_pool_lock = threading.Lock()
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _in_row_blocks(n: int, run) -> list:
-    """The outputs, in block order, of ``run`` on the row blocks of n.
-    ``run`` gets one part's list of row slices, so it can allocate the
-    part's scratch once, and returns one output per block. The blocks run
-    in contiguous parts, one per usable CPU as long as each part gets
-    MIN_PART_BLOCKS blocks; with less than two parts' worth, one call on
-    every block. Otherwise part 0 runs on the calling thread and the others
-    on one pool per process, made on the first split; every part has ended
-    before this returns, or raises the error of the first part, in block
-    order, that failed. ``run`` may call only numpy and this module's array
-    helpers: no Tensor is built off the calling thread."""
-    global _pool
-    blocks = [slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK)]
-    count = len(blocks)
-    # the CPU query is a system call that took ~13 us inside a desk epoch
-    # (2-core x86 VM), so it is skipped where the work is too little to split
-    cpus = _usable_cpus() if count >= 2 * MIN_PART_BLOCKS else 1
-    parts = min(cpus, count // MIN_PART_BLOCKS)
-    if parts < 2:
-        return run(blocks)
-    cuts = [blocks[count * i // parts:count * (i + 1) // parts] for i in range(parts)]
-    with _pool_lock:
-        if _pool is None:
-            _pool = cf.ThreadPoolExecutor(max_workers=cpus - 1,
-                                          thread_name_prefix="graphncd")
-        pool = _pool
-    pending = []
-    try:
-        for cut in cuts[1:]:
-            pending.append(pool.submit(run, cut))
-        first = run(cuts[0])
-    finally:
-        cf.wait(pending)
-    return first + [out for f in pending for out in f.result()]
-
-
-def _drop_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-# a forked child has none of the pool's threads (and may have forked while one
-# held the lock), so it starts a pool of its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+def _row_blocks(n: int) -> list[slice]:
+    """The slices that cut n rows into blocks of PAIR_BLOCK, in order."""
+    return [slice(i, i + PAIR_BLOCK) for i in range(0, n, PAIR_BLOCK)]
 
 
 class _Similarity(Tensor):
@@ -172,16 +119,15 @@ def _similarity_vjp(g):
 def pairwise_similarity(novel_logits: Tensor) -> Tensor:
     """s_ij = logistic(u_i . u_j) over all ordered pairs, shape (n, n).
 
-    One op, forward row block by row block, the blocks run in parts as
-    _in_row_blocks cuts them; each block writes its own rows of s, so the
-    bytes do not depend on the split. It has no vjp of its own:
-    pairwise_bce differentiates straight to the logits, and any other route
-    to a gradient-carrying similarity raises TypeError in backward."""
+    One op, forward row block by row block, each block written in place
+    into its own rows of s. It has no vjp of its own: pairwise_bce
+    differentiates straight to the logits, and any other route to a
+    gradient-carrying similarity raises TypeError in backward."""
     u = novel_logits.data
     n = u.shape[0]
     s = np.empty((n, n))
-    _in_row_blocks(n, lambda blocks: [
-        ad._stable_sigmoid(np.matmul(u[r], u.T, out=s[r]), out=s[r]) for r in blocks])
+    for r in _row_blocks(n):
+        ad._stable_sigmoid(np.matmul(u[r], u.T, out=s[r]), out=s[r])
     out = ad._make(s, (novel_logits,), _similarity_vjp)
     # marked after _make, so a wrapper that swaps out._vjp keeps the mark
     out.__class__ = _Similarity
@@ -274,11 +220,9 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
     on the tape. A constant s gives a constant loss; a gradient-carrying s
     that pairwise_similarity did not return raises TypeError.
 
-    The blocks may run in parts on threads (_in_row_blocks): one function
-    per part allocates the part's scratch once and loops over its blocks.
-    Once every part has ended, each block's log-sum, t U and t^T U are added
-    to the loss and the gradient in block order, so both are bitwise those
-    of one thread.
+    The scratch is one row block's worth, allocated once before the loop;
+    each block's log-sum, t U and t^T U are added to the loss and the
+    gradient in block order.
     """
     n, m = s.shape
     if n != m or not n:  # a mean over no pairs is undefined
@@ -304,37 +248,29 @@ def pairwise_bce(s: Tensor, y_pair: np.ndarray) -> Tensor:
         # inf norm fails the test and keeps the scan
         scan = not np.einsum("ij,ij->i", u, u).max(initial=0.0) < 25.0
     total = 0.0
-
-    def run(blocks):
-        # one row block of scratch per part: y as float, then y - 1; clip(s); t; masks
-        shape = (min(PAIR_BLOCK, n), n)
-        yf, sf, tf = np.empty(shape), np.empty(shape), np.empty(shape)
-        keepf, hif = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-        outs = []
-        for r in blocks:
-            sb = sd[r]
-            k = sb.shape[0]
-            yb, sc = yf[:k], sf[:k]
-            np.copyto(yb, y[r])
-            if parents:
-                t = np.subtract(yb, sb, out=tf[:k])
-                if scan:
-                    keep = _unsaturated(sb, keepf[:k], hif[:k])
-                    if not keep.all():
-                        t[~keep] = 0.0
-            # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
-            yb -= 1.0
-            np.clip(sb, _S_LO, _S_HI, out=sc)
-            sc += yb
-            logsum = np.log(np.abs(sc, out=sc), out=sc).sum()
-            outs.append((r, logsum, t @ u, t.T @ u[r]) if parents else (r, logsum))
-        return outs
-
-    for r, logsum, *grads in _in_row_blocks(n, run):
-        total += logsum
-        if grads:
-            grad_u[r] += grads[0]
-            grad_u += grads[1]
+    # one row block of scratch: y as float, then y - 1; clip(s); t; masks
+    shape = (min(PAIR_BLOCK, n), n)
+    yf, sf, tf = np.empty(shape), np.empty(shape), np.empty(shape)
+    keepf, hif = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    for r in _row_blocks(n):
+        sb = sd[r]
+        k = sb.shape[0]
+        yb, sc = yf[:k], sf[:k]
+        np.copyto(yb, y[r])
+        if parents:
+            t = np.subtract(yb, sb, out=tf[:k])
+            if scan:
+                keep = _unsaturated(sb, keepf[:k], hif[:k])
+                if not keep.all():
+                    t[~keep] = 0.0
+        # y - 1 is exactly 0 or -1, so this is sc where y = 1, 1 - sc where y = 0
+        yb -= 1.0
+        np.clip(sb, _S_LO, _S_HI, out=sc)
+        sc += yb
+        total += np.log(np.abs(sc, out=sc), out=sc).sum()
+        if parents:
+            grad_u[r] += t @ u
+            grad_u += t.T @ u[r]
     loss = np.array([[total * scale]])
     return ad._make(loss, parents, lambda g: [grad_u * (g[0, 0] * scale)])
 

@@ -208,6 +208,11 @@ def pretrain(g: Graph, split: ClassSplit, cfg: TrainConfig,
 
     protos = compute_prototypes(encode(freeze_encoder(enc), tr_in).data,
                                 g.labels[tr], split.old_classes)
+    # phase 2 samples replay from these, and refuses them unless finite
+    if not protos.are_finite():
+        last = cfg.pretrain_epochs - 1
+        raise TrainingDiverged(f"pretrain prototypes are not finite after epoch {last}",
+                               {"epoch": last})
     return state, protos, PretrainLog(rows=rows, best_epoch=best_epoch,
                                       best_val_acc=best_val, best_snapshot=best_snap)
 

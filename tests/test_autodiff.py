@@ -350,34 +350,34 @@ def test_spmm_matches_dense():
     assert np.allclose(out, adj.mat.toarray() @ x, atol=1e-12)
 
 
-# ------------------------------------------------- one function splits work
+# ------------------------------------------- every kernel on the calling thread
 
-def test_only_in_parts_cuts_work_and_queries_the_cpus():
+THREAD_MODULES = {"threading", "concurrent", "_thread"}
+CPU_QUERIES = {"sched_getaffinity", "cpu_count", "process_cpu_count"}
+
+
+def test_no_module_starts_a_thread_or_queries_the_cpus():
+    # graphncd runs every kernel on the calling thread, so no module imports
+    # thread machinery or reads how many CPUs there are
     src = Path(ad.__file__).parent
-    users = set()
-    for path in sorted(src.glob("*.py")):
-        def visit(node, where):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                where = getattr(node, "name", where)
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute) else None)
-            if name in ("_pool", "_usable_cpus") and isinstance(node.ctx, ast.Load):
-                users.add((path.stem, where, name))
-            for child in ast.iter_child_nodes(node):
-                visit(child, where)
-
-        visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    # _in_row_blocks alone sizes the split and the pool by the CPU count and runs the parts
-    assert sorted(users) == [("ncd_losses", "_in_row_blocks", "_pool"),
-                             ("ncd_losses", "_in_row_blocks", "_usable_cpus")]
-    # and the engine holds no thread machinery at all
-    imported = set()
-    for node in ast.walk(ast.parse(Path(ad.__file__).read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module.split(".")[0])
-    assert imported.isdisjoint({"threading", "concurrent", "os"})
+    found, imported = [], {}
+    for path in sorted(src.rglob("*.py")):
+        where = str(path.relative_to(src))
+        mods = imported.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                mods.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                mods.add(node.module.split(".")[0])
+                found += [(where, alias.name) for alias in node.names
+                          if node.module == "os" and alias.name in CPU_QUERIES]
+            elif isinstance(node, ast.Attribute) and node.attr in CPU_QUERIES:
+                found.append((where, node.attr))
+        found += [(where, m) for m in sorted(mods & THREAD_MODULES)]
+    assert found == []
+    assert {"autodiff", "ncd_losses"} <= imported.keys()
+    # and the two kernel modules use no OS facility at all
+    assert "os" not in imported["autodiff"] | imported["ncd_losses"]
 
 
 # ------------------------------------------------------- spmm runs whole

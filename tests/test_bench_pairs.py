@@ -193,37 +193,3 @@ def test_read_run_attaches_the_env_line_to_the_result():
     bare = bench_pairs.read_run(RUN_OUTPUT.splitlines()[-1])
     assert "env" not in bare
     assert bench_pairs.read_run("") is None and bench_pairs.read_run("\n") is None
-
-
-def test_cpus_note_flags_sides_that_saw_different_counts():
-    def side(cpus):
-        return {"env": {"cpus_usable": cpus}}
-    assert bench_pairs.cpus_note({"parent": side(2), "change": side(2)}) == (
-        "cpus_usable parent 2, change 2", False)
-    note, differ = bench_pairs.cpus_note({"change": side(1), "parent": side(2)})
-    assert differ and note == "cpus_usable parent 2, change 1 (DIFFERENT: not comparable)"
-    assert bench_pairs.cpus_note({"parent": side(2), "change": {}}) == (
-        "cpus_usable parent 2, change ? (DIFFERENT: not comparable)", True)
-
-
-def _json_line(obj):
-    return bench_pairs.json.dumps(obj) + "\n"
-
-
-def test_pair_lines_give_each_sides_cpus_and_the_block_counts_flags(monkeypatch, capsys):
-    seen = iter([2, 2, 2, 1])                      # pair 0 alike, pair 1 not
-
-    def fake_run(tree, workload, seed, seconds):
-        metrics = {m["name"]: {"value": 1.0} for m in bench_pairs.json.loads(
-            bench_pairs._SPEC.read_text())["end_to_end"]}
-        return bench_pairs.read_run(
-            _json_line({"env": {"cpus_usable": next(seen)}})
-            + _json_line({"failed": 0, "metrics": metrics}))
-    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
-    assert bench_pairs.main(["parent", "change", "--workload", "discover", "--seed", "0",
-                             "--pairs", "2", "--seconds", "1"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].endswith("; cpus_usable parent 2, change 2")
-    # pair 1 runs the change first, so it saw the 1
-    assert lines[1].endswith("; cpus_usable parent 1, change 2 (DIFFERENT: not comparable)")
-    assert lines[-1] == "discover: pairs whose sides saw different cpus_usable: 1"

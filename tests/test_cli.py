@@ -368,6 +368,36 @@ def test_forced_rerun_that_fails_leaves_no_manifest(pipeline, tmp_path):
                  "--pretrain-dir", stage]) == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the features overflow
+def test_pretrain_whose_prototypes_ncd_would_refuse_exits_1_and_writes_nothing(
+        tmp_path, capsys):
+    # a finite loss, but representations whose spread no float holds
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(BASE.replace("sbm_feat_shift = 2.5", "sbm_feat_shift = 1e200")
+                   .replace("pretrain_epochs = 12\nncd_epochs = 20",
+                            "pretrain_epochs = 3\nncd_epochs = 3"), encoding="utf-8")
+    for command, out in (("pretrain", tmp_path / "pre"), ("run", tmp_path / "full")):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: pretrain prototypes are not finite after epoch 2\n"
+        assert [f for _, _, files in os.walk(out) for f in files] == []
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 7.3 TiB"),
+                                 type("ArrayMemoryError", (MemoryError,), {})("no room")])
+def test_out_of_memory_is_one_error_line_and_exit_1(tmp_path, monkeypatch, capsys, exc):
+    # per_class_replay = 10**12 passes validation and ends here; no test allocates that
+    def ncd_train(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "ncd_train", ncd_train)
+    cfg = _write_cfg(tmp_path)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    detail = str(exc)
+    assert err == "error: out of memory" + (f": {detail}" if detail else "") + "\n"
+
+
 def test_manifest_that_fails_to_serialize_is_not_left_behind(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path)
     out = str(tmp_path / "pre")
@@ -1146,7 +1176,7 @@ def test_run_resolves_its_inputs_once(tmp_path, monkeypatch):
 
 def test_small_run_imports_neither_scipy_optimize_nor_the_thread_pool(tmp_path):
     # a fresh interpreter, since any test may have imported either module here;
-    # 150 nodes are at most three row blocks, so no kernel splits
+    # every kernel runs on the calling thread, so no run loads a thread pool
     cfg = tmp_path / "sbm.cfg"
     cfg.write_text(BASE.replace("15,15,15,15", "30,30,30,30,30")
                    .replace("old_classes = 0,1\nnew_classes = 2,3",

@@ -1,9 +1,7 @@
 """Loss terms against naive loop oracles plus closed-form hand cases."""
 import os
-import signal
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -198,7 +196,7 @@ def _mixed_logits(rng, n):
     return rng.standard_normal((n, 3)) * scale
 
 
-# nine row blocks: on two or more usable CPUs the pair ops split them
+# nine row blocks, the last one short
 SPLIT_N = 8 * PAIR_BLOCK + 3
 BLOCK_EDGES = (1, PAIR_BLOCK - 1, PAIR_BLOCK, PAIR_BLOCK + 1, 2 * PAIR_BLOCK + 3, SPLIT_N)
 
@@ -272,9 +270,10 @@ def test_bce_checks_targets_before_any_row_block(monkeypatch):
     n = 2 * PAIR_BLOCK + 3
     s = pairwise_similarity(parameter(np.random.default_rng(21).standard_normal((n, 3))))
     blocks = []
-    in_row_blocks = ncd_losses._in_row_blocks
-    monkeypatch.setattr(ncd_losses, "_in_row_blocks", lambda n, run: in_row_blocks(
-        n, lambda part: blocks.extend(part) or run(part)))
+    row_blocks = ncd_losses._row_blocks
+    # each block is recorded as the loop reaches it
+    monkeypatch.setattr(ncd_losses, "_row_blocks",
+                        lambda n: (blocks.append(r) or r for r in row_blocks(n)))
     y = np.eye(n)
     y[-1, 0] = 0.5                               # in the last row block
     with pytest.raises(ValueError, match="0 or 1"):
@@ -415,79 +414,7 @@ def test_fused_route_survives_a_wrapper_that_swaps_the_vjp(monkeypatch):
     assert loss._parents == (u,)
 
 
-# ------------------------------------------- row blocks split over threads
-
-def _split_into(monkeypatch, parts):
-    """Let the pair ops see ``parts`` usable CPUs, on a pool of their own."""
-    monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: parts)
-    monkeypatch.setattr(ncd_losses, "_pool", None)
-
-
-@pytest.mark.parametrize("cpus", (1, 2, 3, 9))
-def test_row_blocks_run_in_contiguous_parts_of_at_least_the_floor(monkeypatch, cpus):
-    queries = []
-    monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: queries.append(1) or cpus)
-    monkeypatch.setattr(ncd_losses, "_pool", None)
-    me = threading.get_ident()
-    for count in (0, 1, 5, 6, 64, 65, 130):
-        n = max(count * PAIR_BLOCK - 5, 0)           # count blocks, the last one short
-        for floor in (1, 3, 7):
-            monkeypatch.setattr(ncd_losses, "MIN_PART_BLOCKS", floor)
-            del queries[:]
-            calls, pooled = [], []
-
-            def run(blocks):
-                calls.append((threading.get_ident(), blocks))
-                if threading.current_thread().name.startswith("graphncd"):
-                    pooled.append(blocks)              # a part the shared pool ran
-                return [(r.start, r.stop) for r in blocks]
-
-            got = ncd_losses._in_row_blocks(n, run)
-            parts = sorted((blocks for _, blocks in calls),
-                           key=lambda blocks: blocks[0].start if blocks else 0)
-            every = [r for blocks in parts for r in blocks]
-            # contiguous parts of whole blocks that cover range(n) in order,
-            # results in block order
-            assert len(every) == count
-            assert [i for r in every for i in range(n)[r]] == list(range(n))
-            assert all(len(range(n)[r]) == PAIR_BLOCK for r in every[:-1])
-            assert got == [(r.start, r.stop) for r in every]
-            most = min(cpus, count // floor)
-            if count < 2 * floor or most < 2:
-                assert calls == [(me, every)] and pooled == []
-                assert len(queries) == (count >= 2 * floor)
-            else:
-                # one split: part 0 on the calling thread, every other part on the pool
-                assert len(parts) == most
-                assert sorted(pooled, key=lambda blocks: blocks[0].start) == parts[1:]
-                assert all(len(blocks) >= floor for blocks in parts)
-                assert [blocks for t, blocks in calls if t == me] == [parts[0]]
-    assert (ncd_losses._pool is None) == (cpus == 1)
-
-
-def test_row_blocks_raise_only_once_every_part_has_ended(monkeypatch):
-    monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(ncd_losses, "_pool", None)
-    monkeypatch.setattr(ncd_losses, "MIN_PART_BLOCKS", 3)
-    errors = [RuntimeError(f"part {i} fails") for i in range(3)]
-    for failing in ({1, 2}, {0}):
-        ended = []
-
-        def run(blocks):
-            i = blocks[0].start // (3 * PAIR_BLOCK)
-            if i != min(failing):
-                time.sleep(0.02)                     # the others outlast the first failure
-            if i in failing:
-                raise errors[i]
-            ended.append(i)
-            return blocks
-
-        with pytest.raises(RuntimeError) as caught:
-            ncd_losses._in_row_blocks(9 * PAIR_BLOCK, run)
-        # the error of the first failing part, in block order, once the others ended
-        assert caught.value is errors[min(failing)]
-        assert sorted(ended) == sorted({0, 1, 2} - failing)
-
+# ------------------------------------------- row blocks on the calling thread
 
 def _block_rows(out):
     """The first row of the row block ``out`` views in its similarity matrix."""
@@ -508,8 +435,10 @@ def test_pair_ops_are_bitwise_the_same_in_any_number_of_parts(monkeypatch, parts
         return s.data, loss.data, backward(loss, [u])[0]
 
     want = [chain(target) for target in (y, y.astype(np.float64))]
-    _split_into(monkeypatch, parts)
-    monkeypatch.setattr(ncd_losses, "MIN_PART_BLOCKS", 1)
+    # however many CPUs the machine reports, every block runs on the calling thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: parts)
+    threads = threading.active_count()
     rows = []
     sigmoid = ad._stable_sigmoid
 
@@ -519,7 +448,7 @@ def test_pair_ops_are_bitwise_the_same_in_any_number_of_parts(monkeypatch, parts
 
     monkeypatch.setattr(ad, "_stable_sigmoid", spy)
     switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)                      # threads trade the lock often
+    sys.setswitchinterval(1e-6)                      # threads would trade the lock often
     try:
         got = [chain(target) for target in (y, y.astype(np.float64))]
     finally:
@@ -527,99 +456,11 @@ def test_pair_ops_are_bitwise_the_same_in_any_number_of_parts(monkeypatch, parts
     for run, before in zip(got, want):
         for a, b in zip(run, before):
             assert a.tobytes() == b.tobytes()
-    # each run's similarity: the calling thread ran part 0, its first 9 // parts blocks
+    # each run's similarity: the calling thread ran all nine blocks, in order
     blocks = list(range(0, SPLIT_N, PAIR_BLOCK))
-    assert sorted(r for _, r in rows) == sorted(2 * blocks)
-    mine = sorted(r for t, r in rows if t == threading.get_ident())
-    assert mine == sorted(2 * blocks[:len(blocks) // parts])
+    assert rows == [(threading.get_ident(), r) for r in 2 * blocks]
+    assert threading.active_count() == threads
     assert np.isnan(want[0][0]).any() and np.isnan(want[0][1]).all()
-
-
-def test_a_failing_part_reaches_the_caller_once_every_part_has_ended(monkeypatch):
-    _split_into(monkeypatch, 3)
-    err = RuntimeError("part 1 fails")
-    ended = []
-    sigmoid = ad._stable_sigmoid
-
-    def flaky(x, out):
-        first = _block_rows(out)
-        if first == 3 * PAIR_BLOCK:                  # part 1's first block
-            raise err
-        if first >= 6 * PAIR_BLOCK:                  # part 2 outlasts part 1
-            time.sleep(0.02)
-        sigmoid(x, out)
-        ended.append(first)
-
-    monkeypatch.setattr(ad, "_stable_sigmoid", flaky)
-    u = constant(np.random.default_rng(701).standard_normal((SPLIT_N, 3)))
-    with pytest.raises(RuntimeError) as caught:
-        pairwise_similarity(u)
-    assert caught.value is err
-    # parts 0 and 2 ran to their ends before the error was raised
-    assert sorted(ended) == [r * PAIR_BLOCK for r in (0, 1, 2, 6, 7, 8)]
-
-
-def test_only_the_calling_thread_builds_tensors(monkeypatch):
-    _split_into(monkeypatch, 2)
-    builders = set()
-    make = ad._make
-
-    def spy(data, parents, vjp):
-        builders.add(threading.get_ident())
-        return make(data, parents, vjp)
-
-    monkeypatch.setattr(ad, "_make", spy)
-    rng = np.random.default_rng(702)
-    u = parameter(_mixed_logits(rng, SPLIT_N))
-    loss = pairwise_bce(pairwise_similarity(u), topk_pseudo_pairs(u.data, 2))
-    backward(loss, [u])
-    assert ncd_losses._pool is not None              # the ops did split
-    assert builders == {threading.get_ident()}
-
-
-def test_one_usable_cpu_or_too_few_blocks_start_no_thread(monkeypatch):
-    u = constant(np.random.default_rng(703).standard_normal((SPLIT_N, 3)))
-    _split_into(monkeypatch, 1)
-    pairwise_similarity(u)
-    assert ncd_losses._pool is None
-    _split_into(monkeypatch, 4)                      # 2 blocks, fewer than 2 parts' worth
-    pairwise_bce(pairwise_similarity(constant(u.data[:2 * PAIR_BLOCK])),
-                 np.eye(2 * PAIR_BLOCK))
-    assert ncd_losses._pool is None
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")   # fork of a threaded process
-def test_a_forked_child_splits_on_a_pool_of_its_own(monkeypatch):
-    _split_into(monkeypatch, 2)
-    rng = np.random.default_rng(704)
-    u = constant(rng.standard_normal((SPLIT_N, 3)))
-    op = ad.SparseMatrix(rng.standard_normal((40, SPLIT_N)) * (rng.random((40, SPLIT_N)) < 0.1))
-    want = pairwise_similarity(u).data
-    want_spmm = ad.spmm(op, u).data
-    assert ncd_losses._pool is not None
-    pid = os.fork()
-    if pid == 0:                                     # the child: exit 0 if it agrees
-        ok = False
-        try:
-            ok = (ncd_losses._pool is None
-                  and ad.spmm(op, u).data.tobytes() == want_spmm.tobytes()
-                  and pairwise_similarity(u).data.tobytes() == want.tobytes()
-                  and ncd_losses._pool is not None)
-        finally:
-            os._exit(0 if ok else 1)
-    deadline = time.monotonic() + 30.0
-    while True:
-        done, status = os.waitpid(pid, os.WNOHANG)
-        if done:
-            break
-        if time.monotonic() > deadline:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pytest.fail("the forked child hung in spmm or pairwise_similarity")
-        time.sleep(0.01)
-    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-
 
 def _broadcast_topk_pairs(z, k):
     """topk_pseudo_pairs as the (n, n, k) key comparison it replaces."""

@@ -144,14 +144,12 @@ class FakeRunner:
     """Stands in for ``run_cli``: records each call and writes a run whose
     files hold the tree's name where ``differ`` says they should."""
 
-    def __init__(self, differ=(), fail=None, pinned_differ=()):
+    def __init__(self, differ=(), fail=None):
         self.calls, self.differ, self.fail = [], set(differ), fail
-        self.pinned_differ, self.cpus = set(pinned_differ), []
 
-    def __call__(self, tree, argv, cwd, cpus=None):
+    def __call__(self, tree, argv, cwd):
         config = Path(argv[argv.index("--config") + 1]).read_text()
         self.calls.append((tree.name, argv[0], config))
-        self.cpus.append(cpus)
         if argv[0] == self.fail:
             raise RuntimeError(f"{tree}: graphncd {argv[0]} exited 1: boom")
         out = Path(argv[argv.index("--out") + 1])
@@ -162,11 +160,7 @@ class FakeRunner:
             (out / stage).mkdir(parents=True)
             for name in ("losses.csv", "metrics.json"):
                 key = f"{stage}/{name}"
-                text = tree.name if key in self.differ else "same"
-                # a pinned run differs from the unpinned one where pinned_differ says
-                if cpus is not None and key in self.pinned_differ:
-                    text = "pinned"
-                (out / stage / name).write_text(text)
+                (out / stage / name).write_text(tree.name if key in self.differ else "same")
 
 
 @pytest.fixture
@@ -243,71 +237,19 @@ def test_trees_report_each_differing_file_and_failed_run(trees, capsys):
                                           ("1", [])])
 def test_a_cpu_pin_the_tool_cannot_make_exits_2_before_any_run(
         trees, monkeypatch, capsys, cpus, usable):
-    # only one CPU is pinned, and only where the platform has CPU affinity
-    monkeypatch.setattr(same_artifacts, "_usable_cpus", lambda: usable)
+    # graphncd reads no CPU count, so the tool pins no CPU: --cpus is no
+    # option, whatever CPUs the platform offers, or none
+    if usable:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(usable), raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     runner = FakeRunner()
     for argv in (["--trees", *trees, "--workload", "desk", "--seed", "0", "--cpus", cpus],
                  ["a", "b", "--cpus", "1"]):
         with pytest.raises(SystemExit) as exc:
             same_artifacts.main(argv, runner)
         assert exc.value.code == 2 and runner.calls == []
-        assert "error:" in capsys.readouterr().err
-
-
-def test_pinned_runs_compare_the_change_with_its_own_unpinned_run(trees, monkeypatch,
-                                                                  capsys):
-    monkeypatch.setattr(same_artifacts, "_usable_cpus", lambda: [3, 5, 6])
-    runner = FakeRunner(differ={"ncd/losses.csv"})
-    argv = ["--trees", *trees, "--workload", "desk,discover", "--seed", "0", "--cpus", "1"]
-    assert same_artifacts.main(argv, runner) == 1     # the trees differ
-    assert capsys.readouterr().out.splitlines() == [
-        "desk seed 0:", "ncd/losses.csv", "1 differing files",
-        "change pinned to CPUs [3]:", "identical",
-        "discover seed 0:", "ncd/losses.csv", "1 differing files",
-        "change pinned to CPUs [3]:", "identical"]
-    # the change runs once more, pinned to the lowest CPU, and only it
-    steps = [(tree, cmd, cpus) for (tree, cmd, _), cpus in zip(runner.calls, runner.cpus)]
-    assert steps == [("parent", "run", None), ("change", "run", None),
-                     ("change", "run", [3]),
-                     ("parent", "gen-data", None), ("parent", "run", None),
-                     ("change", "gen-data", None), ("change", "run", None),
-                     ("change", "gen-data", [3]), ("change", "run", [3])]
-    # a pinned run that differs from the unpinned one fails the gate alone
-    runner = FakeRunner(pinned_differ={"eval/metrics.json"})
-    argv = ["--trees", *trees, "--workload", "desk", "--seed", "0,1", "--cpus", "1"]
-    assert same_artifacts.main(argv, runner) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "desk seed 0:", "identical", "change pinned to CPUs [3]:", "eval/metrics.json",
-        "1 differing files",
-        "desk seed 1:", "identical", "change pinned to CPUs [3]:", "eval/metrics.json",
-        "1 differing files"]
-    runner = FakeRunner()
-    assert same_artifacts.main(argv, runner) == 0
-    assert runner.cpus == [None, None, [3]] * 2
-
-
-def test_the_pinned_child_sets_its_affinity_then_runs_the_cli(tmp_path, monkeypatch):
-    argv = ["run", "--config", "c.cfg", "--out", "r"]
-    assert same_artifacts.child_argv(argv) == [sys.executable, "-m", "graphncd.cli", *argv]
-    pinned = same_artifacts.child_argv(argv, [3])
-    assert pinned[:2] == [sys.executable, "-c"] and pinned[3:] == argv
-    code = pinned[2]
-    compile(code, "<pinned>", "exec")
-    first = code.index("os.sched_setaffinity(0, [3])")
-    assert first < code.index("runpy.run_module('graphncd.cli', run_name='__main__', "
-                              "alter_sys=True)")
-    # run_cli hands the child that argument list, with the tree's source
-    started = []
-
-    def fake_run(args, **kwargs):
-        started.append((args, kwargs["env"]["PYTHONPATH"], kwargs["cwd"]))
-        return subprocess.CompletedProcess(args, 0, "", "")
-
-    monkeypatch.setattr(same_artifacts.subprocess, "run", fake_run)
-    same_artifacts.run_cli(tmp_path, argv, tmp_path, cpus=[3])
-    same_artifacts.run_cli(tmp_path, argv, tmp_path)
-    assert started == [(pinned, str(tmp_path / "src"), str(tmp_path)),
-                       (same_artifacts.child_argv(argv), str(tmp_path / "src"), str(tmp_path))]
+        assert "unrecognized arguments: --cpus" in capsys.readouterr().err
 
 
 def test_run_cli_runs_the_tree_own_source(tmp_path):

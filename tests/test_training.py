@@ -2,6 +2,7 @@
 import copy
 import inspect
 import os
+import threading
 import typing
 import weakref
 from dataclasses import fields, is_dataclass, replace
@@ -10,7 +11,6 @@ import numpy as np
 import pytest
 
 import graphncd.autodiff as ad
-import graphncd.ncd_losses as ncd_losses
 import graphncd.training as training
 from graphncd.autodiff import SparseMatrix
 from graphncd.graph import (ClassSplit, Graph, mean_adjacency, operator_for, sbm_generate,
@@ -484,18 +484,20 @@ def test_ncd_train_deterministic(pretrained):
 
 
 def test_ncd_train_is_bitwise_the_same_in_one_part_and_two(monkeypatch):
-    # 600 phase-2 rows are ten row blocks, enough for the pair ops to split
+    # 600 phase-2 rows are ten row blocks, enough that a split over CPUs would cut them
     g = sbm_generate([15, 15, 500, 500], 0.03, 0.002, 6, 2.5, seed=derive_seed(1, SEED_SBM))
     split = split_classes(g, [0, 1], [2, 3], seed=derive_seed(1, SEED_SPLIT))
     assert len(split.p2_train) >= 600
     cfg = _cfg(pretrain_epochs=3, ncd_epochs=4)
     state, protos, _ = pretrain(g, split, cfg, _input(g))
-    runs = []
-    for parts in (1, 2):
-        monkeypatch.setattr(ncd_losses, "_usable_cpus", lambda: parts)
-        monkeypatch.setattr(ncd_losses, "_pool", None)
+    queries, runs = [], []
+    threads = threading.active_count()
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: queries.append(1) or set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: queries.append(1) or cpus)
         runs.append(ncd_train(state, protos, split, cfg, _input(g)))
-        assert (ncd_losses._pool is not None) == (parts == 2)
+    assert not queries and threading.active_count() == threads
     (a, loga), (b, logb) = runs
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes()
@@ -508,15 +510,14 @@ def test_sage_pretrain_on_two_cpus_starts_no_pool_and_queries_no_cpu(monkeypatch
     g = sbm_generate([300] * 4, 0.6, 0.05, 6, 2.5, seed=derive_seed(3, SEED_SBM))
     split = split_classes(g, [0, 1], [2, 3], seed=derive_seed(3, SEED_SPLIT))
     cfg = _cfg(backbone="sage", hidden=32, pretrain_epochs=6)
-    queries = []
-    monkeypatch.setattr(ncd_losses, "_pool", None)
-    runs = []
+    queries, runs = [], []
+    threads = threading.active_count()
     for cpus in (1, 2):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: queries.append(1) or set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: queries.append(1) or cpus)
         runs.append(pretrain(g, split, cfg, _input(g, "sage")))
-    assert not queries and ncd_losses._pool is None
+    assert not queries and threading.active_count() == threads
     (a, pa, loga), (b, pb, logb) = runs
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb and ta.data.tobytes() == tb.data.tobytes()

@@ -17,14 +17,9 @@ whose change median is worse than the parent's and, for each, its relative
 change next to its ``bound`` from BENCHMARK.json, labelled ``regression``
 when the change exceeds the bound, else ``unresolved`` when the parent's
 quartile spread, relative to its median, is wider than the bound, else
-``within bound``. Each pair's line also gives ``cpus_usable`` from each
-run's ``{"env": ...}`` line (``?`` where a run printed none) and flags the
-pair when its two sides saw different counts: graphncd's pair ops split
-their work over the usable CPUs, so such a pair compares unlike machines;
-the block ends with the number of flagged pairs. Exits 1 if any
-run failed, else 0; a ``--pairs`` below 1, a ``--seconds`` that is not
-finite and positive or a workload that BENCHMARK.json does not declare
-exits 2 before any run.
+``within bound``. Exits 1 if any run failed, else 0; a ``--pairs`` below
+1, a ``--seconds`` that is not finite and positive or a workload that
+BENCHMARK.json does not declare exits 2 before any run.
 """
 from __future__ import annotations
 
@@ -130,15 +125,6 @@ def read_run(stdout: str) -> dict | None:
     return result
 
 
-def cpus_note(results: dict[str, dict]) -> tuple[str, bool]:
-    """Each side's ``cpus_usable`` as a pair line's note, and whether the
-    two sides saw different counts."""
-    cpus = {side: r.get("env", {}).get("cpus_usable", "?") for side, r in results.items()}
-    differ = cpus["parent"] != cpus["change"]
-    note = f"cpus_usable parent {cpus['parent']}, change {cpus['change']}"
-    return note + (" (DIFFERENT: not comparable)" if differ else ""), differ
-
-
 def seed_list(text: str) -> list[int]:
     """``--seed``'s comma list as integers; an empty element is an error."""
     try:
@@ -149,13 +135,12 @@ def seed_list(text: str) -> list[int]:
 
 
 def pairs(args: argparse.Namespace, workload: str, seed: int,
-          metrics: list[dict]) -> tuple[dict[str, dict[str, list[float]]], int, int]:
+          metrics: list[dict]) -> tuple[dict[str, dict[str, list[float]]], int]:
     """Run ``args.pairs`` alternated pairs of one workload at one seed;
-    returns the values per metric and side, the number of pairs dropped and
-    the number whose sides saw different ``cpus_usable``."""
+    returns the values per metric and side and the number of pairs dropped."""
     values: dict[str, dict[str, list[float]]] = {
         m["name"]: {"parent": [], "change": []} for m in metrics}
-    failed = unlike = 0
+    failed = 0
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         results = {side: run_bench(getattr(args, side), workload, seed,
@@ -167,12 +152,10 @@ def pairs(args: argparse.Namespace, workload: str, seed: int,
         for name, sides in values.items():
             for side, r in results.items():
                 sides[side].append(r["metrics"][name]["value"])
-        note, differ = cpus_note(results)
-        unlike += differ
         print(f"{workload} seed {seed} pair {i} ({order[0]} first): " + ", ".join(
             f"{name} {sides['parent'][-1]:.4g} -> {sides['change'][-1]:.4g}"
-            for name, sides in values.items()) + f"; {note}", flush=True)
-    return values, failed, unlike
+            for name, sides in values.items()), flush=True)
+    return values, failed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -199,14 +182,12 @@ def main(argv: list[str] | None = None) -> int:
     any_failed = False
     for seed in args.seed:
         for workload in workloads:
-            values, failed, unlike = pairs(args, workload, seed, metrics)
+            values, failed = pairs(args, workload, seed, metrics)
             any_failed = any_failed or failed > 0
             if failed == args.pairs:
                 print(f"{workload} seed {seed}: no pair completed")
                 continue
             print("\n".join(verdict(workload, seed, metrics, values)), flush=True)
-            print(f"{workload}: pairs whose sides saw different cpus_usable: {unlike}",
-                  flush=True)
     return 1 if any_failed else 0
 
 

@@ -24,15 +24,9 @@ With ``--trees``, every workload of the comma list, as
 list by each tree's own ``src``: ``graphncd gen-data`` first for a workload
 that reads files, then ``graphncd run``, each in a subprocess with BLAS
 pinned to one thread, all in a temporary directory. The report above is
-printed for each workload and seed. With ``--cpus 1`` as well, the CHANGE
-tree runs each workload and seed a second time in a child that first pins
-itself to the lowest of the CPUs this tool may use (``os.sched_setaffinity``
-on its own process), and a second report compares that run with the
-unpinned one: graphncd splits work over the CPUs it may use, and its output
-bytes must not depend on how many there are. An unknown workload, a bad
-seed list, or ``--cpus`` on a platform without CPU affinity exits 2 before
-any run. Otherwise exits 1 if any run failed or any file differs,
-else 0.
+printed for each workload and seed. An unknown workload or a bad seed list
+exits 2 before any run. Otherwise exits 1 if any run failed or any file
+differs, else 0.
 """
 from __future__ import annotations
 
@@ -43,7 +37,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -139,35 +132,12 @@ def report(diff: list[str]) -> int:
     return 1 if diff else 0
 
 
-def _usable_cpus() -> list[int]:
-    """The CPUs this process may run on, lowest first; none where the
-    platform has no CPU affinity to pin."""
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:
-        return []
-
-
-# a pinned child sets its own CPU affinity, then runs as ``-m graphncd.cli``
-_PINNED = ("import os, runpy; os.sched_setaffinity(0, {cpus}); "
-           "runpy.run_module('graphncd.cli', run_name='__main__', alter_sys=True)")
-
-
-def child_argv(argv: list[str], cpus: list[int] | None = None) -> list[str]:
-    """The argument list of the child that runs ``graphncd argv``, pinned
-    to the CPUs ``cpus`` first when they are given."""
-    if cpus is None:
-        return [sys.executable, "-m", "graphncd.cli", *argv]
-    return [sys.executable, "-c", _PINNED.format(cpus=cpus), *argv]
-
-
-def run_cli(tree: Path, argv: list[str], cwd: Path, cpus: list[int] | None = None) -> None:
+def run_cli(tree: Path, argv: list[str], cwd: Path) -> None:
     """``graphncd argv`` from ``tree``'s own ``src`` in a subprocess with
-    BLAS pinned to one thread, and the process to ``cpus`` when given;
-    RuntimeError on a non-zero exit."""
+    BLAS pinned to one thread; RuntimeError on a non-zero exit."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree.resolve() / "src"))
     env.update({v: _bench.BLAS_THREADS for v in _bench.BLAS_VARS})
-    proc = subprocess.run(child_argv(argv, cpus), cwd=str(cwd),
+    proc = subprocess.run([sys.executable, "-m", "graphncd.cli", *argv], cwd=str(cwd),
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: graphncd {argv[0]} exited {proc.returncode}: "
@@ -194,26 +164,18 @@ def build_run(tree: Path, workload: str, seed: int, work: Path, runner=run_cli) 
 
 
 def compare_trees(parent: Path, change: Path, workloads: list[str], seeds: list[int],
-                  runner=run_cli, cpus: list[int] | None = None) -> int:
-    """Build and compare both trees' runs of every workload at every seed;
-    with ``cpus``, then the change's run pinned to them against its own."""
+                  runner=run_cli) -> int:
+    """Build and compare both trees' runs of every workload at every seed."""
     status = 0
     with tempfile.TemporaryDirectory(prefix="same_artifacts-") as tmp:
-        def built(side, tree, workload, seed, run=runner):
-            return build_run(tree, workload, seed, Path(tmp) / side / f"{workload}-{seed}", run)
-
         for seed in seeds:
             for workload in workloads:
                 print(f"{workload} seed {seed}:", flush=True)
                 try:
-                    runs = [built("parent", parent, workload, seed),
-                            built("change", change, workload, seed)]
+                    runs = [build_run(tree, workload, seed,
+                                      Path(tmp) / side / f"{workload}-{seed}", runner)
+                            for side, tree in (("parent", parent), ("change", change))]
                     status = max(status, report(differences(*runs)))
-                    if cpus is not None:
-                        print(f"change pinned to CPUs {cpus}:", flush=True)
-                        pinned = built("pinned", change, workload, seed,
-                                       partial(runner, cpus=cpus))
-                        status = max(status, report(differences(runs[1], pinned)))
                 except RuntimeError as exc:
                     print(f"run failed: {exc}")
                     status = 1
@@ -229,12 +191,9 @@ def main(argv: list[str] | None = None, runner=run_cli) -> int:
     ap.add_argument("--workload", type=lambda text: text.split(","),
                     help="with --trees: one workload or a comma list")
     ap.add_argument("--seed", type=seed_list, help="with --trees: one seed or a comma list")
-    ap.add_argument("--cpus", type=int, choices=[1],
-                    help="with --trees: also run the change pinned to one CPU and "
-                         "compare that run with its unpinned one")
     args = ap.parse_args(argv)
     if args.trees is None:
-        if len(args.dirs) != 2 or args.workload or args.seed or args.cpus is not None:
+        if len(args.dirs) != 2 or args.workload or args.seed:
             ap.error("give two run directories, or --trees with --workload and --seed")
         return report(differences(*args.dirs))
     if args.dirs or not (args.workload and args.seed):
@@ -245,12 +204,7 @@ def main(argv: list[str] | None = None, runner=run_cli) -> int:
     for tree in args.trees:
         if not (tree / "src" / "graphncd").is_dir():
             ap.error(f"{tree} has no src/graphncd")
-    cpus = None
-    if args.cpus is not None:
-        cpus = _usable_cpus()[:1]
-        if not cpus:
-            ap.error("--cpus needs CPU affinity, which this platform lacks")
-    return compare_trees(*args.trees, args.workload, args.seed, runner, cpus)
+    return compare_trees(*args.trees, args.workload, args.seed, runner)
 
 
 if __name__ == "__main__":
