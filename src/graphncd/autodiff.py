@@ -7,7 +7,7 @@ local to the call. Nodes hold no gradients, so a graph can be swept again,
 or through another loss that shares part of it, with the same result.
 
 Shapes are strict. Scalars are (1, 1), row vectors (1, d). The only
-broadcasting allowed in ``add``/``mul`` is a (1, d) or (1, 1) operand
+broadcasting allowed in ``add``/``sub`` is a (1, d) or (1, 1) operand
 against an (n, d) one, which covers bias rows and scalar weights.
 """
 from __future__ import annotations
@@ -169,15 +169,6 @@ def spmm(m: SparseMatrix, x: Tensor) -> Tensor:
     return _make(m.mat @ x.data, (x,), vjp)
 
 
-def transpose(a: Tensor) -> Tensor:
-    _check_2d(a)
-
-    def vjp(g):
-        return [g.T.copy()]
-
-    return _make(a.data.T.copy(), (a,), vjp)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_2d(a, b)
     if not _broadcastable(a.shape, b.shape):
@@ -200,39 +191,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         return [_unbroadcast(g, ash), _unbroadcast(-g, bsh)]
 
     return _make(a.data - b.data, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product, same broadcasting rules as add."""
-    _check_2d(a, b)
-    if not _broadcastable(a.shape, b.shape):
-        raise ValueError(f"mul shape mismatch: {a.shape} * {b.shape}")
-    ash, bsh = a.shape, b.shape
-    ad, bd = a.data, b.data
-
-    def vjp(g):
-        return [_unbroadcast(g * bd, ash), _unbroadcast(g * ad, bsh)]
-
-    return _make(ad * bd, (a, b), vjp)
-
-
-def mul_scalar(a: Tensor, c: float) -> Tensor:
-    _check_2d(a)
-    c = float(c)
-
-    def vjp(g):
-        return [g * c]
-
-    return _make(a.data * c, (a,), vjp)
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    _check_2d(a)
-
-    def vjp(g):
-        return [g]
-
-    return _make(a.data + float(c), (a,), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -260,41 +218,6 @@ def _stable_sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # e <= 1 everywhere, so this is the numerator: 1 where x >= 0, e elsewhere
     np.maximum(e, pos, out=e)
     return np.divide(e, d, out=e)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    _check_2d(a)
-    s = _stable_sigmoid(a.data, np.empty_like(a.data))
-
-    def vjp(g):
-        return [g * s * (1.0 - s)]
-
-    return _make(s, (a,), vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    _check_2d(a)
-    if np.any(a.data <= 0.0):
-        raise ValueError("log needs strictly positive input; clamp first")
-    ad = a.data
-
-    def vjp(g):
-        return [g / ad]
-
-    return _make(np.log(ad), (a,), vjp)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip to [lo, hi]; gradient passes only where the input was interior."""
-    _check_2d(a)
-    if not lo < hi:
-        raise ValueError(f"clamp needs lo < hi, got [{lo}, {hi}]")
-    mask = (a.data > lo) & (a.data < hi)
-
-    def vjp(g):
-        return [g * mask]
-
-    return _make(np.clip(a.data, lo, hi), (a,), vjp)
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
@@ -371,16 +294,6 @@ def mean(a: Tensor) -> Tensor:
         return [np.full(shape, g[0, 0] / n)]
 
     return _make(np.array([[a.data.mean()]]), (a,), vjp)
-
-
-def sum(a: Tensor) -> Tensor:  # noqa: A001 - matches the op vocabulary
-    _check_2d(a)
-    shape = a.shape
-
-    def vjp(g):
-        return [np.full(shape, g[0, 0])]
-
-    return _make(np.array([[a.data.sum()]]), (a,), vjp)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:

@@ -408,9 +408,9 @@ def scheduled_total(terms: Mapping[str, Tensor], w: LossWeights,
     epoch's effective beta weights and the total, in the order the loss CSV
     expects.
 
-    One node, whose value and gradients are bitwise those of the chain
-    ``add``/``mul_scalar`` would build: the novel part, then the old-task
-    part times lam. Its parents are the terms in LOSS_TERMS order."""
+    One node, bitwise in value and gradients the tests' oracle chain of
+    ``add`` and ``mul_scalar``: the novel part, then the old-task part
+    times lam. Its parents are the terms in LOSS_TERMS order."""
     b1, b2 = loss_betas(w, epoch)
     lam, omega = float(w.lam), float(w.omega_fd)
     parents = tuple(terms[k] for k in LOSS_TERMS)

@@ -19,6 +19,8 @@ from graphncd.ncd_losses import (PAIR_BLOCK, LossWeights, Prototypes, _unsaturat
                                  self_training_loss, topk_groups,
                                  topk_pseudo_pairs)
 
+import oracle_ops as oracle
+
 ORACLE_TOL = 1e-12
 
 
@@ -178,16 +180,17 @@ def test_pairwise_bce_gradient():
 # ------------------------------------- closed-form pair ops vs the primitive chain
 
 def _chain_similarity(u):
-    return ad.sigmoid(ad.matmul(u, ad.transpose(u)))
+    return oracle.sigmoid(ad.matmul(u, oracle.transpose(u)))
 
 
 def _chain_bce(s, y):
     """pairwise_bce as the chain of primitives it replaces."""
     n = s.shape[0]
-    sc = ad.clamp(s, 1e-12, 1.0 - 1e-12)
-    pos = ad.mul(ad.log(sc), constant(y))
-    neg = ad.mul(ad.log(ad.add_scalar(ad.mul_scalar(sc, -1.0), 1.0)), constant(1.0 - y))
-    return ad.mul_scalar(ad.sum(ad.add(pos, neg)), -1.0 / (n * n))
+    sc = oracle.clamp(s, 1e-12, 1.0 - 1e-12)
+    pos = oracle.mul(oracle.log(sc), constant(y))
+    neg = oracle.mul(oracle.log(oracle.add_scalar(oracle.mul_scalar(sc, -1.0), 1.0)),
+                     constant(1.0 - y))
+    return oracle.mul_scalar(oracle.sum(ad.add(pos, neg)), -1.0 / (n * n))
 
 
 def _mixed_logits(rng, n):
@@ -221,7 +224,7 @@ def test_similarity_off_the_bce_route_raises_type_error(n):
     # pairwise_bce; its reference, the primitive chain, is checked above
     rng = np.random.default_rng(200 + n)
     u = parameter(_mixed_logits(rng, n))
-    loss = ad.sum(ad.mul(pairwise_similarity(u), constant(rng.standard_normal((n, n)))))
+    loss = oracle.sum(oracle.mul(pairwise_similarity(u), constant(rng.standard_normal((n, n)))))
     with pytest.raises(TypeError, match="only through pairwise_bce"):
         backward(loss, [u])
 
@@ -229,7 +232,7 @@ def test_similarity_off_the_bce_route_raises_type_error(n):
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_bce_of_a_free_similarity_raises_type_error(n):
     rng = np.random.default_rng(300 + n)
-    s = parameter(ad.sigmoid(constant(_mixed_logits(rng, n) @ _mixed_logits(rng, n).T)).data)
+    s = parameter(oracle.sigmoid(constant(_mixed_logits(rng, n) @ _mixed_logits(rng, n).T)).data)
     y = rng.random((n, n)) < 0.3
     with pytest.raises(TypeError, match="only the output of pairwise_similarity"):
         pairwise_bce(s, y)
@@ -250,7 +253,7 @@ def _two_log_bce(s, y):
 @pytest.mark.parametrize("n", BLOCK_EDGES)
 def test_bce_forward_is_bitwise_the_two_log_sum(n):
     rng = np.random.default_rng(400 + n)
-    s = ad.sigmoid(constant(_mixed_logits(rng, n) @ _mixed_logits(rng, n).T)).data
+    s = oracle.sigmoid(constant(_mixed_logits(rng, n) @ _mixed_logits(rng, n).T)).data
     # both clamp edges and both saturated ends, under either target
     s.flat[rng.choice(n * n, size=min(n * n, 8), replace=False)] = \
         [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0, 1.0, 0.0][:min(n * n, 8)]
@@ -600,7 +603,7 @@ def test_perturb_gradient_skips_the_noise():
     rng = np.random.default_rng(8)
     z = parameter(rng.standard_normal((4, 3)))
     pert = perturb_representations(z, 0.3, [1.0, 1.0, 1.0], seed=9)
-    (g,) = backward(ad.sum(ad.mul(pert, pert)), [z])
+    (g,) = backward(oracle.sum(oracle.mul(pert, pert)), [z])
     assert np.allclose(g, 2.0 * pert.data, atol=1e-12)
 
 
@@ -818,10 +821,10 @@ def test_total_loss_matches_hand_composition_on_random_inputs():
 def _chain_total(terms, w, epoch):
     """scheduled_total's total as the add/mul_scalar chain it replaces."""
     b1, b2 = loss_betas(w, epoch)
-    novel = ad.add(ad.add(terms["pseudo"], ad.mul_scalar(terms["self"], b1)),
-                   ad.mul_scalar(terms["perturb"], b2))
-    base = ad.add(terms["replay"], ad.mul_scalar(terms["distill"], w.omega_fd))
-    return ad.add(novel, ad.mul_scalar(base, w.lam))
+    novel = ad.add(ad.add(terms["pseudo"], oracle.mul_scalar(terms["self"], b1)),
+                   oracle.mul_scalar(terms["perturb"], b2))
+    base = ad.add(terms["replay"], oracle.mul_scalar(terms["distill"], w.omega_fd))
+    return ad.add(novel, oracle.mul_scalar(base, w.lam))
 
 
 def test_scheduled_total_is_one_node_bitwise_the_primitive_chain():
@@ -845,7 +848,8 @@ def test_scheduled_total_is_one_node_bitwise_the_primitive_chain():
         # under an upstream gradient other than 1 too
         live = [terms[k] for k, o in zip(names, on) if o]
         c = rng.uniform(-3, 3)
-        for top, ref in ((total, chain), (ad.mul_scalar(total, c), ad.mul_scalar(chain, c))):
+        for top, ref in ((total, chain),
+                         (oracle.mul_scalar(total, c), oracle.mul_scalar(chain, c))):
             for got, want in zip(backward(top, live), backward(ref, live), strict=True):
                 assert got.tobytes() == want.tobytes()
 

@@ -179,6 +179,8 @@ def trees(tmp_path):
     ["--workload", "desk", "--seed", "x"],
     ["--workload", "desk"],
     ["--seed", "0"],
+    ["--workload", "desk,desk", "--seed", "0"],
+    ["--workload", "desk", "--seed", "0,0"],
 ])
 def test_bad_tree_arguments_exit_2_before_any_run(trees, capsys, argv):
     runner = FakeRunner()

@@ -18,8 +18,9 @@ change next to its ``bound`` from BENCHMARK.json, labelled ``regression``
 when the change exceeds the bound, else ``unresolved`` when the parent's
 quartile spread, relative to its median, is wider than the bound, else
 ``within bound``. Exits 1 if any run failed, else 0; a ``--pairs`` below
-1, a ``--seconds`` that is not finite and positive or a workload that
-BENCHMARK.json does not declare exits 2 before any run.
+1, a ``--seconds`` that is not finite and positive, a seed list that is not
+integers or repeats a seed, or a workload that BENCHMARK.json does not
+declare exits 2 before any run.
 """
 from __future__ import annotations
 
@@ -112,26 +113,23 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict | No
 
 
 def read_run(stdout: str) -> dict | None:
-    """The result object on the last line of one benchmark run's output,
-    with the run's ``{"env": ...}`` object under ``"env"`` when it printed
-    one; None for no output."""
+    """The result object on the last line of one benchmark run's output;
+    None for no output."""
     lines = stdout.strip().splitlines()
-    if not lines:
-        return None
-    result = json.loads(lines[-1])
-    for line in lines[:-1]:
-        if line.startswith('{"env"'):
-            result["env"] = json.loads(line)["env"]
-    return result
+    return json.loads(lines[-1]) if lines else None
 
 
 def seed_list(text: str) -> list[int]:
-    """``--seed``'s comma list as integers; an empty element is an error."""
+    """``--seed``'s comma list as integers; an empty element or a seed
+    given twice is an error."""
     try:
-        return [int(p) for p in text.split(",")]
+        seeds = [int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma list of integers: {text!r}") from None
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"a seed is given twice: {text!r}")
+    return seeds
 
 
 def pairs(args: argparse.Namespace, workload: str, seed: int,

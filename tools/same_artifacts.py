@@ -24,8 +24,8 @@ With ``--trees``, every workload of the comma list, as
 list by each tree's own ``src``: ``graphncd gen-data`` first for a workload
 that reads files, then ``graphncd run``, each in a subprocess with BLAS
 pinned to one thread, all in a temporary directory. The report above is
-printed for each workload and seed. An unknown workload or a bad seed list
-exits 2 before any run. Otherwise exits 1 if any run failed or any file
+printed for each workload and seed. An unknown or repeated workload, or a
+seed list that is not integers or repeats a seed, exits 2 before any run. Otherwise exits 1 if any run failed or any file
 differs, else 0.
 """
 from __future__ import annotations
@@ -201,6 +201,8 @@ def main(argv: list[str] | None = None, runner=run_cli) -> int:
     unknown = [w for w in args.workload if w not in WORKLOADS]
     if unknown:
         ap.error(f"unknown workload {unknown[0]!r}; known: {', '.join(WORKLOADS)}")
+    if len(set(args.workload)) < len(args.workload):
+        ap.error(f"a workload is given twice: {','.join(args.workload)!r}")
     for tree in args.trees:
         if not (tree / "src" / "graphncd").is_dir():
             ap.error(f"{tree} has no src/graphncd")
